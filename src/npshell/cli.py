@@ -63,10 +63,17 @@ _LIST_KEYS = {"delta_grid"}
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """CLI flags override config-file values override defaults."""
+    """CLI flags override config-file values override defaults.
+
+    A config-file key must be a default of the command or a flag of its
+    subcommand; anything else (a typo) is rejected.
+    """
     cfg = dict(defaults)
+    known = (set(defaults) | set(vars(args))) - {"command", "func"}
     if getattr(args, "config", None):
         for k, v in _parse_config_file(args.config).items():
+            if k not in known:
+                raise ValueError(f"unknown config key {k!r}")
             if k in _FLOAT_KEYS:
                 cfg[k] = float(v)
             elif k in _INT_KEYS:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -99,28 +100,34 @@ def mode_indices(n_max: int, families: Iterable[str] = FAMILIES) -> list[ModeInd
 # scalar harmonics
 # ---------------------------------------------------------------------------
 
-def _norm_legendre(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre P~_n^m for m >= 0.
+def _legendre_column(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Fully normalized associated Legendre P~_k^m for k = m..n, m >= 0.
 
-    Normalized so that Y_n^m = P~_n^m(cos theta) exp(i m phi) is orthonormal
-    on the sphere; Condon-Shortley phase included.  Upward three-term
-    recurrence in the degree with prenormalized coefficients (stable to
-    n of a few hundred).
+    Returns shape (n - m + 1,) + ct.shape; row k - m holds degree k.
+    Normalized so that Y_k^m = P~_k^m(cos theta) exp(i m phi) is orthonormal
+    on the sphere; Condon-Shortley phase included.  Sectoral seed, then the
+    upward three-term recurrence in the degree with prenormalized
+    coefficients (the column recurrence of Holmes & Featherstone, J. Geodesy
+    2002, without their underflow scaling; stable to n of a few hundred).
     """
+    out = np.empty((n - m + 1,) + np.shape(ct))
     pmm = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(1, m + 1):
         pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * st * pmm
-    if n == m:
-        return pmm
-    pk1 = math.sqrt(2 * m + 3.0) * ct * pmm
-    if n == m + 1:
-        return pk1
-    pk2 = pmm
+    out[0] = pmm
+    if n > m:
+        out[1] = math.sqrt(2 * m + 3.0) * ct * pmm
     for k in range(m + 2, n + 1):
         a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
         b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-        pk2, pk1 = pk1, a * (ct * pk1 - b * pk2)
-    return pk1
+        out[k - m] = a * (ct * out[k - m - 1] - b * out[k - m - 2])
+    return out
+
+
+def _norm_legendre(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """Fully normalized associated Legendre P~_n^m for m >= 0: the last row
+    of `_legendre_column`."""
+    return _legendre_column(n, m, ct, st)[-1]
 
 
 def eval_ylm(n: int, m: int, theta, phi) -> np.ndarray:
@@ -273,6 +280,88 @@ def hess_irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
                         cache[mm] = irregular_solid_harmonic(n + 2, mm, xyz)
                     out[..., i, j] += c1 * c2 * cache[mm]
     return out
+
+
+# ---------------------------------------------------------------------------
+# batched derivatives of a solid-harmonic series
+# ---------------------------------------------------------------------------
+
+# Points per Legendre block: large enough for BLAS, small enough that the
+# real (degrees x points) blocks stay a few hundred kB.
+_BLOCK = 256
+
+
+@lru_cache(maxsize=256)
+def _ladder_block(decaying: bool, n: int, m: int, hessian: bool) -> np.ndarray:
+    """Read-only weights of grad (component 0-2) and Hess[i, j] (3 + 3 i + j)
+    of one solid harmonic on the harmonics of order m-2..m+2 (axis 0) and
+    degree n-2, n-1 (regular) or n+1, n+2 (decaying) (axis 2): the ladders
+    of grad_/hess_[ir]regular_solid_harmonic."""
+    weights = _ladder_weights_irregular if decaying else _ladder_weights_regular
+    step = 1 if decaying else -1
+    block = np.zeros((5, 12 if hessian else 3, 2), dtype=complex)
+    for j, w1 in weights(n, m).items():
+        for s1, c1 in w1.items():
+            if c1 == 0 or abs(m + s1) > n + step:
+                continue
+            block[2 + s1, j, int(not decaying)] += c1
+            for i, w2 in weights(n + step, m + s1).items() if hessian else ():
+                for s2, c2 in w2.items():
+                    if c2 != 0 and abs(m + s1 + s2) <= n + 2 * step:
+                        block[2 + s1 + s2, 3 + 3 * i + j, int(decaying)] += c1 * c2
+    block.setflags(write=False)
+    return block
+
+
+def solid_harmonic_series(regular: dict, decaying: dict, xyz, hessian: bool = False):
+    """grad F, and Hess F if asked, of the scalar potential
+    F = sum c_n^m r^n Y_n^m + sum d_n^m Y_n^m / r^(n+1) at points (..., 3).
+
+    `regular` and `decaying` map (n, m) to the coefficients c and d.  The
+    ladder weights of every mode are summed into one coefficient row per
+    (kind, degree, order); per block of points each order |m| then needs one
+    real Legendre column, scaled by r^k or r^-(k+1), and exp(i m phi) is
+    applied once per order.  Returns (grad (..., 3), Hess (..., 3, 3) or
+    None), complex.  Decaying terms need r > 0.
+    """
+    xyz = np.asarray(xyz, dtype=float)
+    pts = xyz.reshape(-1, 3)
+    ncomp, step = (12, 2) if hessian else (3, 1)
+    maps = (regular, decaying)
+    kinds = [kind for kind in (0, 1) if maps[kind]]
+    q_max = max((abs(m) for c in maps for (_, m) in c), default=0)
+    n_max = max((n for c in maps for (n, _) in c), default=0)
+    top = n_max + step  # highest degree a derivative reaches
+    # rows[kind, q + q_max + 2, comp, k + 2]: weight of the solid harmonic of
+    # degree k and order q in derivative component comp
+    rows = np.zeros((2, 2 * q_max + 5, ncomp, n_max + 5), dtype=complex)
+    for kind in kinds:
+        for (n, m), c in maps[kind].items():
+            lo = n + 3 if kind else n
+            rows[kind, m + q_max:m + q_max + 5, :, lo:lo + 2] += c * _ladder_block(
+                bool(kind), n, m, hessian)
+    out = np.zeros((2, ncomp, len(pts)))
+    r, theta, phi = _cartesian_angles(pts)
+    ct, st = np.cos(theta), np.sin(theta)
+    for lo in range(0, len(pts), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        powers = r[blk] ** np.arange(top + 2.0)[:, None]
+        for a in range(q_max + step + 1) if kinds else ():
+            # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
+            # combine into real matrices for the cos(a phi) and sin(a phi) parts.
+            plus = rows[kinds, q_max + 2 + a, :, a + 2:top + 3]
+            minus = (-1) ** a * rows[kinds, q_max + 2 - a, :, a + 2:top + 3]
+            coef = np.stack([plus + minus, 1j * (plus - minus)] if a else [plus])
+            col = _legendre_column(top, a, ct[blk], st[blk])
+            radial = np.stack([col / powers[a + 1:] if kind else col * powers[a:-1] for kind in kinds])
+            # (cos/sin part, re/im, comp, point) by one real BLAS contraction
+            val = np.tensordot(np.stack([coef.real, coef.imag], axis=1), radial, ([2, 4], [0, 1]))
+            for part, trig in zip(val, (np.cos, np.sin)):
+                out[:, :, blk] += part * trig(a * phi[blk])
+    out = (out[0] + 1j * out[1]).T
+    grad = out[:, :3].reshape(xyz.shape)
+    hess = out[:, 3:].reshape(xyz.shape + (3,)) if hessian else None
+    return grad, hess
 
 
 def surface_gradient_ylm(n: int, m: int, theta, phi) -> np.ndarray:

@@ -29,8 +29,6 @@ class LameParams:
     def __post_init__(self):
         if self.lam + 2 * self.mu == 0:
             raise SingularParameterError("lambda + 2 mu = 0 is outside the admissible set")
-        if 2 * self.mu + self.lam == 0:
-            raise SingularParameterError("2 mu + lambda must be nonzero")
 
     @property
     def is_regular(self) -> bool:
@@ -50,9 +48,6 @@ class LameParams:
         if not np.isclose(li, mi, rtol=0, atol=1e-12 * (1 + abs(mi))):
             raise ValueError("lambda and mu do not share a common imaginary part")
         return mi
-
-    def scaled(self, factor: complex) -> "LameParams":
-        return LameParams(self.lam * factor, self.mu * factor)
 
 
 @dataclass(frozen=True)

@@ -61,24 +61,36 @@ class QuadratureRule:
         if self.n_phi < 2 * self.n_theta:
             raise ValueError("need n_phi >= 2 n_theta for azimuthal resolution")
 
-    def _assemble(self, theta, wtheta, radius):
-        phi = 2 * np.pi * np.arange(self.n_phi) / self.n_phi
-        T, P = np.meshgrid(theta, phi, indexing="ij")
-        w = np.repeat(wtheta, self.n_phi) * (2 * np.pi / self.n_phi) * radius**2
-        st, ct = np.sin(T), np.cos(T)
-        pts = radius * np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1)
-        return pts.reshape(-1, 3), w
-
     def surface_nodes(self, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        x, w = _leggauss(self.n_theta)
-        theta = np.arccos(np.asarray(x))
-        return self._assemble(theta, np.asarray(w), radius)
+        pts, w = _unit_nodes(self, polar=False)
+        return radius * pts, w * radius**2
 
     def polar_nodes(self, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        x, w = _leggauss(self.n_theta)
+        pts, w = _unit_nodes(self, polar=True)
+        return radius * pts, w * radius**2
+
+
+@lru_cache(maxsize=32)
+def _unit_nodes(rule: QuadratureRule, polar: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only unit-sphere nodes (N, 3) and weights of one rule and kind.
+
+    Cached per rule, not per radius: callers scale by the radius, in the
+    order that keeps the scaled nodes bit-identical to building them anew.
+    """
+    x, w = _leggauss(rule.n_theta)
+    if polar:
         theta = (np.asarray(x) + 1.0) * (np.pi / 2)
         wtheta = np.asarray(w) * (np.pi / 2) * np.sin(theta)
-        return self._assemble(theta, wtheta, radius)
+    else:
+        theta, wtheta = np.arccos(np.asarray(x)), np.asarray(w)
+    phi = 2 * np.pi * np.arange(rule.n_phi) / rule.n_phi
+    T, P = np.meshgrid(theta, phi, indexing="ij")
+    weights = np.repeat(wtheta, rule.n_phi) * (2 * np.pi / rule.n_phi)
+    st, ct = np.sin(T), np.cos(T)
+    pts = np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1).reshape(-1, 3)
+    pts.setflags(write=False)
+    weights.setflags(write=False)
+    return pts, weights
 
 
 def rotation_to_pole(x: np.ndarray) -> np.ndarray:

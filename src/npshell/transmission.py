@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import ModeIndex, eval_solid_mode, grad_irregular_solid_harmonic
+from .harmonics import ModeIndex, solid_harmonic_series
 from .kelvin import LameParams
 from .potentials import CoefficientSpectrum, elastic_sl_t_coeff, np_eigenvalue
 
@@ -167,9 +167,6 @@ class DensitySolution:
     cfg: PlasmonicConfig
     lame: LameParams
 
-    def modes(self) -> list[ModeIndex]:
-        return [idx for idx, _ in self.phi_i.items()]
-
 
 def mode_denominator(n: int, cfg: PlasmonicConfig, geom: ShellGeometry, lame: LameParams) -> complex:
     """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
@@ -296,17 +293,21 @@ def exterior_mode_amplitude(sol: DensitySolution, idx: ModeIndex) -> complex:
     )
 
 
+def _shell_potential(sol: DensitySolution) -> tuple[dict, dict]:
+    """(regular, decaying) coefficients of the scattered potential in the shell."""
+    amps = {(idx.n, idx.m): shell_mode_amplitudes(sol, idx) for idx, _ in sol.phi_i.items()}
+    return {k: b for k, (_a, b) in amps.items()}, {k: a for k, (a, _b) in amps.items()}
+
+
 def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz) -> np.ndarray:
     """Source potential inside its convergence radius:
     F = sum g_e / (mu (n-1) r_e^(n-1)) T-solid(x); the free constant is 0."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     if src.r_s is not None and np.any(np.linalg.norm(xyz, axis=-1) >= src.r_s):
         raise ValueError("source potential series only converges for |x| < r_s")
-    out = np.zeros(xyz.shape, dtype=complex)
-    for (n, m), g in src.items():
-        coeff = g / (lame.mu * (n - 1) * geom.r_e ** (n - 1))
-        out += coeff * eval_solid_mode(ModeIndex("T", n, m), lame, xyz)
-    return out
+    coeffs = {(n, m): g / (lame.mu * (n - 1) * geom.r_e ** (n - 1)) for (n, m), g in src.items()}
+    grad, _ = solid_harmonic_series(coeffs, {}, xyz)
+    return np.cross(grad, xyz)
 
 
 def field_eval(
@@ -329,27 +330,22 @@ def field_eval(
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     r = np.linalg.norm(xyz, axis=-1)
     out = np.zeros(xyz.shape, dtype=complex)
-    core = r <= geom.r_i
-    shell = (r > geom.r_i) & (r <= geom.r_e)
-    outer = r > geom.r_e
-    for idx, _ in sol.phi_i.items():
-        n, m = idx.n, idx.m
-        d1 = elastic_sl_t_coeff(n, lame)
-        if np.any(core):
-            c = d1 * (
-                sol.phi_i[idx] / geom.r_i ** (n - 1)
-                + sol.phi_e[idx] / geom.r_e ** (n - 1)
-            )
-            out[core] += c * eval_solid_mode(idx, lame, xyz[core])
-        if np.any(shell):
-            a, b = shell_mode_amplitudes(sol, idx)
-            pts = xyz[shell]
-            v = np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
-            out[shell] += a * v + b * eval_solid_mode(idx, lame, pts)
-        if np.any(outer):
-            amp = exterior_mode_amplitude(sol, idx)
-            pts = xyz[outer]
-            out[outer] += amp * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
+    modes = [idx for idx, _ in sol.phi_i.items()]
+    core = {
+        (i.n, i.m): elastic_sl_t_coeff(i.n, lame)
+        * (sol.phi_i[i] / geom.r_i ** (i.n - 1) + sol.phi_e[i] / geom.r_e ** (i.n - 1))
+        for i in modes
+    }
+    outer = {(i.n, i.m): exterior_mode_amplitude(sol, i) for i in modes}
+    regions = (
+        (r <= geom.r_i, core, {}),
+        ((r > geom.r_i) & (r <= geom.r_e), *_shell_potential(sol)),
+        (r > geom.r_e, {}, outer),
+    )
+    for mask, regular, decaying in regions:
+        if np.any(mask):
+            grad, _ = solid_harmonic_series(regular, decaying, xyz[mask])
+            out[mask] = np.cross(grad, xyz[mask])
     if include_source and src is not None:
         out += source_field(src, geom, lame, xyz)
     return out
@@ -358,34 +354,17 @@ def field_eval(
 def scattered_gradient_factory(sol: DensitySolution):
     """Callable x(N,3) -> (u, grad u) for shell points, analytic gradients.
 
-    grad(grad f x x)[:, l] = Hess(f)[:, l] x x + grad f x e_l, applied to
-    the regular and decaying scalar potentials of every mode.
+    With u = grad F x x for the shell potential F of all modes,
+    grad u[:, :, l] = Hess(F)[:, :, l] x x + grad F x e_l.
     """
-    from .harmonics import (
-        grad_solid_harmonic,
-        hess_irregular_solid_harmonic,
-        hess_solid_harmonic,
-        solid_harmonic,
-    )
-
-    eye = np.eye(3)
+    regular, decaying = _shell_potential(sol)
 
     def eval_u_grad(xyz: np.ndarray):
         xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        u = np.zeros(xyz.shape, dtype=complex)
-        grad = np.zeros(xyz.shape + (3,), dtype=complex)
-        for idx, _ in sol.phi_i.items():
-            n, m = idx.n, idx.m
-            a, b = shell_mode_amplitudes(sol, idx)
-            gr = grad_solid_harmonic(n, m, xyz)
-            hr = hess_solid_harmonic(n, m, xyz)
-            gi = grad_irregular_solid_harmonic(n, m, xyz)
-            hi = hess_irregular_solid_harmonic(n, m, xyz)
-            u += b * np.cross(gr, xyz) + a * np.cross(gi, xyz)
-            for l in range(3):
-                grad[..., l] += b * (np.cross(hr[..., l], xyz) + np.cross(gr, eye[l]))
-                grad[..., l] += a * (np.cross(hi[..., l], xyz) + np.cross(gi, eye[l]))
-        return u, grad
+        g, hess = solid_harmonic_series(regular, decaying, xyz, hessian=True)
+        grad = np.cross(hess, xyz[:, :, None], axis=1)
+        grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
+        return np.cross(g, xyz), grad
 
     return eval_u_grad
 
@@ -406,6 +385,7 @@ class EnergyReport:
     energy_quadrature: float | None
     farfield_sample: float
     dominant_n: int
+    n_trunc: int
     verdict: str = "undetermined"
 
     def to_json_dict(self) -> dict:
@@ -417,6 +397,8 @@ class EnergyReport:
             "energy_modal": self.energy_modal,
             "energy_quadrature": self.energy_quadrature,
             "farfield_sample": self.farfield_sample,
+            "dominant_n": self.dominant_n,
+            "n_trunc": self.n_trunc,
             "verdict": self.verdict,
         }
 
@@ -516,6 +498,7 @@ def energy(
         energy_quadrature=e_quad,
         farfield_sample=farfield_sample(sol),
         dominant_n=dominant,
+        n_trunc=max((idx.n for idx in per_mode), default=0),
     )
 
 
@@ -586,10 +569,6 @@ class CalrSweep:
     farfield_ratio: float
     r_s: float
     growth_threshold: float = 1e3
-
-    @property
-    def deltas(self) -> list[float]:
-        return [r.delta for r in self.reports]
 
 
 def classify_calr(

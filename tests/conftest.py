@@ -30,3 +30,10 @@ def random_surface_angles(rng, count):
     theta = rng.uniform(0.05, np.pi - 0.05, size=count)
     phi = rng.uniform(0.0, 2 * np.pi, size=count)
     return theta, phi
+
+
+def assert_pointwise(actual, reference, rtol=1e-13):
+    """|actual - reference| <= rtol |reference| at every point (rows of axis 0)."""
+    err = np.linalg.norm((actual - reference).reshape(len(actual), -1), axis=1)
+    scale = np.linalg.norm(reference.reshape(len(reference), -1), axis=1)
+    assert np.all(err <= rtol * scale), float(np.max(err / np.maximum(scale, 1e-300)))

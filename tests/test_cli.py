@@ -162,6 +162,16 @@ class TestConfigHandling:
         rc = main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text("muu = 2.0\n")
+        out = tmp_path / "s.jsonl"
+        rc = main(["calr", "--config", str(cfgfile), "--delta-grid", "1e-1,1e-2",
+                   "--no-quad-energy", "--out", str(out)])
+        assert rc == 2
+        assert "error: unknown config key 'muu'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
-from conftest import random_surface_angles
+from conftest import assert_pointwise, random_surface_angles
+from npshell import harmonics
 from npshell.harmonics import (
     ModeIndex,
     SurfacePoint,
@@ -25,8 +26,10 @@ from npshell.harmonics import (
     irregular_solid_harmonic,
     mode_indices,
     solid_harmonic,
+    solid_harmonic_series,
     surface_gradient_ylm,
     trace_mode_norm_sq,
+    _legendre_column,
     _unit_vectors,
 )
 from npshell.kelvin import LameParams
@@ -352,3 +355,94 @@ class TestEdgeCases:
             mine = eval_ylm(200, m, theta, phi)
             ref = sph_harm_y(200, m, theta, phi)
             assert_allclose(mine, ref, rtol=1e-10, atol=1e-12)
+
+
+def _legendre_reference(n, m, ct, st):
+    """The per-(n, m) recurrence that the column routine replaced."""
+    pmm = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(1, m + 1):
+        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * st * pmm
+    if n == m:
+        return pmm
+    pk1 = math.sqrt(2 * m + 3.0) * ct * pmm
+    if n == m + 1:
+        return pk1
+    pk2 = pmm
+    for k in range(m + 2, n + 1):
+        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+        pk2, pk1 = pk1, a * (ct * pk1 - b * pk2)
+    return pk1
+
+
+def _per_mode_series(regular, decaying, xyz):
+    """grad and Hess of the series summed mode by mode from the single-mode ladders."""
+    grad = sum(c * grad_solid_harmonic(n, m, xyz) for (n, m), c in regular.items())
+    grad = grad + sum(c * grad_irregular_solid_harmonic(n, m, xyz) for (n, m), c in decaying.items())
+    hess = sum(c * hess_solid_harmonic(n, m, xyz) for (n, m), c in regular.items())
+    hess = hess + sum(c * hess_irregular_solid_harmonic(n, m, xyz) for (n, m), c in decaying.items())
+    return grad, hess
+
+
+class TestLegendreColumn:
+    def test_rows_equal_per_degree_recurrence(self, rng):
+        theta = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, np.pi, 40)])
+        ct, st = np.cos(theta), np.sin(theta)
+        for n, m in [(0, 0), (1, 0), (1, 1), (7, 0), (7, 7), (30, 3), (60, 59), (400, 9)]:
+            col = _legendre_column(n, m, ct, st)
+            assert col.shape == (n - m + 1, len(theta))
+            for k in range(m, n + 1):
+                assert np.array_equal(col[k - m], _legendre_reference(k, m, ct, st))
+
+    def test_matches_scipy_to_degree_200(self, rng):
+        theta = np.concatenate([[0.0, np.pi], rng.uniform(0, np.pi, 8)])
+        for m in (0, 1, 2, 57, 199, 200):
+            col = _legendre_column(200, m, np.cos(theta), np.sin(theta))
+            degrees = np.arange(m, 201)[:, None]
+            ref = sph_harm_y(degrees, m, theta[None, :], 0.0).real
+            assert_allclose(col, ref, rtol=1e-10, atol=1e-12)
+
+
+class TestSolidHarmonicSeries:
+    def test_matches_per_mode_ladders(self, rng):
+        def coeffs():
+            return {(n, m): complex(*rng.normal(size=2)) for n in range(9) for m in range(-n, n + 1)}
+
+        regular, decaying = coeffs(), coeffs()
+        pts = rng.normal(size=(300, 3))
+        pts[:4] = [[0.0, 0.0, 1.3], [0.0, 0.0, -0.8], [0.0, 0.0, 2.0], [0.6, 0.0, 0.0]]
+        grad, hess = solid_harmonic_series(regular, decaying, pts, hessian=True)
+        grad_ref, hess_ref = _per_mode_series(regular, decaying, pts)
+        assert_pointwise(grad, grad_ref)
+        assert_pointwise(hess, hess_ref)
+        only_grad, none = solid_harmonic_series(regular, decaying, pts)
+        assert none is None
+        assert_pointwise(only_grad, grad_ref)
+
+    def test_regular_series_at_origin(self, rng):
+        regular = {(n, m): complex(*rng.normal(size=2)) for n in range(5) for m in range(-n, n + 1)}
+        origin = np.zeros((1, 3))
+        grad, hess = solid_harmonic_series(regular, {}, origin, hessian=True)
+        grad_ref, hess_ref = _per_mode_series(regular, {}, origin)
+        assert_pointwise(grad, grad_ref)
+        assert_pointwise(hess, hess_ref)
+
+    def test_one_legendre_column_per_order_and_block(self, rng, monkeypatch):
+        orders = []
+        column = harmonics._legendre_column
+
+        def counted(n, m, ct, st):
+            orders.append(m)
+            return column(n, m, ct, st)
+
+        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        pts = rng.normal(size=(2 * harmonics._BLOCK + 5, 3))
+        blocks, max_m = 3, 2
+        counts = []
+        for n_max in (3, 40):
+            orders.clear()
+            coeffs = {(n, m): 1.0 for n in range(2, n_max + 1) for m in (-max_m, 0, 1)}
+            solid_harmonic_series(coeffs, coeffs, pts, hessian=True)
+            counts.append(len(orders))
+            assert len(orders) <= (max_m + 3) * blocks
+        assert counts[0] == counts[1]

@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_surface_angles
-from npshell.harmonics import ModeIndex, _unit_vectors
+from conftest import assert_pointwise, random_surface_angles
+from npshell.harmonics import (
+    ModeIndex,
+    _unit_vectors,
+    eval_solid_mode,
+    grad_irregular_solid_harmonic,
+    grad_solid_harmonic,
+    hess_irregular_solid_harmonic,
+    hess_solid_harmonic,
+)
 from npshell.kelvin import LameParams
 from npshell.oracle import QuadratureRule, quad_energy_shell
 from npshell.potentials import CoefficientSpectrum, np_eigenvalue
+from npshell.potentials import elastic_sl_t_coeff
 from npshell.transmission import (
     CalrSweep,
     DensitySolution,
@@ -30,10 +39,13 @@ from npshell.transmission import (
     mode_energy,
     plasmonic_params,
     resonant_energy_envelope,
+    exterior_mode_amplitude,
     scattered_gradient_factory,
+    shell_mode_amplitudes,
     solve_mode,
     solve_mode_direct,
     solve_source,
+    solve_sweep_point,
     source_field,
     synth_source,
     truncation_degree,
@@ -221,6 +233,82 @@ class TestFieldEval:
             source_field(src, GEOM, LAME, np.array([[3.0, 0.0, 0.0]]))
 
 
+def _per_mode_field(sol, geom, lame, xyz):
+    """Scattered field summed mode by mode from the single-mode ladders."""
+    r = np.linalg.norm(xyz, axis=-1)
+    out = np.zeros(xyz.shape, dtype=complex)
+    core, outer = r <= geom.r_i, r > geom.r_e
+    shell = ~core & ~outer
+    for idx, _ in sol.phi_i.items():
+        n, m = idx.n, idx.m
+        d1 = elastic_sl_t_coeff(n, lame)
+        c = d1 * (sol.phi_i[idx] / geom.r_i ** (n - 1) + sol.phi_e[idx] / geom.r_e ** (n - 1))
+        out[core] += c * eval_solid_mode(idx, lame, xyz[core])
+        a, b = shell_mode_amplitudes(sol, idx)
+        pts = xyz[shell]
+        out[shell] += a * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
+        out[shell] += b * eval_solid_mode(idx, lame, pts)
+        pts = xyz[outer]
+        amp = exterior_mode_amplitude(sol, idx)
+        out[outer] += amp * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
+    return out
+
+
+def _per_mode_u_grad(sol, xyz):
+    """(u, grad u) in the shell summed mode by mode from the single-mode ladders."""
+    u = np.zeros(xyz.shape, dtype=complex)
+    grad = np.zeros(xyz.shape + (3,), dtype=complex)
+    eye = np.eye(3)
+    for idx, _ in sol.phi_i.items():
+        n, m = idx.n, idx.m
+        a, b = shell_mode_amplitudes(sol, idx)
+        gr, hr = grad_solid_harmonic(n, m, xyz), hess_solid_harmonic(n, m, xyz)
+        gi, hi = grad_irregular_solid_harmonic(n, m, xyz), hess_irregular_solid_harmonic(n, m, xyz)
+        u += b * np.cross(gr, xyz) + a * np.cross(gi, xyz)
+        for l in range(3):
+            grad[..., l] += b * (np.cross(hr[..., l], xyz) + np.cross(gr, eye[l]))
+            grad[..., l] += a * (np.cross(hi[..., l], xyz) + np.cross(gi, eye[l]))
+    return u, grad
+
+
+def _per_mode_source(src, geom, lame, xyz):
+    out = np.zeros(xyz.shape, dtype=complex)
+    for (n, m), g in src.items():
+        coeff = g / (lame.mu * (n - 1) * geom.r_e ** (n - 1))
+        out += coeff * eval_solid_mode(ModeIndex("T", n, m), lame, xyz)
+    return out
+
+
+class TestBatchedFields:
+    """T fields from one scalar potential per region against per-mode sums."""
+
+    @pytest.mark.parametrize("spread_m", [False, True], ids=["m0-sweep", "spread-m"])
+    def test_matches_per_mode_sums(self, spread_m, rng):
+        if spread_m:
+            src = synth_source(2.5, GEOM, LAME, n_max=12, spread_m=True)
+            sol = solve_source(src, GEOM, PlasmonicConfig.resonant(4, 1e-3), LAME)
+            assert any(m < 0 and m % 2 for (_n, m) in src.coeffs)
+        else:
+            src, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
+        radii = np.concatenate([rng.uniform(0.05, 0.95, 20), rng.uniform(1.05, 1.95, 20),
+                                rng.uniform(2.05, 6.0, 20)])
+        pts = _unit_vectors(*random_surface_angles(rng, 60)) * radii[:, None]
+        axis = [[0.0, 0.0, s * h] for h in (0.5, 1.5, 3.0) for s in (1.0, -1.0)]
+        pts = np.vstack([np.zeros((1, 3)), axis, pts])
+        assert_pointwise(field_eval(sol, None, GEOM, LAME, pts), _per_mode_field(sol, GEOM, LAME, pts))
+
+        r = np.linalg.norm(pts, axis=1)
+        shell = pts[(r > GEOM.r_i) & (r <= GEOM.r_e)]
+        u, grad = scattered_gradient_factory(sol)(shell)
+        u_ref, grad_ref = _per_mode_u_grad(sol, shell)
+        assert_pointwise(u, u_ref)
+        assert_pointwise(grad, grad_ref)
+
+        inside = pts[r < 0.95 * src.r_s]
+        assert_pointwise(source_field(src, GEOM, LAME, inside),
+                         _per_mode_source(src, GEOM, LAME, inside))
+
+
 class TestSynthSource:
     def test_decay_ratio(self):
         src = synth_source(2.5, GEOM, LAME, n_max=40)
@@ -324,8 +412,9 @@ class TestEnergy:
         d = rep.to_json_dict()
         assert set(d) == {
             "delta", "n0", "c_n", "eps_n", "energy_modal",
-            "energy_quadrature", "farfield_sample", "verdict",
+            "energy_quadrature", "farfield_sample", "dominant_n", "n_trunc", "verdict",
         }
+        assert (d["dominant_n"], d["n_trunc"]) == (2, 2)
 
 
 class TestDenominatorBand:
