@@ -30,11 +30,12 @@ from .potentials import np_eigenvalue, np_eigenvalue_limit, scalar_sl_multiplier
 from .transmission import (
     PlasmonicConfig,
     ShellGeometry,
+    SourceSpectrum,
     classify_calr,
     energy,
     field_eval,
     solve_source,
-    synth_source,
+    solve_sweep_point,
 )
 from . import harmonics
 
@@ -57,36 +58,33 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-_FLOAT_KEYS = {"lam", "mu", "ri", "re", "rs", "offset", "extent", "delta", "kappa", "guard"}
-_INT_KEYS = {"n_max", "n_min", "quad_theta", "quad_phi", "resolution", "n_radial"}
-_LIST_KEYS = {"delta_grid"}
+def _float_list(text: str) -> list[float]:
+    return [float(s) for s in text.split(",") if s.strip()]
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """CLI flags override config-file values override defaults.
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    """Dests of the subcommand options that take a value: the keys a config
+    file may set and the artifact header echoes."""
+    return [a.dest for a in parser._actions if a.option_strings and a.nargs != 0 and a.dest != "config"]
 
-    A config-file key must be a default of the command or a flag of its
-    subcommand; anything else (a typo) is rejected.
+
+def _resolve(ap: argparse.ArgumentParser, argv) -> tuple[argparse.Namespace, dict]:
+    """Parse argv: CLI flags override config-file values override defaults.
+
+    A config-file value becomes the default of its flag, so argparse converts
+    it with that flag's own type; a key that is no option of the subcommand
+    (a typo, or a flag another subcommand reads) is rejected.
     """
-    cfg = dict(defaults)
-    known = (set(defaults) | set(vars(args))) - {"command", "func"}
-    if getattr(args, "config", None):
-        for k, v in _parse_config_file(args.config).items():
-            if k not in known:
+    args = ap.parse_args(argv)
+    options = _options(args.parser)
+    if args.config:
+        values = _parse_config_file(args.config)
+        for k in values:
+            if k not in options:
                 raise ValueError(f"unknown config key {k!r}")
-            if k in _FLOAT_KEYS:
-                cfg[k] = float(v)
-            elif k in _INT_KEYS:
-                cfg[k] = int(v)
-            elif k in _LIST_KEYS:
-                cfg[k] = [float(s) for s in v.split(",") if s.strip()]
-            else:
-                cfg[k] = v
-    for k in cfg:
-        v = getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
-    return cfg
+        args.parser.set_defaults(**values)
+        args = ap.parse_args(argv)
+    return args, {k: getattr(args, k) for k in options}
 
 
 def _echo_lines(cfg: dict) -> list[str]:
@@ -121,17 +119,13 @@ def _geom(cfg: dict) -> ShellGeometry:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    cfg = _merge_config(
-        args,
-        {"lam": 1.0, "mu": 1.0, "n_min": 1, "n_max": 10, "families": "T,M,N", "out": "spectrum.csv"},
-    )
+def cmd_spectrum(args, cfg: dict) -> int:
     lame = _lame(cfg)
     fams = [f.strip() for f in str(cfg["families"]).split(",") if f.strip()]
     rows = []
     for fam in fams:
         lim = np_eigenvalue_limit(fam, lame)
-        for n in range(int(cfg["n_min"]), int(cfg["n_max"]) + 1):
+        for n in range(cfg["n_min"], cfg["n_max"] + 1):
             xi = complex(np_eigenvalue(fam, n, lame))
             rows.append([fam, n, xi.real, xi.imag, complex(lim).real])
     _write_csv(cfg["out"], cfg, ["family", "n", "eigenvalue_re", "eigenvalue_im", "limit_value"], rows)
@@ -248,9 +242,7 @@ def _suite_gram(lame, rule, n_max, records):
 def _suite_energy(lame, geom, rule, n_max, records):
     for n in range(2, n_max + 1):
         cfg = PlasmonicConfig.resonant(n, 0.01)
-        src = synth_source(3.0 * geom.r_e, geom, lame, n_max=n)
-        src.coeffs.clear()
-        src.coeffs[(n, 0)] = 1.0
+        src = SourceSpectrum({(n, 0): 1.0}, r_s=3.0 * geom.r_e)
         sol = solve_source(src, geom, cfg, lame)
         rep = energy(sol, src, geom, cfg, lame, quadrature=True, quad_kwargs={"rule": rule})
         records.append(
@@ -264,30 +256,16 @@ def _suite_energy(lame, geom, rule, n_max, records):
         )
 
 
-def cmd_validate(args) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "lam": 1.0,
-            "mu": 1.0,
-            "ri": 1.0,
-            "re": 2.0,
-            "suite": "np",
-            "n_max": 6,
-            "quad_theta": 64,
-            "quad_phi": 128,
-            "out": "validate.jsonl",
-        },
-    )
+def cmd_validate(args, cfg: dict) -> int:
     lame = _lame(cfg)
-    rule = QuadratureRule(int(cfg["quad_theta"]), int(cfg["quad_phi"]))
+    rule = QuadratureRule(cfg["quad_theta"], cfg["quad_phi"])
     records = []
-    suite = str(cfg["suite"])
-    n_max = int(cfg["n_max"])
+    suite = cfg["suite"]
+    n_max = cfg["n_max"]
     if suite == "layers":
         _suite_layers(lame, rule, n_max, records)
     elif suite == "np":
-        _suite_np(lame, rule, n_max, records, inject_fault=bool(getattr(args, "inject_fault", False)))
+        _suite_np(lame, rule, n_max, records, inject_fault=args.inject_fault)
     elif suite == "lame":
         _suite_lame(lame, n_max, records)
     elif suite == "gram":
@@ -311,26 +289,12 @@ def cmd_validate(args) -> int:
 # calr sweep
 # ---------------------------------------------------------------------------
 
-def cmd_calr(args) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "lam": 1.0,
-            "mu": 1.0,
-            "ri": 1.0,
-            "re": 2.0,
-            "rs": 2.5,
-            "delta_grid": [10.0 ** (-k) for k in range(1, 7)],
-            "kappa": 1.0,
-            "out": "calr.jsonl",
-        },
-    )
+def cmd_calr(args, cfg: dict) -> int:
     geom = _geom(cfg)
     lame = _lame(cfg)
-    grid = [float(d) for d in cfg["delta_grid"]]
     sweep = classify_calr(
-        geom, lame, float(cfg["rs"]), grid, kappa=float(cfg["kappa"]),
-        quadrature=not getattr(args, "no_quad_energy", False),
+        geom, lame, cfg["rs"], cfg["delta_grid"], kappa=cfg["kappa"],
+        quadrature=not args.no_quad_energy,
     )
     lines = [json.dumps({"type": "config", **{k: str(v) for k, v in sorted(cfg.items())}})]
     for rep in sweep.reports:
@@ -362,39 +326,18 @@ def cmd_calr(args) -> int:
 # field slice
 # ---------------------------------------------------------------------------
 
-def cmd_field(args) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "lam": 1.0,
-            "mu": 1.0,
-            "ri": 1.0,
-            "re": 2.0,
-            "rs": 2.5,
-            "delta": 1e-5,
-            "axis": "y",
-            "offset": 0.0,
-            "extent": 5.0,
-            "resolution": 81,
-            "guard": 0.02,
-            "kappa": 1.0,
-            "out": "field.csv",
-        },
-    )
+def cmd_field(args, cfg: dict) -> int:
     geom = _geom(cfg)
     lame = _lame(cfg)
-    delta = float(cfg["delta"])
-    from .transmission import solve_sweep_point
-
-    src, sol = solve_sweep_point(delta, geom, lame, float(cfg["rs"]), kappa=float(cfg["kappa"]))
+    src, sol = solve_sweep_point(cfg["delta"], geom, lame, cfg["rs"], kappa=cfg["kappa"])
     n0 = sol.cfg.n0
 
-    axis = str(cfg["axis"]).lower()
+    axis = cfg["axis"].lower()
     if axis not in ("x", "y", "z"):
         print("axis must be one of x, y, z", file=sys.stderr)
         return 2
-    res = int(cfg["resolution"])
-    ext = float(cfg["extent"])
+    res = cfg["resolution"]
+    ext = cfg["extent"]
     ticks = [0.0] if res == 1 else list(np.linspace(-ext, ext, res))
     kept = dict(x=(1, 2), y=(0, 2), z=(0, 1))[axis]
     normal = dict(x=0, y=1, z=2)[axis]
@@ -402,17 +345,17 @@ def cmd_field(args) -> int:
     for u in ticks:
         for v in ticks:
             p = [0.0, 0.0, 0.0]
-            p[kept[0]], p[kept[1]], p[normal] = u, v, float(cfg["offset"])
+            p[kept[0]], p[kept[1]], p[normal] = u, v, cfg["offset"]
             pts.append(p)
     pts = np.array(pts)
     r = np.linalg.norm(pts, axis=1)
-    guard = float(cfg["guard"]) * geom.r_e
+    guard = cfg["guard"] * geom.r_e
     keep = (np.abs(r - geom.r_i) > guard) & (np.abs(r - geom.r_e) > guard)
-    include = bool(getattr(args, "include_source", False))
+    include = args.include_source
     vals = np.zeros(len(pts))
     ok = keep.copy()
     if include:
-        ok &= r < 0.95 * float(cfg["rs"])  # source series valid strictly inside r_s
+        ok &= r < 0.95 * cfg["rs"]  # source series valid strictly inside r_s
     vals[ok] = np.linalg.norm(
         field_eval(sol, src, geom, lame, pts[ok], include_source=include), axis=1
     )
@@ -430,68 +373,66 @@ def cmd_field(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, help="first Lame constant")
-    p.add_argument("--mu", type=float, help="shear modulus")
-    p.add_argument("--ri", type=float, help="core radius")
-    p.add_argument("--re", type=float, help="shell outer radius")
-    p.add_argument("--rs", type=float, help="source radius")
-    p.add_argument("--delta-grid", dest="delta_grid", type=lambda s: [float(x) for x in s.split(",")],
-                   help="comma list of decreasing loss values")
-    p.add_argument("--n-max", dest="n_max", type=int, help="maximum degree")
-    p.add_argument("--quad-theta", dest="quad_theta", type=int, help="colatitude quadrature nodes")
-    p.add_argument("--quad-phi", dest="quad_phi", type=int, help="azimuth quadrature nodes")
-    p.add_argument("--out", help="output artifact path")
-    p.add_argument("--config", help="flat key = value config file (flags override)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the options it reads; the
+    defaults here are the ones every artifact echoes."""
     ap = argparse.ArgumentParser(
         prog="npshell",
         description="Neumann-Poincare spectra and anomalous localized resonance on spheres",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("spectrum", help="tabulate N-P eigenvalues to CSV")
-    _add_common(ps)
-    ps.add_argument("--n-min", dest="n_min", type=int)
-    ps.add_argument("--families", help="comma list out of T,M,N")
-    ps.set_defaults(func=cmd_spectrum)
+    def command(name, func, out, help, shell=True, source=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)
+        p.add_argument("--out", default=out, help="output artifact path")
+        p.add_argument("--config", help="flat key = value config file (flags override)")
+        p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="first Lame constant")
+        p.add_argument("--mu", type=float, default=1.0, help="shear modulus")
+        if shell:
+            p.add_argument("--ri", type=float, default=1.0, help="core radius")
+            p.add_argument("--re", type=float, default=2.0, help="shell outer radius")
+        if source:
+            p.add_argument("--rs", type=float, default=2.5, help="source radius")
+            p.add_argument("--kappa", type=float, default=1.0, help="source amplitude")
+        return p
 
-    pv = sub.add_parser("validate", help="run an oracle suite; nonzero exit on failure")
-    _add_common(pv)
-    pv.add_argument("--suite", choices=["layers", "np", "lame", "gram", "energy"])
+    ps = command("spectrum", cmd_spectrum, "spectrum.csv", "tabulate N-P eigenvalues to CSV", shell=False)
+    ps.add_argument("--n-min", type=int, default=1, help="minimum degree")
+    ps.add_argument("--n-max", type=int, default=10, help="maximum degree")
+    ps.add_argument("--families", default="T,M,N", help="comma list out of T,M,N")
+
+    pv = command("validate", cmd_validate, "validate.jsonl", "run an oracle suite; nonzero exit on failure")
+    pv.add_argument("--suite", choices=["layers", "np", "lame", "gram", "energy"], default="np")
+    pv.add_argument("--n-max", type=int, default=6, help="maximum degree")
+    pv.add_argument("--quad-theta", type=int, default=64, help="colatitude quadrature nodes")
+    pv.add_argument("--quad-phi", type=int, default=128, help="azimuth quadrature nodes")
     pv.add_argument("--inject-fault", action="store_true",
                     help="testing hook: corrupt one reference eigenvalue")
-    pv.set_defaults(func=cmd_validate)
 
-    pc = sub.add_parser("calr", help="loss sweep with resonance classification")
-    _add_common(pc)
-    pc.add_argument("--kappa", type=float, help="source amplitude")
+    pc = command("calr", cmd_calr, "calr.jsonl", "loss sweep with resonance classification", source=True)
+    pc.add_argument("--delta-grid", type=_float_list, default=[10.0 ** (-k) for k in range(1, 7)],
+                    help="comma list of decreasing loss values")
     pc.add_argument("--no-quad-energy", action="store_true",
                     help="skip the volume-quadrature energy cross-check")
-    pc.set_defaults(func=cmd_calr)
 
-    pf = sub.add_parser("field", help="emit a plane slice of |u| for plotting")
-    _add_common(pf)
-    pf.add_argument("--delta", type=float, help="loss value")
-    pf.add_argument("--axis", choices=["x", "y", "z"], help="slice plane normal")
-    pf.add_argument("--offset", type=float, help="plane offset along the normal")
-    pf.add_argument("--extent", type=float, help="half-width of the slice")
-    pf.add_argument("--resolution", type=int, help="samples per side")
-    pf.add_argument("--guard", type=float, help="interface guard band, relative to r_e")
-    pf.add_argument("--kappa", type=float, help="source amplitude")
+    pf = command("field", cmd_field, "field.csv", "emit a plane slice of |u| for plotting", source=True)
+    pf.add_argument("--delta", type=float, default=1e-5, help="loss value")
+    pf.add_argument("--axis", choices=["x", "y", "z"], default="y", help="slice plane normal")
+    pf.add_argument("--offset", type=float, default=0.0, help="plane offset along the normal")
+    pf.add_argument("--extent", type=float, default=5.0, help="half-width of the slice")
+    pf.add_argument("--resolution", type=int, default=81, help="samples per side")
+    pf.add_argument("--guard", type=float, default=0.02, help="interface guard band, relative to r_e")
     pf.add_argument("--include-source", action="store_true",
                     help="add the source potential where its series converges")
-    pf.set_defaults(func=cmd_field)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        args, cfg = _resolve(ap, argv)
+        return args.func(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,14 +94,14 @@ def np_eigenvalue(family: str, n: int, lame: LameParams) -> complex:
 
     For family N the degree n is the mode's own subscript (trace built from
     Y_{n-1}); with that convention the same formula index applies.  The
-    result is independent of m and of the sphere radius.
+    result is independent of m and of the sphere radius.  Elementwise in n.
     """
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise ValueError("n must be >= 1")
     if family == "T":
         return 3.0 / (4 * n + 2)
     den = 2 * (lame.lam + 2 * lame.mu) * (4 * n * n - 1)
-    if den == 0:
+    if np.any(den == 0):
         raise SingularParameterError("lambda + 2 mu vanishes")
     if family == "M":
         return (3 * lame.lam - 2 * lame.mu * (2 * n * n - 2 * n - 3)) / den

@@ -2,8 +2,11 @@
 
 A lossy negative-parameter shell between a stiffened core and a regular
 matrix is driven by a source supported outside the shell.  Tractions are
-expanded in the rotational (T) vector-harmonic family, each degree solves a
-2x2 system in the two layer densities, and the dissipated shell energy
+expanded in the rotational (T) vector-harmonic family, where the problem is
+diagonal in the degree n: each degree solves a 2x2 system in the two layer
+densities, in closed form.  Those closed forms (source coefficient, transfer
+factors, region coefficients, shell energy) are written once, elementwise in
+n, so that n may be an int or an int array.  The dissipated shell energy
 decides between resonant blowup and boundedness depending on whether the
 source sits inside or outside the critical radius sqrt(r_e^3 / r_i).
 """
@@ -123,38 +126,132 @@ class SourceSpectrum:
         return max((n for (n, _m) in self.coeffs), default=1)
 
 
+# ---------------------------------------------------------------------------
+# closed forms, elementwise in the degree n
+# ---------------------------------------------------------------------------
+
+def source_coefficient(n, r_s: float, geom: ShellGeometry, lame: LameParams, kappa: float = 1.0):
+    """g_e^n = kappa mu (n-1) (r_e/r_s)^n / r_e: the source whose potential
+    converges exactly for |x| < r_s.  Only the ratio r_e/r_s is raised to n."""
+    return kappa * complex(lame.mu).real * (n - 1) * (geom.r_e / r_s) ** n / geom.r_e
+
+
+def mode_denominator(n, cfg: PlasmonicConfig, geom: ShellGeometry, lame: LameParams):
+    """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
+    xi = np_eigenvalue("T", n, lame)
+    pair = a_delta(cfg)
+    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu  # = -1/(2n+1), material free
+    rho = geom.rho
+    return (xi - pair.a1) * (xi - pair.a2) + d1mu**2 * (n - 1) * (n + 2) * rho ** (2 * n + 1)
+
+
+def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig, lame: LameParams):
+    """(phi_i / g_e, phi_e / g_e), the closed-form solve of the 2x2 system:
+
+    phi_i = g_e (a2 - xi + d1 mu (n-1)) rho^(n-1) / D
+    phi_e = -g_e (xi - a1 + d1 mu (n+2) rho^(2n+1)) / D
+    """
+    xi = np_eigenvalue("T", n, lame)
+    pair = a_delta(cfg)
+    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
+    rho = geom.rho
+    D = mode_denominator(n, cfg, geom, lame)
+    if np.any(D == 0):
+        raise ExactResonanceError(f"degree n={np.ravel(n)[np.ravel(D == 0)]} is exactly resonant (D = 0)")
+    return (
+        (pair.a2 - xi + d1mu * (n - 1)) * rho ** (n - 1) / D,
+        -(xi - pair.a1 + d1mu * (n + 2) * rho ** (2 * n + 1)) / D,
+    )
+
+
+def region_coefficients(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams):
+    """Solid-harmonic coefficients of the scattered T potential F per region,
+    u - F = grad F x x, from the layer densities:
+
+    core regular     d1 (phi_i / r_i^(n-1) + phi_e / r_e^(n-1))
+    shell regular    d1 phi_e / r_e^(n-1)       (outer layer, interior form)
+    shell decaying   d1 r_i^(n+2) phi_i          (inner layer, exterior form)
+    matrix decaying  d1 (r_i^(n+2) phi_i + r_e^(n+2) phi_e)
+    """
+    d1 = elastic_sl_t_coeff(n, lame)
+    ri, re = float(geom.r_i), float(geom.r_e)
+    with np.errstate(over="raise"):  # a radius power past the float range raises
+        return (
+            d1 * (phi_i / ri ** (n - 1) + phi_e / re ** (n - 1)),
+            d1 * phi_e / re ** (n - 1),
+            d1 * ri ** (n + 2) * phi_i,
+            d1 * (ri ** (n + 2) * phi_i + re ** (n + 2) * phi_e),
+        )
+
+
+def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameParams):
+    """Exact dissipated energy (delta/2) P_shell of degree n, per mode.
+
+    For the divergence-free shell field a V_n + b T_n (the shell decaying and
+    regular coefficients) the strain integral reduces to boundary terms,
+    cross terms cancel and distinct modes decouple:
+    E_n = (delta/2) mu n(n+1) d1^2 (1 - rho^(2n+1))
+          [(n+2) r_i^3 |phi_i|^2 + (n-1) r_e^3 |phi_e|^2],
+    which is scale free: no power of a radius grows with n.  The material
+    constants are the background (real) pair; the shell loss enters as the
+    factor delta/2.
+    """
+    return (
+        0.5 * delta * complex(lame.mu).real * n * (n + 1) * np.abs(elastic_sl_t_coeff(n, lame)) ** 2
+        * (1 - geom.rho ** (2 * n + 1))
+        * ((n + 2) * geom.r_i**3 * np.abs(phi_i) ** 2 + (n - 1) * geom.r_e**3 * np.abs(phi_e) ** 2)
+    )
+
+
+def _spectrum_columns(src: SourceSpectrum):
+    """(keys (n, m), degrees, g_e) of a source spectrum as aligned arrays."""
+    keys = sorted(src.coeffs)
+    return keys, np.array([n for n, _ in keys], dtype=int), np.array([src.coeffs[k] for k in keys])
+
+
+def _t_spectrum(keys, values) -> CoefficientSpectrum:
+    """T-family CoefficientSpectrum from aligned (n, m) keys and amplitudes."""
+    return CoefficientSpectrum({ModeIndex("T", n, m): v for (n, m), v in zip(keys, values.tolist())})
+
+
+def _solution_columns(sol: "DensitySolution"):
+    """(keys (n, m), degrees, phi_i, phi_e) of a solution as aligned arrays."""
+    modes = list(sol.phi_i)
+    keys = [(i.n, i.m) for i in modes]
+    return (
+        keys,
+        np.array([n for n, _ in keys], dtype=int),
+        np.array([sol.phi_i[i] for i in modes], dtype=complex),
+        np.array([sol.phi_e[i] for i in modes], dtype=complex),
+    )
+
+
+# ---------------------------------------------------------------------------
+# source and solve
+# ---------------------------------------------------------------------------
+
 def synth_source(
     r_s: float,
     geom: ShellGeometry,
     lame: LameParams,
     kappa: float = 1.0,
     n_max: int = 60,
-    floor: float = 0.0,
     spread_m: bool = False,
 ) -> SourceSpectrum:
     """Synthesize a source whose potential has convergence radius exactly r_s.
 
-    Emits g_e^{n,m} = kappa mu (n-1) r_e^(n-1) r_s^(-n), by default on m = 0
-    only (spread_m distributes the same amplitude across all |m| <= n).
-    Coefficients with |g| below `floor` are dropped.  Resonance is predicted
-    iff r_s < sqrt(r_e^3/r_i).
+    Emits g_e^{n,m} = kappa mu (n-1) (r_e/r_s)^n / r_e for 2 <= n <= n_max, by
+    default on m = 0 only (spread_m distributes the same amplitude across all
+    |m| <= n).  Resonance is predicted iff r_s < sqrt(r_e^3/r_i).
     """
     if r_s <= geom.r_e:
         raise ValueError("synthetic source must sit outside the shell (r_s > r_e)")
-    coeffs: dict[tuple[int, int], complex] = {}
-    mu = complex(lame.mu).real
-    for n in range(2, n_max + 1):
-        g = kappa * mu * (n - 1) * geom.r_e ** (n - 1) / r_s**n
-        if kappa != 0 and abs(g) < floor:
-            break
-        if kappa == 0:
-            continue
-        if spread_m:
-            for m in range(-n, n + 1):
-                coeffs[(n, m)] = g
-        else:
-            coeffs[(n, 0)] = g
-    return SourceSpectrum(coeffs=coeffs, r_s=r_s)
+    if kappa == 0:
+        return SourceSpectrum(coeffs={}, r_s=r_s)
+    degrees = range(2, n_max + 1)
+    g = source_coefficient(np.array(degrees), r_s, geom, lame, kappa).tolist()
+    orders = (lambda n: range(-n, n + 1)) if spread_m else (lambda n: (0,))
+    return SourceSpectrum(coeffs={(n, m): gn for n, gn in zip(degrees, g) for m in orders(n)}, r_s=r_s)
 
 
 @dataclass
@@ -168,15 +265,6 @@ class DensitySolution:
     lame: LameParams
 
 
-def mode_denominator(n: int, cfg: PlasmonicConfig, geom: ShellGeometry, lame: LameParams) -> complex:
-    """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
-    xi = np_eigenvalue("T", n, lame)
-    pair = a_delta(cfg)
-    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu  # = -1/(2n+1), material free
-    rho = geom.rho
-    return (xi - pair.a1) * (xi - pair.a2) + d1mu**2 * (n - 1) * (n + 2) * rho ** (2 * n + 1)
-
-
 def solve_mode(
     n: int,
     m: int,
@@ -185,23 +273,11 @@ def solve_mode(
     cfg: PlasmonicConfig,
     lame: LameParams,
 ) -> tuple[complex, complex]:
-    """Closed-form densities (phi_i, phi_e) of one T mode.
-
-    phi_i = g_e (a2 - xi + d1 mu (n-1)) rho^(n-1) / D
-    phi_e = -g_e (xi - a1 + d1 mu (n+2) rho^(2n+1)) / D
-    """
+    """Closed-form densities (phi_i, phi_e) of one T mode (transfer_factors)."""
     if n < 2:
         raise ValueError("mode solves start at n = 2 (degree-1 traction vanishes)")
-    xi = np_eigenvalue("T", n, lame)
-    pair = a_delta(cfg)
-    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
-    rho = geom.rho
-    D = mode_denominator(n, cfg, geom, lame)
-    if D == 0:
-        raise ExactResonanceError(f"mode n={n} is exactly resonant (D = 0)")
-    phi_i = g_e * (pair.a2 - xi + d1mu * (n - 1)) * rho ** (n - 1) / D
-    phi_e = -g_e * (xi - pair.a1 + d1mu * (n + 2) * rho ** (2 * n + 1)) / D
-    return phi_i, phi_e
+    t_i, t_e = transfer_factors(n, geom, cfg, lame)
+    return complex(g_e * t_i), complex(g_e * t_e)
 
 
 def solve_mode_direct(
@@ -245,59 +321,14 @@ def solve_source(
     lame: LameParams,
 ) -> DensitySolution:
     """Solve every mode of a source spectrum."""
-    phi_i: dict[ModeIndex, complex] = {}
-    phi_e: dict[ModeIndex, complex] = {}
-    for (n, m), g in src.items():
-        pi, pe = solve_mode(n, m, g, geom, cfg, lame)
-        idx = ModeIndex("T", n, m)
-        phi_i[idx] = pi
-        phi_e[idx] = pe
-    return DensitySolution(
-        phi_i=CoefficientSpectrum(phi_i),
-        phi_e=CoefficientSpectrum(phi_e),
-        geom=geom,
-        cfg=cfg,
-        lame=lame,
-    )
+    keys, n, g = _spectrum_columns(src)
+    phi_i, phi_e = (_t_spectrum(keys, g * t) for t in transfer_factors(n, geom, cfg, lame))
+    return DensitySolution(phi_i=phi_i, phi_e=phi_e, geom=geom, cfg=cfg, lame=lame)
 
 
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------
-
-def shell_mode_amplitudes(sol: DensitySolution, idx: ModeIndex) -> tuple[complex, complex]:
-    """(decaying, growing) amplitudes of one mode in the shell region.
-
-    In r_i < |x| <= r_e the scattered field of mode (n, m) is
-    a * grad(r^-(n+1) Y) x x + b * grad(r^n Y) x x with
-    a = d1 r_i^(n+2) phi_i and b = d1 phi_e / r_e^(n-1).
-    """
-    n = idx.n
-    d1 = elastic_sl_t_coeff(n, sol.lame)
-    a = d1 * sol.geom.r_i ** (n + 2) * sol.phi_i[idx]
-    b = d1 * sol.phi_e[idx] / sol.geom.r_e ** (n - 1)
-    return a, b
-
-
-def exterior_mode_amplitude(sol: DensitySolution, idx: ModeIndex) -> complex:
-    """Amplitude of grad(r^-(n+1) Y) x x outside the shell.
-
-    The two layers combine as r_i^(n+2) phi_i + r_e^(n+2) phi_e (each layer
-    keeps its own radius power).
-    """
-    n = idx.n
-    d1 = elastic_sl_t_coeff(n, sol.lame)
-    return d1 * (
-        sol.geom.r_i ** (n + 2) * sol.phi_i[idx]
-        + sol.geom.r_e ** (n + 2) * sol.phi_e[idx]
-    )
-
-
-def _shell_potential(sol: DensitySolution) -> tuple[dict, dict]:
-    """(regular, decaying) coefficients of the scattered potential in the shell."""
-    amps = {(idx.n, idx.m): shell_mode_amplitudes(sol, idx) for idx, _ in sol.phi_i.items()}
-    return {k: b for k, (_a, b) in amps.items()}, {k: a for k, (a, _b) in amps.items()}
-
 
 def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz) -> np.ndarray:
     """Source potential inside its convergence radius:
@@ -305,8 +336,9 @@ def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     if src.r_s is not None and np.any(np.linalg.norm(xyz, axis=-1) >= src.r_s):
         raise ValueError("source potential series only converges for |x| < r_s")
-    coeffs = {(n, m): g / (lame.mu * (n - 1) * geom.r_e ** (n - 1)) for (n, m), g in src.items()}
-    grad, _ = solid_harmonic_series(coeffs, {}, xyz)
+    keys, n, g = _spectrum_columns(src)
+    coeffs = g / (lame.mu * (n - 1) * float(geom.r_e) ** (n - 1))
+    grad, _ = solid_harmonic_series(dict(zip(keys, coeffs)), {}, xyz)
     return np.cross(grad, xyz)
 
 
@@ -330,17 +362,14 @@ def field_eval(
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     r = np.linalg.norm(xyz, axis=-1)
     out = np.zeros(xyz.shape, dtype=complex)
-    modes = [idx for idx, _ in sol.phi_i.items()]
-    core = {
-        (i.n, i.m): elastic_sl_t_coeff(i.n, lame)
-        * (sol.phi_i[i] / geom.r_i ** (i.n - 1) + sol.phi_e[i] / geom.r_e ** (i.n - 1))
-        for i in modes
-    }
-    outer = {(i.n, i.m): exterior_mode_amplitude(sol, i) for i in modes}
+    keys, n, phi_i, phi_e = _solution_columns(sol)
+    core, shell_regular, shell_decaying, matrix = (
+        dict(zip(keys, c)) for c in region_coefficients(n, phi_i, phi_e, geom, lame)
+    )
     regions = (
         (r <= geom.r_i, core, {}),
-        ((r > geom.r_i) & (r <= geom.r_e), *_shell_potential(sol)),
-        (r > geom.r_e, {}, outer),
+        ((r > geom.r_i) & (r <= geom.r_e), shell_regular, shell_decaying),
+        (r > geom.r_e, {}, matrix),
     )
     for mask, regular, decaying in regions:
         if np.any(mask):
@@ -357,7 +386,9 @@ def scattered_gradient_factory(sol: DensitySolution):
     With u = grad F x x for the shell potential F of all modes,
     grad u[:, :, l] = Hess(F)[:, :, l] x x + grad F x e_l.
     """
-    regular, decaying = _shell_potential(sol)
+    keys, n, phi_i, phi_e = _solution_columns(sol)
+    _, regular, decaying, _ = region_coefficients(n, phi_i, phi_e, sol.geom, sol.lame)
+    regular, decaying = dict(zip(keys, regular)), dict(zip(keys, decaying))
 
     def eval_u_grad(xyz: np.ndarray):
         xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
@@ -404,25 +435,8 @@ class EnergyReport:
 
 
 def mode_energy(sol: DensitySolution, idx: ModeIndex) -> float:
-    """Exact dissipated energy (delta/2) P_shell of one mode.
-
-    For the divergence-free shell field a V_n + b T_n the strain integral
-    reduces to boundary terms:
-    P = mu n(n+1) [ (n+2) |a|^2 (r_i^-(2n+1) - r_e^-(2n+1))
-                   + (n-1) |b|^2 (r_e^(2n+1) - r_i^(2n+1)) ],
-    cross terms cancel and distinct modes decouple.  The material constants
-    are the background (real) pair; the shell loss enters as the factor
-    delta/2.
-    """
-    n = idx.n
-    a, b = shell_mode_amplitudes(sol, idx)
-    ri, re = sol.geom.r_i, sol.geom.r_e
-    mu = complex(sol.lame.mu).real
-    p = mu * n * (n + 1) * (
-        (n + 2) * abs(a) ** 2 * (ri ** -(2 * n + 1) - re ** -(2 * n + 1))
-        + (n - 1) * abs(b) ** 2 * (re ** (2 * n + 1) - ri ** (2 * n + 1))
-    )
-    return 0.5 * sol.cfg.delta * p
+    """Exact dissipated energy (delta/2) P_shell of one mode (shell_energy)."""
+    return float(shell_energy(idx.n, sol.phi_i[idx], sol.phi_e[idx], sol.geom, sol.cfg.delta, sol.lame))
 
 
 def resonant_energy_envelope(src: SourceSpectrum, cfg: PlasmonicConfig, geom: ShellGeometry) -> float:
@@ -476,9 +490,8 @@ def energy(
     (optional) integrates the strain density over the shell volume with the
     brute-force rule.  Both are (delta/2) * P_shell(u - F).
     """
-    per_mode = {idx: mode_energy(sol, idx) for idx, _ in sol.phi_i.items()}
-    e_modal = float(math.fsum(sorted(per_mode.values())))
-    dominant = max(per_mode, key=lambda i: per_mode[i]).n if per_mode else 0
+    _, n, phi_i, phi_e = _solution_columns(sol)
+    per_mode = shell_energy(n, phi_i, phi_e, sol.geom, sol.cfg.delta, sol.lame)
     e_quad = None
     if quadrature:
         from .oracle import QuadratureRule, quad_energy_shell
@@ -494,11 +507,11 @@ def energy(
         n0=cfg.n0,
         c_n=cfg.c_n,
         eps_n=cfg.eps_n,
-        energy_modal=e_modal,
+        energy_modal=math.fsum(per_mode),
         energy_quadrature=e_quad,
         farfield_sample=farfield_sample(sol),
-        dominant_n=dominant,
-        n_trunc=max((idx.n for idx in per_mode), default=0),
+        dominant_n=int(n[np.argmax(per_mode)]) if n.size else 0,
+        n_trunc=int(n.max(initial=0)),
     )
 
 
@@ -528,6 +541,10 @@ def truncation_degree(n0: int) -> int:
     return max(n0 + 20, 40)
 
 
+_ENERGY_FLOOR = 1e-14  # a kept spectrum's last mode carries less than this share
+_N_HARD_CAP = 400  # highest degree a sweep point grows its spectrum to
+
+
 def solve_sweep_point(
     delta: float,
     geom: ShellGeometry,
@@ -535,28 +552,27 @@ def solve_sweep_point(
     r_s: float,
     kappa: float = 1.0,
     cfg: PlasmonicConfig | None = None,
-    energy_floor: float = 1e-14,
-    n_hard_cap: int = 400,
 ) -> tuple[SourceSpectrum, "DensitySolution"]:
-    """Source synthesis and solve for one loss value, adaptively truncated.
+    """Source synthesis and solve for one loss value, truncation-converged.
 
-    Starts from max(n0 + 20, 40) modes and keeps extending until the last
-    mode contributes less than energy_floor of the running total (or the
-    hard cap is hit), so the reported energy is truncation-converged.
+    One pass evaluates the mode energies E_n up to the hard cap.  The cut is
+    the first k of truncation_degree(n0), +20, ... (capped at degree 400)
+    with E_k < 1e-14 * (E_2 + ... + E_k); the spectrum and its
+    solution are then built once, up to k.
     """
     if cfg is None:
         cfg = PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta)
-    n_max = truncation_degree(cfg.n0)
-    while True:
-        src = synth_source(r_s, geom, lame, kappa=kappa, n_max=n_max)
-        sol = solve_source(src, geom, cfg, lame)
-        per_mode = [mode_energy(sol, idx) for idx, _ in sol.phi_i.items()]
-        total = math.fsum(per_mode)
-        if not per_mode or total == 0.0:
-            return src, sol
-        if per_mode[-1] < energy_floor * total or n_max >= n_hard_cap:
-            return src, sol
-        n_max = min(n_max + 20, n_hard_cap)
+    start = truncation_degree(cfg.n0)
+    n = np.arange(2, max(start, _N_HARD_CAP) + 1)
+    g = source_coefficient(n, r_s, geom, lame, kappa)
+    t_i, t_e = transfer_factors(n, geom, cfg, lame)
+    e = shell_energy(n, g * t_i, g * t_e, geom, cfg.delta, lame)
+    for n_max in [*range(start, _N_HARD_CAP, 20), max(start, _N_HARD_CAP)]:
+        total = math.fsum(e[: n_max - 1])
+        if total == 0.0 or e[n_max - 2] < _ENERGY_FLOOR * total:
+            break
+    src = synth_source(r_s, geom, lame, kappa=kappa, n_max=n_max)
+    return src, solve_source(src, geom, cfg, lame)
 
 
 @dataclass
@@ -577,7 +593,6 @@ def classify_calr(
     r_s: float,
     delta_grid: list[float],
     kappa: float = 1.0,
-    retune: bool = True,
     fixed_cfg: PlasmonicConfig | None = None,
     quadrature: bool = False,
     growth_threshold: float = 1e3,
@@ -597,12 +612,7 @@ def classify_calr(
         raise ValueError("delta grid must be strictly decreasing")
     reports = []
     for delta in delta_grid:
-        if retune and fixed_cfg is None:
-            cfg = None
-        else:
-            if fixed_cfg is None:
-                raise ValueError("fixed_cfg required when retune is off")
-            cfg = replace(fixed_cfg, delta=delta)
+        cfg = None if fixed_cfg is None else replace(fixed_cfg, delta=delta)
         src, sol = solve_sweep_point(delta, geom, lame, r_s, kappa=kappa, cfg=cfg)
         reports.append(energy(sol, src, geom, sol.cfg, lame, quadrature=quadrature))
 

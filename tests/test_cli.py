@@ -172,6 +172,38 @@ class TestConfigHandling:
         assert "error: unknown config key 'muu'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_value_typed_by_its_flag(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("delta_grid = 1e-1, 1e-2,\nkappa = 2\n")
+        out = tmp_path / "s.jsonl"
+        rc = main(["calr", "--config", str(cfgfile), "--no-quad-energy", "--out", str(out)])
+        assert rc == 0
+        assert "# delta_grid = 0.10000000000000001,0.01" in out.with_suffix(".csv").read_text()
+        assert "# kappa = 2" in out.with_suffix(".csv").read_text()
+        cfgfile.write_text("resolution = 7.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["field", "--config", str(cfgfile), "--out", str(tmp_path / "f.csv")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["calr", "--quad-theta", "48", "--n-max", "5", "--no-quad-energy"],
+        ["spectrum", "--rs", "3"],
+    ], ids=["calr-quadrature-flags", "spectrum-source-radius"])
+    def test_flag_of_another_subcommand_rejected(self, tmp_path, argv, capsys):
+        out = tmp_path / "a.out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n_max = 5\n")
+        rc = main(["calr", "--config", str(cfgfile), "--out", str(tmp_path / "s.jsonl")])
+        assert rc == 2
+        assert "error: unknown config key 'n_max'" in capsys.readouterr().err
+
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])

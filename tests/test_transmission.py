@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -39,9 +39,7 @@ from npshell.transmission import (
     mode_energy,
     plasmonic_params,
     resonant_energy_envelope,
-    exterior_mode_amplitude,
     scattered_gradient_factory,
-    shell_mode_amplitudes,
     solve_mode,
     solve_mode_direct,
     solve_source,
@@ -233,6 +231,13 @@ class TestFieldEval:
             source_field(src, GEOM, LAME, np.array([[3.0, 0.0, 0.0]]))
 
 
+def _shell_amplitudes(sol, idx):
+    """(decaying, regular) amplitudes of one mode in the shell: the inner layer
+    in its exterior form, the outer layer in its interior form."""
+    d1 = elastic_sl_t_coeff(idx.n, sol.lame)
+    return d1 * sol.geom.r_i ** (idx.n + 2) * sol.phi_i[idx], d1 * sol.phi_e[idx] / sol.geom.r_e ** (idx.n - 1)
+
+
 def _per_mode_field(sol, geom, lame, xyz):
     """Scattered field summed mode by mode from the single-mode ladders."""
     r = np.linalg.norm(xyz, axis=-1)
@@ -244,12 +249,12 @@ def _per_mode_field(sol, geom, lame, xyz):
         d1 = elastic_sl_t_coeff(n, lame)
         c = d1 * (sol.phi_i[idx] / geom.r_i ** (n - 1) + sol.phi_e[idx] / geom.r_e ** (n - 1))
         out[core] += c * eval_solid_mode(idx, lame, xyz[core])
-        a, b = shell_mode_amplitudes(sol, idx)
+        a, b = _shell_amplitudes(sol, idx)
         pts = xyz[shell]
         out[shell] += a * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
         out[shell] += b * eval_solid_mode(idx, lame, pts)
         pts = xyz[outer]
-        amp = exterior_mode_amplitude(sol, idx)
+        amp = d1 * (geom.r_i ** (n + 2) * sol.phi_i[idx] + geom.r_e ** (n + 2) * sol.phi_e[idx])
         out[outer] += amp * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
     return out
 
@@ -261,7 +266,7 @@ def _per_mode_u_grad(sol, xyz):
     eye = np.eye(3)
     for idx, _ in sol.phi_i.items():
         n, m = idx.n, idx.m
-        a, b = shell_mode_amplitudes(sol, idx)
+        a, b = _shell_amplitudes(sol, idx)
         gr, hr = grad_solid_harmonic(n, m, xyz), hess_solid_harmonic(n, m, xyz)
         gi, hi = grad_irregular_solid_harmonic(n, m, xyz), hess_irregular_solid_harmonic(n, m, xyz)
         u += b * np.cross(gr, xyz) + a * np.cross(gi, xyz)
@@ -307,6 +312,38 @@ class TestBatchedFields:
         inside = pts[r < 0.95 * src.r_s]
         assert_pointwise(source_field(src, GEOM, LAME, inside),
                          _per_mode_source(src, GEOM, LAME, inside))
+
+
+class TestDegreeArrays:
+    """The elementwise closed forms on arrays of n against per-mode loops."""
+
+    def test_solve_source_matches_solve_mode(self):
+        src = synth_source(2.5, GEOM, LAME, n_max=30, spread_m=True)
+        cfg = PlasmonicConfig.resonant(5, 1e-4)
+        sol = solve_source(src, GEOM, cfg, LAME)
+        for (n, m), g in src.items():
+            idx = ModeIndex("T", n, m)
+            assert_allclose((sol.phi_i[idx], sol.phi_e[idx]), solve_mode(n, m, g, GEOM, cfg, LAME), rtol=1e-14)
+
+    def test_energy_matches_boundary_term_form(self):
+        # the scale-free E_n against P = mu n(n+1) [(n+2)|a|^2 (r_i^-(2n+1) -
+        # r_e^-(2n+1)) + (n-1)|b|^2 (r_e^(2n+1) - r_i^(2n+1))], mode by mode
+        src, sol = solve_sweep_point(1e-4, GEOM, LAME, 2.5)
+        rep = energy(sol, src, GEOM, sol.cfg, LAME)
+        ri, re = GEOM.r_i, GEOM.r_e
+        per_mode = {}
+        for idx, _ in sol.phi_i.items():
+            n = idx.n
+            a, b = _shell_amplitudes(sol, idx)
+            p = LAME.mu * n * (n + 1) * (
+                (n + 2) * abs(a) ** 2 * (ri ** -(2 * n + 1) - re ** -(2 * n + 1))
+                + (n - 1) * abs(b) ** 2 * (re ** (2 * n + 1) - ri ** (2 * n + 1))
+            )
+            per_mode[n] = 0.5 * sol.cfg.delta * p
+            assert_allclose(mode_energy(sol, idx), per_mode[n], rtol=1e-13)
+        assert_allclose(rep.energy_modal, math.fsum(per_mode.values()), rtol=1e-13)
+        assert rep.dominant_n == max(per_mode, key=per_mode.get)
+        assert rep.n_trunc == max(per_mode) == src.n_max
 
 
 class TestSynthSource:
@@ -468,7 +505,7 @@ class TestClassify:
     def test_fixed_config_mode(self):
         cfg = PlasmonicConfig.resonant(4, 0.1)
         sweep = classify_calr(
-            GEOM, LAME, 2.5, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], retune=False, fixed_cfg=cfg
+            GEOM, LAME, 2.5, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5], fixed_cfg=cfg
         )
         assert all(r.n0 == 4 for r in sweep.reports)
 
@@ -502,3 +539,50 @@ class TestTruncationAudit:
         sol2 = solve_source(src2, GEOM, sol.cfg, LAME)
         e_double = energy(sol2, src2, GEOM, sol.cfg, LAME).energy_modal
         assert abs(e_double - e_adaptive) <= 1e-12 * e_adaptive
+
+
+_SWEEP_GRID = [10.0 ** (-k) for k in range(1, 7)]
+
+
+class TestScaleInvariance:
+    """Rescaling all lengths by s keeps the verdict and the cut, multiplies
+    the shell energy by s and leaves the far field unchanged."""
+
+    @settings(deadline=None, max_examples=12)
+    @given(log_s=st.floats(-2.0, 2.0))
+    @example(log_s=2.0)  # ShellGeometry(100, 200), r_s = 250 overflowed r_e^(2n+1)
+    @example(log_s=-2.0)  # ShellGeometry(0.01, 0.02), r_s = 0.025 likewise
+    def test_rescaled_sweep(self, log_s):
+        s = 10.0**log_s
+        for ratio in (2.5, 3.5):
+            unit = classify_calr(GEOM, LAME, ratio, _SWEEP_GRID)
+            sweep = classify_calr(ShellGeometry(s, 2 * s), LAME, ratio * s, _SWEEP_GRID)
+            assert sweep.verdict == unit.verdict
+            for rep, ref in zip(sweep.reports, unit.reports):
+                assert rep.n_trunc == ref.n_trunc
+                assert_allclose(rep.energy_modal / s, ref.energy_modal, rtol=1e-12)
+                assert_allclose(rep.farfield_sample, ref.farfield_sample, rtol=1e-12)
+
+
+class TestTruncationRule:
+    @pytest.mark.parametrize("r_s", [2.5, 3.5])
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-6])
+    def test_cut_matches_growing_spectrum(self, r_s, delta):
+        # the one-pass cut is the first of max(n0 + 20, 40), +20, ... whose
+        # last mode, solved and integrated on its own, is under 1e-14 of the
+        # spectrum's total
+        src, sol = solve_sweep_point(delta, GEOM, LAME, r_s)
+        n_max = truncation_degree(sol.cfg.n0)
+        while n_max < 400:
+            per_mode = []
+            for (n, m), g in synth_source(r_s, GEOM, LAME, n_max=n_max).items():
+                idx = ModeIndex("T", n, m)
+                phi_i, phi_e = solve_mode_direct(n, m, g, GEOM, sol.cfg, LAME)
+                one = DensitySolution(CoefficientSpectrum({idx: phi_i}), CoefficientSpectrum({idx: phi_e}),
+                                      GEOM, sol.cfg, LAME)
+                per_mode.append(mode_energy(one, idx))
+            if per_mode[-1] < 1e-14 * math.fsum(per_mode):
+                break
+            n_max += 20
+        assert src.n_max == n_max
+        assert len(sol.phi_i) == n_max - 1
