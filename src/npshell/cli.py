@@ -1,17 +1,21 @@
 """Command-line front end: spectrum tables, oracle validation suites,
 loss sweeps with resonance classification, and field slices for plotting.
 
-Artifacts are plain CSV (tables, grids) or JSON lines (structured reports);
-every artifact echoes the effective configuration in its header and floats
-are written with 17 significant digits so identical runs are byte-identical.
-Exit codes: 0 success, 1 validation failure, 2 bad input.
+Artifacts are plain CSV (tables, grids) or JSON lines (structured reports),
+and this module alone encodes them: one value encoder, one JSONL writer, one
+CSV writer.  Every artifact echoes the effective configuration, every flag
+included, in its header; identical runs are byte-identical.
+Exit codes: 0 success, 1 validation failure, 2 bad input or a numerical
+failure (overflow, exact resonance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from .kelvin import LameParams
 from .oracle import (
     FDStencil,
     QuadratureRule,
+    ValidationRecord,
     compare,
     fd_lame_residual,
     quad_np_apply,
@@ -38,10 +43,6 @@ from .transmission import (
     solve_sweep_point,
 )
 from . import harmonics
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -62,49 +63,72 @@ def _float_list(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip()]
 
 
-def _options(parser: argparse.ArgumentParser) -> list[str]:
-    """Dests of the subcommand options that take a value: the keys a config
-    file may set and the artifact header echoes."""
-    return [a.dest for a in parser._actions if a.option_strings and a.nargs != 0 and a.dest != "config"]
-
-
 def _resolve(ap: argparse.ArgumentParser, argv) -> tuple[argparse.Namespace, dict]:
-    """Parse argv: CLI flags override config-file values override defaults.
+    """Parse argv into the config an artifact echoes: every flag of the
+    subcommand but --config and --help.  CLI flags override config-file
+    values override defaults.
 
     A config-file value becomes the default of its flag, so argparse converts
-    it with that flag's own type; a key that is no option of the subcommand
-    (a typo, or a flag another subcommand reads) is rejected.
+    it with that flag's own type; a key that is no value-taking option of the
+    subcommand (a typo, a boolean flag, or a flag another subcommand reads)
+    is rejected.
     """
     args = ap.parse_args(argv)
-    options = _options(args.parser)
+    options = [a for a in args.parser._actions if a.option_strings and a.dest not in ("config", "help")]
     if args.config:
         values = _parse_config_file(args.config)
+        settable = [a.dest for a in options if a.nargs != 0]
         for k in values:
-            if k not in options:
+            if k not in settable:
                 raise ValueError(f"unknown config key {k!r}")
         args.parser.set_defaults(**values)
         args = ap.parse_args(argv)
-    return args, {k: getattr(args, k) for k in options}
+    return args, {a.dest: getattr(args, a.dest) for a in options}
 
 
-def _echo_lines(cfg: dict) -> list[str]:
-    lines = []
-    for k in sorted(cfg):
-        v = cfg[k]
-        if isinstance(v, float):
-            v = _fmt(v)
-        elif isinstance(v, list):
-            v = ",".join(_fmt(x) for x in v)
-        lines.append(f"# {k} = {v}")
-    return lines
+# ---------------------------------------------------------------------------
+# artifacts
+# ---------------------------------------------------------------------------
+
+def _encode(v):
+    """One artifact value as plain JSON data: a float stays a number (its
+    repr round-trips exactly), a non-finite float becomes "inf", "-inf" or
+    "nan" so every line stays strict JSON, a complex value becomes
+    {"re", "im"}, and a numpy scalar becomes the Python number."""
+    if isinstance(v, dict):
+        return {k: _encode(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_encode(x) for x in v]
+    if isinstance(v, (complex, np.complexfloating)):
+        return {"re": _encode(v.real), "im": _encode(v.imag)}
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else str(float(v))
+    return v.item() if isinstance(v, np.generic) else v
 
 
-def _write_csv(path: str, cfg: dict, header: list[str], rows: list[list]) -> None:
-    out = _echo_lines(cfg)
+def _cell(v) -> str:
+    """CSV text of one value: floats with 17 significant digits, lists as
+    comma lists, booleans as in JSON."""
+    v = _encode(v)
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, list):
+        return ",".join(_cell(x) for x in v)
+    return json.dumps(v) if isinstance(v, bool) else str(v)
+
+
+def _write_csv(path, cfg: dict, header: list[str], rows: list[list]) -> None:
+    """`# key = value` echo lines, the column header, then the rows."""
+    out = [f"# {k} = {_cell(cfg[k])}" for k in sorted(cfg)]
     out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
+    out += [",".join(_cell(c) for c in row) for row in rows]
     Path(path).write_text("\n".join(out) + "\n")
+
+
+def _write_jsonl(path, cfg: dict, records: list[dict], summary: dict) -> None:
+    """A config record, one record per check or loss value, then a summary."""
+    lines = [{"type": "config", **{k: cfg[k] for k in sorted(cfg)}}, *records, {"type": "summary", **summary}]
+    Path(path).write_text("".join(json.dumps(_encode(d), allow_nan=False) + "\n" for d in lines))
 
 
 def _lame(cfg: dict) -> LameParams:
@@ -119,7 +143,7 @@ def _geom(cfg: dict) -> ShellGeometry:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args, cfg: dict) -> int:
+def cmd_spectrum(cfg: dict) -> int:
     lame = _lame(cfg)
     fams = [f.strip() for f in str(cfg["families"]).split(",") if f.strip()]
     rows = []
@@ -138,8 +162,6 @@ def cmd_spectrum(args, cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_layers(lame, rule, n_max, records):
-    from .oracle import ValidationRecord
-
     probe = np.array([0.33, -0.44, 0.83])
     probe /= np.linalg.norm(probe)
     for r0 in (0.5, 1.0, 2.0):
@@ -156,7 +178,7 @@ def _suite_layers(lame, rule, n_max, records):
             records.append(
                 ValidationRecord(
                     operation="scalar_single_layer",
-                    params={"family": idx.family, "n": idx.n, "m": idx.m, "r0": r0},
+                    params={"family": idx.family, "n": idx.n, "m": idx.m, "r0": r0, **asdict(rule)},
                     closed_form=complex(mult),
                     oracle=est,
                     rel_error=rel,
@@ -177,7 +199,7 @@ def _suite_np(lame, rule, n_max, records, inject_fault=False):
             records.append(
                 compare(
                     "np_eigenvalue",
-                    {"family": fam, "n": n, "m": m, "residual": resid},
+                    {"family": fam, "n": n, "m": m, "residual": resid, **asdict(rule)},
                     complex(ref),
                     est,
                     1e-6,
@@ -186,8 +208,6 @@ def _suite_np(lame, rule, n_max, records, inject_fault=False):
 
 
 def _suite_lame(lame, n_max, records):
-    from .oracle import ValidationRecord
-
     rng = np.random.default_rng(20240811)
     stencil = FDStencil(h=1e-4, order=2)
     for fam in ("T", "M", "N"):
@@ -210,8 +230,6 @@ def _suite_lame(lame, n_max, records):
 
 
 def _suite_gram(lame, rule, n_max, records):
-    from .oracle import ValidationRecord
-
     gram, modes = harmonics.gram_matrix(n_max, lame, rule)
     diag = np.real(np.diag(gram))
     off = gram - np.diag(np.diag(gram))
@@ -219,7 +237,7 @@ def _suite_gram(lame, rule, n_max, records):
     records.append(
         ValidationRecord(
             operation="gram_offdiagonal",
-            params={"n_max": n_max},
+            params={"n_max": n_max, **asdict(rule)},
             closed_form=0.0,
             oracle=worst,
             rel_error=worst,
@@ -231,7 +249,7 @@ def _suite_gram(lame, rule, n_max, records):
             records.append(
                 compare(
                     "gram_diagonal_T",
-                    {"n": idx.n, "m": idx.m},
+                    {"n": idx.n, "m": idx.m, **asdict(rule)},
                     float(idx.n * (idx.n + 1)),
                     diag[i],
                     1e-10,
@@ -244,11 +262,11 @@ def _suite_energy(lame, geom, rule, n_max, records):
         cfg = PlasmonicConfig.resonant(n, 0.01)
         src = SourceSpectrum({(n, 0): 1.0}, r_s=3.0 * geom.r_e)
         sol = solve_source(src, geom, cfg, lame)
-        rep = energy(sol, src, geom, cfg, lame, quadrature=True, quad_kwargs={"rule": rule})
+        rep = energy(sol, src, geom, cfg, lame, quadrature=True, rule=rule)
         records.append(
             compare(
                 "shell_energy",
-                {"n": n, "delta": cfg.delta},
+                {"n": n, "delta": cfg.delta, **asdict(rule)},
                 rep.energy_modal,
                 rep.energy_quadrature,
                 0.05,
@@ -256,16 +274,19 @@ def _suite_energy(lame, geom, rule, n_max, records):
         )
 
 
-def cmd_validate(args, cfg: dict) -> int:
+def cmd_validate(cfg: dict) -> int:
+    """Run one oracle suite.  Quadrature records carry the rule they used in
+    their params (n_theta, n_phi): `gram` sizes its own rule from n_max and
+    `energy` uses 24 x 48, whatever --quad-theta/--quad-phi say."""
     lame = _lame(cfg)
     rule = QuadratureRule(cfg["quad_theta"], cfg["quad_phi"])
-    records = []
+    records: list[ValidationRecord] = []
     suite = cfg["suite"]
     n_max = cfg["n_max"]
     if suite == "layers":
         _suite_layers(lame, rule, n_max, records)
     elif suite == "np":
-        _suite_np(lame, rule, n_max, records, inject_fault=args.inject_fault)
+        _suite_np(lame, rule, n_max, records, inject_fault=cfg["inject_fault"])
     elif suite == "lame":
         _suite_lame(lame, n_max, records)
     elif suite == "gram":
@@ -273,15 +294,12 @@ def cmd_validate(args, cfg: dict) -> int:
     elif suite == "energy":
         _suite_energy(lame, _geom(cfg), QuadratureRule(24, 48), min(n_max, 6), records)
     else:
-        print(f"unknown suite {suite!r} (layers, np, lame, gram, energy)", file=sys.stderr)
-        return 2
-    lines = [json.dumps({"type": "config", **{k: str(v) for k, v in sorted(cfg.items())}})]
-    lines += [r.to_json() for r in records]
-    failures = [r for r in records if not r.passed]
-    lines.append(json.dumps({"type": "summary", "suite": suite, "checks": len(records), "failures": len(failures)}))
-    Path(cfg["out"]).write_text("\n".join(lines) + "\n")
+        raise ValueError(f"unknown suite {suite!r} (layers, np, lame, gram, energy)")
+    failures = sum(not r.passed for r in records)
+    _write_jsonl(cfg["out"], cfg, [{**asdict(r), "passed": r.passed} for r in records],
+                 {"suite": suite, "checks": len(records), "failures": failures})
     worst = max((r.rel_error for r in records), default=0.0)
-    print(f"suite {suite}: {len(records)} checks, {len(failures)} failures, worst rel error {worst:.3e}")
+    print(f"suite {suite}: {len(records)} checks, {failures} failures, worst rel error {worst:.3e}")
     return 1 if failures else 0
 
 
@@ -289,35 +307,24 @@ def cmd_validate(args, cfg: dict) -> int:
 # calr sweep
 # ---------------------------------------------------------------------------
 
-def cmd_calr(args, cfg: dict) -> int:
+def cmd_calr(cfg: dict) -> int:
     geom = _geom(cfg)
     lame = _lame(cfg)
     sweep = classify_calr(
         geom, lame, cfg["rs"], cfg["delta_grid"], kappa=cfg["kappa"],
-        quadrature=not args.no_quad_energy,
+        quadrature=not cfg["no_quad_energy"],
     )
-    lines = [json.dumps({"type": "config", **{k: str(v) for k, v in sorted(cfg.items())}})]
-    for rep in sweep.reports:
-        d = rep.to_json_dict()
-        lines.append(json.dumps({k: (_fmt(v) if isinstance(v, float) else v) for k, v in d.items()}))
-    lines.append(
-        json.dumps(
-            {
-                "type": "summary",
-                "verdict": sweep.verdict,
-                "energy_ratio": _fmt(sweep.energy_ratio),
-                "farfield_ratio": _fmt(sweep.farfield_ratio),
-                "critical_radius": _fmt(geom.critical_radius),
-                "r_s": _fmt(sweep.r_s),
-            }
-        )
-    )
+    summary = {
+        "verdict": sweep.verdict,
+        "energy_ratio": sweep.energy_ratio,
+        "farfield_ratio": sweep.farfield_ratio,
+        "critical_radius": geom.critical_radius,
+        "r_s": sweep.r_s,
+    }
     out = Path(cfg["out"])
-    out.write_text("\n".join(lines) + "\n")
-    rows = [
-        [rep.delta, rep.n0, rep.energy_modal, rep.farfield_sample] for rep in sweep.reports
-    ]
-    _write_csv(str(out.with_suffix(".csv")), cfg, ["delta", "n0", "energy", "farfield_sample"], rows)
+    _write_jsonl(out, cfg, [asdict(rep) for rep in sweep.reports], summary)
+    rows = [[rep.delta, rep.n0, rep.energy_modal, rep.farfield_sample] for rep in sweep.reports]
+    _write_csv(out.with_suffix(".csv"), cfg, ["delta", "n0", "energy", "farfield_sample"], rows)
     print(f"verdict: {sweep.verdict} (energy ratio {sweep.energy_ratio:.4g}, r* = {geom.critical_radius:.6g})")
     return 0
 
@@ -326,16 +333,14 @@ def cmd_calr(args, cfg: dict) -> int:
 # field slice
 # ---------------------------------------------------------------------------
 
-def cmd_field(args, cfg: dict) -> int:
+def cmd_field(cfg: dict) -> int:
+    axis = cfg["axis"].lower()
+    if axis not in ("x", "y", "z"):
+        raise ValueError("axis must be one of x, y, z")
     geom = _geom(cfg)
     lame = _lame(cfg)
     src, sol = solve_sweep_point(cfg["delta"], geom, lame, cfg["rs"], kappa=cfg["kappa"])
     n0 = sol.cfg.n0
-
-    axis = cfg["axis"].lower()
-    if axis not in ("x", "y", "z"):
-        print("axis must be one of x, y, z", file=sys.stderr)
-        return 2
     res = cfg["resolution"]
     ext = cfg["extent"]
     ticks = [0.0] if res == 1 else list(np.linspace(-ext, ext, res))
@@ -350,20 +355,12 @@ def cmd_field(args, cfg: dict) -> int:
     pts = np.array(pts)
     r = np.linalg.norm(pts, axis=1)
     guard = cfg["guard"] * geom.r_e
-    keep = (np.abs(r - geom.r_i) > guard) & (np.abs(r - geom.r_e) > guard)
-    include = args.include_source
-    vals = np.zeros(len(pts))
-    ok = keep.copy()
+    ok = (np.abs(r - geom.r_i) > guard) & (np.abs(r - geom.r_e) > guard)
+    include = cfg["include_source"]
     if include:
         ok &= r < 0.95 * cfg["rs"]  # source series valid strictly inside r_s
-    vals[ok] = np.linalg.norm(
-        field_eval(sol, src, geom, lame, pts[ok], include_source=include), axis=1
-    )
-    rows = []
-    for i, p in enumerate(pts):
-        if not ok[i]:
-            continue
-        rows.append([float(p[kept[0]]), float(p[kept[1]]), float(p[0]), float(p[1]), float(p[2]), float(vals[i])])
+    vals = np.linalg.norm(field_eval(sol, src, geom, lame, pts[ok], include_source=include), axis=1)
+    rows = [[p[kept[0]], p[kept[1]], *p, v] for p, v in zip(pts[ok], vals)]
     _write_csv(cfg["out"], {**cfg, "n0": n0}, ["u", "v", "x", "y", "z", "abs_u"], rows)
     print(f"wrote {len(rows)} samples to {cfg['out']} (n0 = {n0})")
     return 0
@@ -432,8 +429,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args, cfg = _resolve(ap, argv)
-        return args.func(args, cfg)
-    except (ValueError, OSError) as exc:
+        return args.func(cfg)
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,6 @@ repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -216,7 +215,6 @@ def quad_np_apply(
     lame: LameParams,
     rule: QuadratureRule,
     r0: float = 1.0,
-    n_out: int | None = None,
     residual_tol: float = 1e-4,
 ) -> tuple[complex, float]:
     """Eigenvalue estimate of the N-P operator on one trace mode.
@@ -224,15 +222,13 @@ def quad_np_apply(
     Evaluates K*[phi] on an outer projection grid, projects onto the mode,
     and reports (eigenvalue, relative L2 residual orthogonal to the mode).
     The projection integrand of a single (n, m) mode is azimuth independent,
-    so the outer grid needs full Gauss resolution only in the colatitude.
+    so the outer grid needs full Gauss resolution only in the colatitude:
+    max(k + 2, 4) Gauss nodes for scalar degree k.
     A residual above residual_tol raises NonEigenfunctionError: the input
     did not behave like an eigenfunction, which signals a bug.
     """
-    k = idx.scalar_degree
-    if n_out is None:
-        n_out = max(k + 2, 4)
     n_phi_out = max(2 * abs(idx.m) + 4, 8)
-    xt, wt = _leggauss(n_out)
+    xt, wt = _leggauss(max(idx.scalar_degree + 2, 4))
     theta = np.arccos(np.asarray(xt))
     phi = 2 * np.pi * np.arange(n_phi_out) / n_phi_out
     T, P = np.meshgrid(theta, phi, indexing="ij")
@@ -433,27 +429,6 @@ class ValidationRecord:
     @property
     def passed(self) -> bool:
         return self.rel_error <= self.tol
-
-    def to_json(self) -> str:
-        def enc(v):
-            if isinstance(v, complex):
-                return {"re": float(v.real), "im": float(v.imag)}
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            return v
-
-        return json.dumps(
-            {
-                "operation": self.operation,
-                "params": {k: enc(v) for k, v in self.params.items()},
-                "closed_form": enc(self.closed_form),
-                "oracle": enc(self.oracle),
-                "rel_error": float(self.rel_error),
-                "tol": float(self.tol),
-                "passed": bool(self.passed),
-            },
-            sort_keys=True,
-        )
 
 
 def compare(operation: str, params: dict, closed, oracle, tol: float) -> ValidationRecord:

@@ -419,20 +419,6 @@ class EnergyReport:
     n_trunc: int
     verdict: str = "undetermined"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "n0": self.n0,
-            "c_n": self.c_n,
-            "eps_n": self.eps_n,
-            "energy_modal": self.energy_modal,
-            "energy_quadrature": self.energy_quadrature,
-            "farfield_sample": self.farfield_sample,
-            "dominant_n": self.dominant_n,
-            "n_trunc": self.n_trunc,
-            "verdict": self.verdict,
-        }
-
 
 def mode_energy(sol: DensitySolution, idx: ModeIndex) -> float:
     """Exact dissipated energy (delta/2) P_shell of one mode (shell_energy)."""
@@ -468,9 +454,9 @@ def _farfield_probe_points(radius: float) -> np.ndarray:
     return radius * np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
 
 
-def farfield_sample(sol: DensitySolution, factor: float = 1.05) -> float:
-    """max |u - F| over fixed probes at |x| = factor * r_e^2 / r_i."""
-    pts = _farfield_probe_points(factor * sol.geom.r_e**2 / sol.geom.r_i)
+def farfield_sample(sol: DensitySolution) -> float:
+    """max |u - F| over fixed probes at |x| = 1.05 r_e^2 / r_i."""
+    pts = _farfield_probe_points(1.05 * sol.geom.r_e**2 / sol.geom.r_i)
     vals = field_eval(sol, None, sol.geom, sol.lame, pts)
     return float(np.max(np.linalg.norm(vals, axis=-1)))
 
@@ -482,13 +468,14 @@ def energy(
     cfg: PlasmonicConfig,
     lame: LameParams,
     quadrature: bool = False,
-    quad_kwargs: dict | None = None,
+    rule=None,
 ) -> EnergyReport:
     """Dissipated shell energy of the scattered field, two ways.
 
     energy_modal sums the exact per-mode closed form; energy_quadrature
     (optional) integrates the strain density over the shell volume with the
-    brute-force rule.  Both are (delta/2) * P_shell(u - F).
+    brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
+    and 16 radial nodes.  Both are (delta/2) * P_shell(u - F).
     """
     _, n, phi_i, phi_e = _solution_columns(sol)
     per_mode = shell_energy(n, phi_i, phi_e, sol.geom, sol.cfg.delta, sol.lame)
@@ -496,11 +483,8 @@ def energy(
     if quadrature:
         from .oracle import QuadratureRule, quad_energy_shell
 
-        kwargs = dict(quad_kwargs or {})
-        rule = kwargs.pop("rule", QuadratureRule(24, 48))
-        n_radial = kwargs.pop("n_radial", 16)
         e_quad = quad_energy_shell(
-            scattered_gradient_factory(sol), lame, cfg.delta, geom, rule, n_radial
+            scattered_gradient_factory(sol), lame, cfg.delta, geom, rule or QuadratureRule(24, 48)
         )
     return EnergyReport(
         delta=cfg.delta,
@@ -584,7 +568,10 @@ class CalrSweep:
     energy_ratio: float
     farfield_ratio: float
     r_s: float
-    growth_threshold: float = 1e3
+
+
+_GROWTH_THRESHOLD = 1e3  # E(smallest loss) / E(largest loss) above this is blowup
+_MIN_DECADES = 4.0  # shortest loss grid, in decades, that can tell blowup apart
 
 
 def classify_calr(
@@ -595,18 +582,16 @@ def classify_calr(
     kappa: float = 1.0,
     fixed_cfg: PlasmonicConfig | None = None,
     quadrature: bool = False,
-    growth_threshold: float = 1e3,
-    min_decades: float = 4.0,
 ) -> CalrSweep:
     """Run the full pipeline over a decreasing loss grid and classify.
 
     Per grid point the resonant degree is re-chosen (rho^n0 < delta <=
     rho^(n0-1)) and the plasmonic parameters re-tuned, unless a fixed
     configuration is supplied.  Verdict "resonant" requires the energy to
-    grow by more than `growth_threshold` from the largest to the smallest
-    loss over a grid spanning at least `min_decades` decades; grids too
-    short to decide return "insufficient-grid"; r_s equal to the critical
-    radius returns "boundary".
+    grow by more than 1e3 from the largest to the smallest loss over a grid
+    spanning at least 4 decades; a source with zero energy throughout
+    (kappa = 0) is "bounded"; grids too short to decide return
+    "insufficient-grid"; r_s equal to the critical radius returns "boundary".
     """
     if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
@@ -627,9 +612,9 @@ def classify_calr(
     )
     if math.isclose(r_s, rstar, rel_tol=1e-12):
         verdict = "boundary"
-    elif len(delta_grid) < 2 or decades < min_decades:
+    elif len(delta_grid) < 2 or decades < _MIN_DECADES:
         verdict = "insufficient-grid"
-    elif energies[-1] / energies[0] > growth_threshold:
+    elif energies[-1] > _GROWTH_THRESHOLD * energies[0]:
         verdict = "resonant"
     else:
         verdict = "bounded"
@@ -641,5 +626,4 @@ def classify_calr(
         energy_ratio=energy_ratio,
         farfield_ratio=farfield_ratio,
         r_s=r_s,
-        growth_threshold=growth_threshold,
     )

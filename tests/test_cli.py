@@ -7,6 +7,14 @@ import pytest
 from npshell.cli import main
 
 
+def _strict_json(line):
+    """json.loads that rejects NaN and Infinity, which strict JSON lacks."""
+    def reject(const):
+        raise ValueError(f"non-strict JSON constant {const}")
+
+    return json.loads(line, parse_constant=reject)
+
+
 def _read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -57,10 +65,17 @@ class TestValidate:
         )
         assert rc == 0
         lines = out.read_text().splitlines()
-        summary = json.loads(lines[-1])
+        config = _strict_json(lines[0])
+        assert (config["type"], config["quad_theta"], config["inject_fault"]) == ("config", 48, False)
+        summary = _strict_json(lines[-1])
         assert summary["failures"] == 0
-        recs = [json.loads(l) for l in lines[1:-1]]
+        recs = [_strict_json(l) for l in lines[1:-1]]
         assert all(r["rel_error"] <= 1e-6 for r in recs)
+        rec = recs[0]
+        assert (rec["operation"], rec["passed"]) == ("np_eigenvalue", True)
+        assert rec["params"] == {"family": "T", "n": 1, "m": 1, "residual": rec["params"]["residual"],
+                                 "n_theta": 48, "n_phi": 96}
+        assert rec["closed_form"] == {"re": 0.5, "im": 0.0}
 
     def test_fault_injection_detected(self, tmp_path):
         out = tmp_path / "v.jsonl"
@@ -69,6 +84,16 @@ class TestValidate:
              "--quad-theta", "48", "--quad-phi", "96", "--out", str(out)]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("suite", ["gram", "energy"])
+    def test_records_name_the_rule_they_used(self, tmp_path, suite):
+        # both suites use 24 x 48 here while the config echoes 64 x 128
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", suite, "--n-max", "2", "--out", str(out)])
+        assert rc == 0
+        config, *records, _ = [_strict_json(l) for l in out.read_text().splitlines()]
+        assert (config["quad_theta"], config["quad_phi"]) == (64, 128)
+        assert records and all((r["params"]["n_theta"], r["params"]["n_phi"]) == (24, 48) for r in records)
 
     def test_lame_suite(self, tmp_path):
         out = tmp_path / "v.jsonl"
@@ -89,10 +114,11 @@ class TestCalr:
         )
         assert rc == 0
         lines = out.read_text().splitlines()
-        summary = json.loads(lines[-1])
+        summary = _strict_json(lines[-1])
         assert summary["verdict"] == "resonant"
-        records = [json.loads(l) for l in lines[1:-1]]
-        energies = [float(r["energy_modal"]) for r in records]
+        records = [_strict_json(l) for l in lines[1:-1]]
+        energies = [r["energy_modal"] for r in records]
+        assert all(isinstance(e, float) for e in energies)
         assert energies == sorted(energies)
         csv = tmp_path / "sweep.csv"
         header, rows = _read_rows(csv)
@@ -108,6 +134,16 @@ class TestCalr:
         assert rc == 0
         summary = json.loads(out.read_text().splitlines()[-1])
         assert summary["verdict"] == "bounded"
+
+    def test_zero_source_is_bounded(self, tmp_path):
+        # kappa = 0 gives an empty spectrum: zero energy at every loss
+        out = tmp_path / "sweep.jsonl"
+        rc = main(["calr", "--kappa", "0", "--no-quad-energy", "--out", str(out)])
+        assert rc == 0
+        lines = [_strict_json(l) for l in out.read_text().splitlines()]
+        assert [r["energy_modal"] for r in lines[1:-1]] == [0.0] * 6
+        assert lines[-1]["verdict"] == "bounded"
+        assert lines[-1]["energy_ratio"] == "inf"
 
     def test_single_point_grid(self, tmp_path):
         out = tmp_path / "sweep.jsonl"
@@ -178,6 +214,8 @@ class TestConfigHandling:
         out = tmp_path / "s.jsonl"
         rc = main(["calr", "--config", str(cfgfile), "--no-quad-energy", "--out", str(out)])
         assert rc == 0
+        config = _strict_json(out.read_text().splitlines()[0])
+        assert (config["delta_grid"], config["kappa"]) == ([0.1, 0.01], 2.0)
         assert "# delta_grid = 0.10000000000000001,0.01" in out.with_suffix(".csv").read_text()
         assert "# kappa = 2" in out.with_suffix(".csv").read_text()
         cfgfile.write_text("resolution = 7.5\n")
@@ -203,6 +241,58 @@ class TestConfigHandling:
         rc = main(["calr", "--config", str(cfgfile), "--out", str(tmp_path / "s.jsonl")])
         assert rc == 2
         assert "error: unknown config key 'n_max'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, name", [
+        (["calr", "--kappa", "0"], "--no-quad-energy", "a.jsonl"),
+        (["field", "--resolution", "3"], "--include-source", "a.csv"),
+        (["validate", "--suite", "lame", "--n-max", "1"], "--inject-fault", "a.jsonl"),
+    ], ids=["calr", "field", "validate"])
+    def test_header_echoes_boolean_flag(self, tmp_path, argv, flag, name):
+        out = tmp_path / name
+        key = flag[2:].replace("-", "_")
+        headers = []
+        for on in (False, True):
+            assert main(argv + [flag] * on + ["--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            if name.endswith(".jsonl"):
+                headers.append(_strict_json(lines[0]))
+                assert headers[-1][key] is on
+            else:
+                headers.append([l for l in lines if l.startswith("# ")])
+                assert f"# {key} = {json.dumps(on)}" in headers[-1]
+        assert headers[0] != headers[1]
+
+    def test_config_file_cannot_set_a_boolean_flag(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("no_quad_energy = true\n")
+        rc = main(["calr", "--config", str(cfgfile), "--out", str(tmp_path / "s.jsonl")])
+        assert rc == 2
+        assert "error: unknown config key 'no_quad_energy'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("validate", "suite = bogus", "error: unknown suite 'bogus'"),
+        ("field", "axis = w", "error: axis must be one of x, y, z"),
+    ], ids=["suite", "axis"])
+    def test_config_value_outside_choices(self, tmp_path, capsys, command, line, message):
+        # argparse checks choices on the command line only, not on defaults
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        out = tmp_path / "a.out"
+        assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # r_e^(n+2) of the matrix coefficients overflows at this scale (ROADMAP
+        # item 4a); once the series is evaluated in r/r_e this input exits 0.
+        out = tmp_path / "s.jsonl"
+        rc = main(["calr", "--ri", "1000", "--re", "2000", "--rs", "2500",
+                   "--no-quad-energy", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",

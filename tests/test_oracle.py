@@ -295,10 +295,9 @@ class TestShellEnergyQuadrature:
 
 
 class TestValidationRecord:
-    def test_compare_and_json(self):
+    def test_compare(self):
         rec = compare("demo", {"n": 2}, 1.0, 1.0 + 1e-9, 1e-6)
         assert rec.passed
-        assert "demo" in rec.to_json()
         bad = compare("demo", {"n": 2}, 1.0, 1.1, 1e-6)
         assert not bad.passed
 

@@ -1,6 +1,7 @@
 """Core-shell-matrix solver: mode solves, fields, energy, classification."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -446,7 +447,7 @@ class TestEnergy:
     def test_report_json_fields(self):
         sol, cfg = _single_mode_solution(2, 0, 0.01)
         rep = energy(sol, None, GEOM, cfg, LAME)
-        d = rep.to_json_dict()
+        d = asdict(rep)
         assert set(d) == {
             "delta", "n0", "c_n", "eps_n", "energy_modal",
             "energy_quadrature", "farfield_sample", "dominant_n", "n_trunc", "verdict",
