@@ -12,6 +12,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonics import ModeIndex, _cartesian_angles, eval_trace_mode
-from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel
+from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from .transmission import ShellGeometry
 
 
@@ -27,12 +28,25 @@ class NonEigenfunctionError(RuntimeError):
     """The projection residual of a supposed eigenfunction is too large."""
 
 
-def fsum_c(values: np.ndarray) -> complex:
-    """Compensated (exact) sum of a complex array, fixed C order."""
-    flat = np.ascontiguousarray(values).ravel()
-    if np.iscomplexobj(flat):
-        return complex(math.fsum(flat.real.tolist()), math.fsum(flat.imag.tolist()))
-    return complex(math.fsum(flat.tolist()), 0.0)
+def fsum_c(values: np.ndarray) -> complex | np.ndarray:
+    """Compensated sum over the last axis, real and imaginary parts apart:
+    cascaded pairwise TwoSum (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 2005)
+    over the input zero-padded to a power of two, the rounding errors summed
+    pairwise alongside.  Fixed order and elementwise, so independent of the
+    memory layout.  1-D input gives a complex."""
+    a = np.asarray(values)
+    parts = [a.real, a.imag] if np.iscomplexobj(a) else [a]
+    s = np.zeros((len(parts),) + a.shape[:-1] + (1 << max(a.shape[-1] - 1, 0).bit_length(),))
+    s[..., : a.shape[-1]] = parts
+    e = np.zeros_like(s)
+    while (half := s.shape[-1] // 2) > 0:
+        x, y = s[..., :half], s[..., half:]
+        s = x + y
+        z = s - x  # TwoSum: x + y == s + (x - (s - z)) + (y - z) exactly
+        e = (x - (s - z)) + (y - z) + e[..., :half] + e[..., half:]
+    total = s[..., 0] + e[..., 0]
+    out = total[0] + 1j * total[1] if len(parts) == 2 else total[0] + 0j
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 @lru_cache(maxsize=32)
@@ -109,15 +123,16 @@ def rotation_to_pole(x: np.ndarray) -> np.ndarray:
 def quad_surface_integral(f: Callable, rule: QuadratureRule, radius: float = 1.0) -> complex:
     """Integrate f(points (N,3)) -> (N,) over the sphere of given radius."""
     pts, w = rule.surface_nodes(radius)
-    vals = np.asarray(f(pts))
-    return fsum_c(vals * w)
+    return fsum_c(np.asarray(f(pts)) * w)
 
 
-def _rotated_sources(x: np.ndarray, rule: QuadratureRule, r0: float):
-    """Quadrature nodes with the singular target x rotated to the pole."""
+def _rotated_sources(idx: ModeIndex, lame: LameParams, x, rule: QuadratureRule, r0: float):
+    """Rotation Q of x to the pole, the nodes y = Q^T p rotated with it (the
+    singular target x at their pole), their weights, and the mode phi(y)."""
     q = rotation_to_pole(x)
     pts, w = rule.polar_nodes(r0)
-    return pts @ q, w  # rows are q.T @ node
+    y = pts @ q
+    return q, y, w, eval_trace_mode(idx, lame, *_cartesian_angles(y)[1:])
 
 
 def quad_scalar_sl(
@@ -137,12 +152,9 @@ def quad_scalar_sl(
     """
 
     def one_pass(r: QuadratureRule) -> np.ndarray:
-        y, w = _rotated_sources(x, r, r0)
-        _, theta, phi = _cartesian_angles(y)
-        dens = eval_trace_mode(idx, lame, theta, phi)
+        _, y, w, dens = _rotated_sources(idx, lame, x, r, r0)
         ker = gamma_laplace(x[None, :] - y)
-        vals = ker[:, None] * dens * w[:, None]
-        return np.array([fsum_c(vals[:, i]) for i in range(3)])
+        return fsum_c((ker[:, None] * dens * w[:, None]).T)
 
     x = np.asarray(x, dtype=float)
     out = one_pass(rule)
@@ -150,14 +162,8 @@ def quad_scalar_sl(
         half = QuadratureRule(max(rule.n_theta // 2, 2), max(rule.n_phi // 2, 4))
         gap = np.linalg.norm(out - one_pass(half))
         if gap > 1e-6 * max(np.linalg.norm(out), 1e-300):
-            import warnings
-
-            warnings.warn(
-                f"scalar single-layer quadrature not resolved for {idx}: "
-                f"Richardson gap {gap:.2e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            msg = f"scalar single-layer quadrature not resolved for {idx}"
+            warnings.warn(f"{msg}: Richardson gap {gap:.2e}", RuntimeWarning, stacklevel=2)
     return out
 
 
@@ -169,15 +175,30 @@ def quad_elastic_sl(
     r0: float = 1.0,
 ) -> np.ndarray:
     """Elastic single layer (Kelvin kernel) of a trace mode at x, |x| = r0."""
-    from .kelvin import kelvin_matrix
-
     x = np.asarray(x, dtype=float)
-    y, w = _rotated_sources(x, rule, r0)
-    _, theta, phi = _cartesian_angles(y)
-    dens = eval_trace_mode(idx, lame, theta, phi)
+    _, y, w, dens = _rotated_sources(idx, lame, x, rule, r0)
     ker = kelvin_matrix(x[None, :] - y, lame)
-    vals = np.einsum("aij,aj->ai", ker, dens) * w[:, None]
-    return np.array([fsum_c(vals[:, i]) for i in range(3)])
+    return fsum_c((np.einsum("aij,aj->ai", ker, dens) * w[:, None]).T)
+
+
+def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float):
+    """x, phi(x) -> K*[phi](x) for one mode, with K1/K2 assembled once: for
+    nodes y = Q^T p, with Q x/|x| = z-hat, K(x, y) = Q^T K(r0 z-hat, p) Q, so
+    the (3, 3, N) pole blocks -b1 K1 w and K2 w act on psi = Q phi(y), summed
+    over the nodes and turned back by Q^T."""
+    p, w = rule.polar_nodes(r0)
+    z = np.array([0.0, 0.0, 1.0])
+    k1 = -KernelCoeffs.from_lame(lame).b1 * k1_kernel(r0 * z, p, z)
+    k2 = k2_kernel(r0 * z, p, z, lame)
+    k1w, k2w = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1, k2))
+
+    def at(x: np.ndarray, dens_x: np.ndarray) -> np.ndarray:
+        q, _, _, dens = _rotated_sources(idx, lame, x, rule, r0)
+        psi, c = q @ dens.T, q @ dens_x
+        terms = sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
+        return q.T @ fsum_c(terms)
+
+    return at
 
 
 def quad_np_pointwise(
@@ -192,22 +213,14 @@ def quad_np_pointwise(
     Uses the kernel split d/dnu_x G = -b1 K1 + K2.  K2 is weakly singular on
     the sphere as it stands.  The strongly singular K1 has vanishing
     principal value against constants on a sphere, so its p.v. action equals
-    the absolutely convergent integral of K1(x,y)(phi(y) - phi(x)).
+    the absolutely convergent integral of K1(x,y)(phi(y) - phi(x)).  Both are
+    isotropic, K(Qx, Qy) = Q K(x, y) Q^T, so they are assembled with the
+    target at the pole and x only rotates the density into that frame: the
+    fixed-weight, rotate-the-integrand scheme of Graham & Sloan (Numer. Math.
+    2002).
     """
-    x = np.asarray(x, dtype=float)
-    co = KernelCoeffs.from_lame(lame)
-    nu_x = x / np.linalg.norm(x)
-    y, w = _rotated_sources(x, rule, r0)
-    _, theta, phi = _cartesian_angles(y)
-    dens = eval_trace_mode(idx, lame, theta, phi)
-    _, tx, px = _cartesian_angles(x)
-    dens_x = eval_trace_mode(idx, lame, tx, px)
-    k1 = k1_kernel(x[None, :], y, nu_x[None, :])
-    k2 = k2_kernel(x[None, :], y, nu_x[None, :], lame)
-    vals = -co.b1 * np.einsum("aij,aj->ai", k1, dens - dens_x[None, :])
-    vals += np.einsum("aij,aj->ai", k2, dens)
-    vals *= w[:, None]
-    return np.array([fsum_c(vals[:, i]) for i in range(3)])
+    dens_x = eval_trace_mode(idx, lame, *_cartesian_angles(x)[1:])
+    return _pole_frame_np(idx, lame, rule, r0)(x, dens_x)
 
 
 def quad_np_apply(
@@ -224,6 +237,9 @@ def quad_np_apply(
     The projection integrand of a single (n, m) mode is azimuth independent,
     so the outer grid needs full Gauss resolution only in the colatitude:
     max(k + 2, 4) Gauss nodes for scalar degree k.
+    Each outer node is a quad_np_pointwise in one pole frame (Graham & Sloan,
+    Numer. Math. 2002): K1/K2 are assembled once per call, and phi(x) comes
+    from the outer grid's modes.
     A residual above residual_tol raises NonEigenfunctionError: the input
     did not behave like an eigenfunction, which signals a bug.
     """
@@ -235,9 +251,9 @@ def quad_np_apply(
     w = np.repeat(np.asarray(wt), n_phi_out) * (2 * np.pi / n_phi_out) * r0**2
     st, ct = np.sin(T), np.cos(T)
     pts = r0 * np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1).reshape(-1, 3)
-    vals = np.stack([quad_np_pointwise(idx, p, lame, rule, r0) for p in pts])
-    _, theta_f, phi_f = _cartesian_angles(pts)
-    modes = eval_trace_mode(idx, lame, theta_f, phi_f)
+    modes = eval_trace_mode(idx, lame, *_cartesian_angles(pts)[1:])
+    at = _pole_frame_np(idx, lame, rule, r0)
+    vals = np.stack([at(p, d) for p, d in zip(pts, modes)])
     num = fsum_c(np.sum(vals * modes.conj(), axis=1) * w)
     den = fsum_c(np.sum(modes * modes.conj(), axis=1) * w)
     xi = num / den

@@ -603,8 +603,9 @@ def classify_calr(
 
     energies = [r.energy_modal for r in reports]
     farfields = [r.farfield_sample for r in reports]
-    energy_ratio = max(energies) / min(energies) if min(energies) > 0 else math.inf
-    farfield_ratio = max(farfields) / min(farfields) if min(farfields) > 0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 is inf, 0/0 (no source) nan
+        energy_ratio = float(np.float64(max(energies)) / min(energies))
+        farfield_ratio = float(np.float64(max(farfields)) / min(farfields))
 
     rstar = geom.critical_radius
     decades = (

@@ -143,7 +143,9 @@ class TestCalr:
         lines = [_strict_json(l) for l in out.read_text().splitlines()]
         assert [r["energy_modal"] for r in lines[1:-1]] == [0.0] * 6
         assert lines[-1]["verdict"] == "bounded"
-        assert lines[-1]["energy_ratio"] == "inf"
+        # 0/0 is no ratio: not "inf", which would read as unbounded growth
+        assert lines[-1]["energy_ratio"] == "nan"
+        assert lines[-1]["farfield_ratio"] == "nan"
 
     def test_single_point_grid(self, tmp_path):
         out = tmp_path / "sweep.jsonl"

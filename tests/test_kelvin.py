@@ -179,3 +179,33 @@ def _fd_conormal_of_kelvin(x, y, lame, h):
         div = g[0, 0] + g[1, 1] + g[2, 2]
         out[:, col] = lame.lam * div * nu + lame.mu * (g + g.T) @ nu
     return out
+
+
+class TestRotationEquivariance:
+    """K(Qx, Qy, Q nu) = Q K(x, y, nu) Q^T for every proper rotation Q: the
+    identity that lets the N-P oracle assemble its kernels once at the pole."""
+
+    @pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
+    def test_kernels_rotate_with_the_sphere(self, r0, rng):
+        materials = (LameParams(2.0, 1.0), LameParams(-4 + 0.05j, -4 + 0.05j))
+        for _ in range(20):
+            q = _random_rotation(rng)
+            x, y = (r0 * v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+            nu = x / r0
+            _assert_rotated(k1_kernel(q @ x, q @ y, q @ nu), q, k1_kernel(x, y, nu))
+            for lp in materials:
+                rotated = k2_kernel(q @ x, q @ y, q @ nu, lp)
+                _assert_rotated(rotated, q, k2_kernel(x, y, nu, lp))
+                _assert_rotated(kelvin_matrix(q @ (x - y), lp), q, kelvin_matrix(x - y, lp))
+
+
+def _random_rotation(rng) -> np.ndarray:
+    """A random proper rotation: QR of a Gaussian matrix, signs fixed, det +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def _assert_rotated(rotated, q, kernel, rtol=1e-13):
+    expected = q @ kernel @ q.T
+    assert np.linalg.norm(rotated - expected) <= rtol * np.linalg.norm(expected)

@@ -5,11 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_surface_angles
-from npshell.harmonics import ModeIndex, eval_solid_mode, eval_trace_mode, eval_ylm, _unit_vectors
-from npshell.kelvin import LameParams
+from npshell import oracle
+from npshell.harmonics import (
+    ModeIndex,
+    _cartesian_angles,
+    _unit_vectors,
+    eval_solid_mode,
+    eval_trace_mode,
+    eval_ylm,
+)
+from npshell.kelvin import KernelCoeffs, LameParams, k1_kernel, k2_kernel
 from npshell.oracle import (
     FDStencil,
     NonEigenfunctionError,
@@ -18,9 +28,11 @@ from npshell.oracle import (
     fd_lame_apply,
     fd_lame_residual,
     fd_traction,
+    fsum_c,
     quad_elastic_sl,
     quad_energy_shell,
     quad_np_apply,
+    quad_np_pointwise,
     quad_scalar_sl,
     quad_surface_integral,
     rotation_to_pole,
@@ -201,6 +213,102 @@ class TestNPQuadrature:
             quad_np_apply(
                 ModeIndex("M", 6, 3), lame, QuadratureRule(4, 8), residual_tol=1e-10
             )
+
+
+class TestPoleFrame:
+    """quad_np_pointwise assembles K1/K2 once at the pole and rotates each
+    target's density into that frame; the reference assembles them at the
+    target itself, as the oracle did before."""
+
+    # Eigenvalues 0.21, 0.5 and 0.13-0.19: both routes round at ~1e-14 of the
+    # integrand, so a mode with a small K*[phi] (M_2: 1/90) would measure that
+    # rounding rather than the frame.
+    MODES = (ModeIndex("T", 3, 1), ModeIndex("M", 1, 1), ModeIndex("N", 3, -1))
+
+    @pytest.mark.parametrize("lp", [LameParams(2.0, 1.0), LameParams(-4 + 0.05j, -4 + 0.05j)])
+    def test_matches_kernel_assembled_at_the_target(self, lp, rng):
+        rule, r0 = QuadratureRule(24, 48), 1.5
+        targets = [r0 * v / np.linalg.norm(v) for v in rng.normal(size=(10, 3))]
+        targets += [np.array([0.0, 0.0, r0]), np.array([0.0, 0.0, -r0])]  # both special Q
+        for idx in self.MODES:
+            for x in targets:
+                val = quad_np_pointwise(idx, x, lp, rule, r0)
+                ref = _np_pointwise_at_target(idx, x, lp, rule, r0)
+                assert np.linalg.norm(val - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_kernels_assembled_once_per_call(self, lame, monkeypatch):
+        calls = []
+        for name in ("k1_kernel", "k2_kernel"):
+            kernel = getattr(oracle, name)
+            monkeypatch.setattr(
+                oracle, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a)
+            )
+        quad_np_apply(ModeIndex("T", 3, 2), lame, QuadratureRule(16, 32))
+        assert sorted(calls) == ["k1_kernel", "k2_kernel"]
+
+
+def _np_pointwise_at_target(idx, x, lame, rule, r0):
+    """K*[phi](x) with K1/K2 assembled at x on the rotated nodes, and
+    math.fsum per component."""
+    co = KernelCoeffs.from_lame(lame)
+    nu_x = x / np.linalg.norm(x)
+    pts, w = rule.polar_nodes(r0)
+    y = pts @ rotation_to_pole(x)
+    dens = eval_trace_mode(idx, lame, *_cartesian_angles(y)[1:])
+    dens_x = eval_trace_mode(idx, lame, *_cartesian_angles(x)[1:])
+    k1 = k1_kernel(x[None, :], y, nu_x[None, :])
+    k2 = k2_kernel(x[None, :], y, nu_x[None, :], lame)
+    vals = -co.b1 * np.einsum("aij,aj->ai", k1, dens - dens_x[None, :])
+    vals += np.einsum("aij,aj->ai", k2, dens)
+    vals *= w[:, None]
+    return np.array(
+        [complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist())) for v in vals.T]
+    )
+
+
+# Summands over 120 binary orders of magnitude, half of them cancelling
+# larger ones exactly or up to a small remainder.
+_SUMMANDS = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.integers(-60, 60), st.booleans()), max_size=40
+).map(
+    lambda terms: [m * 2.0**e for m, e, _ in terms]
+    + [-m * 2.0**e * (1 + 2.0**-40) for m, e, cancel in terms if cancel]
+)
+
+
+class TestFsum:
+    @settings(deadline=None, max_examples=200)
+    @given(xs=_SUMMANDS)
+    @example(xs=[])
+    @example(xs=[0.1])
+    @example(xs=[1e16, 1.0, -1e16])
+    def test_within_twice_working_precision_of_fsum(self, xs):
+        exact = math.fsum(xs)
+        eps = np.finfo(float).eps
+        bound = 2 * eps * abs(exact) + len(xs) ** 2 * eps**2 * math.fsum(map(abs, xs))
+        got = fsum_c(np.array(xs, dtype=float))
+        assert isinstance(got, complex) and got.imag == 0.0
+        assert abs(got.real - exact) <= bound
+
+    @settings(deadline=None, max_examples=50)
+    @given(rows=st.lists(_SUMMANDS, min_size=1, max_size=4), imag=_SUMMANDS)
+    def test_rows_parts_and_layout(self, rows, imag):
+        n = max(len(r) for r in rows)
+        a = np.array([r + [0.0] * (n - len(r)) for r in rows])
+        sums = fsum_c(a)
+        assert sums.shape == (len(rows),)
+        assert [complex(v) for v in sums] == [fsum_c(row) for row in a]
+        # real and imaginary parts are summed apart
+        z = np.zeros(max(len(imag), n), dtype=complex)
+        z.real[:n] = a[0]
+        z.imag[: len(imag)] = imag
+        assert fsum_c(z) == complex(fsum_c(z.real).real, fsum_c(z.imag).real)
+        # bit-identical on a repeat and on a strided, transposed view
+        buf = np.zeros((2 * n, 2 * len(rows)))
+        buf[::2, ::2] = a.T
+        view = buf[::2, ::2].T
+        assert not view.flags.c_contiguous or n < 2
+        assert np.array_equal(fsum_c(view), sums) and np.array_equal(fsum_c(a), sums)
 
 
 class TestFiniteDifferences:
