@@ -260,7 +260,7 @@ def _suite_gram(lame, rule, n_max, records):
 def _suite_energy(lame, geom, rule, n_max, records):
     for n in range(2, n_max + 1):
         cfg = PlasmonicConfig.resonant(n, 0.01)
-        src = SourceSpectrum({(n, 0): 1.0}, r_s=3.0 * geom.r_e)
+        src = SourceSpectrum([n], [0], [1.0], r_s=3.0 * geom.r_e)
         sol = solve_source(src, geom, cfg, lame)
         rep = energy(sol, src, geom, cfg, lame, quadrature=True, rule=rule)
         records.append(
@@ -283,6 +283,8 @@ def cmd_validate(cfg: dict) -> int:
     records: list[ValidationRecord] = []
     suite = cfg["suite"]
     n_max = cfg["n_max"]
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if suite == "layers":
         _suite_layers(lame, rule, n_max, records)
     elif suite == "np":
@@ -342,6 +344,8 @@ def cmd_field(cfg: dict) -> int:
     src, sol = solve_sweep_point(cfg["delta"], geom, lame, cfg["rs"], kappa=cfg["kappa"])
     n0 = sol.cfg.n0
     res = cfg["resolution"]
+    if res < 1:
+        raise ValueError(f"resolution must be >= 1, got {res}")
     ext = cfg["extent"]
     ticks = [0.0] if res == 1 else list(np.linspace(-ext, ext, res))
     kept = dict(x=(1, 2), y=(0, 2), z=(0, 1))[axis]

@@ -313,12 +313,13 @@ def _ladder_block(decaying: bool, n: int, m: int, hessian: bool) -> np.ndarray:
     return block
 
 
-def solid_harmonic_series(regular: dict, decaying: dict, xyz, hessian: bool = False):
+def solid_harmonic_series(n, m, regular, decaying, xyz, hessian: bool = False):
     """grad F, and Hess F if asked, of the scalar potential
     F = sum c_n^m r^n Y_n^m + sum d_n^m Y_n^m / r^(n+1) at points (..., 3).
 
-    `regular` and `decaying` map (n, m) to the coefficients c and d.  The
-    ladder weights of every mode are summed into one coefficient row per
+    `regular` and `decaying` are the coefficient arrays c and d, aligned with
+    the integer arrays of degrees `n` and orders `m`; None drops that kind.
+    The ladder weights of every mode are summed into one coefficient row per
     (kind, degree, order); per block of points each order |m| then needs one
     real Legendre column, scaled by r^k or r^-(k+1), and exp(i m phi) is
     applied once per order.  Returns (grad (..., 3), Hess (..., 3, 3) or
@@ -327,19 +328,20 @@ def solid_harmonic_series(regular: dict, decaying: dict, xyz, hessian: bool = Fa
     xyz = np.asarray(xyz, dtype=float)
     pts = xyz.reshape(-1, 3)
     ncomp, step = (12, 2) if hessian else (3, 1)
-    maps = (regular, decaying)
-    kinds = [kind for kind in (0, 1) if maps[kind]]
-    q_max = max((abs(m) for c in maps for (_, m) in c), default=0)
-    n_max = max((n for c in maps for (n, _) in c), default=0)
+    n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
+    coeffs = (regular, decaying)
+    kinds = [kind for kind in (0, 1) if coeffs[kind] is not None and n.size]
+    q_max = int(np.abs(m).max(initial=0))
+    n_max = int(n.max(initial=0))
     top = n_max + step  # highest degree a derivative reaches
     # rows[kind, q + q_max + 2, comp, k + 2]: weight of the solid harmonic of
     # degree k and order q in derivative component comp
     rows = np.zeros((2, 2 * q_max + 5, ncomp, n_max + 5), dtype=complex)
     for kind in kinds:
-        for (n, m), c in maps[kind].items():
-            lo = n + 3 if kind else n
-            rows[kind, m + q_max:m + q_max + 5, :, lo:lo + 2] += c * _ladder_block(
-                bool(kind), n, m, hessian)
+        for nk, mk, c in zip(n.tolist(), m.tolist(), coeffs[kind]):
+            lo = nk + 3 if kind else nk
+            rows[kind, mk + q_max:mk + q_max + 5, :, lo:lo + 2] += c * _ladder_block(
+                bool(kind), nk, mk, hessian)
     out = np.zeros((2, ncomp, len(pts)))
     r, theta, phi = _cartesian_angles(pts)
     ct, st = np.cos(theta), np.sin(theta)

@@ -51,16 +51,13 @@ class LayerAction:
 
 
 class CoefficientSpectrum:
-    """Finite map ModeIndex -> complex amplitude (densities, tractions, fields)."""
+    """Finite map ModeIndex -> complex amplitude over mixed T/M/N families."""
 
     def __init__(self, amplitudes: dict[ModeIndex, complex] | None = None):
         self._amp = dict(amplitudes or {})
 
     def __getitem__(self, idx: ModeIndex) -> complex:
         return self._amp.get(idx, 0.0)
-
-    def __setitem__(self, idx: ModeIndex, value: complex) -> None:
-        self._amp[idx] = value
 
     def __len__(self) -> int:
         return len(self._amp)
@@ -74,11 +71,6 @@ class CoefficientSpectrum:
 
     def map_amplitudes(self, fn: Callable[[ModeIndex, complex], complex]) -> "CoefficientSpectrum":
         return CoefficientSpectrum({idx: fn(idx, amp) for idx, amp in self._amp.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoefficientSpectrum):
-            return NotImplemented
-        return self._amp == other._amp
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import ModeIndex, solid_harmonic_series
+from .harmonics import solid_harmonic_series
 from .kelvin import LameParams
-from .potentials import CoefficientSpectrum, elastic_sl_t_coeff, np_eigenvalue
+from .potentials import elastic_sl_t_coeff, np_eigenvalue
 
 
 class ExactResonanceError(ZeroDivisionError):
@@ -108,22 +108,33 @@ def g_i_from_g_e(n: int, g_e: complex, geom: ShellGeometry) -> complex:
 @dataclass(frozen=True)
 class SourceSpectrum:
     """Traction coefficients g_e^{n,m} of the source potential on the outer
-    interface, in the T basis (n >= 2 only)."""
+    interface, in the T basis (n >= 2 only): aligned read-only arrays of
+    degree n, order m and amplitude g, sorted by (n, m)."""
 
-    coeffs: dict[tuple[int, int], complex]
+    n: np.ndarray
+    m: np.ndarray
+    g: np.ndarray
     r_s: float | None = None
 
     def __post_init__(self):
-        for (n, _m) in self.coeffs:
-            if n < 2:
-                raise ValueError("source spectra start at n = 2 (degree-1 traction vanishes)")
-
-    def items(self) -> list[tuple[tuple[int, int], complex]]:
-        return sorted(self.coeffs.items())
+        n, m, g = np.asarray(self.n, dtype=int), np.asarray(self.m, dtype=int), np.asarray(self.g)
+        if not (n.ndim == 1 and n.shape == m.shape == g.shape):
+            raise ValueError("n, m and g must be aligned 1-D arrays")
+        if np.any(n < 2):
+            raise ValueError("source spectra start at n = 2 (degree-1 traction vanishes)")
+        if np.any(np.abs(m) > n):
+            raise ValueError("orders must satisfy |m| <= n")
+        order = np.lexsort((m, n))
+        n, m, g = n[order], m[order], g[order]
+        if np.any((np.diff(n) == 0) & (np.diff(m) == 0)):
+            raise ValueError("each mode (n, m) may appear only once")
+        for name, column in (("n", n), ("m", m), ("g", g)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     @property
     def n_max(self) -> int:
-        return max((n for (n, _m) in self.coeffs), default=1)
+        return int(self.n.max(initial=1))
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +214,6 @@ def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameP
     )
 
 
-def _spectrum_columns(src: SourceSpectrum):
-    """(keys (n, m), degrees, g_e) of a source spectrum as aligned arrays."""
-    keys = sorted(src.coeffs)
-    return keys, np.array([n for n, _ in keys], dtype=int), np.array([src.coeffs[k] for k in keys])
-
-
-def _t_spectrum(keys, values) -> CoefficientSpectrum:
-    """T-family CoefficientSpectrum from aligned (n, m) keys and amplitudes."""
-    return CoefficientSpectrum({ModeIndex("T", n, m): v for (n, m), v in zip(keys, values.tolist())})
-
-
-def _solution_columns(sol: "DensitySolution"):
-    """(keys (n, m), degrees, phi_i, phi_e) of a solution as aligned arrays."""
-    modes = list(sol.phi_i)
-    keys = [(i.n, i.m) for i in modes]
-    return (
-        keys,
-        np.array([n for n, _ in keys], dtype=int),
-        np.array([sol.phi_i[i] for i in modes], dtype=complex),
-        np.array([sol.phi_e[i] for i in modes], dtype=complex),
-    )
-
-
 # ---------------------------------------------------------------------------
 # source and solve
 # ---------------------------------------------------------------------------
@@ -247,19 +235,23 @@ def synth_source(
     if r_s <= geom.r_e:
         raise ValueError("synthetic source must sit outside the shell (r_s > r_e)")
     if kappa == 0:
-        return SourceSpectrum(coeffs={}, r_s=r_s)
-    degrees = range(2, n_max + 1)
-    g = source_coefficient(np.array(degrees), r_s, geom, lame, kappa).tolist()
-    orders = (lambda n: range(-n, n + 1)) if spread_m else (lambda n: (0,))
-    return SourceSpectrum(coeffs={(n, m): gn for n, gn in zip(degrees, g) for m in orders(n)}, r_s=r_s)
+        return SourceSpectrum([], [], [], r_s=r_s)
+    n = np.arange(2, n_max + 1)
+    g = source_coefficient(n, r_s, geom, lame, kappa)
+    half = n if spread_m else np.zeros_like(n)  # orders -half..half of each degree
+    m = np.array([q for h in half.tolist() for q in range(-h, h + 1)], dtype=int)
+    return SourceSpectrum(np.repeat(n, 2 * half + 1), m, np.repeat(g, 2 * half + 1), r_s=r_s)
 
 
 @dataclass
 class DensitySolution:
-    """Layer densities on the two interfaces, T family, per (n, m)."""
+    """Layer densities on the two interfaces, T family: arrays phi_i, phi_e
+    aligned with the degrees n and orders m of the source spectrum."""
 
-    phi_i: CoefficientSpectrum
-    phi_e: CoefficientSpectrum
+    n: np.ndarray
+    m: np.ndarray
+    phi_i: np.ndarray
+    phi_e: np.ndarray
     geom: ShellGeometry
     cfg: PlasmonicConfig
     lame: LameParams
@@ -321,9 +313,8 @@ def solve_source(
     lame: LameParams,
 ) -> DensitySolution:
     """Solve every mode of a source spectrum."""
-    keys, n, g = _spectrum_columns(src)
-    phi_i, phi_e = (_t_spectrum(keys, g * t) for t in transfer_factors(n, geom, cfg, lame))
-    return DensitySolution(phi_i=phi_i, phi_e=phi_e, geom=geom, cfg=cfg, lame=lame)
+    t_i, t_e = transfer_factors(src.n, geom, cfg, lame)
+    return DensitySolution(src.n, src.m, src.g * t_i, src.g * t_e, geom, cfg, lame)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +327,8 @@ def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     if src.r_s is not None and np.any(np.linalg.norm(xyz, axis=-1) >= src.r_s):
         raise ValueError("source potential series only converges for |x| < r_s")
-    keys, n, g = _spectrum_columns(src)
-    coeffs = g / (lame.mu * (n - 1) * float(geom.r_e) ** (n - 1))
-    grad, _ = solid_harmonic_series(dict(zip(keys, coeffs)), {}, xyz)
+    coeffs = src.g / (lame.mu * (src.n - 1) * float(geom.r_e) ** (src.n - 1))
+    grad, _ = solid_harmonic_series(src.n, src.m, coeffs, None, xyz)
     return np.cross(grad, xyz)
 
 
@@ -362,18 +352,15 @@ def field_eval(
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     r = np.linalg.norm(xyz, axis=-1)
     out = np.zeros(xyz.shape, dtype=complex)
-    keys, n, phi_i, phi_e = _solution_columns(sol)
-    core, shell_regular, shell_decaying, matrix = (
-        dict(zip(keys, c)) for c in region_coefficients(n, phi_i, phi_e, geom, lame)
-    )
+    core, shell_regular, shell_decaying, matrix = region_coefficients(sol.n, sol.phi_i, sol.phi_e, geom, lame)
     regions = (
-        (r <= geom.r_i, core, {}),
+        (r <= geom.r_i, core, None),
         ((r > geom.r_i) & (r <= geom.r_e), shell_regular, shell_decaying),
-        (r > geom.r_e, {}, matrix),
+        (r > geom.r_e, None, matrix),
     )
     for mask, regular, decaying in regions:
         if np.any(mask):
-            grad, _ = solid_harmonic_series(regular, decaying, xyz[mask])
+            grad, _ = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz[mask])
             out[mask] = np.cross(grad, xyz[mask])
     if include_source and src is not None:
         out += source_field(src, geom, lame, xyz)
@@ -386,13 +373,11 @@ def scattered_gradient_factory(sol: DensitySolution):
     With u = grad F x x for the shell potential F of all modes,
     grad u[:, :, l] = Hess(F)[:, :, l] x x + grad F x e_l.
     """
-    keys, n, phi_i, phi_e = _solution_columns(sol)
-    _, regular, decaying, _ = region_coefficients(n, phi_i, phi_e, sol.geom, sol.lame)
-    regular, decaying = dict(zip(keys, regular)), dict(zip(keys, decaying))
+    _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame)
 
     def eval_u_grad(xyz: np.ndarray):
         xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        g, hess = solid_harmonic_series(regular, decaying, xyz, hessian=True)
+        g, hess = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz, hessian=True)
         grad = np.cross(hess, xyz[:, :, None], axis=1)
         grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
         return np.cross(g, xyz), grad
@@ -420,11 +405,6 @@ class EnergyReport:
     verdict: str = "undetermined"
 
 
-def mode_energy(sol: DensitySolution, idx: ModeIndex) -> float:
-    """Exact dissipated energy (delta/2) P_shell of one mode (shell_energy)."""
-    return float(shell_energy(idx.n, sol.phi_i[idx], sol.phi_e[idx], sol.geom, sol.cfg.delta, sol.lame))
-
-
 def resonant_energy_envelope(src: SourceSpectrum, cfg: PlasmonicConfig, geom: ShellGeometry) -> float:
     """Leading-order resonant-degree energy scale
     sum_m delta |g_e^{n0,m}|^2 / (n0 (delta^2 + rho^(2 n0))).
@@ -433,12 +413,8 @@ def resonant_energy_envelope(src: SourceSpectrum, cfg: PlasmonicConfig, geom: Sh
     unit constant; it drives the blowup rate but is not the quantity
     cross-checked against quadrature.
     """
-    rho = geom.rho
-    total = 0.0
-    for (n, _m), g in src.items():
-        if n == cfg.n0:
-            total += cfg.delta * abs(g) ** 2 / (cfg.n0 * (cfg.delta**2 + rho ** (2 * cfg.n0)))
-    return total
+    g = src.g[src.n == cfg.n0]
+    return float(np.sum(cfg.delta * np.abs(g) ** 2 / (cfg.n0 * (cfg.delta**2 + geom.rho ** (2 * cfg.n0)))))
 
 
 _FARFIELD_PROBES = 24
@@ -477,8 +453,7 @@ def energy(
     brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
     and 16 radial nodes.  Both are (delta/2) * P_shell(u - F).
     """
-    _, n, phi_i, phi_e = _solution_columns(sol)
-    per_mode = shell_energy(n, phi_i, phi_e, sol.geom, sol.cfg.delta, sol.lame)
+    per_mode = shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame)
     e_quad = None
     if quadrature:
         from .oracle import QuadratureRule, quad_energy_shell
@@ -494,8 +469,8 @@ def energy(
         energy_modal=math.fsum(per_mode),
         energy_quadrature=e_quad,
         farfield_sample=farfield_sample(sol),
-        dominant_n=int(n[np.argmax(per_mode)]) if n.size else 0,
-        n_trunc=int(n.max(initial=0)),
+        dominant_n=int(sol.n[np.argmax(per_mode)]) if sol.n.size else 0,
+        n_trunc=int(sol.n.max(initial=0)),
     )
 
 
@@ -593,6 +568,8 @@ def classify_calr(
     (kappa = 0) is "bounded"; grids too short to decide return
     "insufficient-grid"; r_s equal to the critical radius returns "boundary".
     """
+    if not delta_grid:
+        raise ValueError("delta grid is empty")
     if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
     reports = []
@@ -608,12 +585,10 @@ def classify_calr(
         farfield_ratio = float(np.float64(max(farfields)) / min(farfields))
 
     rstar = geom.critical_radius
-    decades = (
-        math.log10(delta_grid[0] / delta_grid[-1]) if len(delta_grid) > 1 else 0.0
-    )
+    decades = math.log10(delta_grid[0] / delta_grid[-1])  # 0 for a one-point grid
     if math.isclose(r_s, rstar, rel_tol=1e-12):
         verdict = "boundary"
-    elif len(delta_grid) < 2 or decades < _MIN_DECADES:
+    elif decades < _MIN_DECADES:
         verdict = "insufficient-grid"
     elif energies[-1] > _GROWTH_THRESHOLD * energies[0]:
         verdict = "resonant"

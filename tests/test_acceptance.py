@@ -274,10 +274,11 @@ def test_criterion_09_energy_cross_check():
     for n in range(2, 7):
         cfg = PlasmonicConfig.resonant(n, 0.005)
         phi_i, phi_e = solve_mode(n, 0, 1.0, GEOM, cfg, LAME)
-        idx = ModeIndex("T", n, 0)
         sol = DensitySolution(
-            phi_i=CoefficientSpectrum({idx: phi_i}),
-            phi_e=CoefficientSpectrum({idx: phi_e}),
+            n=np.array([n]),
+            m=np.array([0]),
+            phi_i=np.array([phi_i]),
+            phi_e=np.array([phi_e]),
             geom=GEOM,
             cfg=cfg,
             lame=LAME,

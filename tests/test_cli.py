@@ -104,6 +104,15 @@ class TestValidate:
         with pytest.raises(SystemExit):
             main(["validate", "--suite", "bogus", "--out", str(tmp_path / "v.jsonl")])
 
+    @pytest.mark.parametrize("suite", ["np", "gram"])
+    def test_degree_below_one_rejected(self, tmp_path, capsys, suite):
+        # n_max = 0 would run no check at all and still exit 0
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", suite, "--n-max", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: n_max must be >= 1"
+        assert not out.exists()
+
 
 class TestCalr:
     def test_resonant_sweep_artifacts(self, tmp_path):
@@ -155,6 +164,11 @@ class TestCalr:
         summary = json.loads(out.read_text().splitlines()[-1])
         assert summary["verdict"] == "insufficient-grid"
 
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        rc = main(["calr", "--delta-grid", ",", "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: delta grid is empty"
+
 
 class TestField:
     def test_slice_artifact(self, tmp_path):
@@ -181,6 +195,14 @@ class TestField:
         assert rc == 0
         _, rows = _read_rows(out)
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_resolution_below_one_rejected(self, tmp_path, capsys, resolution):
+        out = tmp_path / "field.csv"
+        rc = main(["field", "--resolution", resolution, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == f"error: resolution must be >= 1, got {resolution}"
+        assert not out.exists()
 
 
 class TestConfigHandling:

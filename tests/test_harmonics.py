@@ -403,6 +403,18 @@ class TestLegendreColumn:
             assert_allclose(col, ref, rtol=1e-10, atol=1e-12)
 
 
+def _aligned(regular, decaying):
+    """solid_harmonic_series' (n, m, c, d) from (n, m) -> coefficient maps
+    over the same modes; an empty map becomes None."""
+    keys = list(regular or decaying)
+    n, m = np.array(keys, dtype=int).T
+
+    def column(coeffs):
+        return np.array([coeffs[k] for k in keys]) if coeffs else None
+
+    return n, m, column(regular), column(decaying)
+
+
 class TestSolidHarmonicSeries:
     def test_matches_per_mode_ladders(self, rng):
         def coeffs():
@@ -411,18 +423,18 @@ class TestSolidHarmonicSeries:
         regular, decaying = coeffs(), coeffs()
         pts = rng.normal(size=(300, 3))
         pts[:4] = [[0.0, 0.0, 1.3], [0.0, 0.0, -0.8], [0.0, 0.0, 2.0], [0.6, 0.0, 0.0]]
-        grad, hess = solid_harmonic_series(regular, decaying, pts, hessian=True)
+        grad, hess = solid_harmonic_series(*_aligned(regular, decaying), pts, hessian=True)
         grad_ref, hess_ref = _per_mode_series(regular, decaying, pts)
         assert_pointwise(grad, grad_ref)
         assert_pointwise(hess, hess_ref)
-        only_grad, none = solid_harmonic_series(regular, decaying, pts)
+        only_grad, none = solid_harmonic_series(*_aligned(regular, decaying), pts)
         assert none is None
         assert_pointwise(only_grad, grad_ref)
 
     def test_regular_series_at_origin(self, rng):
         regular = {(n, m): complex(*rng.normal(size=2)) for n in range(5) for m in range(-n, n + 1)}
         origin = np.zeros((1, 3))
-        grad, hess = solid_harmonic_series(regular, {}, origin, hessian=True)
+        grad, hess = solid_harmonic_series(*_aligned(regular, {}), origin, hessian=True)
         grad_ref, hess_ref = _per_mode_series(regular, {}, origin)
         assert_pointwise(grad, grad_ref)
         assert_pointwise(hess, hess_ref)
@@ -442,7 +454,7 @@ class TestSolidHarmonicSeries:
         for n_max in (3, 40):
             orders.clear()
             coeffs = {(n, m): 1.0 for n in range(2, n_max + 1) for m in (-max_m, 0, 1)}
-            solid_harmonic_series(coeffs, coeffs, pts, hessian=True)
+            solid_harmonic_series(*_aligned(coeffs, coeffs), pts, hessian=True)
             counts.append(len(orders))
             assert len(orders) <= (max_m + 3) * blocks
         assert counts[0] == counts[1]

@@ -21,7 +21,7 @@ from npshell.harmonics import (
 )
 from npshell.kelvin import LameParams
 from npshell.oracle import QuadratureRule, quad_energy_shell
-from npshell.potentials import CoefficientSpectrum, np_eigenvalue
+from npshell.potentials import np_eigenvalue
 from npshell.potentials import elastic_sl_t_coeff
 from npshell.transmission import (
     CalrSweep,
@@ -37,14 +37,15 @@ from npshell.transmission import (
     field_eval,
     g_i_from_g_e,
     mode_denominator,
-    mode_energy,
     plasmonic_params,
     resonant_energy_envelope,
     scattered_gradient_factory,
+    shell_energy,
     solve_mode,
     solve_mode_direct,
     solve_source,
     solve_sweep_point,
+    source_coefficient,
     source_field,
     synth_source,
     truncation_degree,
@@ -181,11 +182,12 @@ class TestSolveMode:
 def _single_mode_solution(n, m, delta, g=1.0, geom=GEOM, lame=LAME):
     cfg = PlasmonicConfig.resonant(n, delta)
     phi_i, phi_e = solve_mode(n, m, g, geom, cfg, lame)
-    idx = ModeIndex("T", n, m)
     return (
         DensitySolution(
-            phi_i=CoefficientSpectrum({idx: phi_i}),
-            phi_e=CoefficientSpectrum({idx: phi_e}),
+            n=np.array([n]),
+            m=np.array([m]),
+            phi_i=np.array([phi_i]),
+            phi_e=np.array([phi_e]),
             geom=geom,
             cfg=cfg,
             lame=lame,
@@ -215,9 +217,12 @@ class TestFieldEval:
     def test_zero_densities_leave_source_only(self):
         src = synth_source(2.5, GEOM, LAME, n_max=6)
         cfg = PlasmonicConfig.resonant(2, 0.01)
+        n = np.arange(2, 7)
         empty = DensitySolution(
-            phi_i=CoefficientSpectrum({ModeIndex("T", n, 0): 0.0 for n in range(2, 7)}),
-            phi_e=CoefficientSpectrum({ModeIndex("T", n, 0): 0.0 for n in range(2, 7)}),
+            n=n,
+            m=np.zeros_like(n),
+            phi_i=np.zeros(n.shape, dtype=complex),
+            phi_e=np.zeros(n.shape, dtype=complex),
             geom=GEOM,
             cfg=cfg,
             lame=LAME,
@@ -232,11 +237,16 @@ class TestFieldEval:
             source_field(src, GEOM, LAME, np.array([[3.0, 0.0, 0.0]]))
 
 
-def _shell_amplitudes(sol, idx):
+def _modes(spec):
+    """(position, ModeIndex) of every T mode of a source spectrum or solution."""
+    return [(k, ModeIndex("T", n, m)) for k, (n, m) in enumerate(zip(spec.n.tolist(), spec.m.tolist()))]
+
+
+def _shell_amplitudes(sol, k, idx):
     """(decaying, regular) amplitudes of one mode in the shell: the inner layer
     in its exterior form, the outer layer in its interior form."""
     d1 = elastic_sl_t_coeff(idx.n, sol.lame)
-    return d1 * sol.geom.r_i ** (idx.n + 2) * sol.phi_i[idx], d1 * sol.phi_e[idx] / sol.geom.r_e ** (idx.n - 1)
+    return d1 * sol.geom.r_i ** (idx.n + 2) * sol.phi_i[k], d1 * sol.phi_e[k] / sol.geom.r_e ** (idx.n - 1)
 
 
 def _per_mode_field(sol, geom, lame, xyz):
@@ -245,17 +255,17 @@ def _per_mode_field(sol, geom, lame, xyz):
     out = np.zeros(xyz.shape, dtype=complex)
     core, outer = r <= geom.r_i, r > geom.r_e
     shell = ~core & ~outer
-    for idx, _ in sol.phi_i.items():
+    for k, idx in _modes(sol):
         n, m = idx.n, idx.m
         d1 = elastic_sl_t_coeff(n, lame)
-        c = d1 * (sol.phi_i[idx] / geom.r_i ** (n - 1) + sol.phi_e[idx] / geom.r_e ** (n - 1))
+        c = d1 * (sol.phi_i[k] / geom.r_i ** (n - 1) + sol.phi_e[k] / geom.r_e ** (n - 1))
         out[core] += c * eval_solid_mode(idx, lame, xyz[core])
-        a, b = _shell_amplitudes(sol, idx)
+        a, b = _shell_amplitudes(sol, k, idx)
         pts = xyz[shell]
         out[shell] += a * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
         out[shell] += b * eval_solid_mode(idx, lame, pts)
         pts = xyz[outer]
-        amp = d1 * (geom.r_i ** (n + 2) * sol.phi_i[idx] + geom.r_e ** (n + 2) * sol.phi_e[idx])
+        amp = d1 * (geom.r_i ** (n + 2) * sol.phi_i[k] + geom.r_e ** (n + 2) * sol.phi_e[k])
         out[outer] += amp * np.cross(grad_irregular_solid_harmonic(n, m, pts), pts)
     return out
 
@@ -265,9 +275,9 @@ def _per_mode_u_grad(sol, xyz):
     u = np.zeros(xyz.shape, dtype=complex)
     grad = np.zeros(xyz.shape + (3,), dtype=complex)
     eye = np.eye(3)
-    for idx, _ in sol.phi_i.items():
+    for k, idx in _modes(sol):
         n, m = idx.n, idx.m
-        a, b = _shell_amplitudes(sol, idx)
+        a, b = _shell_amplitudes(sol, k, idx)
         gr, hr = grad_solid_harmonic(n, m, xyz), hess_solid_harmonic(n, m, xyz)
         gi, hi = grad_irregular_solid_harmonic(n, m, xyz), hess_irregular_solid_harmonic(n, m, xyz)
         u += b * np.cross(gr, xyz) + a * np.cross(gi, xyz)
@@ -279,9 +289,9 @@ def _per_mode_u_grad(sol, xyz):
 
 def _per_mode_source(src, geom, lame, xyz):
     out = np.zeros(xyz.shape, dtype=complex)
-    for (n, m), g in src.items():
-        coeff = g / (lame.mu * (n - 1) * geom.r_e ** (n - 1))
-        out += coeff * eval_solid_mode(ModeIndex("T", n, m), lame, xyz)
+    for k, idx in _modes(src):
+        coeff = src.g[k] / (lame.mu * (idx.n - 1) * geom.r_e ** (idx.n - 1))
+        out += coeff * eval_solid_mode(idx, lame, xyz)
     return out
 
 
@@ -293,7 +303,7 @@ class TestBatchedFields:
         if spread_m:
             src = synth_source(2.5, GEOM, LAME, n_max=12, spread_m=True)
             sol = solve_source(src, GEOM, PlasmonicConfig.resonant(4, 1e-3), LAME)
-            assert any(m < 0 and m % 2 for (_n, m) in src.coeffs)
+            assert any(m < 0 and m % 2 for m in src.m.tolist())
         else:
             src, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
         radii = np.concatenate([rng.uniform(0.05, 0.95, 20), rng.uniform(1.05, 1.95, 20),
@@ -322,9 +332,9 @@ class TestDegreeArrays:
         src = synth_source(2.5, GEOM, LAME, n_max=30, spread_m=True)
         cfg = PlasmonicConfig.resonant(5, 1e-4)
         sol = solve_source(src, GEOM, cfg, LAME)
-        for (n, m), g in src.items():
-            idx = ModeIndex("T", n, m)
-            assert_allclose((sol.phi_i[idx], sol.phi_e[idx]), solve_mode(n, m, g, GEOM, cfg, LAME), rtol=1e-14)
+        for k, idx in _modes(src):
+            n, m, g = idx.n, idx.m, src.g[k]
+            assert_allclose((sol.phi_i[k], sol.phi_e[k]), solve_mode(n, m, g, GEOM, cfg, LAME), rtol=1e-14)
 
     def test_energy_matches_boundary_term_form(self):
         # the scale-free E_n against P = mu n(n+1) [(n+2)|a|^2 (r_i^-(2n+1) -
@@ -333,15 +343,16 @@ class TestDegreeArrays:
         rep = energy(sol, src, GEOM, sol.cfg, LAME)
         ri, re = GEOM.r_i, GEOM.r_e
         per_mode = {}
-        for idx, _ in sol.phi_i.items():
+        for k, idx in _modes(sol):
             n = idx.n
-            a, b = _shell_amplitudes(sol, idx)
+            a, b = _shell_amplitudes(sol, k, idx)
             p = LAME.mu * n * (n + 1) * (
                 (n + 2) * abs(a) ** 2 * (ri ** -(2 * n + 1) - re ** -(2 * n + 1))
                 + (n - 1) * abs(b) ** 2 * (re ** (2 * n + 1) - ri ** (2 * n + 1))
             )
             per_mode[n] = 0.5 * sol.cfg.delta * p
-            assert_allclose(mode_energy(sol, idx), per_mode[n], rtol=1e-13)
+            e_n = shell_energy(n, sol.phi_i[k], sol.phi_e[k], sol.geom, sol.cfg.delta, sol.lame)
+            assert_allclose(e_n, per_mode[n], rtol=1e-13)
         assert_allclose(rep.energy_modal, math.fsum(per_mode.values()), rtol=1e-13)
         assert rep.dominant_n == max(per_mode, key=per_mode.get)
         assert rep.n_trunc == max(per_mode) == src.n_max
@@ -350,7 +361,7 @@ class TestDegreeArrays:
 class TestSynthSource:
     def test_decay_ratio(self):
         src = synth_source(2.5, GEOM, LAME, n_max=40)
-        g = dict(src.items())
+        g = {(idx.n, idx.m): src.g[k] for k, idx in _modes(src)}
         ratios = [abs(g[(n + 1, 0)]) / abs(g[(n, 0)]) for n in range(30, 39)]
         assert_allclose(ratios[-1], GEOM.r_e / 2.5, rtol=0.05)
 
@@ -358,14 +369,14 @@ class TestSynthSource:
         r_s = 2.5
         src = synth_source(r_s, GEOM, LAME, n_max=220)
         vals = []
-        for (n, _m), g in src.items():
+        for n, g in zip(src.n.tolist(), src.g.tolist()):
             if n >= 200:
                 vals.append((abs(g) / (n * GEOM.r_e ** (n - 1))) ** (1.0 / n))
         assert_allclose(vals[-1], 1 / r_s, rtol=1e-2)
 
     def test_zero_amplitude(self):
         src = synth_source(2.5, GEOM, LAME, kappa=0.0, n_max=10)
-        assert len(src.coeffs) == 0
+        assert len(src.n) == len(src.m) == len(src.g) == 0
 
     def test_inside_shell_rejected(self):
         with pytest.raises(ValueError):
@@ -373,11 +384,55 @@ class TestSynthSource:
 
     def test_spread_m(self):
         src = synth_source(2.5, GEOM, LAME, n_max=3, spread_m=True)
-        assert (2, -2) in src.coeffs and (3, 3) in src.coeffs
+        modes = [(idx.n, idx.m) for _, idx in _modes(src)]
+        assert (2, -2) in modes and (3, 3) in modes
 
     def test_degree_one_rejected_in_spectrum(self):
         with pytest.raises(ValueError):
-            SourceSpectrum(coeffs={(1, 0): 1.0})
+            SourceSpectrum([1], [0], [1.0])
+
+    @pytest.mark.parametrize(
+        "n, m, g",
+        [([2, 3], [0], [1.0, 1.0]), ([2], [0, 1], [1.0]), ([2, 3], [0, 0], [1.0]), ([[2]], [[0]], [[1.0]])],
+        ids=["short-m", "long-m", "short-g", "two-d"],
+    )
+    def test_misaligned_arrays_rejected(self, n, m, g):
+        with pytest.raises(ValueError, match="aligned"):
+            SourceSpectrum(n, m, g)
+
+    @pytest.mark.parametrize("m", [3, -3, 7])
+    def test_order_above_degree_rejected(self, m):
+        with pytest.raises(ValueError, match=r"\|m\| <= n"):
+            SourceSpectrum([2, 3], [m, 0], [1.0, 1.0])
+
+    def test_repeated_mode_rejected(self):
+        with pytest.raises(ValueError, match="once"):
+            SourceSpectrum([3, 2, 3], [1, 0, 1], [1.0, 2.0, 3.0])
+
+    def test_input_sorted_by_degree_then_order(self):
+        src = SourceSpectrum([4, 2, 3, 2, 4], [0, 1, -2, -1, -4], [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert src.n.tolist() == [2, 2, 3, 4, 4]
+        assert src.m.tolist() == [-1, 1, -2, -4, 0]
+        assert src.g.tolist() == [4.0, 2.0, 3.0, 5.0, 1.0]
+        assert src.n_max == 4
+
+    def test_arrays_read_only(self):
+        g = np.array([1.0, 2.0])
+        src = SourceSpectrum(np.array([3, 2]), np.array([0, 0]), g)
+        for column in (src.n, src.m, src.g):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        g[0] = 9.0  # the caller's array is copied, not frozen or aliased
+        assert src.g.tolist() == [2.0, 1.0]
+
+    def test_spread_m_covers_every_order_once(self):
+        n_max = 7
+        src = synth_source(2.5, GEOM, LAME, n_max=n_max, spread_m=True)
+        assert [(idx.n, idx.m) for _, idx in _modes(src)] == [
+            (n, m) for n in range(2, n_max + 1) for m in range(-n, n + 1)
+        ]
+        for n in range(2, n_max + 1):
+            assert_allclose(src.g[src.n == n], source_coefficient(n, 2.5, GEOM, LAME), rtol=1e-15)
 
 
 class TestChooseN0:
@@ -404,14 +459,14 @@ class TestChooseN0:
 class TestEnergy:
     def test_envelope_worked_value(self):
         cfg = PlasmonicConfig.resonant(2, 0.005)
-        src = SourceSpectrum(coeffs={(2, 0): 1.0})
+        src = SourceSpectrum([2], [0], [1.0])
         env = resonant_energy_envelope(src, cfg, GEOM)
         assert_allclose(env, 0.005 / (2 * (0.005**2 + 0.5**4)), rtol=1e-14)
         assert_allclose(env, 0.03998, rtol=1e-3)
 
     def test_envelope_inverse_loss_scaling(self):
         # with delta >> rho^n0 the envelope scales like 1/delta
-        src = SourceSpectrum(coeffs={(8, 0): 1.0})
+        src = SourceSpectrum([8], [0], [1.0])
         vals = []
         for delta in (0.2, 0.4):
             cfg = PlasmonicConfig.resonant(8, delta)
@@ -420,7 +475,7 @@ class TestEnergy:
 
     def test_zero_source_zero_energy(self):
         cfg = PlasmonicConfig.resonant(2, 0.01)
-        src = SourceSpectrum(coeffs={})
+        src = SourceSpectrum([], [], [])
         sol = solve_source(src, GEOM, cfg, LAME)
         rep = energy(sol, src, GEOM, cfg, LAME)
         assert rep.energy_modal == 0.0
@@ -576,12 +631,10 @@ class TestTruncationRule:
         n_max = truncation_degree(sol.cfg.n0)
         while n_max < 400:
             per_mode = []
-            for (n, m), g in synth_source(r_s, GEOM, LAME, n_max=n_max).items():
-                idx = ModeIndex("T", n, m)
+            grown = synth_source(r_s, GEOM, LAME, n_max=n_max)
+            for n, m, g in zip(grown.n.tolist(), grown.m.tolist(), grown.g.tolist()):
                 phi_i, phi_e = solve_mode_direct(n, m, g, GEOM, sol.cfg, LAME)
-                one = DensitySolution(CoefficientSpectrum({idx: phi_i}), CoefficientSpectrum({idx: phi_e}),
-                                      GEOM, sol.cfg, LAME)
-                per_mode.append(mode_energy(one, idx))
+                per_mode.append(float(shell_energy(n, phi_i, phi_e, GEOM, sol.cfg.delta, LAME)))
             if per_mode[-1] < 1e-14 * math.fsum(per_mode):
                 break
             n_max += 20
