@@ -6,8 +6,10 @@ Usage: python scripts/np_spectrum.py [lambda] [mu] [n_max]
 
 import sys
 
+import numpy as np
+
 from npshell.kelvin import LameParams
-from npshell.potentials import np_eigenvalue_limit, np_spectrum
+from npshell.potentials import np_eigenvalue, np_eigenvalue_limit
 
 
 def run(lam: float, mu: float, n_max: int) -> None:
@@ -16,8 +18,9 @@ def run(lam: float, mu: float, n_max: int) -> None:
     for fam in ("T", "M", "N"):
         lim = complex(np_eigenvalue_limit(fam, lame)).real
         print(f"family {fam} (accumulation point {lim:+.6f}):")
-        for ev in np_spectrum(n_max, lame, families=(fam,)):
-            print(f"  n = {ev.n:3d}  xi = {complex(ev.value).real:+.12f}")
+        n = np.arange(1, n_max + 1)
+        for k, xi in zip(n.tolist(), np_eigenvalue(fam, n, lame).tolist()):
+            print(f"  n = {k:3d}  xi = {complex(xi).real:+.12f}")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,7 @@ from .harmonics import ModeIndex, SurfacePoint, a_coeff, eval_solid_mode, eval_t
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, kelvin_matrix, traction_kernel
 from .oracle import FDStencil, QuadratureRule
 from .potentials import (
-    CoefficientSpectrum,
-    NPEigenvalue,
-    np_apply,
-    np_apply_decomposed,
+    np_decomposed_multiplier,
     np_eigenvalue,
     scalar_sl_multiplier,
 )
@@ -24,20 +21,17 @@ from .transmission import (
     SourceSpectrum,
     choose_n0,
     classify_calr,
-    critical_radius,
     plasmonic_params,
-    solve_mode,
     synth_source,
+    transfer_factors,
 )
 
 __all__ = [
-    "CoefficientSpectrum",
     "EnergyReport",
     "FDStencil",
     "KernelCoeffs",
     "LameParams",
     "ModeIndex",
-    "NPEigenvalue",
     "PlasmonicConfig",
     "QuadratureRule",
     "ShellGeometry",
@@ -46,20 +40,18 @@ __all__ = [
     "a_coeff",
     "choose_n0",
     "classify_calr",
-    "critical_radius",
     "eval_solid_mode",
     "eval_trace_mode",
     "eval_ylm",
     "gamma_laplace",
     "kelvin_matrix",
-    "np_apply",
-    "np_apply_decomposed",
+    "np_decomposed_multiplier",
     "np_eigenvalue",
     "plasmonic_params",
     "scalar_sl_multiplier",
-    "solve_mode",
     "synth_source",
     "traction_kernel",
+    "transfer_factors",
 ]
 
 __version__ = "0.1.0"

@@ -360,10 +360,10 @@ def cmd_field(cfg: dict) -> int:
     r = np.linalg.norm(pts, axis=1)
     guard = cfg["guard"] * geom.r_e
     ok = (np.abs(r - geom.r_i) > guard) & (np.abs(r - geom.r_e) > guard)
-    include = cfg["include_source"]
-    if include:
+    src = src if cfg["include_source"] else None
+    if src is not None:
         ok &= r < 0.95 * cfg["rs"]  # source series valid strictly inside r_s
-    vals = np.linalg.norm(field_eval(sol, src, geom, lame, pts[ok], include_source=include), axis=1)
+    vals = np.linalg.norm(field_eval(sol, pts[ok], src), axis=1)
     rows = [[p[kept[0]], p[kept[1]], *p, v] for p, v in zip(pts[ok], vals)]
     _write_csv(cfg["out"], {**cfg, "n0": n0}, ["u", "v", "x", "y", "z", "abs_u"], rows)
     print(f"wrote {len(rows)} samples to {cfg['out']} (n0 = {n0})")

@@ -4,15 +4,12 @@ The componentwise scalar single layer multiplies each trace family by a
 rational constant; the elastic single layer maps each family onto the
 matching solid field with a material-dependent coefficient.  Putting these
 together gives the point spectrum of the N-P operator in two independent
-ways: directly (np_apply) and through the split of the operator into
-elastic/scalar single layers plus curl and gradient terms
-(np_apply_decomposed).
+ways: directly (np_eigenvalue, elementwise in the degree) and through the
+split of the operator into elastic/scalar single layers plus curl and
+gradient terms (np_decomposed_multiplier, one mode at a time).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,53 +21,6 @@ from .harmonics import (
     grad_irregular_solid_harmonic,
 )
 from .kelvin import LameParams
-
-
-@dataclass(frozen=True)
-class NPEigenvalue:
-    """One point of the N-P spectrum: family, degree and eigenvalue."""
-
-    family: str
-    n: int
-    value: complex
-
-
-@dataclass(frozen=True)
-class LayerAction:
-    """Action of the elastic single layer on one T mode (sphere radius r0).
-
-    interior_coeff multiplies the solid T field for |x| <= r0; outside, the
-    potential is exterior_coeff * grad(r^-(n+1) Y) x x, decaying like
-    r^-(decay_degree).
-    """
-
-    mode: ModeIndex
-    interior_coeff: complex
-    exterior_coeff: complex
-    decay_degree: int
-
-
-class CoefficientSpectrum:
-    """Finite map ModeIndex -> complex amplitude over mixed T/M/N families."""
-
-    def __init__(self, amplitudes: dict[ModeIndex, complex] | None = None):
-        self._amp = dict(amplitudes or {})
-
-    def __getitem__(self, idx: ModeIndex) -> complex:
-        return self._amp.get(idx, 0.0)
-
-    def __len__(self) -> int:
-        return len(self._amp)
-
-    def __iter__(self) -> Iterator[ModeIndex]:
-        return iter(sorted(self._amp, key=lambda i: i.sort_key))
-
-    def items(self) -> list[tuple[ModeIndex, complex]]:
-        """(mode, amplitude) pairs in deterministic order."""
-        return [(idx, self._amp[idx]) for idx in self]
-
-    def map_amplitudes(self, fn: Callable[[ModeIndex, complex], complex]) -> "CoefficientSpectrum":
-        return CoefficientSpectrum({idx: fn(idx, amp) for idx, amp in self._amp.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +60,6 @@ def np_eigenvalue_limit(family: str, lame: LameParams) -> complex:
     return -half if family == "M" else half
 
 
-def np_spectrum(n_max: int, lame: LameParams, families=("T", "M", "N")) -> list[NPEigenvalue]:
-    return [
-        NPEigenvalue(fam, n, np_eigenvalue(fam, n, lame))
-        for fam in families
-        for n in range(1, n_max + 1)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # scalar single layer (componentwise) on trace modes
 # ---------------------------------------------------------------------------
@@ -148,41 +90,37 @@ def elastic_sl_t_coeff(n: int, lame: LameParams) -> complex:
     return -1.0 / (lame.mu * (2 * n + 1))
 
 
-def elastic_sl_on_T(n: int, m: int, r0: float, lame: LameParams) -> LayerAction:
-    """Elastic single layer of a T trace density on the sphere of radius r0.
+def elastic_sl_on_T(n: int, r0: float, lame: LameParams) -> tuple[complex, complex]:
+    """(interior, exterior) coefficients of the elastic single layer of a T
+    trace density of degree n on the sphere of radius r0, for every order m:
 
     Interior (|x| <= r0):  (d1 / r0^(n-1)) T-solid(x)
     Exterior (|x| >  r0):  d1 r0^(n+2) grad(r^-(n+1) Y_n^m) x x
     Both expressions agree on |x| = r0 (single layers are continuous).
     """
     d1 = elastic_sl_t_coeff(n, lame)
-    return LayerAction(
-        mode=ModeIndex("T", n, m),
-        interior_coeff=d1 / r0 ** (n - 1),
-        exterior_coeff=d1 * r0 ** (n + 2),
-        decay_degree=n + 1,
-    )
+    return d1 / r0 ** (n - 1), d1 * r0 ** (n + 2)
 
 
 def eval_elastic_sl_T(n: int, m: int, r0: float, lame: LameParams, xyz) -> np.ndarray:
     """Pointwise elastic single layer of a T density, valid everywhere."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    act = elastic_sl_on_T(n, m, r0, lame)
+    interior, exterior = elastic_sl_on_T(n, r0, lame)
     r = np.linalg.norm(xyz, axis=-1)
     out = np.zeros(xyz.shape, dtype=complex)
     inside = r <= r0
     if np.any(inside):
-        out[inside] = act.interior_coeff * eval_solid_mode(
+        out[inside] = interior * eval_solid_mode(
             ModeIndex("T", n, m), lame, xyz[inside]
         )
     if np.any(~inside):
         pts = xyz[~inside]
         g = grad_irregular_solid_harmonic(n, m, pts)
-        out[~inside] = act.exterior_coeff * np.cross(g, pts)
+        out[~inside] = exterior * np.cross(g, pts)
     return out
 
 
-def elastic_sl_on_M(n: int, m: int, r0: float, lame: LameParams) -> complex:
+def elastic_sl_on_M(n: int, r0: float, lame: LameParams) -> complex:
     """Interior coefficient of the elastic single layer on an M trace density.
 
     On the unit sphere the potential is c * grad(r^n Y_n^m) inside with
@@ -197,14 +135,14 @@ def elastic_sl_on_M(n: int, m: int, r0: float, lame: LameParams) -> complex:
     return c_unit * r0 ** (2 - n)
 
 
-def elastic_sl_on_N(n_mode: int, m: int, r0: float, lame: LameParams) -> complex:
-    """Interior coefficient of the elastic single layer on an N trace density.
+def elastic_sl_on_N(n_mode: int, lame: LameParams) -> complex:
+    """Interior coefficient c of the elastic single layer on an N trace
+    density on the unit sphere.
 
     The mode is indexed by its own subscript n_mode = k + 1 (trace built
     from Y_k); the potential inside the unit sphere is c * N-solid with
     c mu = -(k lam + (3k+1) mu) / ((2k+3)(2k+1)(2 mu + lam)).
-    For radius r0 the potential is r0 * c * N-solid(x / r0); the returned
-    value is that unit-sphere c.
+    On a sphere of radius r0 the potential is r0 * c * N-solid(x / r0).
     """
     if n_mode < 1:
         raise ValueError("N-family subscript must be >= 1")
@@ -219,23 +157,13 @@ def elastic_sl_boundary_coeff(idx: ModeIndex, r0: float, lame: LameParams) -> co
         return elastic_sl_t_coeff(idx.n, lame) * r0
     if idx.family == "M":
         # r0 * c_unit by the kernel/mode homogeneity
-        return elastic_sl_on_M(idx.n, idx.m, 1.0, lame) * r0
-    return elastic_sl_on_N(idx.n, idx.m, 1.0, lame) * r0
+        return elastic_sl_on_M(idx.n, 1.0, lame) * r0
+    return elastic_sl_on_N(idx.n, lame) * r0
 
 
 # ---------------------------------------------------------------------------
-# N-P operator: direct and decomposed routes
+# N-P operator: the decomposed route
 # ---------------------------------------------------------------------------
-
-def np_apply(spec: CoefficientSpectrum, lame: LameParams, r0: float = 1.0) -> CoefficientSpectrum:
-    """Apply the N-P operator modewise: multiply by the family eigenvalue.
-
-    Radius-independent; r0 is accepted for interface symmetry with the
-    decomposed route.
-    """
-    del r0
-    return spec.map_amplitudes(lambda idx, amp: amp * np_eigenvalue(idx.family, idx.n, lame))
-
 
 def curl_grad_limits(idx: ModeIndex, lame: LameParams) -> dict[str, np.ndarray]:
     """One-sided boundary limits of curl S_D[nu x phi] and grad S_D[nu . phi].
@@ -330,11 +258,3 @@ def np_decomposed_multiplier(idx: ModeIndex, lame: LameParams, r0: float = 1.0) 
         )
     return t_elastic + t_scalar - b1 * mult_t
 
-
-def np_apply_decomposed(
-    spec: CoefficientSpectrum, lame: LameParams, r0: float = 1.0
-) -> CoefficientSpectrum:
-    """Apply the N-P operator through its single-layer decomposition."""
-    return spec.map_amplitudes(
-        lambda idx, amp: amp * np_decomposed_multiplier(idx, lame, r0)
-    )

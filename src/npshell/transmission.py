@@ -44,12 +44,8 @@ class ShellGeometry:
 
     @property
     def critical_radius(self) -> float:
+        """sqrt(r_e^3 / r_i); sources strictly inside trigger resonance."""
         return math.sqrt(self.r_e**3 / self.r_i)
-
-
-def critical_radius(geom: ShellGeometry) -> float:
-    """sqrt(r_e^3 / r_i); sources strictly inside trigger resonance."""
-    return geom.critical_radius
 
 
 @dataclass(frozen=True)
@@ -144,6 +140,8 @@ class SourceSpectrum:
 def source_coefficient(n, r_s: float, geom: ShellGeometry, lame: LameParams, kappa: float = 1.0):
     """g_e^n = kappa mu (n-1) (r_e/r_s)^n / r_e: the source whose potential
     converges exactly for |x| < r_s.  Only the ratio r_e/r_s is raised to n."""
+    if r_s <= geom.r_e:
+        raise ValueError("synthetic source must sit outside the shell (r_s > r_e)")
     return kappa * complex(lame.mu).real * (n - 1) * (geom.r_e / r_s) ** n / geom.r_e
 
 
@@ -232,12 +230,10 @@ def synth_source(
     default on m = 0 only (spread_m distributes the same amplitude across all
     |m| <= n).  Resonance is predicted iff r_s < sqrt(r_e^3/r_i).
     """
-    if r_s <= geom.r_e:
-        raise ValueError("synthetic source must sit outside the shell (r_s > r_e)")
-    if kappa == 0:
-        return SourceSpectrum([], [], [], r_s=r_s)
     n = np.arange(2, n_max + 1)
     g = source_coefficient(n, r_s, geom, lame, kappa)
+    if kappa == 0:
+        return SourceSpectrum([], [], [], r_s=r_s)
     half = n if spread_m else np.zeros_like(n)  # orders -half..half of each degree
     m = np.array([q for h in half.tolist() for q in range(-h, h + 1)], dtype=int)
     return SourceSpectrum(np.repeat(n, 2 * half + 1), m, np.repeat(g, 2 * half + 1), r_s=r_s)
@@ -255,21 +251,6 @@ class DensitySolution:
     geom: ShellGeometry
     cfg: PlasmonicConfig
     lame: LameParams
-
-
-def solve_mode(
-    n: int,
-    m: int,
-    g_e: complex,
-    geom: ShellGeometry,
-    cfg: PlasmonicConfig,
-    lame: LameParams,
-) -> tuple[complex, complex]:
-    """Closed-form densities (phi_i, phi_e) of one T mode (transfer_factors)."""
-    if n < 2:
-        raise ValueError("mode solves start at n = 2 (degree-1 traction vanishes)")
-    t_i, t_e = transfer_factors(n, geom, cfg, lame)
-    return complex(g_e * t_i), complex(g_e * t_e)
 
 
 def solve_mode_direct(
@@ -332,27 +313,20 @@ def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz
     return np.cross(grad, xyz)
 
 
-def field_eval(
-    sol: DensitySolution,
-    src: SourceSpectrum | None,
-    geom: ShellGeometry,
-    lame: LameParams,
-    xyz,
-    include_source: bool = False,
-) -> np.ndarray:
+def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> np.ndarray:
     """Scattered displacement u - F at Cartesian points, all three regions.
 
     Core (|x| <= r_i): both layers act through their interior forms.
     Shell: inner layer exterior form + outer layer interior form.
     Matrix (|x| > r_e): both exterior, amplitudes r_i^(n+2) phi_i +
     r_e^(n+2) phi_e.  Values are continuous across both interfaces.
-    With include_source the (convergent part of the) source potential is
-    added.
+    Given a source, its (convergent) potential is added.
     """
+    geom = sol.geom
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     r = np.linalg.norm(xyz, axis=-1)
     out = np.zeros(xyz.shape, dtype=complex)
-    core, shell_regular, shell_decaying, matrix = region_coefficients(sol.n, sol.phi_i, sol.phi_e, geom, lame)
+    core, shell_regular, shell_decaying, matrix = region_coefficients(sol.n, sol.phi_i, sol.phi_e, geom, sol.lame)
     regions = (
         (r <= geom.r_i, core, None),
         ((r > geom.r_i) & (r <= geom.r_e), shell_regular, shell_decaying),
@@ -362,8 +336,8 @@ def field_eval(
         if np.any(mask):
             grad, _ = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz[mask])
             out[mask] = np.cross(grad, xyz[mask])
-    if include_source and src is not None:
-        out += source_field(src, geom, lame, xyz)
+    if src is not None:
+        out += source_field(src, geom, sol.lame, xyz)
     return out
 
 
@@ -433,7 +407,7 @@ def _farfield_probe_points(radius: float) -> np.ndarray:
 def farfield_sample(sol: DensitySolution) -> float:
     """max |u - F| over fixed probes at |x| = 1.05 r_e^2 / r_i."""
     pts = _farfield_probe_points(1.05 * sol.geom.r_e**2 / sol.geom.r_i)
-    vals = field_eval(sol, None, sol.geom, sol.lame, pts)
+    vals = field_eval(sol, pts)
     return float(np.max(np.linalg.norm(vals, axis=-1)))
 
 
@@ -451,15 +425,22 @@ def energy(
     energy_modal sums the exact per-mode closed form; energy_quadrature
     (optional) integrates the strain density over the shell volume with the
     brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
-    and 16 radial nodes.  Both are (delta/2) * P_shell(u - F).
+    and 16 radial nodes.  Both are (delta/2) * P_shell(u - F) of the shell,
+    configuration and material the solution was solved for.  `src` is not
+    read, and `geom`, `cfg` and `lame` must equal the solution's (ValueError
+    naming the field otherwise); all four stay for positional callers.
     """
-    per_mode = shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame)
+    for name, given in (("geom", geom), ("cfg", cfg), ("lame", lame)):
+        if given != getattr(sol, name):
+            raise ValueError(f"energy: {name} {given} differs from the solution's {getattr(sol, name)}")
+    geom, cfg = sol.geom, sol.cfg
+    per_mode = shell_energy(sol.n, sol.phi_i, sol.phi_e, geom, cfg.delta, sol.lame)
     e_quad = None
     if quadrature:
         from .oracle import QuadratureRule, quad_energy_shell
 
         e_quad = quad_energy_shell(
-            scattered_gradient_factory(sol), lame, cfg.delta, geom, rule or QuadratureRule(24, 48)
+            scattered_gradient_factory(sol), sol.lame, cfg.delta, geom, rule or QuadratureRule(24, 48)
         )
     return EnergyReport(
         delta=cfg.delta,
@@ -517,7 +498,8 @@ def solve_sweep_point(
     One pass evaluates the mode energies E_n up to the hard cap.  The cut is
     the first k of truncation_degree(n0), +20, ... (capped at degree 400)
     with E_k < 1e-14 * (E_2 + ... + E_k); the spectrum and its
-    solution are then built once, up to k.
+    solution are that pass's prefix up to k, or empty when the total energy
+    is 0 (kappa = 0).
     """
     if cfg is None:
         cfg = PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta)
@@ -530,8 +512,9 @@ def solve_sweep_point(
         total = math.fsum(e[: n_max - 1])
         if total == 0.0 or e[n_max - 2] < _ENERGY_FLOOR * total:
             break
-    src = synth_source(r_s, geom, lame, kappa=kappa, n_max=n_max)
-    return src, solve_source(src, geom, cfg, lame)
+    keep = slice(0, n_max - 1 if total else 0)
+    src = SourceSpectrum(n[keep], np.zeros_like(n[keep]), g[keep], r_s=r_s)
+    return src, DensitySolution(src.n, src.m, g[keep] * t_i[keep], g[keep] * t_e[keep], geom, cfg, lame)
 
 
 @dataclass

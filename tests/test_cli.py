@@ -151,6 +151,8 @@ class TestCalr:
         assert rc == 0
         lines = [_strict_json(l) for l in out.read_text().splitlines()]
         assert [r["energy_modal"] for r in lines[1:-1]] == [0.0] * 6
+        # a spectrum with no energy keeps no degree
+        assert [(r["n_trunc"], r["dominant_n"]) for r in lines[1:-1]] == [(0, 0)] * 6
         assert lines[-1]["verdict"] == "bounded"
         # 0/0 is no ratio: not "inf", which would read as unbounded growth
         assert lines[-1]["energy_ratio"] == "nan"

@@ -167,7 +167,7 @@ class TestElasticSLQuadrature:
         x /= np.linalg.norm(x)
         val = quad_elastic_sl(idx, x, lame, rule, 1.0)
         _, t, p = _angles(x)
-        ref = elastic_sl_on_M(n, m, 1.0, lame) * eval_trace_mode(idx, lame, t, p)
+        ref = elastic_sl_on_M(n, 1.0, lame) * eval_trace_mode(idx, lame, t, p)
         assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
 
     def test_mn_general_radius_rescaling(self, lame, rule):

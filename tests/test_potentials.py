@@ -11,14 +11,11 @@ from npshell.harmonics import ModeIndex, a_coeff, eval_trace_mode, _unit_vectors
 from npshell.kelvin import LameParams
 from npshell.oracle import FDStencil, fd_traction
 from npshell.potentials import (
-    CoefficientSpectrum,
     elastic_sl_on_M,
     elastic_sl_on_N,
     elastic_sl_on_T,
     elastic_sl_t_coeff,
     eval_elastic_sl_T,
-    np_apply,
-    np_apply_decomposed,
     np_decomposed_multiplier,
     np_eigenvalue,
     np_eigenvalue_limit,
@@ -90,9 +87,8 @@ class TestScalarSLMultipliers:
 
 class TestElasticSLOnT:
     def test_interior_coefficient(self, lame):
-        act = elastic_sl_on_T(2, 0, 1.0, lame)
-        assert_allclose(act.interior_coeff, -0.2)
-        assert act.decay_degree == 3
+        assert_allclose(elastic_sl_on_T(2, 1.0, lame), (-0.2, -0.2))
+        assert_allclose(elastic_sl_on_T(2, 2.0, lame), (-0.1, -3.2))
 
     def test_continuity_at_boundary(self, lame, rng):
         theta, phi = random_surface_angles(rng, 8)
@@ -121,10 +117,10 @@ class TestElasticSLOnT:
         for lp in (lame, lame21):
             for n, m, r0 in [(2, 1, 1.0), (4, 0, 0.8)]:
                 x = r0 * _unit_vectors(theta, phi)[0]
-                act = elastic_sl_on_T(n, m, r0, lp)
+                interior, exterior = elastic_sl_on_T(n, r0, lp)
                 idx = ModeIndex("T", n, m)
-                f_in = lambda p: act.interior_coeff * eval_solid_mode(idx, lp, p)
-                f_out = lambda p: act.exterior_coeff * np.cross(
+                f_in = lambda p: interior * eval_solid_mode(idx, lp, p)
+                f_out = lambda p: exterior * np.cross(
                     grad_irregular_solid_harmonic(n, m, p), p
                 )
                 stencil = FDStencil(h=1e-5 * r0, order=2)
@@ -136,30 +132,30 @@ class TestElasticSLOnT:
 
 class TestElasticSLOnMN:
     def test_m_worked_value(self, lame):
-        assert_allclose(elastic_sl_on_M(2, 0, 1.0, lame), -11 / 45)
+        assert_allclose(elastic_sl_on_M(2, 1.0, lame), -11 / 45)
 
     def test_m_eigen_consistency(self, lame, lame21):
         # replay of the jump algebra: 2 c mu (n-1) + 1/2 reproduces the eigenvalue
         for lp in (lame, lame21, LameParams(3.3, 0.7)):
             for n in range(1, 9):
-                c = elastic_sl_on_M(n, 0, 1.0, lp)
+                c = elastic_sl_on_M(n, 1.0, lp)
                 assert_allclose(2 * c * lp.mu * (n - 1) + 0.5, np_eigenvalue("M", n, lp), rtol=1e-13)
 
     def test_m_large_lambda_limit(self):
         lp = LameParams(1e12, 1.0)
         for n in (2, 4):
             expect = -(0.5 + 3 / (2 * (2 * n - 1))) / (lp.mu * (2 * n + 1))
-            assert_allclose(elastic_sl_on_M(n, 0, 1.0, lp), expect, rtol=1e-9)
+            assert_allclose(elastic_sl_on_M(n, 1.0, lp), expect, rtol=1e-9)
 
     def test_n_worked_value(self, lame):
-        assert_allclose(elastic_sl_on_N(3, 0, 1.0, lame), -3 / 35)
+        assert_allclose(elastic_sl_on_N(3, lame), -3 / 35)
 
     def test_n_eigen_consistency(self, lame, lame21):
         # traction factor mu (2(2k+1)/a_{k+1} - 3) feeds the jump relation
         for lp in (lame, lame21, LameParams(0.4, 1.9)):
             for n_mode in range(2, 9):
                 k = n_mode - 1
-                c = elastic_sl_on_N(n_mode, 0, 1.0, lp)
+                c = elastic_sl_on_N(n_mode, lp)
                 a = a_coeff(n_mode, lp)
                 xi = c * lp.mu * (2 * (2 * k + 1) / a - 3) + 0.5
                 assert_allclose(xi, np_eigenvalue("N", n_mode, lp), rtol=1e-13)
@@ -168,33 +164,27 @@ class TestElasticSLOnMN:
         for mu in (1e-4, 1e-6):
             lp = LameParams(1.0, mu)
             k = 2  # mode N_3
-            val = elastic_sl_on_N(3, 0, 1.0, lp) * lp.mu
+            val = elastic_sl_on_N(3, lp) * lp.mu
             assert_allclose(val, -k / ((2 * k + 3) * (2 * k + 1)), rtol=1e-3)
 
 
 class TestNPApply:
+    """The operator applied elementwise: np_eigenvalue over arrays of n."""
+
     def test_single_mode(self, lame):
-        spec = CoefficientSpectrum({ModeIndex("T", 2, 0): 1.0})
-        out = np_apply(spec, lame, 1.0)
-        assert_allclose(out[ModeIndex("T", 2, 0)], 0.3)
+        assert_allclose(np_eigenvalue("T", np.array([2]), lame), [0.3])
 
     def test_empty(self, lame):
-        out = np_apply(CoefficientSpectrum(), lame, 1.0)
-        assert len(out) == 0
+        for fam in "TMN":
+            assert np_eigenvalue(fam, np.arange(1, 1), lame).shape == (0,)
 
-    def test_no_cross_coupling(self, lame):
-        spec = CoefficientSpectrum(
-            {
-                ModeIndex("T", 2, 0): 2.0,
-                ModeIndex("M", 3, 1): 1.0 + 1.0j,
-                ModeIndex("N", 2, 0): -0.5,
-            }
-        )
-        out = np_apply(spec, lame, 1.0)
-        assert_allclose(out[ModeIndex("T", 2, 0)], 2.0 * 0.3)
-        assert_allclose(out[ModeIndex("M", 3, 1)], (1 + 1j) * np_eigenvalue("M", 3, lame))
-        assert_allclose(out[ModeIndex("N", 2, 0)], -0.5 / 6)
-        assert len(out) == 3
+    def test_no_cross_coupling(self, lame21):
+        # each degree of an array gets exactly its own scalar eigenvalue
+        n = np.array([7, 2, 2, 12, 1])
+        for fam in "TMN":
+            out = np_eigenvalue(fam, n, lame21)
+            assert out.shape == n.shape
+            assert out.tolist() == [np_eigenvalue(fam, k, lame21) for k in n.tolist()]
 
 
 class TestDecomposedRoute:
@@ -213,41 +203,10 @@ class TestDecomposedRoute:
                     e = np_eigenvalue(fam, n, lp)
                     assert abs(d - e) <= 1e-10 * abs(e)
 
-    def test_spectrum_level_equality(self, lame):
-        spec = CoefficientSpectrum(
-            {ModeIndex(f, n, 0): 1.0 + 0.5j for f in "TMN" for n in range(1, 13)}
-        )
-        direct = np_apply(spec, lame, 1.0)
-        decomposed = np_apply_decomposed(spec, lame, 1.0)
-        for idx, amp in direct.items():
-            assert abs(decomposed[idx] - amp) <= 1e-10 * abs(amp)
-
     def test_radius_drops_out(self, lame21):
         idx = ModeIndex("M", 4, 0)
         vals = [np_decomposed_multiplier(idx, lame21, r0) for r0 in (0.5, 1.0, 2.0)]
         assert_allclose(vals, vals[0], rtol=1e-14)
-
-
-class TestCoefficientSpectrum:
-    def test_ordering_deterministic(self):
-        spec = CoefficientSpectrum(
-            {ModeIndex("N", 2, 0): 1.0, ModeIndex("T", 1, -1): 2.0, ModeIndex("T", 1, 1): 3.0}
-        )
-        keys = [idx for idx, _ in spec.items()]
-        assert keys == [ModeIndex("T", 1, -1), ModeIndex("T", 1, 1), ModeIndex("N", 2, 0)]
-
-    def test_missing_is_zero(self):
-        spec = CoefficientSpectrum()
-        assert spec[ModeIndex("T", 3, 0)] == 0.0
-
-
-class TestSpectrumHelper:
-    def test_np_spectrum_rows(self, lame):
-        from npshell.potentials import np_spectrum
-
-        rows = np_spectrum(3, lame, families=("T",))
-        assert [(r.family, r.n) for r in rows] == [("T", 1), ("T", 2), ("T", 3)]
-        assert rows[1].value == pytest.approx(0.3)
 
 
 class TestJumpRelations:

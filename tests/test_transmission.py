@@ -32,7 +32,6 @@ from npshell.transmission import (
     a_delta,
     choose_n0,
     classify_calr,
-    critical_radius,
     energy,
     field_eval,
     g_i_from_g_e,
@@ -41,13 +40,13 @@ from npshell.transmission import (
     resonant_energy_envelope,
     scattered_gradient_factory,
     shell_energy,
-    solve_mode,
     solve_mode_direct,
     solve_source,
     solve_sweep_point,
     source_coefficient,
     source_field,
     synth_source,
+    transfer_factors,
     truncation_degree,
 )
 
@@ -64,14 +63,14 @@ class TestGeometry:
             ShellGeometry(0.0, 1.0)
 
     def test_critical_radius(self):
-        assert_allclose(critical_radius(GEOM), 2 * math.sqrt(2))
-        assert_allclose(critical_radius(GEOM), 2.828427, rtol=1e-6)
+        assert_allclose(GEOM.critical_radius, 2 * math.sqrt(2))
+        assert_allclose(GEOM.critical_radius, 2.828427, rtol=1e-6)
 
     def test_degenerate_shell_limit(self):
-        assert_allclose(critical_radius(ShellGeometry(2.0 - 1e-12, 2.0)), 2.0, rtol=1e-9)
+        assert_allclose(ShellGeometry(2.0 - 1e-12, 2.0).critical_radius, 2.0, rtol=1e-9)
 
     def test_monotone_in_core_radius(self):
-        vals = [critical_radius(ShellGeometry(ri, 2.0)) for ri in (0.5, 1.0, 1.5)]
+        vals = [ShellGeometry(ri, 2.0).critical_radius for ri in (0.5, 1.0, 1.5)]
         assert vals[0] > vals[1] > vals[2]
 
 
@@ -136,27 +135,30 @@ class TestSourceRelation:
 
 
 class TestSolveMode:
+    """transfer_factors on one degree, and its 2x2 oracle solve_mode_direct."""
+
     def test_worked_point(self):
         cfg = PlasmonicConfig.resonant(2, 0.0)
-        phi_i, phi_e = solve_mode(2, 0, 1.0, GEOM, cfg, LAME)
+        phi_i, phi_e = transfer_factors(2, GEOM, cfg, LAME)
         assert_allclose(phi_i, -20.0, rtol=1e-12)
         assert_allclose(phi_e, 5.0, rtol=1e-12)
 
     def test_zero_source(self):
         cfg = PlasmonicConfig.resonant(3, 0.01)
-        assert solve_mode(5, 0, 0.0, GEOM, cfg, LAME) == (0.0, 0.0)
+        assert [0.0 * t for t in transfer_factors(5, GEOM, cfg, LAME)] == [0.0, 0.0]
+        assert solve_mode_direct(5, 0, 0.0, GEOM, cfg, LAME) == (0.0, 0.0)
 
     def test_offresonant_denominator(self):
         cfg = PlasmonicConfig.resonant(2, 0.0)
         D = mode_denominator(3, cfg, GEOM, LAME)
         assert_allclose(D, 0.008941326530612245, rtol=1e-12)
-        phi_i, phi_e = solve_mode(3, 0, 1.0, GEOM, cfg, LAME)
+        phi_i, phi_e = transfer_factors(3, GEOM, cfg, LAME)
         assert np.isfinite(phi_i) and np.isfinite(phi_e)
 
     def test_degree_one_excluded(self):
         cfg = PlasmonicConfig.resonant(2, 0.01)
         with pytest.raises(ValueError):
-            solve_mode(1, 0, 1.0, GEOM, cfg, LAME)
+            solve_mode_direct(1, 0, 1.0, GEOM, cfg, LAME)
 
     def test_matches_direct_2x2(self, rng):
         # oracle equivalence over random parameter draws
@@ -172,7 +174,7 @@ class TestSolveMode:
             )
             lame = LameParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
             g = complex(rng.normal(), rng.normal())
-            closed = solve_mode(n, 0, g, geom, cfg, lame)
+            closed = [g * t for t in transfer_factors(n, geom, cfg, lame)]
             direct = solve_mode_direct(n, 0, g, geom, cfg, lame)
             scale = max(abs(closed[0]), abs(closed[1]), 1e-30)
             worst = max(worst, abs(closed[0] - direct[0]) / scale, abs(closed[1] - direct[1]) / scale)
@@ -181,7 +183,7 @@ class TestSolveMode:
 
 def _single_mode_solution(n, m, delta, g=1.0, geom=GEOM, lame=LAME):
     cfg = PlasmonicConfig.resonant(n, delta)
-    phi_i, phi_e = solve_mode(n, m, g, geom, cfg, lame)
+    phi_i, phi_e = (g * t for t in transfer_factors(n, geom, cfg, lame))
     return (
         DensitySolution(
             n=np.array([n]),
@@ -202,16 +204,16 @@ class TestFieldEval:
         theta, phi = random_surface_angles(rng, 6)
         nu = _unit_vectors(theta, phi)
         for radius in (GEOM.r_i, GEOM.r_e):
-            inner = field_eval(sol, None, GEOM, LAME, radius * (1 - 1e-11) * nu)
-            outer = field_eval(sol, None, GEOM, LAME, radius * (1 + 1e-11) * nu)
+            inner = field_eval(sol, radius * (1 - 1e-11) * nu)
+            outer = field_eval(sol, radius * (1 + 1e-11) * nu)
             assert_allclose(inner, outer, rtol=1e-8, atol=1e-12)
 
     def test_farfield_decay_pure_n2(self):
         sol, _ = _single_mode_solution(2, 0, 0.01)
         d = np.array([0.3, 0.5, 0.81])
         d /= np.linalg.norm(d)
-        v1 = np.linalg.norm(field_eval(sol, None, GEOM, LAME, 6.0 * d))
-        v2 = np.linalg.norm(field_eval(sol, None, GEOM, LAME, 12.0 * d))
+        v1 = np.linalg.norm(field_eval(sol, 6.0 * d))
+        v2 = np.linalg.norm(field_eval(sol, 12.0 * d))
         assert_allclose(v2 / v1, 2.0**-3, rtol=1e-12)
 
     def test_zero_densities_leave_source_only(self):
@@ -228,7 +230,7 @@ class TestFieldEval:
             lame=LAME,
         )
         pts = np.array([[0.4, 0.2, 0.3], [1.2, -0.4, 0.9]])
-        total = field_eval(empty, src, GEOM, LAME, pts, include_source=True)
+        total = field_eval(empty, pts, src)
         assert_allclose(total, source_field(src, GEOM, LAME, pts), rtol=1e-14)
 
     def test_source_series_guard(self):
@@ -311,7 +313,7 @@ class TestBatchedFields:
         pts = _unit_vectors(*random_surface_angles(rng, 60)) * radii[:, None]
         axis = [[0.0, 0.0, s * h] for h in (0.5, 1.5, 3.0) for s in (1.0, -1.0)]
         pts = np.vstack([np.zeros((1, 3)), axis, pts])
-        assert_pointwise(field_eval(sol, None, GEOM, LAME, pts), _per_mode_field(sol, GEOM, LAME, pts))
+        assert_pointwise(field_eval(sol, pts), _per_mode_field(sol, GEOM, LAME, pts))
 
         r = np.linalg.norm(pts, axis=1)
         shell = pts[(r > GEOM.r_i) & (r <= GEOM.r_e)]
@@ -329,12 +331,13 @@ class TestDegreeArrays:
     """The elementwise closed forms on arrays of n against per-mode loops."""
 
     def test_solve_source_matches_solve_mode(self):
+        # the array solve against transfer_factors on one int degree at a time
         src = synth_source(2.5, GEOM, LAME, n_max=30, spread_m=True)
         cfg = PlasmonicConfig.resonant(5, 1e-4)
         sol = solve_source(src, GEOM, cfg, LAME)
         for k, idx in _modes(src):
-            n, m, g = idx.n, idx.m, src.g[k]
-            assert_allclose((sol.phi_i[k], sol.phi_e[k]), solve_mode(n, m, g, GEOM, cfg, LAME), rtol=1e-14)
+            t_i, t_e = transfer_factors(idx.n, GEOM, cfg, LAME)
+            assert_allclose((sol.phi_i[k], sol.phi_e[k]), (src.g[k] * t_i, src.g[k] * t_e), rtol=1e-14)
 
     def test_energy_matches_boundary_term_form(self):
         # the scale-free E_n against P = mu n(n+1) [(n+2)|a|^2 (r_i^-(2n+1) -
@@ -499,6 +502,21 @@ class TestEnergy:
         assert rep.dominant_n == n0
         assert np.isfinite(rep.farfield_sample)
 
+    @pytest.mark.parametrize("field, value", [
+        ("geom", ShellGeometry(1.0, 2.2)),
+        ("cfg", PlasmonicConfig.resonant(3, 1e-2)),
+        ("lame", LameParams(2.0, 1.0)),
+    ])
+    def test_arguments_must_match_the_solution(self, field, value):
+        # a shell other than the solved one once gave modal 2778.55 and
+        # quadrature 6915.22 side by side, without complaint
+        src, sol = solve_sweep_point(1e-2, GEOM, LAME, 2.5)
+        args = {"geom": GEOM, "cfg": sol.cfg, "lame": LAME}
+        rep = energy(sol, src, **args)
+        with pytest.raises(ValueError, match=f"^energy: {field} "):
+            energy(sol, src, **{**args, field: value}, quadrature=True)
+        assert energy(sol, None, **args).energy_modal == rep.energy_modal
+
     def test_report_json_fields(self):
         sol, cfg = _single_mode_solution(2, 0, 0.01)
         rep = energy(sol, None, GEOM, cfg, LAME)
@@ -577,7 +595,7 @@ class TestExactResonanceGuard:
 
         monkeypatch.setattr(tr, "mode_denominator", lambda *a, **k: 0j)
         with pytest.raises(tr.ExactResonanceError):
-            solve_mode(2, 0, 1.0, GEOM, PlasmonicConfig.resonant(2, 0.0), LAME)
+            transfer_factors(2, GEOM, PlasmonicConfig.resonant(2, 0.0), LAME)
 
 
 class TestTruncationAudit:
@@ -640,3 +658,21 @@ class TestTruncationRule:
             n_max += 20
         assert src.n_max == n_max
         assert len(sol.phi_i) == n_max - 1
+
+    @pytest.mark.parametrize("r_s", [2.5, 3.5])
+    @pytest.mark.parametrize("delta", [1e-1, 1e-6])
+    def test_cut_is_synthesis_and_solve_to_its_degree(self, r_s, delta):
+        # the sweep point's prefix of its one pass is bit for bit the source
+        # synthesized up to the cut and solved
+        src, sol = solve_sweep_point(delta, GEOM, LAME, r_s)
+        ref_src = synth_source(r_s, GEOM, LAME, n_max=src.n_max)
+        ref_sol = solve_source(ref_src, GEOM, sol.cfg, LAME)
+        for a, b in ((src.n, ref_src.n), (src.m, ref_src.m), (src.g, ref_src.g),
+                     (sol.phi_i, ref_sol.phi_i), (sol.phi_e, ref_sol.phi_e)):
+            assert np.array_equal(a, b)
+        assert src.r_s == r_s
+
+    def test_zero_source_keeps_no_degree(self):
+        src, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5, kappa=0.0)
+        for column in (src.n, src.m, src.g, sol.n, sol.m, sol.phi_i, sol.phi_e):
+            assert column.size == 0
