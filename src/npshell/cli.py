@@ -5,8 +5,9 @@ Artifacts are plain CSV (tables, grids) or JSON lines (structured reports),
 and this module alone encodes them: one value encoder, one JSONL writer, one
 CSV writer.  Every artifact echoes the effective configuration, every flag
 included, in its header; identical runs are byte-identical.
-Exit codes: 0 success, 1 validation failure, 2 bad input or a numerical
-failure (overflow, exact resonance).
+Exit codes: 0 success, 1 validation failure (a failed record, or an N-P
+mode whose projection residual shows it is no eigenfunction at the rule
+used), 2 bad input or a numerical failure (overflow, exact resonance).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .harmonics import ModeIndex
 from .kelvin import LameParams
 from .oracle import (
     FDStencil,
+    NonEigenfunctionError,
     QuadratureRule,
     ValidationRecord,
     compare,
@@ -434,6 +436,9 @@ def main(argv=None) -> int:
     try:
         args, cfg = _resolve(ap, argv)
         return args.func(cfg)
+    except NonEigenfunctionError as exc:  # an N-P check that failed before its record
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonics import ModeIndex, _cartesian_angles, eval_trace_mode
+from .harmonics import ModeIndex, _cartesian_angles, eval_trace_mode, eval_ylm
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from .transmission import ShellGeometry
 
@@ -71,6 +71,8 @@ class QuadratureRule:
     n_phi: int = 128
 
     def __post_init__(self):
+        if self.n_theta < 1:
+            raise ValueError(f"need n_theta >= 1 colatitude nodes, got n_theta={self.n_theta}")
         if self.n_phi < 2 * self.n_theta:
             raise ValueError("need n_phi >= 2 n_theta for azimuthal resolution")
 
@@ -181,22 +183,52 @@ def quad_elastic_sl(
     return fsum_c((np.einsum("aij,aj->ai", ker, dens) * w[:, None]).T)
 
 
+@lru_cache(maxsize=32)
+def _projection_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit nodes of the (l + 1) x (2l + 2) product rule, exact for degree
+    2l + 1, and conj(Y_l^k) w at them for k = -l..l, shape (2l + 1, N)."""
+    pts, w = QuadratureRule(l + 1, 2 * l + 2).surface_nodes()
+    _, theta, phi = _cartesian_angles(pts)
+    ylm_w = np.stack([eval_ylm(l, k, theta, phi).conj() * w for k in range(-l, l + 1)])
+    ylm_w.setflags(write=False)
+    return pts, ylm_w
+
+
+def _wigner_d_column(l: int, m: int, q: np.ndarray) -> np.ndarray:
+    """D^l_{km}(Q) for k = -l..l, defined by Y_l^m(Q^T p) = sum_k D_{km} Y_l^k(p):
+    the projection of the rotated harmonic onto each Y_l^k, by a rule exact
+    for the degree-2l products."""
+    pts, ylm_w = _projection_rule(l)
+    return ylm_w @ eval_ylm(l, m, *_cartesian_angles(pts @ q)[1:])
+
+
 def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float):
-    """x, phi(x) -> K*[phi](x) for one mode, with K1/K2 assembled once: for
-    nodes y = Q^T p, with Q x/|x| = z-hat, K(x, y) = Q^T K(r0 z-hat, p) Q, so
-    the (3, 3, N) pole blocks -b1 K1 w and K2 w act on psi = Q phi(y), summed
-    over the nodes and turned back by Q^T."""
+    """x -> K*[phi](x) for one mode, with K1/K2 assembled once: for nodes
+    y = Q^T p, with Q x/|x| = z-hat, K(x, y) = Q^T K(r0 z-hat, p) Q.  The
+    modes of degree l = idx.scalar_degree are rotation covariant,
+    Q phi_m(Q^T p) = sum_k D^l_{km}(Q) phi_k(p), so the (3, 3, N) pole blocks
+    -b1 K1 w and K2 w are summed once against each phi_k, k = -l..l (the K1
+    subtraction at phi_k(z-hat)), and a target only combines those 2l + 1
+    pole integrals with its Wigner-D column and turns the sum back by Q^T."""
     p, w = rule.polar_nodes(r0)
     z = np.array([0.0, 0.0, 1.0])
     k1 = -KernelCoeffs.from_lame(lame).b1 * k1_kernel(r0 * z, p, z)
     k2 = k2_kernel(r0 * z, p, z, lame)
     k1w, k2w = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1, k2))
+    del k1, k2  # only the weighted blocks stay live while the modes are summed
+    _, theta, phi = _cartesian_angles(np.vstack([p, z]))  # the nodes, then z-hat
 
-    def at(x: np.ndarray, dens_x: np.ndarray) -> np.ndarray:
-        q, _, _, dens = _rotated_sources(idx, lame, x, rule, r0)
-        psi, c = q @ dens.T, q @ dens_x
-        terms = sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
-        return q.T @ fsum_c(terms)
+    def pole_integral(k: int) -> np.ndarray:
+        dens = eval_trace_mode(ModeIndex(idx.family, idx.n, k), lame, theta, phi).T
+        psi, c = dens[:, :-1], dens[:, -1]
+        return fsum_c(sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3)))
+
+    l = idx.scalar_degree
+    pole_integrals = np.stack([pole_integral(k) for k in range(-l, l + 1)])
+
+    def at(x: np.ndarray) -> np.ndarray:
+        q = rotation_to_pole(x)
+        return q.T @ (_wigner_d_column(l, idx.m, q) @ pole_integrals)
 
     return at
 
@@ -215,12 +247,11 @@ def quad_np_pointwise(
     principal value against constants on a sphere, so its p.v. action equals
     the absolutely convergent integral of K1(x,y)(phi(y) - phi(x)).  Both are
     isotropic, K(Qx, Qy) = Q K(x, y) Q^T, so they are assembled with the
-    target at the pole and x only rotates the density into that frame: the
-    fixed-weight, rotate-the-integrand scheme of Graham & Sloan (Numer. Math.
-    2002).
+    target at the pole, and the mode, not the nodes, is rotated: x combines
+    2l + 1 pole integrals with Wigner-D coefficients (Graham & Sloan, Numer.
+    Math. 2002; Ganesh & Graham, J. Comput. Phys. 2004).
     """
-    dens_x = eval_trace_mode(idx, lame, *_cartesian_angles(x)[1:])
-    return _pole_frame_np(idx, lame, rule, r0)(x, dens_x)
+    return _pole_frame_np(idx, lame, rule, r0)(x)
 
 
 def quad_np_apply(
@@ -238,10 +269,16 @@ def quad_np_apply(
     so the outer grid needs full Gauss resolution only in the colatitude:
     max(k + 2, 4) Gauss nodes for scalar degree k.
     Each outer node is a quad_np_pointwise in one pole frame (Graham & Sloan,
-    Numer. Math. 2002): K1/K2 are assembled once per call, and phi(x) comes
-    from the outer grid's modes.
-    A residual above residual_tol raises NonEigenfunctionError: the input
-    did not behave like an eigenfunction, which signals a bug.
+    Numer. Math. 2002; Ganesh & Graham, J. Comput. Phys. 2004): K1/K2 and
+    the 2l + 1 pole integrals are computed once per call, and each node only
+    combines them with its Wigner-D column.
+    A residual above residual_tol raises NonEigenfunctionError.  The
+    residual is the part of K*[phi] outside the mode, so it catches an input
+    that is not an eigenfunction and a quadrature error that mixes in other
+    modes (M_6^3 on an 8x16 rule: 4.4e-4), but not an error that keeps the
+    mode's shape: T_6^3 on 8x16 is off its eigenvalue by 2.3e-3 with
+    residual 1.6e-16.  A small residual does not show that the rule resolves
+    the mode; only the gap to the closed form or to a finer rule does.
     """
     n_phi_out = max(2 * abs(idx.m) + 4, 8)
     xt, wt = _leggauss(max(idx.scalar_degree + 2, 4))
@@ -253,7 +290,7 @@ def quad_np_apply(
     pts = r0 * np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1).reshape(-1, 3)
     modes = eval_trace_mode(idx, lame, *_cartesian_angles(pts)[1:])
     at = _pole_frame_np(idx, lame, rule, r0)
-    vals = np.stack([at(p, d) for p, d in zip(pts, modes)])
+    vals = np.stack([at(p) for p in pts])
     num = fsum_c(np.sum(vals * modes.conj(), axis=1) * w)
     den = fsum_c(np.sum(modes * modes.conj(), axis=1) * w)
     xi = num / den
@@ -261,7 +298,8 @@ def quad_np_apply(
     resid = math.sqrt(max(resid2, 0.0) / den.real)
     if resid > residual_tol:
         raise NonEigenfunctionError(
-            f"{idx}: projection residual {resid:.3e} exceeds {residual_tol:.1e}"
+            f"N-P mode {idx.family} n={idx.n} m={idx.m}: projection residual "
+            f"{resid:.3e} exceeds {residual_tol:.1e}"
         )
     return xi, resid
 

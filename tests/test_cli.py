@@ -104,6 +104,28 @@ class TestValidate:
         with pytest.raises(SystemExit):
             main(["validate", "--suite", "bogus", "--out", str(tmp_path / "v.jsonl")])
 
+    @pytest.mark.parametrize("argv, mode", [
+        (["--n-max", "1", "--quad-theta", "1", "--quad-phi", "2"], "T n=1 m=1"),
+        (["--n-max", "7", "--quad-theta", "4", "--quad-phi", "8"], "T n=7 m=1"),
+    ], ids=["1x2", "4x8"])
+    def test_non_eigenfunction_is_a_validation_failure(self, tmp_path, capsys, argv, mode):
+        # an under-resolved rule mixes modes: one error line, exit 1
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", "np", *argv, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: N-P mode {mode}: projection residual ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_theta", ["0", "-1"])
+    def test_colatitude_nodes_below_one_rejected(self, tmp_path, capsys, n_theta):
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", "np", "--quad-theta", n_theta, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: need n_theta >= 1 colatitude nodes, got n_theta={n_theta}"
+
     @pytest.mark.parametrize("suite", ["np", "gram"])
     def test_degree_below_one_rejected(self, tmp_path, capsys, suite):
         # n_max = 0 would run no check at all and still exit 0

@@ -55,6 +55,11 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             QuadratureRule(16, 24)
 
+    @pytest.mark.parametrize("n_theta", [0, -3])
+    def test_colatitude_floor(self, n_theta):
+        with pytest.raises(ValueError, match=f"n_theta={n_theta}"):
+            QuadratureRule(n_theta, 128)
+
     def test_rotation_to_pole(self, rng):
         for _ in range(10):
             x = rng.normal(size=3)
@@ -214,6 +219,17 @@ class TestNPQuadrature:
                 ModeIndex("M", 6, 3), lame, QuadratureRule(4, 8), residual_tol=1e-10
             )
 
+    def test_residual_sees_mixing_not_resolution(self, lame):
+        # on 8x16 the M mode mixes with N and the default tolerance catches it;
+        # the T mode keeps its shape, so it passes with a tiny residual while
+        # its eigenvalue is off by ~2e-3
+        rule = QuadratureRule(8, 16)
+        with pytest.raises(NonEigenfunctionError, match=r"M n=6 m=3: projection residual 4\.\d+e-04"):
+            quad_np_apply(ModeIndex("M", 6, 3), lame, rule)
+        est, resid = quad_np_apply(ModeIndex("T", 6, 3), lame, rule)
+        assert resid < 1e-14
+        assert abs(est - np_eigenvalue("T", 6, lame)) > 1e-3 * np_eigenvalue("T", 6, lame)
+
 
 class TestPoleFrame:
     """quad_np_pointwise assembles K1/K2 once at the pole and rotates each
@@ -245,6 +261,48 @@ class TestPoleFrame:
             )
         quad_np_apply(ModeIndex("T", 3, 2), lame, QuadratureRule(16, 32))
         assert sorted(calls) == ["k1_kernel", "k2_kernel"]
+
+    @pytest.mark.parametrize("idx", [ModeIndex("T", 3, 0), ModeIndex("T", 3, 3),
+                                     ModeIndex("N", 4, -2), ModeIndex("M", 1, 1)],
+                             ids=lambda i: f"{i.family}{i.n}^{i.m}")
+    def test_modes_evaluated_once_per_order_per_call(self, idx, lame, monkeypatch):
+        # the outer grid grows with |m|; the pole integrals do not
+        rule = QuadratureRule(16, 32)
+        orders = []
+
+        def counted(j, *args):
+            if np.size(args[1]) >= rule.n_theta * rule.n_phi:
+                orders.append(j.m)
+            return eval_trace_mode(j, *args)
+
+        monkeypatch.setattr(oracle, "eval_trace_mode", counted)
+        quad_np_apply(idx, lame, rule)
+        l = idx.scalar_degree
+        assert orders == list(range(-l, l + 1))
+
+
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+class TestWignerDColumn:
+    """Y_l^m(Q^T p) = sum_k D^l_{km}(Q) Y_l^k(p) at random points."""
+
+    @pytest.mark.parametrize("l", range(9))
+    def test_rotated_harmonic_is_the_combination(self, l, rng):
+        p = rng.normal(size=(20, 3))
+        rotations = [_random_rotation(rng) for _ in range(3)]
+        rotations += [rotation_to_pole(rng.normal(size=3)), rotation_to_pole(np.array([0, 0, 1.0])),
+                      rotation_to_pole(np.array([0, 0, -1.0]))]
+        assert_allclose(rotations[-2], np.eye(3))
+        assert_allclose(rotations[-1], np.diag([1.0, -1.0, -1.0]))
+        ylm = np.stack([_ylm_at(l, k, p) for k in range(-l, l + 1)])
+        for q in rotations:
+            for m in range(-l, l + 1):
+                d = oracle._wigner_d_column(l, m, q)
+                assert_allclose(d @ ylm, _ylm_at(l, m, p @ q), rtol=0, atol=1e-13)
 
 
 def _np_pointwise_at_target(idx, x, lame, rule, r0):
