@@ -313,20 +313,12 @@ def _ladder_block(decaying: bool, n: int, m: int, hessian: bool) -> np.ndarray:
     return block
 
 
-def solid_harmonic_series(n, m, regular, decaying, xyz, hessian: bool = False):
-    """grad F, and Hess F if asked, of the scalar potential
-    F = sum c_n^m r^n Y_n^m + sum d_n^m Y_n^m / r^(n+1) at points (..., 3).
-
-    `regular` and `decaying` are the coefficient arrays c and d, aligned with
-    the integer arrays of degrees `n` and orders `m`; None drops that kind.
-    The ladder weights of every mode are summed into one coefficient row per
-    (kind, degree, order); per block of points each order |m| then needs one
-    real Legendre column, scaled by r^k or r^-(k+1), and exp(i m phi) is
-    applied once per order.  Returns (grad (..., 3), Hess (..., 3, 3) or
-    None), complex.  Decaying terms need r > 0.
-    """
-    xyz = np.asarray(xyz, dtype=float)
-    pts = xyz.reshape(-1, 3)
+def _series_orders(n, m, regular, decaying, hessian: bool):
+    """Coefficient stages of a solid-harmonic series: the ladder weights of
+    every mode summed into one row per (kind, degree, order), then the orders
+    +-a recombined into one real matrix per order a = 0..q_max + 1 (+ 2 with
+    the Hessian).  Matrix a has shape (cos/sin part, re/im, kind, derivative
+    component, degree k = a..top); returns (kinds present, top, matrices)."""
     ncomp, step = (12, 2) if hessian else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
     coeffs = (regular, decaying)
@@ -342,28 +334,94 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, hessian: bool = False):
             lo = nk + 3 if kind else nk
             rows[kind, mk + q_max:mk + q_max + 5, :, lo:lo + 2] += c * _ladder_block(
                 bool(kind), nk, mk, hessian)
-    out = np.zeros((2, ncomp, len(pts)))
+    orders = []
+    for a in range(q_max + step + 1) if kinds else ():
+        # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
+        # combine into real matrices for the cos(a phi) and sin(a phi) parts.
+        plus = rows[kinds, q_max + 2 + a, :, a + 2:top + 3]
+        minus = (-1) ** a * rows[kinds, q_max + 2 - a, :, a + 2:top + 3]
+        coef = np.stack([plus + minus, 1j * (plus - minus)] if a else [plus])
+        orders.append(np.stack([coef.real, coef.imag], axis=1))
+    return kinds, top, orders
+
+
+def _angular_table(top: int, n_orders: int, pts: np.ndarray):
+    """|x| of points (N, 3), and per order a < n_orders the angular part of
+    their harmonics: P~_k^a(cos theta) for k = a..top, cos(a phi), sin(a phi)."""
     r, theta, phi = _cartesian_angles(pts)
     ct, st = np.cos(theta), np.sin(theta)
-    for lo in range(0, len(pts), _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        powers = r[blk] ** np.arange(top + 2.0)[:, None]
-        for a in range(q_max + step + 1) if kinds else ():
-            # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
-            # combine into real matrices for the cos(a phi) and sin(a phi) parts.
-            plus = rows[kinds, q_max + 2 + a, :, a + 2:top + 3]
-            minus = (-1) ** a * rows[kinds, q_max + 2 - a, :, a + 2:top + 3]
-            coef = np.stack([plus + minus, 1j * (plus - minus)] if a else [plus])
-            col = _legendre_column(top, a, ct[blk], st[blk])
+    return r, [(_legendre_column(top, a, ct, st), (np.cos(a * phi), np.sin(a * phi)))
+               for a in range(n_orders)]
+
+
+def _series_eval(kinds, orders, table, powers: np.ndarray, out: np.ndarray) -> None:
+    """Add the series at the table's points to out (re/im, comp, point).
+
+    powers holds r^0..r^(top + 1): shape (top + 2, points) for scattered
+    points, or (top + 2,) when every point has the same radius, which then
+    folds r^k (regular) and r^-(k+1) (decaying) into the coefficient rows.
+    """
+    for a, (coef, (col, trig)) in enumerate(zip(orders, table)):
+        if powers.ndim == 1:
+            f = np.stack([1.0 / powers[a + 1:] if kind else powers[a:-1] for kind in kinds])
+            val = np.matmul((coef * f[:, None]).sum(axis=2), col)
+        else:
             radial = np.stack([col / powers[a + 1:] if kind else col * powers[a:-1] for kind in kinds])
             # (cos/sin part, re/im, comp, point) by one real BLAS contraction
-            val = np.tensordot(np.stack([coef.real, coef.imag], axis=1), radial, ([2, 4], [0, 1]))
-            for part, trig in zip(val, (np.cos, np.sin)):
-                out[:, :, blk] += part * trig(a * phi[blk])
+            val = np.tensordot(coef, radial, ([2, 4], [0, 1]))
+        for part, t in zip(val, trig):
+            out += part * t
+
+
+def _grad_hess(out: np.ndarray, shape: tuple, hessian: bool):
     out = (out[0] + 1j * out[1]).T
-    grad = out[:, :3].reshape(xyz.shape)
-    hess = out[:, 3:].reshape(xyz.shape + (3,)) if hessian else None
+    grad = out[:, :3].reshape(shape)
+    hess = out[:, 3:].reshape(shape + (3,)) if hessian else None
     return grad, hess
+
+
+def solid_harmonic_series(n, m, regular, decaying, xyz, hessian: bool = False):
+    """grad F, and Hess F if asked, of the scalar potential
+    F = sum c_n^m r^n Y_n^m + sum d_n^m Y_n^m / r^(n+1) at points (..., 3).
+
+    `regular` and `decaying` are the coefficient arrays c and d, aligned with
+    the integer arrays of degrees `n` and orders `m`; None drops that kind.
+    Three stages: the ladder weights of every mode are summed into one
+    coefficient row per (kind, degree, order) and recombined into one real
+    matrix per order |m| (`_series_orders`); per block of points each order
+    then needs one real Legendre column and cos/sin(|m| phi)
+    (`_angular_table`), which meet the per-point r^k or r^-(k+1) in one
+    contraction (`_series_eval`).  `solid_harmonic_shells` shares the stages
+    on concentric shells.  Returns (grad (..., 3), Hess (..., 3, 3) or None),
+    complex.  Decaying terms need r > 0.
+    """
+    xyz = np.asarray(xyz, dtype=float)
+    pts = xyz.reshape(-1, 3)
+    kinds, top, orders = _series_orders(n, m, regular, decaying, hessian)
+    out = np.zeros((2, 12 if hessian else 3, len(pts)))
+    for lo in range(0, len(pts), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        r, table = _angular_table(top, len(orders), pts[blk])
+        _series_eval(kinds, orders, table, r ** np.arange(top + 2.0)[:, None], out[:, :, blk])
+    return _grad_hess(out, xyz.shape, hessian)
+
+
+def solid_harmonic_shells(n, m, regular, decaying, radii, unit, hessian: bool = False):
+    """The (grad F, Hess F or None) of `solid_harmonic_series` at the points
+    r * unit, one shell at a time, for each radius r of `radii`.
+
+    `unit` holds unit directions (N, 3).  Their angular table (one Legendre
+    column and cos/sin(a phi) per order a) is built once for all shells; each
+    shell folds its r^k and r^-(k+1) into the per-order coefficient rows and
+    costs one (rows x degrees) by (degrees x N) product per order.
+    """
+    unit = np.asarray(unit, dtype=float)
+    kinds, top, orders = _series_orders(n, m, regular, decaying, hessian)
+    _, table = _angular_table(top, len(orders), unit)
+    for r in radii:
+        out = np.zeros((2, 12 if hessian else 3, len(unit)))
+        _series_eval(kinds, orders, table, r ** np.arange(top + 2.0), out)
+        yield _grad_hess(out, unit.shape, hessian)
 
 
 def surface_gradient_ylm(n: int, m: int, theta, phi) -> np.ndarray:

@@ -20,13 +20,15 @@ class LameParams:
 
     Regular materials are real with mu > 0 and 3 lambda + 2 mu > 0; a
     plasmonic shell carries a common positive imaginary part.  2 mu + lambda
-    must not vanish (it appears in every kernel constant).
+    must not vanish (it appears in every kernel constant), nor may mu.
     """
 
     lam: complex = 1.0
     mu: complex = 1.0
 
     def __post_init__(self):
+        if self.mu == 0:
+            raise SingularParameterError(f"mu = 0 (lambda = {self.lam}) makes the Lame operator singular")
         if self.lam + 2 * self.mu == 0:
             raise SingularParameterError("lambda + 2 mu = 0 is outside the admissible set")
 

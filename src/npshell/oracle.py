@@ -444,8 +444,10 @@ def quad_energy_shell(
 ) -> float:
     """(delta/2) * int_shell [lam |div u|^2 + 2 mu |sym grad u|^2] dx.
 
-    u_grad maps points (N,3) to (u (N,3), grad u (N,3,3)); the radial
-    direction uses Gauss-Legendre with n_radial nodes, angles use the
+    u_grad(radii, unit) is called once with the radial nodes and the
+    rule's unit-sphere nodes (N, 3), and yields (u (N, 3), grad u (N, 3, 3))
+    at the points r * unit one radius at a time, in the order of `radii`.
+    The radial direction uses Gauss-Legendre with n_radial nodes, angles the
     rule's exactness nodes.  Material constants are the background real
     pair; the loss enters only through the leading factor.
     """
@@ -454,14 +456,13 @@ def quad_energy_shell(
     wr = np.asarray(wg) * 0.5 * (geom.r_e - geom.r_i)
     lam = complex(lame.lam).real
     mu = complex(lame.mu).real
+    unit, w_unit = rule.surface_nodes()
     shells = []
-    for r, w_r in zip(radii, wr):
-        pts, w_s = rule.surface_nodes(r)
-        _, grad = u_grad(pts)
+    for r, w_r, (_, grad) in zip(radii, wr, u_grad(radii, unit)):
         div = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
         sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
         dens = lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))
-        shells.append(w_r * fsum_c(dens * w_s).real)
+        shells.append(w_r * fsum_c(dens * (w_unit * r**2)).real)
     return 0.5 * delta * math.fsum(shells)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import solid_harmonic_series
+from .harmonics import solid_harmonic_series, solid_harmonic_shells
 from .kelvin import LameParams
 from .potentials import elastic_sl_t_coeff, np_eigenvalue
 
@@ -140,8 +140,8 @@ class SourceSpectrum:
 def source_coefficient(n, r_s: float, geom: ShellGeometry, lame: LameParams, kappa: float = 1.0):
     """g_e^n = kappa mu (n-1) (r_e/r_s)^n / r_e: the source whose potential
     converges exactly for |x| < r_s.  Only the ratio r_e/r_s is raised to n."""
-    if r_s <= geom.r_e:
-        raise ValueError("synthetic source must sit outside the shell (r_s > r_e)")
+    if not r_s > geom.r_e:  # also rejects a NaN radius
+        raise ValueError(f"synthetic source must sit outside the shell (r_s > r_e), got r_s={r_s}, r_e={geom.r_e}")
     return kappa * complex(lame.mu).real * (n - 1) * (geom.r_e / r_s) ** n / geom.r_e
 
 
@@ -342,19 +342,23 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
 
 def scattered_gradient_factory(sol: DensitySolution):
-    """Callable x(N,3) -> (u, grad u) for shell points, analytic gradients.
+    """Callable (radii, unit) -> iterator over the radii of (u, grad u) at
+    the shell points r * unit (unit directions (N, 3)), analytic gradients.
 
     With u = grad F x x for the shell potential F of all modes,
-    grad u[:, :, l] = Hess(F)[:, :, l] x x + grad F x e_l.
+    grad u[:, :, l] = Hess(F)[:, :, l] x x + grad F x e_l.  Each call builds
+    the angular harmonic table of `unit` once for all its radii.
     """
     _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame)
 
-    def eval_u_grad(xyz: np.ndarray):
-        xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        g, hess = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz, hessian=True)
-        grad = np.cross(hess, xyz[:, :, None], axis=1)
-        grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
-        return np.cross(g, xyz), grad
+    def eval_u_grad(radii, unit):
+        unit = np.asarray(unit, dtype=float)
+        shells = solid_harmonic_shells(sol.n, sol.m, regular, decaying, radii, unit, hessian=True)
+        for r, (g, hess) in zip(radii, shells):
+            xyz = r * unit
+            grad = np.cross(hess, xyz[:, :, None], axis=1)
+            grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
+            yield np.cross(g, xyz), grad
 
     return eval_u_grad
 
@@ -499,16 +503,23 @@ def solve_sweep_point(
     the first k of truncation_degree(n0), +20, ... (capped at degree 400)
     with E_k < 1e-14 * (E_2 + ... + E_k); the spectrum and its
     solution are that pass's prefix up to k, or empty when the total energy
-    is 0 (kappa = 0).
+    is 0 (kappa = 0).  A resonant degree whose baseline truncation passes
+    the cap (a shell so thin, or a loss so small, that n0 > 380) raises
+    ValueError before any degree array is built.
     """
     if cfg is None:
         cfg = PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta)
     start = truncation_degree(cfg.n0)
-    n = np.arange(2, max(start, _N_HARD_CAP) + 1)
+    if start > _N_HARD_CAP:
+        raise ValueError(
+            f"resonant degree n0={cfg.n0} (rho={geom.rho:.9g}, delta={cfg.delta:g}) needs degrees "
+            f"up to {start}, past the cap of {_N_HARD_CAP}; thicken the shell or raise the loss"
+        )
+    n = np.arange(2, _N_HARD_CAP + 1)
     g = source_coefficient(n, r_s, geom, lame, kappa)
     t_i, t_e = transfer_factors(n, geom, cfg, lame)
     e = shell_energy(n, g * t_i, g * t_e, geom, cfg.delta, lame)
-    for n_max in [*range(start, _N_HARD_CAP, 20), max(start, _N_HARD_CAP)]:
+    for n_max in [*range(start, _N_HARD_CAP, 20), _N_HARD_CAP]:
         total = math.fsum(e[: n_max - 1])
         if total == 0.0 or e[n_max - 2] < _ENERGY_FLOOR * total:
             break

@@ -342,6 +342,22 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("argv, names", [
+        (["--rs", "nan"], "r_s=nan"),
+        (["--rs", "2.5", "--mu", "0"], "mu = 0"),
+        (["--ri", "0.999", "--re", "1", "--rs", "1.2", "--delta-grid", "1e-1,1e-2,1e-3,1e-4"],
+         "n0=2302 (rho=0.999, delta=0.1)"),
+    ], ids=["nan-source", "zero-mu", "thin-shell"])
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv, names):
+        # each once exited 0: verdict "bounded" for the first two, and a
+        # sweep past the degree cap (n_trunc up to 9226) for the thin shell
+        out = tmp_path / "s.jsonl"
+        rc = main(["calr", *argv, "--no-quad-energy", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and names in err
+        assert not out.exists()
+
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])

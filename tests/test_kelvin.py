@@ -34,6 +34,12 @@ class TestLameParams:
         with pytest.raises(ValueError):
             LameParams(1 + 0.1j, 1 + 0.2j).loss
 
+    @pytest.mark.parametrize("lam", [1.0, -1.0 + 0.1j])
+    def test_zero_shear_modulus_rejected(self, lam):
+        # mu = 0 once reached the T eigenvalue and ran a sweep to "bounded"
+        with pytest.raises(SingularParameterError, match="mu = 0"):
+            LameParams(lam, 0.0)
+
     def test_singular_pair_rejected(self):
         with pytest.raises(SingularParameterError):
             LameParams(-2.0, 1.0)  # 2 mu + lam = 0

@@ -434,17 +434,19 @@ class TestShellEnergyQuadrature:
         geom = ShellGeometry(1.0, 2.0)
         idx = ModeIndex("T", 1, 0)
 
-        def u_grad(pts):
-            u = eval_solid_mode(idx, lame, pts)
-            grad = np.zeros(pts.shape + (3,), dtype=complex)
-            h = 1e-6
-            for d in range(3):
-                e = np.zeros(3)
-                e[d] = h
-                grad[..., d] = (
-                    eval_solid_mode(idx, lame, pts + e) - eval_solid_mode(idx, lame, pts - e)
-                ) / (2 * h)
-            return u, grad
+        def u_grad(radii, unit):
+            for r in radii:
+                pts = r * unit
+                u = eval_solid_mode(idx, lame, pts)
+                grad = np.zeros(pts.shape + (3,), dtype=complex)
+                h = 1e-6
+                for d in range(3):
+                    e = np.zeros(3)
+                    e[d] = h
+                    grad[..., d] = (
+                        eval_solid_mode(idx, lame, pts + e) - eval_solid_mode(idx, lame, pts - e)
+                    ) / (2 * h)
+                yield u, grad
 
         val = quad_energy_shell(u_grad, lame, 0.01, geom, QuadratureRule(8, 16), n_radial=4)
         assert abs(val) < 1e-12
@@ -452,9 +454,9 @@ class TestShellEnergyQuadrature:
     def test_constant_field_zero(self, lame):
         geom = ShellGeometry(1.0, 2.0)
 
-        def u_grad(pts):
-            u = np.ones(pts.shape, dtype=complex)
-            return u, np.zeros(pts.shape + (3,), dtype=complex)
+        def u_grad(radii, unit):
+            for _ in radii:
+                yield np.ones(unit.shape, dtype=complex), np.zeros(unit.shape + (3,), dtype=complex)
 
         val = quad_energy_shell(u_grad, lame, 0.3, geom, QuadratureRule(8, 16), n_radial=4)
         assert val == 0.0

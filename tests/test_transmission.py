@@ -1,6 +1,8 @@
 """Core-shell-matrix solver: mode solves, fields, energy, classification."""
 
+import functools
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import npshell.oracle as oracle
+import npshell.transmission as tr
 from conftest import assert_pointwise, random_surface_angles
+from npshell import harmonics
 from npshell.harmonics import (
     ModeIndex,
     _unit_vectors,
@@ -18,6 +23,7 @@ from npshell.harmonics import (
     grad_solid_harmonic,
     hess_irregular_solid_harmonic,
     hess_solid_harmonic,
+    solid_harmonic_series,
 )
 from npshell.kelvin import LameParams
 from npshell.oracle import QuadratureRule, quad_energy_shell
@@ -37,6 +43,7 @@ from npshell.transmission import (
     g_i_from_g_e,
     mode_denominator,
     plasmonic_params,
+    region_coefficients,
     resonant_energy_envelope,
     scattered_gradient_factory,
     shell_energy,
@@ -132,6 +139,14 @@ class TestSourceRelation:
         assert_allclose(
             g_i_from_g_e(4, scale * g, GEOM), scale * g_i_from_g_e(4, g, GEOM), rtol=1e-14
         )
+
+
+class TestSourceCoefficient:
+    @pytest.mark.parametrize("r_s", [float("nan"), 2.0, 1.5], ids=["nan", "on-shell", "inside"])
+    def test_source_radius_must_exceed_r_e(self, r_s):
+        # r_s <= r_e let a NaN radius through, to a "bounded" verdict
+        with pytest.raises(ValueError, match=r"r_s > r_e\), got r_s="):
+            source_coefficient(np.arange(2, 5), r_s, GEOM, LAME)
 
 
 class TestSolveMode:
@@ -316,15 +331,81 @@ class TestBatchedFields:
         assert_pointwise(field_eval(sol, pts), _per_mode_field(sol, GEOM, LAME, pts))
 
         r = np.linalg.norm(pts, axis=1)
-        shell = pts[(r > GEOM.r_i) & (r <= GEOM.r_e)]
-        u, grad = scattered_gradient_factory(sol)(shell)
-        u_ref, grad_ref = _per_mode_u_grad(sol, shell)
+        # each shell point is its own one-point shell of radius |x|
+        shell = r[(r > GEOM.r_i) & (r <= GEOM.r_e)]
+        unit = pts[(r > GEOM.r_i) & (r <= GEOM.r_e)] / shell[:, None]
+        u_grad = scattered_gradient_factory(sol)
+        u, grad = map(np.concatenate, zip(*(next(u_grad([s], d[None])) for s, d in zip(shell, unit))))
+        u_ref, grad_ref = _per_mode_u_grad(sol, shell[:, None] * unit)
         assert_pointwise(u, u_ref)
         assert_pointwise(grad, grad_ref)
 
         inside = pts[r < 0.95 * src.r_s]
         assert_pointwise(source_field(src, GEOM, LAME, inside),
                          _per_mode_source(src, GEOM, LAME, inside))
+
+
+def _spread_m_solution():
+    # orders -12..12, so negative odd m and q_max >= 2
+    src = synth_source(2.5, GEOM, LAME, n_max=12, spread_m=True)
+    return solve_source(src, GEOM, PlasmonicConfig.resonant(4, 1e-3), LAME)
+
+
+class TestShellGrid:
+    """(u, grad u) on concentric shells from one angular table per call."""
+
+    @pytest.fixture(params=["m0-sweep", "spread-m"])
+    def sol(self, request):
+        if request.param == "spread-m":
+            return _spread_m_solution()
+        return solve_sweep_point(1e-3, GEOM, LAME, 2.5)[1]
+
+    def test_product_grid_matches_per_mode_sums(self, sol):
+        unit, _ = QuadratureRule(6, 12).surface_nodes()
+        radii = np.array([1.0, 1.37, 2.0])
+        shells = list(scattered_gradient_factory(sol)(radii, unit))
+        assert len(shells) == len(radii)
+        for r, (u, grad) in zip(radii, shells):
+            u_ref, grad_ref = _per_mode_u_grad(sol, r * unit)
+            assert_pointwise(u, u_ref)
+            assert_pointwise(grad, grad_ref)
+
+    def test_quadrature_matches_per_shell_series(self, sol):
+        # the same strain integral with every shell evaluated on its own
+        _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, GEOM, LAME)
+
+        def per_shell(radii, unit):
+            for r in radii:
+                pts = r * unit
+                g, hess = solid_harmonic_series(sol.n, sol.m, regular, decaying, pts, hessian=True)
+                grad = np.cross(hess, pts[:, :, None], axis=1)
+                grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
+                yield np.cross(g, pts), grad
+
+        args = (LAME, sol.cfg.delta, GEOM, QuadratureRule(24, 48))
+        assert_allclose(quad_energy_shell(scattered_gradient_factory(sol), *args),
+                        quad_energy_shell(per_shell, *args), rtol=1e-13)
+
+    def test_legendre_columns_independent_of_radial_nodes(self, sol, monkeypatch):
+        orders = []
+        column = harmonics._legendre_column
+
+        def counted(n, m, ct, st):
+            orders.append(m)
+            return column(n, m, ct, st)
+
+        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        energy(sol, None, GEOM, sol.cfg, LAME)
+        probes = len(orders)
+        q_max = int(np.abs(sol.m).max())
+        counts = []
+        for n_radial in (4, 16):
+            quad = functools.partial(quad_energy_shell, n_radial=n_radial)
+            monkeypatch.setattr(oracle, "quad_energy_shell", quad)
+            orders.clear()
+            energy(sol, None, GEOM, sol.cfg, LAME, quadrature=True)
+            counts.append(len(orders) - probes)
+        assert counts[0] == counts[1] <= q_max + 3
 
 
 class TestDegreeArrays:
@@ -671,6 +752,31 @@ class TestTruncationRule:
                      (sol.phi_i, ref_sol.phi_i), (sol.phi_e, ref_sol.phi_e)):
             assert np.array_equal(a, b)
         assert src.r_s == r_s
+
+    @pytest.mark.parametrize("delta", [1e-1, 1e-4])
+    def test_degree_cap_raises_before_any_degree_array(self, delta, monkeypatch):
+        # rho = 0.999 resonates at n0 = 2302 (delta 1e-1) and 9206 (1e-4), far
+        # past the cap; the sweep point once solved to n_trunc 2322..9226
+        def built(*args, **kwargs):
+            raise AssertionError("a degree array was built past the cap")
+
+        for name in ("source_coefficient", "transfer_factors", "shell_energy"):
+            monkeypatch.setattr(tr, name, built)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n0=\d+ \(rho=0\.999, delta=.*cap of 400"):
+                solve_sweep_point(delta, ShellGeometry(0.999, 1.0), LAME, 1.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    def test_degree_cap_boundary(self):
+        # n0 = 380 reaches exactly degree 400; n0 = 381 would pass it
+        src, _ = solve_sweep_point(1e-2, GEOM, LAME, 2.5, cfg=PlasmonicConfig.resonant(380, 1e-2))
+        assert src.n_max <= 400
+        with pytest.raises(ValueError, match="n0=381"):
+            solve_sweep_point(1e-2, GEOM, LAME, 2.5, cfg=PlasmonicConfig.resonant(381, 1e-2))
 
     def test_zero_source_keeps_no_degree(self):
         src, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5, kappa=0.0)
