@@ -133,8 +133,23 @@ def _write_jsonl(path, cfg: dict, records: list[dict], summary: dict) -> None:
     Path(path).write_text("".join(json.dumps(_encode(d), allow_nan=False) + "\n" for d in lines))
 
 
+# the quantity each float flag sets, as error messages name it
+_SYMBOL = {"lam": "lambda", "ri": "r_i", "re": "r_e", "rs": "r_s"}
+
+
 def _lame(cfg: dict) -> LameParams:
-    return LameParams(cfg["lam"], cfg["mu"])
+    """The background material, built once per command after the input
+    contract is checked: every float flag finite, and the material regular
+    (real, mu > 0 and 3 lambda + 2 mu > 0)."""
+    for key, val in sorted(cfg.items()):
+        for v in val if isinstance(val, list) else [val]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"non-finite input {_SYMBOL.get(key, key)}={v}")
+    lame = LameParams(cfg["lam"], cfg["mu"])
+    if not lame.is_regular:
+        raise ValueError(f"background material needs mu > 0 and 3 lambda + 2 mu > 0, "
+                         f"got lambda={lame.lam}, mu={lame.mu}")
+    return lame
 
 
 def _geom(cfg: dict) -> ShellGeometry:
@@ -276,6 +291,11 @@ def _suite_energy(lame, geom, rule, n_max, records):
         )
 
 
+def _worst_error(records: list[ValidationRecord]) -> float:
+    """The largest rel_error, NaN if any is NaN (max() would skip it)."""
+    return float(np.max([r.rel_error for r in records], initial=0.0))
+
+
 def cmd_validate(cfg: dict) -> int:
     """Run one oracle suite.  Quadrature records carry the rule they used in
     their params (n_theta, n_phi): `gram` sizes its own rule from n_max and
@@ -302,7 +322,7 @@ def cmd_validate(cfg: dict) -> int:
     failures = sum(not r.passed for r in records)
     _write_jsonl(cfg["out"], cfg, [{**asdict(r), "passed": r.passed} for r in records],
                  {"suite": suite, "checks": len(records), "failures": failures})
-    worst = max((r.rel_error for r in records), default=0.0)
+    worst = _worst_error(records)
     print(f"suite {suite}: {len(records)} checks, {failures} failures, worst rel error {worst:.3e}")
     return 1 if failures else 0
 
@@ -312,8 +332,8 @@ def cmd_validate(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_calr(cfg: dict) -> int:
-    geom = _geom(cfg)
     lame = _lame(cfg)
+    geom = _geom(cfg)
     sweep = classify_calr(
         geom, lame, cfg["rs"], cfg["delta_grid"], kappa=cfg["kappa"],
         quadrature=not cfg["no_quad_energy"],
@@ -341,8 +361,8 @@ def cmd_field(cfg: dict) -> int:
     axis = cfg["axis"].lower()
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be one of x, y, z")
-    geom = _geom(cfg)
     lame = _lame(cfg)
+    geom = _geom(cfg)
     src, sol = solve_sweep_point(cfg["delta"], geom, lame, cfg["rs"], kappa=cfg["kappa"])
     n0 = sol.cfg.n0
     res = cfg["resolution"]

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from itertools import groupby
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -169,6 +170,55 @@ def irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     if np.any(r == 0):
         raise ValueError("irregular solid harmonic is singular at the origin")
     return eval_ylm(n, m, theta, phi) / r ** (n + 1)
+
+
+def _harmonic_table(l: int, nu: np.ndarray, abs_orders=None) -> np.ndarray:
+    """Real rows t of the degree-l harmonics at unit points given as
+    coordinate rows nu = (x, y, z) of shape (3, N); shape (2l + 1, N):
+    Y_l^a = t[l + a] + i t[l - a] (t[l] alone for a = 0) and
+    Y_l^-a = (-1)^a conj(Y_l^a), for a = 0..l, or only for the a in
+    `abs_orders` (the other rows zero); an empty table for l < 0.  No angles:
+    Y_l^a = (P~_l^a(z) / sin^a theta) (x + i y)^a, where the first factor is
+    the Legendre column seeded without its sin theta factors."""
+    x, y, z = nu
+    table = np.zeros((max(2 * l + 1, 0), len(z)))
+    re, im = np.ones_like(z), np.zeros_like(z)
+    for a in range(l + 1):
+        if abs_orders is None or a in abs_orders:
+            p = _legendre_column(l, a, z, 1.0)[-1]
+            table[l + a] = p * re
+            if a:
+                table[l - a] = p * im
+        re, im = re * x - im * y, re * y + im * x
+    return table
+
+
+def _row_weights(l: int, q: int) -> np.ndarray:
+    """Complex weights c with Y_l^q = c @ `_harmonic_table`(l, .)."""
+    c = np.zeros(2 * l + 1, dtype=complex)
+    a = abs(q)
+    sign = (-1) ** a if q < 0 else 1
+    c[l + a] = sign
+    if a:
+        c[l - a] = sign * (1j if q > 0 else -1j)
+    return c
+
+
+def _combine(c: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """c @ table for complex weights c (..., rows) and a real table
+    (rows, N), without a complex copy of the table."""
+    out = np.empty(c.shape[:-1] + table.shape[1:], dtype=complex)
+    out.real = c.real @ table
+    out.imag = c.imag @ table
+    return out
+
+
+def _ylm(l: int, orders: Iterable[int], unit) -> np.ndarray:
+    """Y_l^q for each q of `orders` at unit points (N, 3), complex
+    (len(orders), N), from one `_harmonic_table`."""
+    orders = list(orders)
+    table = _harmonic_table(l, np.asarray(unit, dtype=float).T, {abs(q) for q in orders})
+    return _combine(np.stack([_row_weights(l, q) for q in orders]), table)
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +537,52 @@ def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
 
 
 def eval_trace_mode(idx: ModeIndex, lame: "LameParams", theta, phi) -> np.ndarray:
-    """Unit-sphere trace of the vector harmonic, as an angular field (..., 3).
+    """Unit-sphere trace of the vector harmonic, as an angular field (..., 3):
+    the one-order call of `trace_modes`.
 
     T_n^m = grad_S Y_n^m x nu
     M_n^m = grad_S Y_n^m + n Y_n^m nu
     N_n^m = (a_n/(2n-1)) (-grad_S Y_{n-1}^m + n Y_{n-1}^m nu)
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    nu = _unit_vectors(theta, phi)
-    n, m = idx.n, idx.m
-    if idx.family == "T":
-        return np.cross(grad_solid_harmonic(n, m, nu), nu)
-    if idx.family == "M":
-        return grad_solid_harmonic(n, m, nu)
-    a = a_coeff(n, lame)
-    y = eval_ylm(n - 1, m, theta, phi)
-    g = grad_solid_harmonic(n - 1, m, nu)
-    return (a / (2 * n - 1)) * (-g + (2 * n - 1) * y[..., None] * nu)
+    nu = _unit_vectors(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    (mode,) = trace_modes(idx.family, idx.n, [idx.m], lame, nu.reshape(-1, 3))
+    return mode.T.reshape(nu.shape)
+
+
+def trace_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", unit) -> Iterator[np.ndarray]:
+    """The traces of `eval_trace_mode` for (family, n, m) at unit points
+    (N, 3), one complex (3, N) array per order m of `orders`, in turn.
+
+    With l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m) at nu is a
+    ladder combination (`_ladder_weights_regular`) of Y_{l-1}^{m-1..m+1}, so
+    every order is one (3 x rows) by (rows x N) product with one real table of
+    degree l - 1 (`_harmonic_table`), built once per call from the points
+    themselves; it is crossed with nu for T.  For N, Y_l^m itself is
+    nu . grad(r^l Y_l^m) / l on the sphere (Euler).  The modes are made one
+    at a time, as the returned iterator is advanced, and only the consumer
+    holds one.
+    """
+    nu = np.asarray(unit, dtype=float).T
+    x, y, z = nu
+    l = n - 1 if family == "N" else n
+    table = _harmonic_table(l - 1, nu)
+    a = a_coeff(n, lame) / (2 * n - 1) if family == "N" else None
+
+    def mode(m: int) -> np.ndarray:
+        w = np.zeros((3, len(table)), dtype=complex)
+        for d, row in _ladder_weights_regular(l, m).items():
+            for shift, c in row.items():
+                if c != 0 and abs(m + shift) <= l - 1:
+                    w[d] += c * _row_weights(l - 1, m + shift)
+        g = _combine(w, table)  # grad(r^l Y_l^m) at nu
+        if family == "T":
+            return np.stack([g[1] * z - g[2] * y, g[2] * x - g[0] * z, g[0] * y - g[1] * x])
+        if family == "M":
+            return g
+        ylm = (x * g[0] + y * g[1] + z * g[2]) / l if l else 1 / math.sqrt(4 * math.pi)
+        return a * ((2 * n - 1) * ylm * nu - g)
+
+    return map(mode, orders)
 
 
 def trace_mode_norm_sq(idx: ModeIndex, lame: "LameParams") -> float:
@@ -537,8 +615,8 @@ def gram_matrix(n_max: int, lame: "LameParams", rule) -> tuple[np.ndarray, list[
         )
     modes = mode_indices(n_max)
     pts, w = rule.surface_nodes(1.0)
-    _, theta, phi = _cartesian_angles(pts)
-    vals = np.stack([eval_trace_mode(idx, lame, theta, phi) for idx in modes])
+    vals = np.stack([mode for (fam, n), group in groupby(modes, key=lambda i: (i.family, i.n))
+                     for mode in trace_modes(fam, n, [i.m for i in group], lame, pts)])
     # G[a, b] = sum_k w_k <mode_a(k), conj mode_b(k)>
-    gram = np.einsum("kai,lai,a->kl", vals, vals.conj(), w)
+    gram = np.einsum("aik,bik,k->ab", vals, vals.conj(), w)
     return gram, modes

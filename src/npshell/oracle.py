@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonics import ModeIndex, _cartesian_angles, eval_trace_mode, eval_ylm
+from .harmonics import ModeIndex, _cartesian_angles, _unit_vectors, _ylm, trace_modes
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from .transmission import ShellGeometry
 
@@ -109,17 +109,19 @@ def _unit_nodes(rule: QuadratureRule, polar: bool) -> tuple[np.ndarray, np.ndarr
 
 
 def rotation_to_pole(x: np.ndarray) -> np.ndarray:
-    """Rotation Q with Q @ (x/|x|) = z-hat (Rodrigues, deterministic)."""
+    """Rotation Q with Q @ (x/|x|) = z-hat (Rodrigues, deterministic), for a
+    point (3,) or for each of the points (..., 3) at once, shape (..., 3, 3).
+    On the axis Q is the identity (+z-hat) or diag(1, -1, -1) (-z-hat)."""
     xh = np.asarray(x, dtype=float)
-    xh = xh / np.linalg.norm(xh)
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(xh, z)
-    s2 = v @ v
-    c = xh @ z
-    if s2 < 1e-28:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx * ((1 - c) / s2)
+    xh = xh / np.linalg.norm(xh, axis=-1, keepdims=True)
+    v = np.cross(xh, [0.0, 0.0, 1.0])
+    s2 = np.sum(v * v, axis=-1)
+    c = xh[..., 2]
+    vx = np.cross(np.eye(3), v[..., None, :])  # row i: e_i x v, so vx @ u = v x u
+    on_axis = s2 < 1e-28
+    q = np.eye(3) + vx + vx @ vx * ((1 - c) / np.where(on_axis, 1.0, s2))[..., None, None]
+    pole = np.where(c[..., None, None] > 0, np.eye(3), np.diag([1.0, -1.0, -1.0]))
+    return np.where(on_axis[..., None, None], pole, q)
 
 
 def quad_surface_integral(f: Callable, rule: QuadratureRule, radius: float = 1.0) -> complex:
@@ -134,7 +136,8 @@ def _rotated_sources(idx: ModeIndex, lame: LameParams, x, rule: QuadratureRule, 
     q = rotation_to_pole(x)
     pts, w = rule.polar_nodes(r0)
     y = pts @ q
-    return q, y, w, eval_trace_mode(idx, lame, *_cartesian_angles(y)[1:])
+    (dens,) = trace_modes(idx.family, idx.n, [idx.m], lame, y / r0)
+    return q, y, w, dens.T
 
 
 def quad_scalar_sl(
@@ -188,8 +191,7 @@ def _projection_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit nodes of the (l + 1) x (2l + 2) product rule, exact for degree
     2l + 1, and conj(Y_l^k) w at them for k = -l..l, shape (2l + 1, N)."""
     pts, w = QuadratureRule(l + 1, 2 * l + 2).surface_nodes()
-    _, theta, phi = _cartesian_angles(pts)
-    ylm_w = np.stack([eval_ylm(l, k, theta, phi).conj() * w for k in range(-l, l + 1)])
+    ylm_w = _ylm(l, range(-l, l + 1), pts).conj() * w
     ylm_w.setflags(write=False)
     return pts, ylm_w
 
@@ -197,9 +199,12 @@ def _projection_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
 def _wigner_d_column(l: int, m: int, q: np.ndarray) -> np.ndarray:
     """D^l_{km}(Q) for k = -l..l, defined by Y_l^m(Q^T p) = sum_k D_{km} Y_l^k(p):
     the projection of the rotated harmonic onto each Y_l^k, by a rule exact
-    for the degree-2l products."""
+    for the degree-2l products.  For rotations q (..., 3, 3), shape
+    (..., 2l + 1): one harmonic evaluation over every rotated node set."""
     pts, ylm_w = _projection_rule(l)
-    return ylm_w @ eval_ylm(l, m, *_cartesian_angles(pts @ q)[1:])
+    rotated = pts @ q
+    ylm = _ylm(l, [m], rotated.reshape(-1, 3))[0].reshape(rotated.shape[:-1])
+    return ylm @ ylm_w.T
 
 
 def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float):
@@ -208,27 +213,34 @@ def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: f
     modes of degree l = idx.scalar_degree are rotation covariant,
     Q phi_m(Q^T p) = sum_k D^l_{km}(Q) phi_k(p), so the (3, 3, N) pole blocks
     -b1 K1 w and K2 w are summed once against each phi_k, k = -l..l (the K1
-    subtraction at phi_k(z-hat)), and a target only combines those 2l + 1
-    pole integrals with its Wigner-D column and turns the sum back by Q^T."""
+    subtraction at phi_k(z-hat)).  The 2l + 1 modes stream, one at a time,
+    from one harmonic table of the unit nodes and z-hat (`trace_modes`).
+    The returned map takes targets x (..., 3) in one pass: all rotations Q
+    at once, all Wigner-D columns from one projection, and each target's sum
+    of the 2l + 1 pole integrals turned back by Q^T."""
     p, w = rule.polar_nodes(r0)
     z = np.array([0.0, 0.0, 1.0])
     k1 = -KernelCoeffs.from_lame(lame).b1 * k1_kernel(r0 * z, p, z)
     k2 = k2_kernel(r0 * z, p, z, lame)
     k1w, k2w = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1, k2))
     del k1, k2  # only the weighted blocks stay live while the modes are summed
-    _, theta, phi = _cartesian_angles(np.vstack([p, z]))  # the nodes, then z-hat
 
-    def pole_integral(k: int) -> np.ndarray:
-        dens = eval_trace_mode(ModeIndex(idx.family, idx.n, k), lame, theta, phi).T
+    def contracted(dens: np.ndarray) -> np.ndarray:
         psi, c = dens[:, :-1], dens[:, -1]
-        return fsum_c(sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3)))
+        return sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
 
+    # The modes are evaluated at the unit vectors of the nodes' angles: the K1
+    # subtraction amplifies a one-ulp, ring-wise shift of the density points
+    # near the pole by ~1/theta, so the Cartesian nodes themselves would move
+    # the n <= 6 eigenvalues on 64 x 128 by up to 6e-13 relative.
     l = idx.scalar_degree
-    pole_integrals = np.stack([pole_integral(k) for k in range(-l, l + 1)])
+    unit = _unit_vectors(*_cartesian_angles(np.vstack([p, z]))[1:])  # the nodes, then z-hat
+    modes = trace_modes(idx.family, idx.n, range(-l, l + 1), lame, unit)
+    pole_integrals = np.stack([fsum_c(s) for s in map(contracted, modes)])  # no mode outlives its sum
 
     def at(x: np.ndarray) -> np.ndarray:
         q = rotation_to_pole(x)
-        return q.T @ (_wigner_d_column(l, idx.m, q) @ pole_integrals)
+        return np.einsum("...ji,...j->...i", q, _wigner_d_column(l, idx.m, q) @ pole_integrals)
 
     return at
 
@@ -270,8 +282,11 @@ def quad_np_apply(
     max(k + 2, 4) Gauss nodes for scalar degree k.
     Each outer node is a quad_np_pointwise in one pole frame (Graham & Sloan,
     Numer. Math. 2002; Ganesh & Graham, J. Comput. Phys. 2004): K1/K2 and
-    the 2l + 1 pole integrals are computed once per call, and each node only
-    combines them with its Wigner-D column.
+    the 2l + 1 pole integrals are computed once per call, their modes
+    streamed from one harmonic table.  The outer nodes then go through in
+    one pass: one vectorised rotation to the pole each, all Wigner-D columns
+    from one projection of the rotated rule nodes, and the mode on the outer
+    grid from the same trace evaluator.
     A residual above residual_tol raises NonEigenfunctionError.  The
     residual is the part of K*[phi] outside the mode, so it catches an input
     that is not an eigenfunction and a quadrature error that mixes in other
@@ -284,17 +299,14 @@ def quad_np_apply(
     xt, wt = _leggauss(max(idx.scalar_degree + 2, 4))
     theta = np.arccos(np.asarray(xt))
     phi = 2 * np.pi * np.arange(n_phi_out) / n_phi_out
-    T, P = np.meshgrid(theta, phi, indexing="ij")
     w = np.repeat(np.asarray(wt), n_phi_out) * (2 * np.pi / n_phi_out) * r0**2
-    st, ct = np.sin(T), np.cos(T)
-    pts = r0 * np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1).reshape(-1, 3)
-    modes = eval_trace_mode(idx, lame, *_cartesian_angles(pts)[1:])
-    at = _pole_frame_np(idx, lame, rule, r0)
-    vals = np.stack([at(p) for p in pts])
-    num = fsum_c(np.sum(vals * modes.conj(), axis=1) * w)
-    den = fsum_c(np.sum(modes * modes.conj(), axis=1) * w)
+    unit = _unit_vectors(*np.meshgrid(theta, phi, indexing="ij")).reshape(-1, 3)
+    (modes,) = trace_modes(idx.family, idx.n, [idx.m], lame, unit)
+    vals = _pole_frame_np(idx, lame, rule, r0)(r0 * unit).T
+    num = fsum_c(np.sum(vals * modes.conj(), axis=0) * w)
+    den = fsum_c(np.sum(modes * modes.conj(), axis=0) * w)
     xi = num / den
-    resid2 = fsum_c(np.sum(np.abs(vals - xi * modes) ** 2, axis=1) * w).real
+    resid2 = fsum_c(np.sum(np.abs(vals - xi * modes) ** 2, axis=0) * w).real
     resid = math.sqrt(max(resid2, 0.0) / den.real)
     if resid > residual_tol:
         raise NonEigenfunctionError(

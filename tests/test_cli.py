@@ -1,10 +1,12 @@
 """Command-line interface: artifacts, determinism, config precedence, exit codes."""
 
 import json
+import math
 
 import pytest
 
-from npshell.cli import main
+from npshell.cli import _worst_error, main
+from npshell.oracle import ValidationRecord
 
 
 def _strict_json(line):
@@ -117,6 +119,13 @@ class TestValidate:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: N-P mode {mode}: projection residual ")
         assert not out.exists()
+
+    def test_worst_error_keeps_nan(self):
+        # max() skips a NaN that is not first: "18 failures, worst rel error 1.5e-14"
+        records = [ValidationRecord("op", {}, 1.0, 1.0, e, 1e-6) for e in (1.5e-14, math.nan, 2e-15)]
+        assert math.isnan(_worst_error(records))
+        assert _worst_error(records[::2]) == 1.5e-14
+        assert _worst_error([]) == 0.0
 
     @pytest.mark.parametrize("n_theta", ["0", "-1"])
     def test_colatitude_nodes_below_one_rejected(self, tmp_path, capsys, n_theta):
@@ -353,6 +362,26 @@ class TestConfigHandling:
         # sweep past the degree cap (n_trunc up to 9226) for the thin shell
         out = tmp_path / "s.jsonl"
         rc = main(["calr", *argv, "--no-quad-energy", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and names in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, names", [
+        (["calr", "--mu", "nan"], "mu=nan"),
+        (["calr", "--mu", "-1"], "mu=-1.0"),
+        (["calr", "--lambda", "-5"], "lambda=-5.0"),
+        (["calr", "--kappa", "inf"], "kappa=inf"),
+        (["calr", "--rs", "inf"], "r_s=inf"),
+        (["field", "--extent", "nan"], "extent=nan"),
+        (["spectrum", "--lambda", "nan"], "lambda=nan"),
+    ], ids=["calr-mu-nan", "calr-mu-negative", "calr-lambda-nonconvex", "calr-kappa-inf",
+            "calr-rs-inf", "field-extent-nan", "spectrum-lambda-nan"])
+    def test_non_finite_or_non_physical_input_exit_code(self, tmp_path, capsys, argv, names):
+        # each once exited 0 with a NaN, empty or non-physical artifact
+        out = tmp_path / "a.out"
+        extra = ["--no-quad-energy"] if argv[0] == "calr" else []
+        rc = main([*argv, *extra, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and names in err

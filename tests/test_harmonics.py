@@ -29,7 +29,9 @@ from npshell.harmonics import (
     solid_harmonic_series,
     surface_gradient_ylm,
     trace_mode_norm_sq,
+    trace_modes,
     _legendre_column,
+    _ylm,
     _unit_vectors,
 )
 from npshell.kelvin import LameParams
@@ -276,6 +278,55 @@ class TestModes:
             c = 0.37 - 0.81j
             field = c * plus + (-1) ** m * np.conj(c) * minus
             assert np.max(np.abs(field.imag)) < 1e-13
+
+
+def _ladder_trace_mode(idx, lame, theta, phi):
+    """The single-mode ladder path: one gradient ladder per mode, each shifted
+    harmonic from its own Legendre recurrence at the point's angles."""
+    nu = _unit_vectors(theta, phi)
+    n, m = idx.n, idx.m
+    if idx.family == "T":
+        return np.cross(grad_solid_harmonic(n, m, nu), nu)
+    if idx.family == "M":
+        return grad_solid_harmonic(n, m, nu)
+    a = a_coeff(n, lame)
+    y = eval_ylm(n - 1, m, theta, phi)
+    g = grad_solid_harmonic(n - 1, m, nu)
+    return (a / (2 * n - 1)) * (-g + (2 * n - 1) * y[..., None] * nu)
+
+
+class TestTraceModes:
+    """trace_modes (one harmonic table for all orders of a degree, at unit
+    points) against the single-mode ladder path."""
+
+    @pytest.mark.parametrize("fam", ["T", "M", "N"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_ladder_path(self, fam, n, rng):
+        theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 40)), [0.0, np.pi]])
+        phi = np.concatenate([rng.uniform(0, 2 * np.pi, 40), [0.0, 0.0]])  # both poles
+        lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
+        mmax = n - 1 if fam == "N" else n
+        orders = range(-mmax, mmax + 1)
+        for m, mode in zip(orders, trace_modes(fam, n, orders, lp, _unit_vectors(theta, phi)), strict=True):
+            ref = _ladder_trace_mode(ModeIndex(fam, n, m), lp, theta, phi)
+            assert mode.shape == (3, len(theta))
+            assert np.max(np.abs(mode.T - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_orders_stream_in_request_order(self, lame, rng):
+        unit = _unit_vectors(*random_surface_angles(rng, 5))
+        modes = trace_modes("T", 3, [2, -3, 2], lame, unit)
+        assert not isinstance(modes, (list, tuple))
+        first, second, third = modes
+        (alone,) = trace_modes("T", 3, [-3], lame, unit)
+        assert np.array_equal(first, third) and np.array_equal(second, alone)
+
+    @pytest.mark.parametrize("l", range(9))
+    def test_scalar_harmonics_match_eval_ylm(self, l, rng):
+        theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 40)), [0.0, np.pi]])
+        phi = np.concatenate([rng.uniform(0, 2 * np.pi, 40), [0.0, 0.0]])
+        ylm = _ylm(l, range(-l, l + 1), _unit_vectors(theta, phi))
+        ref = np.stack([eval_ylm(l, k, theta, phi) for k in range(-l, l + 1)])
+        assert_allclose(ylm, ref, rtol=0, atol=1e-14)
 
 
 def _grad_s_at(n, m, pts):

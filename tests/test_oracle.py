@@ -18,6 +18,7 @@ from npshell.harmonics import (
     eval_solid_mode,
     eval_trace_mode,
     eval_ylm,
+    trace_modes,
 )
 from npshell.kelvin import KernelCoeffs, LameParams, k1_kernel, k2_kernel
 from npshell.oracle import (
@@ -69,6 +70,27 @@ class TestQuadratureRule:
         assert_allclose(rotation_to_pole(np.array([0, 0, 1.0])), np.eye(3))
         q = rotation_to_pole(np.array([0, 0, -1.0]))
         assert_allclose(q @ np.array([0, 0, -1.0]), [0, 0, 1], atol=1e-15)
+
+    def test_rotations_of_many_targets_at_once(self, rng):
+        x = np.vstack([rng.normal(size=(20, 3)), [[0, 0, 2.0], [0, 0, -0.5]]])
+        q = rotation_to_pole(x.reshape(2, 11, 3))
+        assert q.shape == (2, 11, 3, 3)
+        for xi, qi in zip(x, q.reshape(-1, 3, 3)):
+            assert_allclose(qi, _rotation_to_pole_one(xi), rtol=0, atol=1e-15)
+        assert np.array_equal(q[1, -2], np.eye(3)) and np.array_equal(q[1, -1], np.diag([1.0, -1.0, -1.0]))
+
+
+def _rotation_to_pole_one(x):
+    """Rodrigues rotation of one point to z-hat, the special cases +-z-hat apart."""
+    xh = x / np.linalg.norm(x)
+    z = np.array([0.0, 0.0, 1.0])
+    v = np.cross(xh, z)
+    s2 = v @ v
+    c = xh @ z
+    if s2 < 1e-28:
+        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    return np.eye(3) + vx + vx @ vx * ((1 - c) / s2)
 
 
 class TestSurfaceIntegral:
@@ -270,12 +292,13 @@ class TestPoleFrame:
         rule = QuadratureRule(16, 32)
         orders = []
 
-        def counted(j, *args):
-            if np.size(args[1]) >= rule.n_theta * rule.n_phi:
-                orders.append(j.m)
-            return eval_trace_mode(j, *args)
+        def counted(family, n, js, lame, unit):
+            js = list(js)
+            if len(unit) >= rule.n_theta * rule.n_phi:
+                orders.extend(js)
+            return trace_modes(family, n, js, lame, unit)
 
-        monkeypatch.setattr(oracle, "eval_trace_mode", counted)
+        monkeypatch.setattr(oracle, "trace_modes", counted)
         quad_np_apply(idx, lame, rule)
         l = idx.scalar_degree
         assert orders == list(range(-l, l + 1))
@@ -303,6 +326,15 @@ class TestWignerDColumn:
             for m in range(-l, l + 1):
                 d = oracle._wigner_d_column(l, m, q)
                 assert_allclose(d @ ylm, _ylm_at(l, m, p @ q), rtol=0, atol=1e-13)
+
+
+    def test_columns_of_many_rotations_at_once(self, rng):
+        qs = np.stack([_random_rotation(rng) for _ in range(4)]).reshape(2, 2, 3, 3)
+        for l, m in [(0, 0), (3, -2), (6, 6)]:
+            d = oracle._wigner_d_column(l, m, qs)
+            assert d.shape == (2, 2, 2 * l + 1)
+            for qi, di in zip(qs.reshape(-1, 3, 3), d.reshape(-1, 2 * l + 1)):
+                assert_allclose(di, oracle._wigner_d_column(l, m, qi), rtol=0, atol=1e-14)
 
 
 def _np_pointwise_at_target(idx, x, lame, rule, r0):
