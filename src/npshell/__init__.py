@@ -6,7 +6,7 @@ resonance, and brute-force quadrature / finite-difference oracles that
 cross-check every closed form.
 """
 
-from .harmonics import ModeIndex, SurfacePoint, a_coeff, eval_solid_mode, eval_trace_mode, eval_ylm
+from .harmonics import ModeIndex, a_coeff, eval_solid_mode, eval_trace_mode, eval_ylm
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, kelvin_matrix, traction_kernel
 from .oracle import FDStencil, QuadratureRule
 from .potentials import (
@@ -36,7 +36,6 @@ __all__ = [
     "QuadratureRule",
     "ShellGeometry",
     "SourceSpectrum",
-    "SurfacePoint",
     "a_coeff",
     "choose_n0",
     "classify_calr",

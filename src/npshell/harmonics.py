@@ -5,15 +5,20 @@ their surface gradients, and the three orthogonal vector-harmonic families
 T/M/N that diagonalize the elastostatic Neumann-Poincare operator, in both
 solid (volume) and trace (surface) form.
 
-All evaluation is Cartesian-ladder based so it is well defined on the polar
-axis; no 1/sin(theta) formulas are used on the hot paths.
+Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
+per order a, the Legendre column in z = cos theta seeded without its
+sin^a theta, times Re/Im (x + i y)^a of the unit vectors.  No angle is
+formed, so the table is exact on the polar axis and keeps full accuracy
+next to it.  The seed's single-mode ladder family (`eval_ylm`,
+`solid_harmonic`, `grad_`/`hess_[ir]regular_solid_harmonic`), which goes
+through arccos/arctan2, is kept as the tests' independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -62,28 +67,6 @@ class ModeIndex:
     def scalar_degree(self) -> int:
         """Degree of the scalar harmonic appearing in the trace."""
         return self.n - 1 if self.family == "N" else self.n
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Point on an origin-centered sphere, colatitude/azimuth plus radius."""
-
-    theta: float
-    phi: float
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    @property
-    def unit_normal(self) -> np.ndarray:
-        st, ct = math.sin(self.theta), math.cos(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.radius * self.unit_normal
 
 
 def mode_indices(n_max: int, families: Iterable[str] = FAMILIES) -> list[ModeIndex]:
@@ -172,24 +155,31 @@ def irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     return eval_ylm(n, m, theta, phi) / r ** (n + 1)
 
 
-def _harmonic_table(l: int, nu: np.ndarray, abs_orders=None) -> np.ndarray:
-    """Real rows t of the degree-l harmonics at unit points given as
-    coordinate rows nu = (x, y, z) of shape (3, N); shape (2l + 1, N):
-    Y_l^a = t[l + a] + i t[l - a] (t[l] alone for a = 0) and
-    Y_l^-a = (-1)^a conj(Y_l^a), for a = 0..l, or only for the a in
-    `abs_orders` (the other rows zero); an empty table for l < 0.  No angles:
-    Y_l^a = (P~_l^a(z) / sin^a theta) (x + i y)^a, where the first factor is
-    the Legendre column seeded without its sin theta factors."""
+def _harmonic_columns(top: int, nu: np.ndarray, abs_orders: Iterable[int]):
+    """The harmonic table at unit points nu = (x, y, z) of shape (3, N), one
+    order a of `abs_orders` (<= top) at a time, increasing: (a, column,
+    (re, im)) with Y_k^a = column[k - a] (re + i im), k = a..top.  No angles:
+    column holds P~_k^a(z) / sin^a theta (`_legendre_column` seeded without
+    its sin theta factors) and re + i im = (x + i y)^a."""
     x, y, z = nu
-    table = np.zeros((max(2 * l + 1, 0), len(z)))
+    abs_orders = set(abs_orders)
     re, im = np.ones_like(z), np.zeros_like(z)
-    for a in range(l + 1):
-        if abs_orders is None or a in abs_orders:
-            p = _legendre_column(l, a, z, 1.0)[-1]
-            table[l + a] = p * re
-            if a:
-                table[l - a] = p * im
+    for a in range(max(abs_orders, default=-1) + 1):
+        if a in abs_orders:
+            yield a, _legendre_column(top, a, z, 1.0), (re, im)
         re, im = re * x - im * y, re * y + im * x
+
+
+def _harmonic_table(l: int, nu: np.ndarray, abs_orders) -> np.ndarray:
+    """Real rows t of the degree-l harmonics at unit points nu (3, N) from
+    `_harmonic_columns`; shape (2l + 1, N): Y_l^a = t[l + a] + i t[l - a]
+    (t[l] alone for a = 0) and Y_l^-a = (-1)^a conj(Y_l^a), for the a of
+    `abs_orders` (the other rows zero); an empty table for l < 0."""
+    table = np.zeros((max(2 * l + 1, 0), nu.shape[1]))
+    for a, column, (re, im) in _harmonic_columns(l, nu, abs_orders):
+        table[l + a] = column[-1] * re
+        if a:
+            table[l - a] = column[-1] * im
     return table
 
 
@@ -332,8 +322,21 @@ def hess_irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     return out
 
 
+def _rotation_weights(n: int, m: int) -> dict:
+    """grad(f) x x = -i L f for f = r^n Y_n^m or Y_n^m / r^(n+1), as weights
+    on f's radial factor times Y_n^(m+s), per component (angular momentum:
+    L_z Y_n^m = m Y_n^m, L_+- Y_n^m = sqrt((n -+ m)(n +- m + 1)) Y_n^(m+-1))."""
+    up = math.sqrt(max((n - m) * (n + m + 1), 0))
+    down = math.sqrt(max((n + m) * (n - m + 1), 0))
+    return {
+        0: {+1: -0.5j * up, -1: -0.5j * down},
+        1: {+1: -0.5 * up, -1: 0.5 * down},
+        2: {0: -1j * m},
+    }
+
+
 # ---------------------------------------------------------------------------
-# batched derivatives of a solid-harmonic series
+# batched T field of a solid-harmonic series
 # ---------------------------------------------------------------------------
 
 # Points per Legendre block: large enough for BLAS, small enough that the
@@ -342,52 +345,53 @@ _BLOCK = 256
 
 
 @lru_cache(maxsize=256)
-def _ladder_block(decaying: bool, n: int, m: int, hessian: bool) -> np.ndarray:
-    """Read-only weights of grad (component 0-2) and Hess[i, j] (3 + 3 i + j)
-    of one solid harmonic on the harmonics of order m-2..m+2 (axis 0) and
-    degree n-2, n-1 (regular) or n+1, n+2 (decaying) (axis 2): the ladders
-    of grad_/hess_[ir]regular_solid_harmonic."""
+def _rotation_block(decaying: bool, n: int, m: int, gradient: bool) -> np.ndarray:
+    """Read-only weights of u = grad(f) x x (component 0-2) and d_j u_i
+    (3 + 3 i + j) of one solid harmonic f on the harmonics of order m-2..m+2
+    (axis 0) and degree n-1, n (regular) or n, n+1 (decaying) (axis 2):
+    `_rotation_weights`, then the ladder of grad_[ir]regular_solid_harmonic."""
     weights = _ladder_weights_irregular if decaying else _ladder_weights_regular
     step = 1 if decaying else -1
-    block = np.zeros((5, 12 if hessian else 3, 2), dtype=complex)
-    for j, w1 in weights(n, m).items():
+    block = np.zeros((5, 12 if gradient else 3, 2), dtype=complex)
+    for i, w1 in _rotation_weights(n, m).items():
         for s1, c1 in w1.items():
-            if c1 == 0 or abs(m + s1) > n + step:
+            if c1 == 0:
                 continue
-            block[2 + s1, j, int(not decaying)] += c1
-            for i, w2 in weights(n + step, m + s1).items() if hessian else ():
+            block[2 + s1, i, int(not decaying)] += c1
+            for j, w2 in weights(n, m + s1).items() if gradient else ():
                 for s2, c2 in w2.items():
-                    if c2 != 0 and abs(m + s1 + s2) <= n + 2 * step:
+                    if c2 != 0 and abs(m + s1 + s2) <= n + step:
                         block[2 + s1 + s2, 3 + 3 * i + j, int(decaying)] += c1 * c2
     block.setflags(write=False)
     return block
 
 
-def _series_orders(n, m, regular, decaying, hessian: bool):
-    """Coefficient stages of a solid-harmonic series: the ladder weights of
+def _series_orders(n, m, regular, decaying, gradient: bool):
+    """Coefficient stages of a solid-harmonic series: the `_rotation_block` of
     every mode summed into one row per (kind, degree, order), then the orders
-    +-a recombined into one real matrix per order a = 0..q_max + 1 (+ 2 with
-    the Hessian).  Matrix a has shape (cos/sin part, re/im, kind, derivative
-    component, degree k = a..top); returns (kinds present, top, matrices)."""
-    ncomp, step = (12, 2) if hessian else (3, 1)
+    +-a recombined into one real matrix per order a <= q_max + 1 (+ 2 with
+    the gradient) and <= top.  Matrix a has shape (Re/Im (x + i y)^a part,
+    re/im, kind, component, degree k = a..top); returns (kinds present, top,
+    matrices)."""
+    ncomp, step = (12, 2) if gradient else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
     coeffs = (regular, decaying)
     kinds = [kind for kind in (0, 1) if coeffs[kind] is not None and n.size]
     q_max = int(np.abs(m).max(initial=0))
     n_max = int(n.max(initial=0))
-    top = n_max + step  # highest degree a derivative reaches
+    top = n_max + step - 1  # highest degree reached (grad u of a decaying term)
     # rows[kind, q + q_max + 2, comp, k + 2]: weight of the solid harmonic of
-    # degree k and order q in derivative component comp
+    # degree k and order q in component comp
     rows = np.zeros((2, 2 * q_max + 5, ncomp, n_max + 5), dtype=complex)
     for kind in kinds:
         for nk, mk, c in zip(n.tolist(), m.tolist(), coeffs[kind]):
-            lo = nk + 3 if kind else nk
-            rows[kind, mk + q_max:mk + q_max + 5, :, lo:lo + 2] += c * _ladder_block(
-                bool(kind), nk, mk, hessian)
+            lo = nk + 1 + kind
+            rows[kind, mk + q_max:mk + q_max + 5, :, lo:lo + 2] += c * _rotation_block(
+                bool(kind), nk, mk, gradient)
     orders = []
-    for a in range(q_max + step + 1) if kinds else ():
+    for a in range(min(q_max + step, top) + 1) if kinds else ():
         # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
-        # combine into real matrices for the cos(a phi) and sin(a phi) parts.
+        # combine into real matrices for the Re and Im (x + i y)^a parts.
         plus = rows[kinds, q_max + 2 + a, :, a + 2:top + 3]
         minus = (-1) ** a * rows[kinds, q_max + 2 - a, :, a + 2:top + 3]
         coef = np.stack([plus + minus, 1j * (plus - minus)] if a else [plus])
@@ -395,97 +399,84 @@ def _series_orders(n, m, regular, decaying, hessian: bool):
     return kinds, top, orders
 
 
-def _angular_table(top: int, n_orders: int, pts: np.ndarray):
-    """|x| of points (N, 3), and per order a < n_orders the angular part of
-    their harmonics: P~_k^a(cos theta) for k = a..top, cos(a phi), sin(a phi)."""
-    r, theta, phi = _cartesian_angles(pts)
-    ct, st = np.cos(theta), np.sin(theta)
-    return r, [(_legendre_column(top, a, ct, st), (np.cos(a * phi), np.sin(a * phi)))
-               for a in range(n_orders)]
-
-
 def _series_eval(kinds, orders, table, powers: np.ndarray, out: np.ndarray) -> None:
-    """Add the series at the table's points to out (re/im, comp, point).
+    """Add the series at the points of the `_harmonic_columns` table to out
+    (re/im, comp, point).
 
     powers holds r^0..r^(top + 1): shape (top + 2, points) for scattered
     points, or (top + 2,) when every point has the same radius, which then
     folds r^k (regular) and r^-(k+1) (decaying) into the coefficient rows.
     """
-    for a, (coef, (col, trig)) in enumerate(zip(orders, table)):
+    for coef, (a, col, trig) in zip(orders, table):
         if powers.ndim == 1:
             f = np.stack([1.0 / powers[a + 1:] if kind else powers[a:-1] for kind in kinds])
             val = np.matmul((coef * f[:, None]).sum(axis=2), col)
         else:
             radial = np.stack([col / powers[a + 1:] if kind else col * powers[a:-1] for kind in kinds])
-            # (cos/sin part, re/im, comp, point) by one real BLAS contraction
+            # (Re/Im (x + i y)^a part, re/im, comp, point), one real contraction
             val = np.tensordot(coef, radial, ([2, 4], [0, 1]))
         for part, t in zip(val, trig):
             out += part * t
 
 
-def _grad_hess(out: np.ndarray, shape: tuple, hessian: bool):
+def _field_gradient(out: np.ndarray, shape: tuple, gradient: bool):
     out = (out[0] + 1j * out[1]).T
-    grad = out[:, :3].reshape(shape)
-    hess = out[:, 3:].reshape(shape + (3,)) if hessian else None
-    return grad, hess
+    return out[:, :3].reshape(shape), out[:, 3:].reshape(shape + (3,)) if gradient else None
 
 
-def solid_harmonic_series(n, m, regular, decaying, xyz, hessian: bool = False):
-    """grad F, and Hess F if asked, of the scalar potential
-    F = sum c_n^m r^n Y_n^m + sum d_n^m Y_n^m / r^(n+1) at points (..., 3).
+def _unit_and_radius(pts: np.ndarray):
+    """(x / |x| as coordinate rows (3, N), |x|) of points (N, 3); the origin
+    gets the unit vector z-hat, where every term a regular series keeps
+    (r^0 Y_0^0) is constant."""
+    r = np.linalg.norm(pts, axis=-1)
+    unit = np.divide(pts.T, r, out=np.zeros_like(pts.T), where=r > 0)
+    unit[2, r == 0] = 1.0
+    return unit, r
+
+
+def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
+    """The T field u = grad F x x of the scalar potential
+    F = sum c_n^m r^n Y_n^m + sum d_n^m Y_n^m / r^(n+1) at points (..., 3),
+    and grad u ([..., i, j] = d_j u_i) if asked.
 
     `regular` and `decaying` are the coefficient arrays c and d, aligned with
     the integer arrays of degrees `n` and orders `m`; None drops that kind.
-    Three stages: the ladder weights of every mode are summed into one
-    coefficient row per (kind, degree, order) and recombined into one real
-    matrix per order |m| (`_series_orders`); per block of points each order
-    then needs one real Legendre column and cos/sin(|m| phi)
-    (`_angular_table`), which meet the per-point r^k or r^-(k+1) in one
-    contraction (`_series_eval`).  `solid_harmonic_shells` shares the stages
-    on concentric shells.  Returns (grad (..., 3), Hess (..., 3, 3) or None),
-    complex.  Decaying terms need r > 0.
+    u = -i L F is read off harmonics of the same degrees (`_rotation_weights`);
+    a cross product would cancel the radial part of grad F in the last
+    digits.  The weights of every mode are summed into one real matrix per
+    order |m| (`_series_orders`); per block of points each order meets its
+    `_harmonic_columns` entry at x / r and the per-point r^k or r^-(k+1) in
+    one contraction (`_series_eval`).  Returns (u (..., 3), grad u
+    (..., 3, 3) or None), complex.  Decaying terms need r > 0.
     """
     xyz = np.asarray(xyz, dtype=float)
     pts = xyz.reshape(-1, 3)
-    kinds, top, orders = _series_orders(n, m, regular, decaying, hessian)
-    out = np.zeros((2, 12 if hessian else 3, len(pts)))
+    kinds, top, orders = _series_orders(n, m, regular, decaying, gradient)
+    out = np.zeros((2, 12 if gradient else 3, len(pts)))
     for lo in range(0, len(pts), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        r, table = _angular_table(top, len(orders), pts[blk])
+        unit, r = _unit_and_radius(pts[blk])
+        table = _harmonic_columns(top, unit, range(len(orders)))
         _series_eval(kinds, orders, table, r ** np.arange(top + 2.0)[:, None], out[:, :, blk])
-    return _grad_hess(out, xyz.shape, hessian)
+    return _field_gradient(out, xyz.shape, gradient)
 
 
-def solid_harmonic_shells(n, m, regular, decaying, radii, unit, hessian: bool = False):
-    """The (grad F, Hess F or None) of `solid_harmonic_series` at the points
+def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False):
+    """The (u, grad u or None) of `solid_harmonic_series` at the points
     r * unit, one shell at a time, for each radius r of `radii`.
 
-    `unit` holds unit directions (N, 3).  Their angular table (one Legendre
-    column and cos/sin(a phi) per order a) is built once for all shells; each
-    shell folds its r^k and r^-(k+1) into the per-order coefficient rows and
-    costs one (rows x degrees) by (degrees x N) product per order.
+    `unit` holds unit directions (N, 3), whose `_harmonic_columns` are built
+    once for all shells; each shell folds its r^k and r^-(k+1) into the
+    per-order coefficient rows and costs one (rows x degrees) by
+    (degrees x N) product per order.
     """
     unit = np.asarray(unit, dtype=float)
-    kinds, top, orders = _series_orders(n, m, regular, decaying, hessian)
-    _, table = _angular_table(top, len(orders), unit)
+    kinds, top, orders = _series_orders(n, m, regular, decaying, gradient)
+    table = list(_harmonic_columns(top, unit.T, range(len(orders))))
     for r in radii:
-        out = np.zeros((2, 12 if hessian else 3, len(unit)))
+        out = np.zeros((2, 12 if gradient else 3, len(unit)))
         _series_eval(kinds, orders, table, r ** np.arange(top + 2.0), out)
-        yield _grad_hess(out, unit.shape, hessian)
-
-
-def surface_gradient_ylm(n: int, m: int, theta, phi) -> np.ndarray:
-    """Surface gradient of Y_n^m on the unit sphere, tangential (..., 3).
-
-    Computed as grad(r^n Y_n^m) - n Y_n^m nu restricted to r = 1, which is
-    finite on the polar axis.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    nu = _unit_vectors(theta, phi)
-    g = grad_solid_harmonic(n, m, nu)
-    y = eval_ylm(n, m, theta, phi)
-    return g - n * y[..., None] * nu
+        yield _field_gradient(out, unit.shape, gradient)
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:
@@ -513,6 +504,27 @@ def a_coeff(n: int, lame: "LameParams") -> complex:
     return complex(val) if isinstance(val, complex) else float(val)
 
 
+def _table_fields(degree: int, weights, orders: Iterable[int], nu: np.ndarray) -> Iterator[np.ndarray]:
+    """The fields sum_d sum_s weights(m)[d][s] Y_degree^(m+s) e_d at unit
+    points nu (3, N), one complex (3, N) array per order m of `orders`, in
+    turn: each one (3 x rows) by (rows x N) product with one real
+    `_harmonic_table` of that degree, built once per call for the orders the
+    weights reach (ladder weights: grad(r^l Y_l^m) at nu, for degree l - 1)."""
+    orders = list(orders)
+    reach = {abs(m + s) for m in orders for s in (-1, 0, 1) if abs(m + s) <= degree}
+    table = _harmonic_table(degree, nu, reach)
+
+    def field(m: int) -> np.ndarray:
+        w = np.zeros((3, len(table)), dtype=complex)
+        for d, row in weights(m).items():
+            for shift, c in row.items():
+                if c != 0 and abs(m + shift) <= degree:
+                    w[d] += c * _row_weights(degree, m + shift)
+        return _combine(w, table)
+
+    return map(field, orders)
+
+
 def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
     """Solid (volume) vector harmonic at Cartesian points (..., 3).
 
@@ -521,19 +533,26 @@ def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
     N_n^m = a_n r^{n-1} Y_{n-1}^m x + (1 - a_n/(2n-1) - r^2) grad(r^{n-1} Y_{n-1}^m)
 
     All three solve the homogeneous Lame system; T and M do not depend on
-    the material.
+    the material.  One `_table_fields` at x / r, scaled by homogeneity:
+    T_n^m = -i L (r^n Y_n^m) is r^n times `_rotation_weights` on degree n;
+    with l the scalar degree, grad(r^l Y_l^m) is r^(l-1) times the ladder on
+    degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m) / l (Euler).
     """
     xyz = np.asarray(xyz, dtype=float)
-    n, m = idx.n, idx.m
+    pts = xyz.reshape(-1, 3)
+    unit, r = _unit_and_radius(pts)
+    x = pts.T
+    n, m, l = idx.n, idx.m, idx.scalar_degree
     if idx.family == "T":
-        return np.cross(grad_solid_harmonic(n, m, xyz), xyz)
-    if idx.family == "M":
-        return grad_solid_harmonic(n, m, xyz)
-    a = a_coeff(n, lame)
-    r2 = np.sum(xyz * xyz, axis=-1)
-    y = solid_harmonic(n - 1, m, xyz)
-    g = grad_solid_harmonic(n - 1, m, xyz)
-    return a * y[..., None] * xyz + (1.0 - a / (2 * n - 1) - r2)[..., None] * g
+        (u,) = _table_fields(n, partial(_rotation_weights, n), [m], unit)
+        return (u * r ** n).T.reshape(xyz.shape)
+    (g,) = _table_fields(l - 1, partial(_ladder_weights_regular, l), [m], unit)
+    g = g * r ** max(l - 1, 0)  # grad(r^l Y_l^m) at x
+    if idx.family == "N":
+        a = a_coeff(n, lame)
+        y = np.sum(x * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
+        g = a * y * x + (1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)) * g
+    return g.T.reshape(xyz.shape)
 
 
 def eval_trace_mode(idx: ModeIndex, lame: "LameParams", theta, phi) -> np.ndarray:
@@ -553,28 +572,19 @@ def trace_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", 
     """The traces of `eval_trace_mode` for (family, n, m) at unit points
     (N, 3), one complex (3, N) array per order m of `orders`, in turn.
 
-    With l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m) at nu is a
-    ladder combination (`_ladder_weights_regular`) of Y_{l-1}^{m-1..m+1}, so
-    every order is one (3 x rows) by (rows x N) product with one real table of
-    degree l - 1 (`_harmonic_table`), built once per call from the points
-    themselves; it is crossed with nu for T.  For N, Y_l^m itself is
-    nu . grad(r^l Y_l^m) / l on the sphere (Euler).  The modes are made one
-    at a time, as the returned iterator is advanced, and only the consumer
-    holds one.
+    With l the scalar degree (n, or n - 1 for N), every order starts from
+    grad(r^l Y_l^m) at nu (`_table_fields`: one table of degree l - 1 per
+    call, from the points themselves); it is crossed with nu for T.  For N,
+    Y_l^m itself is nu . grad(r^l Y_l^m) / l on the sphere (Euler).  The
+    modes are made one at a time, as the returned iterator is advanced, and
+    only the consumer holds one.
     """
     nu = np.asarray(unit, dtype=float).T
     x, y, z = nu
     l = n - 1 if family == "N" else n
-    table = _harmonic_table(l - 1, nu)
     a = a_coeff(n, lame) / (2 * n - 1) if family == "N" else None
 
-    def mode(m: int) -> np.ndarray:
-        w = np.zeros((3, len(table)), dtype=complex)
-        for d, row in _ladder_weights_regular(l, m).items():
-            for shift, c in row.items():
-                if c != 0 and abs(m + shift) <= l - 1:
-                    w[d] += c * _row_weights(l - 1, m + shift)
-        g = _combine(w, table)  # grad(r^l Y_l^m) at nu
+    def mode(g: np.ndarray) -> np.ndarray:
         if family == "T":
             return np.stack([g[1] * z - g[2] * y, g[2] * x - g[0] * z, g[0] * y - g[1] * x])
         if family == "M":
@@ -582,7 +592,7 @@ def trace_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", 
         ylm = (x * g[0] + y * g[1] + z * g[2]) / l if l else 1 / math.sqrt(4 * math.pi)
         return a * ((2 * n - 1) * ylm * nu - g)
 
-    return map(mode, orders)
+    return map(mode, _table_fields(l - 1, partial(_ladder_weights_regular, l), orders, nu))
 
 
 def trace_mode_norm_sq(idx: ModeIndex, lame: "LameParams") -> float:

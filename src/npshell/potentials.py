@@ -17,8 +17,7 @@ from .harmonics import (
     ModeIndex,
     SingularParameterError,
     a_coeff,
-    eval_solid_mode,
-    grad_irregular_solid_harmonic,
+    solid_harmonic_series,
 )
 from .kelvin import LameParams
 
@@ -103,20 +102,16 @@ def elastic_sl_on_T(n: int, r0: float, lame: LameParams) -> tuple[complex, compl
 
 
 def eval_elastic_sl_T(n: int, m: int, r0: float, lame: LameParams, xyz) -> np.ndarray:
-    """Pointwise elastic single layer of a T density, valid everywhere."""
+    """Pointwise elastic single layer of a T density, valid everywhere: the T
+    field of d1 r^n Y_n^m / r0^(n-1) inside, d1 r0^(n+2) Y_n^m / r^(n+1)
+    outside (`solid_harmonic_series`)."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     interior, exterior = elastic_sl_on_T(n, r0, lame)
-    r = np.linalg.norm(xyz, axis=-1)
+    inside = np.linalg.norm(xyz, axis=-1) <= r0
     out = np.zeros(xyz.shape, dtype=complex)
-    inside = r <= r0
-    if np.any(inside):
-        out[inside] = interior * eval_solid_mode(
-            ModeIndex("T", n, m), lame, xyz[inside]
-        )
-    if np.any(~inside):
-        pts = xyz[~inside]
-        g = grad_irregular_solid_harmonic(n, m, pts)
-        out[~inside] = exterior * np.cross(g, pts)
+    for mask, regular, decaying in ((inside, [interior], None), (~inside, None, [exterior])):
+        if np.any(mask):
+            out[mask], _ = solid_harmonic_series([n], [m], regular, decaying, xyz[mask])
     return out
 
 

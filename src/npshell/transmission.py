@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -309,8 +310,7 @@ def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz
     if src.r_s is not None and np.any(np.linalg.norm(xyz, axis=-1) >= src.r_s):
         raise ValueError("source potential series only converges for |x| < r_s")
     coeffs = src.g / (lame.mu * (src.n - 1) * float(geom.r_e) ** (src.n - 1))
-    grad, _ = solid_harmonic_series(src.n, src.m, coeffs, None, xyz)
-    return np.cross(grad, xyz)
+    return solid_harmonic_series(src.n, src.m, coeffs, None, xyz)[0]
 
 
 def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> np.ndarray:
@@ -334,8 +334,7 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
     )
     for mask, regular, decaying in regions:
         if np.any(mask):
-            grad, _ = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz[mask])
-            out[mask] = np.cross(grad, xyz[mask])
+            out[mask] = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz[mask])[0]
     if src is not None:
         out += source_field(src, geom, sol.lame, xyz)
     return out
@@ -343,24 +342,13 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
 def scattered_gradient_factory(sol: DensitySolution):
     """Callable (radii, unit) -> iterator over the radii of (u, grad u) at
-    the shell points r * unit (unit directions (N, 3)), analytic gradients.
-
-    With u = grad F x x for the shell potential F of all modes,
-    grad u[:, :, l] = Hess(F)[:, :, l] x x + grad F x e_l.  Each call builds
-    the angular harmonic table of `unit` once for all its radii.
+    the shell points r * unit (unit directions (N, 3)), analytic gradients:
+    the T field u = grad F x x of the shell potential F of all modes
+    (`solid_harmonic_shells`), with grad u[:, i, l] = d_l u_i.  Each call
+    builds the harmonic table of `unit` once for all its radii.
     """
     _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame)
-
-    def eval_u_grad(radii, unit):
-        unit = np.asarray(unit, dtype=float)
-        shells = solid_harmonic_shells(sol.n, sol.m, regular, decaying, radii, unit, hessian=True)
-        for r, (g, hess) in zip(radii, shells):
-            xyz = r * unit
-            grad = np.cross(hess, xyz[:, :, None], axis=1)
-            grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
-            yield np.cross(g, xyz), grad
-
-    return eval_u_grad
+    return partial(solid_harmonic_shells, sol.n, sol.m, regular, decaying, gradient=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scalar/vector spherical harmonics: normalization, gradients, trace modes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from conftest import assert_pointwise, random_surface_angles
 from npshell import harmonics
 from npshell.harmonics import (
     ModeIndex,
-    SurfacePoint,
     a_coeff,
     eval_solid_mode,
     eval_trace_mode,
@@ -27,7 +27,6 @@ from npshell.harmonics import (
     mode_indices,
     solid_harmonic,
     solid_harmonic_series,
-    surface_gradient_ylm,
     trace_mode_norm_sq,
     trace_modes,
     _legendre_column,
@@ -104,6 +103,13 @@ def _ylm_at(n, m, pts):
     theta = np.arccos(pts[..., 2] / r)
     phi = np.arctan2(pts[..., 1], pts[..., 0])
     return eval_ylm(n, m, theta, phi)
+
+
+def surface_gradient_ylm(n, m, theta, phi):
+    """Surface gradient of Y_n^m on the unit sphere from the single-mode
+    ladder: grad(r^n Y_n^m) - n Y_n^m nu at r = 1, finite on the polar axis."""
+    nu = _unit_vectors(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    return grad_solid_harmonic(n, m, nu) - n * eval_ylm(n, m, theta, phi)[..., None] * nu
 
 
 class TestSurfaceGradient:
@@ -329,6 +335,184 @@ class TestTraceModes:
         assert_allclose(ylm, ref, rtol=0, atol=1e-14)
 
 
+def _ladder_solid_mode(idx, lame, xyz):
+    """The single-mode ladder path of the solid modes: per-mode gradient
+    ladders of solid harmonics evaluated at the points' angles."""
+    n, m = idx.n, idx.m
+    if idx.family == "T":
+        return np.cross(grad_solid_harmonic(n, m, xyz), xyz)
+    if idx.family == "M":
+        return grad_solid_harmonic(n, m, xyz)
+    a = a_coeff(n, lame)
+    r2 = np.sum(xyz * xyz, axis=-1)
+    y = solid_harmonic(n - 1, m, xyz)
+    g = grad_solid_harmonic(n - 1, m, xyz)
+    return a * y[..., None] * xyz + (1.0 - a / (2 * n - 1) - r2)[..., None] * g
+
+
+class TestSolidModes:
+    """eval_solid_mode (one harmonic table at x / r, scaled by homogeneity)
+    against the single-mode ladder path."""
+
+    @pytest.mark.parametrize("fam", ["T", "M", "N"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_ladder_path(self, fam, n, rng):
+        theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 40)), [0.0, np.pi]])
+        phi = np.concatenate([rng.uniform(0, 2 * np.pi, 40), [0.0, 0.0]])  # both poles
+        unit = _unit_vectors(theta, phi)
+        lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
+        mmax = n - 1 if fam == "N" else n
+        for m in range(-mmax, mmax + 1):
+            idx = ModeIndex(fam, n, m)
+            for r in (0.3, 0.8, 1.0, 1.7, 3.0):
+                mode, ref = eval_solid_mode(idx, lp, r * unit), _ladder_solid_mode(idx, lp, r * unit)
+                assert mode.shape == ref.shape
+                assert np.max(np.abs(mode - ref)) <= 1e-13 * np.max(np.abs(ref))
+            origin = np.zeros((1, 3))
+            assert_allclose(eval_solid_mode(idx, lp, origin), _ladder_solid_mode(idx, lp, origin),
+                            rtol=0, atol=1e-15)
+
+
+# Exact polynomials in x, y, z: {(i, j, k): (re, im)} with Fraction parts.
+
+def _poly_mul(p, q):
+    out = {}
+    for (e1, (a, b)) in p.items():
+        for (e2, (c, d)) in q.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            re, im = out.get(e, (0, 0))
+            out[e] = (re + a * c - b * d, im + a * d + b * c)
+    return out
+
+
+def _poly_add(p, q, scale=(1, 0)):
+    out = dict(p)
+    for e, (a, b) in q.items():
+        re, im = out.get(e, (0, 0))
+        out[e] = (re + a * scale[0] - b * scale[1], im + a * scale[1] + b * scale[0])
+    return out
+
+
+def _poly_diff(p, d):
+    out = {}
+    for e, (a, b) in p.items():
+        if e[d]:
+            f = tuple(v - (i == d) for i, v in enumerate(e))
+            out[f] = (a * e[d], b * e[d])
+    return out
+
+
+def _poly_eval(p, point):
+    x = [Fraction(float(v)) for v in point]
+    re = im = Fraction(0)
+    for (i, j, k), (a, b) in p.items():
+        mono = x[0] ** i * x[1] ** j * x[2] ** k
+        re, im = re + a * mono, im + b * mono
+    return re, im
+
+
+_X = [{(1, 0, 0): (1, 0)}, {(0, 1, 0): (1, 0)}, {(0, 0, 1): (1, 0)}]
+_RHO = {(2, 0, 0): (1, 0), (0, 2, 0): (1, 0), (0, 0, 2): (1, 0)}  # x^2 + y^2 + z^2
+
+
+def _solid_poly(n, m):
+    """(r^n Y_n^m as an exact polynomial p without its normalization K, K):
+    (-1)^m (x + i y)^m sum_k c_k z^(n-m-2k) rho^k for m >= 0, from
+    P_n = 2^-n sum_k (-1)^k C(n, k) C(2n - 2k, n) t^(n-2k) and
+    P_n^m = (-1)^m (1 - t^2)^(m/2) d^m P_n / dt^m; (x - i y)^|m| times the
+    same sum for m < 0 (Y_n^-m = (-1)^m conj Y_n^m).  No angle anywhere."""
+    a = abs(m)
+    q = {}
+    for k in range((n - a) // 2 + 1):
+        c = Fraction((-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+                     * math.factorial(n - 2 * k), 2 ** n * math.factorial(n - 2 * k - a))
+        term = {(0, 0, n - 2 * k - a): (c, 0)}
+        for _ in range(k):
+            term = _poly_mul(term, _RHO)
+        q = _poly_add(q, term)
+    w = {(1, 0, 0): (1, 0), (0, 1, 0): (0, 1 if m >= 0 else -1)}
+    p = {(0, 0, 0): ((-1) ** a if m >= 0 else 1, 0)}
+    for _ in range(a):
+        p = _poly_mul(p, w)
+    norm = math.sqrt((2 * n + 1) / (4 * math.pi) * math.factorial(n - a) / math.factorial(n + a))
+    return _poly_mul(p, q), norm
+
+
+def _poly_cross(g, x):
+    """g x x for polynomial vectors g and x."""
+    return [_poly_add(_poly_mul(g[(i + 1) % 3], x[(i + 2) % 3]),
+                      _poly_mul(g[(i + 2) % 3], x[(i + 1) % 3]), (-1, 0)) for i in range(3)]
+
+
+def _value(p, point, scale):
+    re, im = _poly_eval(p, point)
+    return complex(float(re), float(im)) * scale
+
+
+def _near_pole_points():
+    """Points at colatitude 1e-2..1e-4 from both poles, radius 1.3."""
+    theta = np.array([1e-2, 1e-3, 1e-4])
+    theta = np.concatenate([theta, np.pi - theta])
+    return 1.3 * _unit_vectors(theta, np.full_like(theta, 0.7))
+
+
+def assert_componentwise(actual, reference, rtol=1e-14):
+    """Every component within rtol of its own magnitude; components that are
+    exactly 0 stay within rtol of the largest component."""
+    scale = np.where(reference != 0, np.abs(reference), np.max(np.abs(reference)))
+    err = np.abs(actual - reference) / scale
+    assert np.all(err <= rtol), float(err.max())
+
+
+class TestNearPole:
+    """The angle-free table next to the poles against exact Cartesian
+    polynomials of the solid harmonics: no colatitude is formed, so the
+    components of size sin(theta) keep their full relative accuracy.  What
+    is left is the rounding of z / r, which moves P_n near a pole by about
+    n(n+1)/2 ulps (5.8e-15 worst over all orders at n = 8, 1.4e-14 at
+    n = 12), hence degrees up to 8 at 1e-14."""
+
+    @pytest.mark.parametrize("n,m", [(8, 0), (8, 1), (7, -3), (5, 2), (1, 0)])
+    def test_series_against_exact_polynomials(self, n, m):
+        pts = _near_pole_points()
+        p, norm = _solid_poly(n, m)
+        grad = [_poly_diff(p, d) for d in range(3)]
+        u = _poly_cross(grad, _X)
+        du = [[_poly_diff(u[i], j) for j in range(3)] for i in range(3)]
+        c = 0.6 - 0.3j
+        regular, grad_u = solid_harmonic_series([n], [m], [c], None, pts, gradient=True)
+        decaying, _ = solid_harmonic_series([n], [m], None, [c], pts)
+        for k, x in enumerate(pts):
+            rho = float(sum(Fraction(float(v)) ** 2 for v in x))
+            ref = np.array([_value(u[i], x, norm) for i in range(3)])
+            assert_componentwise(regular[k], c * ref)
+            # Y_n^m / r^(n+1) = p / r^(2n+1), whose radial factor drops out of u
+            assert_componentwise(decaying[k], c * ref / (rho ** n * math.sqrt(rho)))
+            ref_grad = np.array([[_value(du[i][j], x, norm) for j in range(3)] for i in range(3)])
+            assert_componentwise(grad_u[k], c * ref_grad)
+
+    @pytest.mark.parametrize("fam,n,m", [("T", 8, 0), ("T", 6, -2), ("M", 8, 0), ("M", 7, 3),
+                                         ("N", 8, 0), ("N", 6, 1)])
+    def test_solid_modes_against_exact_polynomials(self, fam, n, m):
+        pts = _near_pole_points()
+        lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
+        l = n - 1 if fam == "N" else n
+        p, norm = _solid_poly(l, m)
+        field = [_poly_diff(p, d) for d in range(3)]
+        if fam == "T":
+            field = _poly_cross(field, _X)
+        elif fam == "N":
+            a = complex(a_coeff(n, lp))
+            a_frac = (Fraction(a.real), Fraction(a.imag))
+            b = _poly_add({(0, 0, 0): (1, 0)}, {(0, 0, 0): a_frac}, (Fraction(-1, 2 * n - 1), 0))
+            b = _poly_add(b, _RHO, (-1, 0))  # 1 - a / (2n - 1) - r^2
+            field = [_poly_add(_poly_mul(_poly_mul(p, _X[d]), {(0, 0, 0): a_frac}),
+                               _poly_mul(b, field[d])) for d in range(3)]
+        mode = eval_solid_mode(ModeIndex(fam, n, m), lp, pts)
+        for k, x in enumerate(pts):
+            assert_componentwise(mode[k], np.array([_value(field[d], x, norm) for d in range(3)]))
+
+
 def _grad_s_at(n, m, pts):
     r = np.linalg.norm(pts, axis=-1)
     theta = np.arccos(pts[..., 2] / r)
@@ -362,17 +546,6 @@ class TestGram:
         modes = mode_indices(3)
         # T and M: 3+5+7 each; N: 1+3+5
         assert len(modes) == 15 + 15 + 9
-
-
-class TestSurfacePoint:
-    def test_normal_is_radial(self):
-        p = SurfacePoint(theta=0.8, phi=2.1, radius=2.5)
-        assert_allclose(p.position, 2.5 * p.unit_normal)
-        assert_allclose(np.linalg.norm(p.unit_normal), 1.0)
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            SurfacePoint(0.1, 0.2, -1.0)
 
 
 @settings(deadline=None, max_examples=25)
@@ -427,12 +600,15 @@ def _legendre_reference(n, m, ct, st):
 
 
 def _per_mode_series(regular, decaying, xyz):
-    """grad and Hess of the series summed mode by mode from the single-mode ladders."""
+    """The T field u = grad F x x of the series and grad u ([..., i, l] =
+    d_l u_i = (Hess F[..., l] x x)_i + (grad F x e_l)_i), summed mode by mode
+    from the single-mode ladders."""
     grad = sum(c * grad_solid_harmonic(n, m, xyz) for (n, m), c in regular.items())
     grad = grad + sum(c * grad_irregular_solid_harmonic(n, m, xyz) for (n, m), c in decaying.items())
     hess = sum(c * hess_solid_harmonic(n, m, xyz) for (n, m), c in regular.items())
     hess = hess + sum(c * hess_irregular_solid_harmonic(n, m, xyz) for (n, m), c in decaying.items())
-    return grad, hess
+    grad_u = [np.cross(hess[..., l], xyz) + np.cross(grad, np.eye(3)[l]) for l in range(3)]
+    return np.cross(grad, xyz), np.stack(grad_u, axis=-1)
 
 
 class TestLegendreColumn:
@@ -474,21 +650,21 @@ class TestSolidHarmonicSeries:
         regular, decaying = coeffs(), coeffs()
         pts = rng.normal(size=(300, 3))
         pts[:4] = [[0.0, 0.0, 1.3], [0.0, 0.0, -0.8], [0.0, 0.0, 2.0], [0.6, 0.0, 0.0]]
-        grad, hess = solid_harmonic_series(*_aligned(regular, decaying), pts, hessian=True)
-        grad_ref, hess_ref = _per_mode_series(regular, decaying, pts)
-        assert_pointwise(grad, grad_ref)
-        assert_pointwise(hess, hess_ref)
-        only_grad, none = solid_harmonic_series(*_aligned(regular, decaying), pts)
+        u, grad_u = solid_harmonic_series(*_aligned(regular, decaying), pts, gradient=True)
+        u_ref, grad_u_ref = _per_mode_series(regular, decaying, pts)
+        assert_pointwise(u, u_ref)
+        assert_pointwise(grad_u, grad_u_ref)
+        only_u, none = solid_harmonic_series(*_aligned(regular, decaying), pts)
         assert none is None
-        assert_pointwise(only_grad, grad_ref)
+        assert_pointwise(only_u, u_ref)
 
     def test_regular_series_at_origin(self, rng):
         regular = {(n, m): complex(*rng.normal(size=2)) for n in range(5) for m in range(-n, n + 1)}
         origin = np.zeros((1, 3))
-        grad, hess = solid_harmonic_series(*_aligned(regular, {}), origin, hessian=True)
-        grad_ref, hess_ref = _per_mode_series(regular, {}, origin)
-        assert_pointwise(grad, grad_ref)
-        assert_pointwise(hess, hess_ref)
+        u, grad_u = solid_harmonic_series(*_aligned(regular, {}), origin, gradient=True)
+        u_ref, grad_u_ref = _per_mode_series(regular, {}, origin)
+        assert not u.any()
+        assert_pointwise(grad_u, grad_u_ref)
 
     def test_one_legendre_column_per_order_and_block(self, rng, monkeypatch):
         orders = []
@@ -505,7 +681,7 @@ class TestSolidHarmonicSeries:
         for n_max in (3, 40):
             orders.clear()
             coeffs = {(n, m): 1.0 for n in range(2, n_max + 1) for m in (-max_m, 0, 1)}
-            solid_harmonic_series(*_aligned(coeffs, coeffs), pts, hessian=True)
+            solid_harmonic_series(*_aligned(coeffs, coeffs), pts, gradient=True)
             counts.append(len(orders))
             assert len(orders) <= (max_m + 3) * blocks
         assert counts[0] == counts[1]

@@ -328,16 +328,26 @@ class TestBatchedFields:
         pts = _unit_vectors(*random_surface_angles(rng, 60)) * radii[:, None]
         axis = [[0.0, 0.0, s * h] for h in (0.5, 1.5, 3.0) for s in (1.0, -1.0)]
         pts = np.vstack([np.zeros((1, 3)), axis, pts])
-        assert_pointwise(field_eval(sol, pts), _per_mode_field(sol, GEOM, LAME, pts))
+        # the m = 0 field vanishes on the z axis: exactly from the angle-free
+        # table, to roundoff from the arccos-based ladders of the reference
+        on_axis = np.all(pts[:, :2] == 0, axis=1) & (not spread_m)
+
+        def check(actual, reference, axis):
+            assert not actual[axis].any()
+            assert np.max(np.abs(reference[axis]), initial=0.0) <= 1e-13 * np.max(np.abs(actual))
+            assert_pointwise(actual[~axis], reference[~axis])
+
+        check(field_eval(sol, pts), _per_mode_field(sol, GEOM, LAME, pts), on_axis)
 
         r = np.linalg.norm(pts, axis=1)
         # each shell point is its own one-point shell of radius |x|
-        shell = r[(r > GEOM.r_i) & (r <= GEOM.r_e)]
-        unit = pts[(r > GEOM.r_i) & (r <= GEOM.r_e)] / shell[:, None]
+        in_shell = (r > GEOM.r_i) & (r <= GEOM.r_e)
+        shell = r[in_shell]
+        unit = pts[in_shell] / shell[:, None]
         u_grad = scattered_gradient_factory(sol)
         u, grad = map(np.concatenate, zip(*(next(u_grad([s], d[None])) for s, d in zip(shell, unit))))
         u_ref, grad_ref = _per_mode_u_grad(sol, shell[:, None] * unit)
-        assert_pointwise(u, u_ref)
+        check(u, u_ref, on_axis[in_shell])
         assert_pointwise(grad, grad_ref)
 
         inside = pts[r < 0.95 * src.r_s]
@@ -376,11 +386,7 @@ class TestShellGrid:
 
         def per_shell(radii, unit):
             for r in radii:
-                pts = r * unit
-                g, hess = solid_harmonic_series(sol.n, sol.m, regular, decaying, pts, hessian=True)
-                grad = np.cross(hess, pts[:, :, None], axis=1)
-                grad += np.cross(g[:, :, None], np.eye(3)[None], axis=1)
-                yield np.cross(g, pts), grad
+                yield solid_harmonic_series(sol.n, sol.m, regular, decaying, r * unit, gradient=True)
 
         args = (LAME, sol.cfg.delta, GEOM, QuadratureRule(24, 48))
         assert_allclose(quad_energy_shell(scattered_gradient_factory(sol), *args),
