@@ -267,7 +267,7 @@ def _suite_gram(lame, rule, n_max, records):
                 compare(
                     "gram_diagonal_T",
                     {"n": idx.n, "m": idx.m, **asdict(rule)},
-                    float(idx.n * (idx.n + 1)),
+                    harmonics.trace_mode_norm_sq(idx, lame),
                     diag[i],
                     1e-10,
                 )

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kelvin import LameParams
 
 FAMILIES = ("T", "M", "N")
-_FAMILY_RANK = {"T": 0, "M": 1, "N": 2}
 
 
 class SingularParameterError(ValueError):
@@ -58,10 +57,6 @@ class ModeIndex:
                 f"order m={self.m} out of range for family {self.family}, n={self.n} "
                 f"(|m| <= {mmax})"
             )
-
-    @property
-    def sort_key(self) -> tuple:
-        return (_FAMILY_RANK[self.family], self.n, self.m)
 
     @property
     def scalar_degree(self) -> int:

@@ -4,9 +4,10 @@ and shell-volume energy quadrature.
 
 Nothing here reuses the closed forms it is meant to check: layer potentials
 are integrated pointwise from the raw kernels, differential operators are
-applied by central differences, and energies come from strain densities on
-a volume grid.  Reductions use compensated summation in a fixed order so
-repeated runs are bit-identical.
+applied by central differences (one product stencil, one call of a field
+mapping points (S, 3) to values (S, 3) per derivative), and energies come
+from strain densities on a volume grid.  Reductions use compensated
+summation in a fixed order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonics import ModeIndex, _cartesian_angles, _unit_vectors, _ylm, trace_modes
+from .harmonics import ModeIndex, _unit_vectors, _ylm, trace_modes
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from .transmission import ShellGeometry
 
@@ -214,7 +215,8 @@ def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: f
     Q phi_m(Q^T p) = sum_k D^l_{km}(Q) phi_k(p), so the (3, 3, N) pole blocks
     -b1 K1 w and K2 w are summed once against each phi_k, k = -l..l (the K1
     subtraction at phi_k(z-hat)).  The 2l + 1 modes stream, one at a time,
-    from one harmonic table of the unit nodes and z-hat (`trace_modes`).
+    from one harmonic table of the nodes the blocks are assembled at, p / r0,
+    and z-hat (`trace_modes`).
     The returned map takes targets x (..., 3) in one pass: all rotations Q
     at once, all Wigner-D columns from one projection, and each target's sum
     of the 2l + 1 pole integrals turned back by Q^T."""
@@ -229,13 +231,8 @@ def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: f
         psi, c = dens[:, :-1], dens[:, -1]
         return sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
 
-    # The modes are evaluated at the unit vectors of the nodes' angles: the K1
-    # subtraction amplifies a one-ulp, ring-wise shift of the density points
-    # near the pole by ~1/theta, so the Cartesian nodes themselves would move
-    # the n <= 6 eigenvalues on 64 x 128 by up to 6e-13 relative.
     l = idx.scalar_degree
-    unit = _unit_vectors(*_cartesian_angles(np.vstack([p, z]))[1:])  # the nodes, then z-hat
-    modes = trace_modes(idx.family, idx.n, range(-l, l + 1), lame, unit)
+    modes = trace_modes(idx.family, idx.n, range(-l, l + 1), lame, np.vstack([p / r0, z]))
     pole_integrals = np.stack([fsum_c(s) for s in map(contracted, modes)])  # no mode outlives its sum
 
     def at(x: np.ndarray) -> np.ndarray:
@@ -334,54 +331,45 @@ class FDStencil:
             raise ValueError("only orders 2 and 4 are provided")
 
 
-def _second_derivatives(field: Callable, x: np.ndarray, stencil: FDStencil) -> np.ndarray:
-    """Tensor D2[i, j, k] = d^2 u_i / dx_j dx_k by central differences."""
-    x = np.asarray(x, dtype=float)
-    h = stencil.h
-    e = np.eye(3)
-    u0 = np.asarray(field(x[None, :]))[0]
-    d2 = np.zeros((3, 3, 3), dtype=complex)
+# 1-D central weights on the offsets -q..q, per order: the rows give f, h f'
+# and h^2 f''.  A mixed derivative is the product of two first differences.
+_CENTRAL_WEIGHTS = {
+    2: np.array([[0, 1, 0], [-0.5, 0, 0.5], [1, -2, 1]]),
+    4: np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / 12,
+}
 
-    def ev(dx):
-        return np.asarray(field((x + dx)[None, :]))[0]
 
-    for j in range(3):
-        if stencil.order == 2:
-            d2[:, j, j] = (ev(h * e[j]) - 2 * u0 + ev(-h * e[j])) / h**2
-        else:
-            d2[:, j, j] = (
-                -ev(2 * h * e[j]) + 16 * ev(h * e[j]) - 30 * u0
-                + 16 * ev(-h * e[j]) - ev(-2 * h * e[j])
-            ) / (12 * h**2)
-        for k in range(j + 1, 3):
-            if stencil.order == 2:
-                mixed = (
-                    ev(h * (e[j] + e[k])) - ev(h * (e[j] - e[k]))
-                    - ev(h * (e[k] - e[j])) + ev(-h * (e[j] + e[k]))
-                ) / (4 * h**2)
-            else:
-                def along(s1, s2):
-                    return ev(h * (s1 * e[j] + s2 * e[k]))
+def _fd_derivatives(field: Callable, x: np.ndarray, stencil: FDStencil) -> tuple[np.ndarray, np.ndarray]:
+    """(G, D2) at x with G[i, j] = d u_i / dx_j and D2[i, j, k] = d^2 u_i / dx_j dx_k.
 
-                mixed = (
-                    8 * (along(1, -2) + along(2, -1) + along(-2, 1) + along(-1, 2))
-                    - 8 * (along(-1, -2) + along(-2, -1) + along(1, 2) + along(2, 1))
-                    - (along(2, -2) + along(-2, 2) - along(-2, -2) - along(2, 2))
-                    + 64 * (along(1, 1) + along(-1, -1) - along(1, -1) - along(-1, 1))
-                ) / (144 * h**2)
-            d2[:, j, k] = mixed
-            d2[:, k, j] = mixed
-    return d2
+    One call of field, which maps points (S, 3) to values (S, 3), on the
+    product grid x + h (a, b, c), a, b, c in -q..q, and one contraction of
+    the grid values with the 1-D weights along each axis.
+    """
+    w = _CENTRAL_WEIGHTS[stencil.order]
+    q = w.shape[1] // 2
+    steps = stencil.h * np.arange(-q, q + 1.0)
+    grid = np.asarray(x, dtype=float) + np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), -1)
+    u = np.asarray(field(grid.reshape(-1, 3))).reshape(grid.shape)
+    d = np.einsum("pa,qb,rc,abci->pqri", w, w, w, u)  # h^(p+q+r) d^(p+q+r) u / dx^p dy^q dz^r
+    e = np.eye(3, dtype=int)
+    grad = d[e[:, 0], e[:, 1], e[:, 2]].T / stencil.h  # row j of the index: e_j
+    s = e[:, None] + e  # s[j, k] = e_j + e_k
+    d2 = np.moveaxis(d[s[..., 0], s[..., 1], s[..., 2]], -1, 0) / stencil.h**2
+    return grad, d2
+
+
+def _lame_operator(d2: np.ndarray, lame: LameParams) -> np.ndarray:
+    """mu Lap u + (lam + mu) grad div u from the second derivatives D2[i, j, k]."""
+    return lame.mu * np.einsum("ijj->i", d2) + (lame.lam + lame.mu) * np.einsum("jij->i", d2)
 
 
 def fd_lame_apply(
     field: Callable, lame: LameParams, x: np.ndarray, stencil: FDStencil = FDStencil()
 ) -> np.ndarray:
-    """mu Lap u + (lam + mu) grad div u at x, by central differences."""
-    d2 = _second_derivatives(field, x, stencil)
-    lap = d2[:, 0, 0] + d2[:, 1, 1] + d2[:, 2, 2]
-    graddiv = np.array([d2[0, i, 0] + d2[1, i, 1] + d2[2, i, 2] for i in range(3)])
-    return lame.mu * lap + (lame.lam + lame.mu) * graddiv
+    """mu Lap u + (lam + mu) grad div u at x, by central differences; field
+    maps points (S, 3) to values (S, 3) and is called once."""
+    return _lame_operator(_fd_derivatives(field, x, stencil)[1], lame)
 
 
 def fd_lame_residual(
@@ -392,14 +380,13 @@ def fd_lame_residual(
     Zero (to FD accuracy) exactly when the field solves the homogeneous
     Lame system near x.  The scale combines the second- and first-derivative
     magnitudes so that locally affine solutions (whose Hessians vanish) are
-    still judged relative to something finite.
+    still judged relative to something finite.  field maps points (S, 3) to
+    values (S, 3) and is called once.
     """
-    d2 = _second_derivatives(field, x, stencil)
-    lap = d2[:, 0, 0] + d2[:, 1, 1] + d2[:, 2, 2]
-    graddiv = np.array([d2[0, i, 0] + d2[1, i, 1] + d2[2, i, 2] for i in range(3)])
-    res = np.linalg.norm(lame.mu * lap + (lame.lam + lame.mu) * graddiv)
+    grad, d2 = _fd_derivatives(field, x, stencil)
+    res = np.linalg.norm(_lame_operator(d2, lame))
     hess_scale = max(np.sqrt(np.sum(np.abs(d2[i]) ** 2)) for i in range(3))
-    grad_scale = np.sqrt(np.sum(np.abs(fd_gradient(field, x, stencil)) ** 2))
+    grad_scale = np.sqrt(np.sum(np.abs(grad) ** 2))
     scale = (abs(lame.mu) + abs(lame.lam + lame.mu)) * (hess_scale + grad_scale)
     if scale == 0:
         return float(res)
@@ -407,23 +394,9 @@ def fd_lame_residual(
 
 
 def fd_gradient(field: Callable, x: np.ndarray, stencil: FDStencil = FDStencil()) -> np.ndarray:
-    """grad u at x: columns are directional derivatives, G[i, j] = d u_i / dx_j."""
-    x = np.asarray(x, dtype=float)
-    h = stencil.h
-    e = np.eye(3)
-    g = np.zeros((3, 3), dtype=complex)
-
-    def ev(dx):
-        return np.asarray(field((x + dx)[None, :]))[0]
-
-    for j in range(3):
-        if stencil.order == 2:
-            g[:, j] = (ev(h * e[j]) - ev(-h * e[j])) / (2 * h)
-        else:
-            g[:, j] = (
-                -ev(2 * h * e[j]) + 8 * ev(h * e[j]) - 8 * ev(-h * e[j]) + ev(-2 * h * e[j])
-            ) / (12 * h)
-    return g
+    """grad u at x, G[i, j] = d u_i / dx_j; field maps points (S, 3) to
+    values (S, 3) and is called once."""
+    return _fd_derivatives(field, x, stencil)[0]
 
 
 def fd_traction(
@@ -433,7 +406,8 @@ def fd_traction(
     normal: np.ndarray | None = None,
     stencil: FDStencil = FDStencil(),
 ) -> np.ndarray:
-    """Conormal derivative lam (div u) nu + mu (grad u + grad u^t) nu at x."""
+    """Conormal derivative lam (div u) nu + mu (grad u + grad u^t) nu at x;
+    field maps points (S, 3) to values (S, 3) and is called once."""
     x = np.asarray(x, dtype=float)
     if normal is None:
         normal = x / np.linalg.norm(x)

@@ -1,6 +1,7 @@
 """Brute-force oracles: quadrature rules, singular layer quadrature,
 finite-difference operators, and the shell energy integral."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from npshell.oracle import (
     NonEigenfunctionError,
     QuadratureRule,
     compare,
+    fd_gradient,
     fd_lame_apply,
     fd_lame_residual,
     fd_traction,
@@ -401,7 +403,57 @@ class TestFsum:
         assert np.array_equal(fsum_c(view), sums) and np.array_equal(fsum_c(a), sums)
 
 
+def _polynomial_field(degree, rng):
+    """A random complex polynomial field of total degree `degree`, mapping
+    points (S, 3) to values (S, 3), and its exact derivative at a point x for
+    a multi-index d (the number of d/dx, d/dy, d/dz), shape (3,)."""
+    powers = np.array([p for p in itertools.product(range(degree + 1), repeat=3)
+                       if sum(p) <= degree])
+    coef = rng.normal(size=(len(powers), 3)) + 1j * rng.normal(size=(len(powers), 3))
+
+    def field(pts):
+        return np.prod(pts[:, None, :] ** powers, axis=-1) @ coef
+
+    def derivative(x, d):
+        falling = [math.prod(math.perm(int(a), b) for a, b in zip(p, d)) for p in powers]
+        return (np.array(falling) * np.prod(x ** np.maximum(powers - d, 0), axis=-1)) @ coef
+
+    return field, derivative
+
+
 class TestFiniteDifferences:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_polynomials_of_the_stencil_degree_are_exact(self, order, rng):
+        # degree `order` is differentiated exactly, mixed derivatives included,
+        # up to rounding / h^2; one degree more is not (its gradient misses by
+        # ~h^order), so the tolerance discriminates
+        x, stencil = np.array([0.3, -0.6, 0.45]), FDStencil(h=0.1, order=order)
+        e = np.eye(3, dtype=int)
+        for degree, exact in ((order, True), (order + 1, False)):
+            field, derivative = _polynomial_field(degree, rng)
+            grad, d2 = oracle._fd_derivatives(field, x, stencil)
+            grad_ref = np.array([derivative(x, e[j]) for j in range(3)]).T
+            d2_ref = np.array([[derivative(x, e[j] + e[k]) for k in range(3)] for j in range(3)])
+            d2_ref = np.moveaxis(d2_ref, -1, 0)
+            err = max(np.max(np.abs(grad - grad_ref)), np.max(np.abs(d2 - d2_ref)))
+            assert (err < 1e-10) == exact, (degree, err)
+
+    @pytest.mark.parametrize("entry", ["apply", "residual", "gradient", "traction"])
+    def test_field_is_called_once(self, entry, lame):
+        idx, x, shapes = ModeIndex("N", 3, 1), np.array([0.4, -0.7, 0.5]), []
+
+        def field(pts):
+            shapes.append(pts.shape)
+            return eval_solid_mode(idx, lame, pts)
+
+        for stencil in (FDStencil(1e-3, 2), FDStencil(1e-3, 4)):
+            shapes.clear()
+            {"apply": lambda: fd_lame_apply(field, lame, x, stencil),
+             "residual": lambda: fd_lame_residual(field, lame, x, stencil),
+             "gradient": lambda: fd_gradient(field, x, stencil),
+             "traction": lambda: fd_traction(field, lame, x, stencil=stencil)}[entry]()
+            assert shapes == [((stencil.order + 1) ** 3, 3)]
+
     def test_solid_modes_are_lame_harmonic(self, lame):
         for fam, n, m in [("T", 3, 1), ("N", 3, 0), ("M", 5, -2)]:
             idx = ModeIndex(fam, n, m)
