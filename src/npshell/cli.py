@@ -187,8 +187,7 @@ def _suite_layers(lame, rule, n_max, records):
         ] + [ModeIndex("N", n, 0) for n in range(1, n_max + 1)]:
             x = r0 * probe
             val = quad_scalar_sl(idx, x, lame, rule, r0)
-            _, t, p = harmonics._cartesian_angles(x)
-            mode = harmonics.eval_trace_mode(idx, lame, t, p)
+            mode = harmonics.eval_solid_mode(idx, lame, probe)
             mult = scalar_sl_multiplier(idx, r0)
             rel = float(np.linalg.norm(val - mult * mode) / np.linalg.norm(mult * mode))
             est = complex(np.vdot(mode, val) / np.vdot(mode, mode))

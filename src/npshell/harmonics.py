@@ -2,8 +2,9 @@
 
 Provides orthonormal complex spherical harmonics (Condon-Shortley phase),
 their surface gradients, and the three orthogonal vector-harmonic families
-T/M/N that diagonalize the elastostatic Neumann-Poincare operator, in both
-solid (volume) and trace (surface) form.
+T/M/N that diagonalize the elastostatic Neumann-Poincare operator, from one
+evaluator (`vector_modes`): the solid (volume) modes, whose values at unit
+points are the trace (surface) modes.
 
 Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
 per order a, the Legendre column in z = cos theta seeded without its
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -165,16 +166,18 @@ def _harmonic_columns(top: int, nu: np.ndarray, abs_orders: Iterable[int]):
         re, im = re * x - im * y, re * y + im * x
 
 
-def _harmonic_table(l: int, nu: np.ndarray, abs_orders) -> np.ndarray:
+def _harmonic_table(l: int, nu: np.ndarray, abs_orders, scale=1.0) -> np.ndarray:
     """Real rows t of the degree-l harmonics at unit points nu (3, N) from
-    `_harmonic_columns`; shape (2l + 1, N): Y_l^a = t[l + a] + i t[l - a]
-    (t[l] alone for a = 0) and Y_l^-a = (-1)^a conj(Y_l^a), for the a of
-    `abs_orders` (the other rows zero); an empty table for l < 0."""
+    `_harmonic_columns`, times `scale` (a number or one per point); shape
+    (2l + 1, N): Y_l^a = t[l + a] + i t[l - a] (t[l] alone for a = 0) and
+    Y_l^-a = (-1)^a conj(Y_l^a), for the a of `abs_orders` (the other rows
+    zero); an empty table for l < 0."""
     table = np.zeros((max(2 * l + 1, 0), nu.shape[1]))
     for a, column, (re, im) in _harmonic_columns(l, nu, abs_orders):
-        table[l + a] = column[-1] * re
+        p = column[-1] * scale
+        table[l + a] = p * re
         if a:
-            table[l - a] = column[-1] * im
+            table[l - a] = p * im
     return table
 
 
@@ -423,8 +426,9 @@ def _unit_and_radius(pts: np.ndarray):
     """(x / |x| as coordinate rows (3, N), |x|) of points (N, 3); the origin
     gets the unit vector z-hat, where every term a regular series keeps
     (r^0 Y_0^0) is constant."""
-    r = np.linalg.norm(pts, axis=-1)
-    unit = np.divide(pts.T, r, out=np.zeros_like(pts.T), where=r > 0)
+    x, y, z = pts.T
+    r = np.sqrt(x * x + y * y + z * z)  # np.linalg.norm(pts, axis=-1) bit for bit, ~4x faster
+    unit = np.divide(pts.T, r, out=np.zeros((3, len(r))), where=r > 0)
     unit[2, r == 0] = 1.0
     return unit, r
 
@@ -499,95 +503,69 @@ def a_coeff(n: int, lame: "LameParams") -> complex:
     return complex(val) if isinstance(val, complex) else float(val)
 
 
-def _table_fields(degree: int, weights, orders: Iterable[int], nu: np.ndarray) -> Iterator[np.ndarray]:
-    """The fields sum_d sum_s weights(m)[d][s] Y_degree^(m+s) e_d at unit
-    points nu (3, N), one complex (3, N) array per order m of `orders`, in
-    turn: each one (3 x rows) by (rows x N) product with one real
-    `_harmonic_table` of that degree, built once per call for the orders the
-    weights reach (ladder weights: grad(r^l Y_l^m) at nu, for degree l - 1)."""
-    orders = list(orders)
-    reach = {abs(m + s) for m in orders for s in (-1, 0, 1) if abs(m + s) <= degree}
-    table = _harmonic_table(degree, nu, reach)
-
-    def field(m: int) -> np.ndarray:
-        w = np.zeros((3, len(table)), dtype=complex)
-        for d, row in weights(m).items():
-            for shift, c in row.items():
-                if c != 0 and abs(m + shift) <= degree:
-                    w[d] += c * _row_weights(degree, m + shift)
-        return _combine(w, table)
-
-    return map(field, orders)
-
-
-def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
-    """Solid (volume) vector harmonic at Cartesian points (..., 3).
+def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", xyz) -> Iterator[np.ndarray]:
+    """The solid vector harmonics (family, n, m) at points (N, 3), one complex
+    (3, N) array per order m of `orders`, in request order.  At unit points
+    they are the traces on the unit sphere.
 
     T_n^m = grad(r^n Y_n^m) x x        (rotational, divergence free)
     M_n^m = grad(r^n Y_n^m)            (irrotational, divergence free)
     N_n^m = a_n r^{n-1} Y_{n-1}^m x + (1 - a_n/(2n-1) - r^2) grad(r^{n-1} Y_{n-1}^m)
 
     All three solve the homogeneous Lame system; T and M do not depend on
-    the material.  One `_table_fields` at x / r, scaled by homogeneity:
-    T_n^m = -i L (r^n Y_n^m) is r^n times `_rotation_weights` on degree n;
-    with l the scalar degree, grad(r^l Y_l^m) is r^(l-1) times the ladder on
-    degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m) / l (Euler).
+    the material.  One real `_harmonic_table` at x / r per call, for the
+    orders the weights reach, scaled by r^degree (homogeneity); each mode is
+    one (3 x rows) by (rows x N) product with it: T_n^m = -i L (r^n Y_n^m)
+    is `_rotation_weights` on degree n; with l the scalar degree (n, or
+    n - 1 for N), grad(r^l Y_l^m) is the ladder on degree l - 1, and
+    r^l Y_l^m = x . grad(r^l Y_l^m) / l (Euler).  The modes are made one at
+    a time, as the returned iterator is advanced, and only the consumer
+    holds one.
     """
-    xyz = np.asarray(xyz, dtype=float)
-    pts = xyz.reshape(-1, 3)
+    pts = np.asarray(xyz, dtype=float)
     unit, r = _unit_and_radius(pts)
-    x = pts.T
-    n, m, l = idx.n, idx.m, idx.scalar_degree
-    if idx.family == "T":
-        (u,) = _table_fields(n, partial(_rotation_weights, n), [m], unit)
-        return (u * r ** n).T.reshape(xyz.shape)
-    (g,) = _table_fields(l - 1, partial(_ladder_weights_regular, l), [m], unit)
-    g = g * r ** max(l - 1, 0)  # grad(r^l Y_l^m) at x
-    if idx.family == "N":
-        a = a_coeff(n, lame)
+    l = n - 1 if family == "N" else n
+    degree, weights = (n, _rotation_weights) if family == "T" else (l - 1, _ladder_weights_regular)
+    orders = list(orders)
+    reach = {abs(m + s) for m in orders for s in (-1, 0, 1) if abs(m + s) <= degree}
+    table = _harmonic_table(degree, unit, reach, r ** max(degree, 0))
+    if family == "N":
+        a, x = a_coeff(n, lame), pts.T
+        radial = 1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)
+
+    def mode(m: int) -> np.ndarray:
+        w = np.zeros((3, len(table)), dtype=complex)
+        for d, row in weights(l, m).items():
+            for shift, c in row.items():
+                if c != 0 and abs(m + shift) <= degree:
+                    w[d] += c * _row_weights(degree, m + shift)
+        g = _combine(w, table)
+        if family != "N":
+            return g
         y = np.sum(x * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
-        g = a * y * x + (1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)) * g
-    return g.T.reshape(xyz.shape)
+        return a * y * x + radial * g
+
+    return map(mode, orders)
+
+
+def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
+    """Solid (volume) vector harmonic at Cartesian points (..., 3): the
+    one-order call of `vector_modes`."""
+    xyz = np.asarray(xyz, dtype=float)
+    (mode,) = vector_modes(idx.family, idx.n, [idx.m], lame, xyz.reshape(-1, 3))
+    return mode.T.reshape(xyz.shape)
 
 
 def eval_trace_mode(idx: ModeIndex, lame: "LameParams", theta, phi) -> np.ndarray:
     """Unit-sphere trace of the vector harmonic, as an angular field (..., 3):
-    the one-order call of `trace_modes`.
+    the solid mode at the unit vectors.
 
     T_n^m = grad_S Y_n^m x nu
     M_n^m = grad_S Y_n^m + n Y_n^m nu
     N_n^m = (a_n/(2n-1)) (-grad_S Y_{n-1}^m + n Y_{n-1}^m nu)
     """
     nu = _unit_vectors(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    (mode,) = trace_modes(idx.family, idx.n, [idx.m], lame, nu.reshape(-1, 3))
-    return mode.T.reshape(nu.shape)
-
-
-def trace_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", unit) -> Iterator[np.ndarray]:
-    """The traces of `eval_trace_mode` for (family, n, m) at unit points
-    (N, 3), one complex (3, N) array per order m of `orders`, in turn.
-
-    With l the scalar degree (n, or n - 1 for N), every order starts from
-    grad(r^l Y_l^m) at nu (`_table_fields`: one table of degree l - 1 per
-    call, from the points themselves); it is crossed with nu for T.  For N,
-    Y_l^m itself is nu . grad(r^l Y_l^m) / l on the sphere (Euler).  The
-    modes are made one at a time, as the returned iterator is advanced, and
-    only the consumer holds one.
-    """
-    nu = np.asarray(unit, dtype=float).T
-    x, y, z = nu
-    l = n - 1 if family == "N" else n
-    a = a_coeff(n, lame) / (2 * n - 1) if family == "N" else None
-
-    def mode(g: np.ndarray) -> np.ndarray:
-        if family == "T":
-            return np.stack([g[1] * z - g[2] * y, g[2] * x - g[0] * z, g[0] * y - g[1] * x])
-        if family == "M":
-            return g
-        ylm = (x * g[0] + y * g[1] + z * g[2]) / l if l else 1 / math.sqrt(4 * math.pi)
-        return a * ((2 * n - 1) * ylm * nu - g)
-
-    return map(mode, _table_fields(l - 1, partial(_ladder_weights_regular, l), orders, nu))
+    return eval_solid_mode(idx, lame, nu)
 
 
 def trace_mode_norm_sq(idx: ModeIndex, lame: "LameParams") -> float:
@@ -621,7 +599,7 @@ def gram_matrix(n_max: int, lame: "LameParams", rule) -> tuple[np.ndarray, list[
     modes = mode_indices(n_max)
     pts, w = rule.surface_nodes(1.0)
     vals = np.stack([mode for (fam, n), group in groupby(modes, key=lambda i: (i.family, i.n))
-                     for mode in trace_modes(fam, n, [i.m for i in group], lame, pts)])
+                     for mode in vector_modes(fam, n, [i.m for i in group], lame, pts)])
     # G[a, b] = sum_k w_k <mode_a(k), conj mode_b(k)>
     gram = np.einsum("aik,bik,k->ab", vals, vals.conj(), w)
     return gram, modes

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonics import ModeIndex, _unit_vectors, _ylm, trace_modes
+from .harmonics import ModeIndex, _unit_vectors, _ylm, vector_modes
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from .transmission import ShellGeometry
 
@@ -137,7 +137,7 @@ def _rotated_sources(idx: ModeIndex, lame: LameParams, x, rule: QuadratureRule, 
     q = rotation_to_pole(x)
     pts, w = rule.polar_nodes(r0)
     y = pts @ q
-    (dens,) = trace_modes(idx.family, idx.n, [idx.m], lame, y / r0)
+    (dens,) = vector_modes(idx.family, idx.n, [idx.m], lame, y / r0)
     return q, y, w, dens.T
 
 
@@ -216,7 +216,7 @@ def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: f
     -b1 K1 w and K2 w are summed once against each phi_k, k = -l..l (the K1
     subtraction at phi_k(z-hat)).  The 2l + 1 modes stream, one at a time,
     from one harmonic table of the nodes the blocks are assembled at, p / r0,
-    and z-hat (`trace_modes`).
+    and z-hat (`harmonics.vector_modes`).
     The returned map takes targets x (..., 3) in one pass: all rotations Q
     at once, all Wigner-D columns from one projection, and each target's sum
     of the 2l + 1 pole integrals turned back by Q^T."""
@@ -232,7 +232,7 @@ def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: f
         return sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
 
     l = idx.scalar_degree
-    modes = trace_modes(idx.family, idx.n, range(-l, l + 1), lame, np.vstack([p / r0, z]))
+    modes = vector_modes(idx.family, idx.n, range(-l, l + 1), lame, np.vstack([p / r0, z]))
     pole_integrals = np.stack([fsum_c(s) for s in map(contracted, modes)])  # no mode outlives its sum
 
     def at(x: np.ndarray) -> np.ndarray:
@@ -280,10 +280,10 @@ def quad_np_apply(
     Each outer node is a quad_np_pointwise in one pole frame (Graham & Sloan,
     Numer. Math. 2002; Ganesh & Graham, J. Comput. Phys. 2004): K1/K2 and
     the 2l + 1 pole integrals are computed once per call, their modes
-    streamed from one harmonic table.  The outer nodes then go through in
-    one pass: one vectorised rotation to the pole each, all Wigner-D columns
-    from one projection of the rotated rule nodes, and the mode on the outer
-    grid from the same trace evaluator.
+    streamed from one harmonic table (`harmonics.vector_modes`).  The outer
+    nodes then go through in one pass: one vectorised rotation to the pole
+    each, all Wigner-D columns from one projection of the rotated rule
+    nodes, and the mode on the outer grid from the same `vector_modes`.
     A residual above residual_tol raises NonEigenfunctionError.  The
     residual is the part of K*[phi] outside the mode, so it catches an input
     that is not an eigenfunction and a quadrature error that mixes in other
@@ -298,7 +298,7 @@ def quad_np_apply(
     phi = 2 * np.pi * np.arange(n_phi_out) / n_phi_out
     w = np.repeat(np.asarray(wt), n_phi_out) * (2 * np.pi / n_phi_out) * r0**2
     unit = _unit_vectors(*np.meshgrid(theta, phi, indexing="ij")).reshape(-1, 3)
-    (modes,) = trace_modes(idx.family, idx.n, [idx.m], lame, unit)
+    (modes,) = vector_modes(idx.family, idx.n, [idx.m], lame, unit)
     vals = _pole_frame_np(idx, lame, rule, r0)(r0 * unit).T
     num = fsum_c(np.sum(vals * modes.conj(), axis=0) * w)
     den = fsum_c(np.sum(modes * modes.conj(), axis=0) * w)

@@ -341,7 +341,7 @@ class TestConfigHandling:
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # r_e^(n+2) of the matrix coefficients overflows at this scale (ROADMAP
-        # item 4a); once the series is evaluated in r/r_e this input exits 0.
+        # item 3); once the series is evaluated in r/r_e this input exits 0.
         out = tmp_path / "s.jsonl"
         rc = main(["calr", "--ri", "1000", "--re", "2000", "--rs", "2500",
                    "--no-quad-energy", "--out", str(out)])

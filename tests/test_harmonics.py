@@ -28,7 +28,7 @@ from npshell.harmonics import (
     solid_harmonic,
     solid_harmonic_series,
     trace_mode_norm_sq,
-    trace_modes,
+    vector_modes,
     _legendre_column,
     _ylm,
     _unit_vectors,
@@ -302,28 +302,34 @@ def _ladder_trace_mode(idx, lame, theta, phi):
 
 
 class TestTraceModes:
-    """trace_modes (one harmonic table for all orders of a degree, at unit
-    points) against the single-mode ladder path."""
+    """vector_modes (one harmonic table for all orders of a degree) at unit
+    points and off the sphere against the single-mode ladder paths."""
 
     @pytest.mark.parametrize("fam", ["T", "M", "N"])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_ladder_path(self, fam, n, rng):
         theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 40)), [0.0, np.pi]])
         phi = np.concatenate([rng.uniform(0, 2 * np.pi, 40), [0.0, 0.0]])  # both poles
+        unit = _unit_vectors(theta, phi)
         lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
         mmax = n - 1 if fam == "N" else n
         orders = range(-mmax, mmax + 1)
-        for m, mode in zip(orders, trace_modes(fam, n, orders, lp, _unit_vectors(theta, phi)), strict=True):
+        for m, mode in zip(orders, vector_modes(fam, n, orders, lp, unit), strict=True):
             ref = _ladder_trace_mode(ModeIndex(fam, n, m), lp, theta, phi)
             assert mode.shape == (3, len(theta))
             assert np.max(np.abs(mode.T - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for r in (0.5, 2.0):
+            for m, mode in zip(orders, vector_modes(fam, n, orders, lp, r * unit), strict=True):
+                ref = _ladder_solid_mode(ModeIndex(fam, n, m), lp, r * unit)
+                assert mode.shape == (3, len(theta))
+                assert np.max(np.abs(mode.T - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_orders_stream_in_request_order(self, lame, rng):
         unit = _unit_vectors(*random_surface_angles(rng, 5))
-        modes = trace_modes("T", 3, [2, -3, 2], lame, unit)
+        modes = vector_modes("T", 3, [2, -3, 2], lame, unit)
         assert not isinstance(modes, (list, tuple))
         first, second, third = modes
-        (alone,) = trace_modes("T", 3, [-3], lame, unit)
+        (alone,) = vector_modes("T", 3, [-3], lame, unit)
         assert np.array_equal(first, third) and np.array_equal(second, alone)
 
     @pytest.mark.parametrize("l", range(9))

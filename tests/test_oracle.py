@@ -19,7 +19,7 @@ from npshell.harmonics import (
     eval_solid_mode,
     eval_trace_mode,
     eval_ylm,
-    trace_modes,
+    vector_modes,
 )
 from npshell.kelvin import KernelCoeffs, LameParams, k1_kernel, k2_kernel
 from npshell.oracle import (
@@ -298,9 +298,9 @@ class TestPoleFrame:
             js = list(js)
             if len(unit) >= rule.n_theta * rule.n_phi:
                 orders.extend(js)
-            return trace_modes(family, n, js, lame, unit)
+            return vector_modes(family, n, js, lame, unit)
 
-        monkeypatch.setattr(oracle, "trace_modes", counted)
+        monkeypatch.setattr(oracle, "vector_modes", counted)
         quad_np_apply(idx, lame, rule)
         l = idx.scalar_degree
         assert orders == list(range(-l, l + 1))
