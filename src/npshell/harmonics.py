@@ -201,14 +201,6 @@ def _combine(c: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ylm(l: int, orders: Iterable[int], unit) -> np.ndarray:
-    """Y_l^q for each q of `orders` at unit points (N, 3), complex
-    (len(orders), N), from one `_harmonic_table`."""
-    orders = list(orders)
-    table = _harmonic_table(l, np.asarray(unit, dtype=float).T, {abs(q) for q in orders})
-    return _combine(np.stack([_row_weights(l, q) for q in orders]), table)
-
-
 # ---------------------------------------------------------------------------
 # Cartesian gradient ladders (pole-safe)
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ applied by central differences (one product stencil, one call of a field
 mapping points (S, 3) to values (S, 3) per derivative), and energies come
 from strain densities on a volume grid.  Reductions use compensated
 summation in a fixed order so repeated runs are bit-identical.
+
+The N-P eigenvalue and its projection residual are read off the 2l + 1
+pole integrals of the modes of one degree (`quad_np_apply`).  The residual
+sees modes mixed in by the rule (M_6^3 on an 8x16 rule: 4.4e-4), not an
+error that keeps the mode's shape (T_6^3 on 8x16: eigenvalue off by 2.3e-3,
+residual 9.4e-17).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonics import ModeIndex, _unit_vectors, _ylm, vector_modes
+from .harmonics import ModeIndex, vector_modes
 from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from .transmission import ShellGeometry
 
@@ -42,9 +48,14 @@ def fsum_c(values: np.ndarray) -> complex | np.ndarray:
     e = np.zeros_like(s)
     while (half := s.shape[-1] // 2) > 0:
         x, y = s[..., :half], s[..., half:]
-        s = x + y
-        z = s - x  # TwoSum: x + y == s + (x - (s - z)) + (y - z) exactly
-        e = (x - (s - z)) + (y - z) + e[..., :half] + e[..., half:]
+        t = x + y
+        z = t - x  # TwoSum: x + y == t + (x - (t - z)) + (y - z) exactly
+        y -= z  # s is this call's own buffer; in place, a level allocates only t and z
+        np.subtract(x, np.subtract(t, z, out=z), out=z)
+        z += y
+        z += e[..., :half]
+        z += e[..., half:]
+        s, e = t, z
     total = s[..., 0] + e[..., 0]
     out = total[0] + 1j * total[1] if len(parts) == 2 else total[0] + 0j
     return complex(out) if np.ndim(out) == 0 else out
@@ -187,82 +198,6 @@ def quad_elastic_sl(
     return fsum_c((np.einsum("aij,aj->ai", ker, dens) * w[:, None]).T)
 
 
-@lru_cache(maxsize=32)
-def _projection_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit nodes of the (l + 1) x (2l + 2) product rule, exact for degree
-    2l + 1, and conj(Y_l^k) w at them for k = -l..l, shape (2l + 1, N)."""
-    pts, w = QuadratureRule(l + 1, 2 * l + 2).surface_nodes()
-    ylm_w = _ylm(l, range(-l, l + 1), pts).conj() * w
-    ylm_w.setflags(write=False)
-    return pts, ylm_w
-
-
-def _wigner_d_column(l: int, m: int, q: np.ndarray) -> np.ndarray:
-    """D^l_{km}(Q) for k = -l..l, defined by Y_l^m(Q^T p) = sum_k D_{km} Y_l^k(p):
-    the projection of the rotated harmonic onto each Y_l^k, by a rule exact
-    for the degree-2l products.  For rotations q (..., 3, 3), shape
-    (..., 2l + 1): one harmonic evaluation over every rotated node set."""
-    pts, ylm_w = _projection_rule(l)
-    rotated = pts @ q
-    ylm = _ylm(l, [m], rotated.reshape(-1, 3))[0].reshape(rotated.shape[:-1])
-    return ylm @ ylm_w.T
-
-
-def _pole_frame_np(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float):
-    """x -> K*[phi](x) for one mode, with K1/K2 assembled once: for nodes
-    y = Q^T p, with Q x/|x| = z-hat, K(x, y) = Q^T K(r0 z-hat, p) Q.  The
-    modes of degree l = idx.scalar_degree are rotation covariant,
-    Q phi_m(Q^T p) = sum_k D^l_{km}(Q) phi_k(p), so the (3, 3, N) pole blocks
-    -b1 K1 w and K2 w are summed once against each phi_k, k = -l..l (the K1
-    subtraction at phi_k(z-hat)).  The 2l + 1 modes stream, one at a time,
-    from one harmonic table of the nodes the blocks are assembled at, p / r0,
-    and z-hat (`harmonics.vector_modes`).
-    The returned map takes targets x (..., 3) in one pass: all rotations Q
-    at once, all Wigner-D columns from one projection, and each target's sum
-    of the 2l + 1 pole integrals turned back by Q^T."""
-    p, w = rule.polar_nodes(r0)
-    z = np.array([0.0, 0.0, 1.0])
-    k1 = -KernelCoeffs.from_lame(lame).b1 * k1_kernel(r0 * z, p, z)
-    k2 = k2_kernel(r0 * z, p, z, lame)
-    k1w, k2w = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1, k2))
-    del k1, k2  # only the weighted blocks stay live while the modes are summed
-
-    def contracted(dens: np.ndarray) -> np.ndarray:
-        psi, c = dens[:, :-1], dens[:, -1]
-        return sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
-
-    l = idx.scalar_degree
-    modes = vector_modes(idx.family, idx.n, range(-l, l + 1), lame, np.vstack([p / r0, z]))
-    pole_integrals = np.stack([fsum_c(s) for s in map(contracted, modes)])  # no mode outlives its sum
-
-    def at(x: np.ndarray) -> np.ndarray:
-        q = rotation_to_pole(x)
-        return np.einsum("...ji,...j->...i", q, _wigner_d_column(l, idx.m, q) @ pole_integrals)
-
-    return at
-
-
-def quad_np_pointwise(
-    idx: ModeIndex,
-    x: np.ndarray,
-    lame: LameParams,
-    rule: QuadratureRule,
-    r0: float = 1.0,
-) -> np.ndarray:
-    """Principal-value N-P action K*[phi](x) for x on the sphere.
-
-    Uses the kernel split d/dnu_x G = -b1 K1 + K2.  K2 is weakly singular on
-    the sphere as it stands.  The strongly singular K1 has vanishing
-    principal value against constants on a sphere, so its p.v. action equals
-    the absolutely convergent integral of K1(x,y)(phi(y) - phi(x)).  Both are
-    isotropic, K(Qx, Qy) = Q K(x, y) Q^T, so they are assembled with the
-    target at the pole, and the mode, not the nodes, is rotated: x combines
-    2l + 1 pole integrals with Wigner-D coefficients (Graham & Sloan, Numer.
-    Math. 2002; Ganesh & Graham, J. Comput. Phys. 2004).
-    """
-    return _pole_frame_np(idx, lame, rule, r0)(x)
-
-
 def quad_np_apply(
     idx: ModeIndex,
     lame: LameParams,
@@ -270,41 +205,59 @@ def quad_np_apply(
     r0: float = 1.0,
     residual_tol: float = 1e-4,
 ) -> tuple[complex, float]:
-    """Eigenvalue estimate of the N-P operator on one trace mode.
+    """Eigenvalue estimate of the N-P operator on one trace mode, and the
+    relative L2 residual of K*[phi] orthogonal to the mode.
 
-    Evaluates K*[phi] on an outer projection grid, projects onto the mode,
-    and reports (eigenvalue, relative L2 residual orthogonal to the mode).
-    The projection integrand of a single (n, m) mode is azimuth independent,
-    so the outer grid needs full Gauss resolution only in the colatitude:
-    max(k + 2, 4) Gauss nodes for scalar degree k.
-    Each outer node is a quad_np_pointwise in one pole frame (Graham & Sloan,
-    Numer. Math. 2002; Ganesh & Graham, J. Comput. Phys. 2004): K1/K2 and
-    the 2l + 1 pole integrals are computed once per call, their modes
-    streamed from one harmonic table (`harmonics.vector_modes`).  The outer
-    nodes then go through in one pass: one vectorised rotation to the pole
-    each, all Wigner-D columns from one projection of the rotated rule
-    nodes, and the mode on the outer grid from the same `vector_modes`.
+    K*[phi] is the principal-value action with the kernel split
+    d/dnu_x G = -b1 K1 + K2.  K2 is weakly singular on the sphere as it
+    stands.  The strongly singular K1 has vanishing principal value against
+    constants on a sphere, so its p.v. action equals the absolutely
+    convergent integral of K1(x, y)(phi(y) - phi(x)).  Both are isotropic,
+    K(Qx, Qy) = Q K(x, y) Q^T, so they are assembled once, with the target
+    at the pole r0 z-hat, as the (3, 3, N) blocks -b1 K1 w and K2 w on the
+    rule's polar nodes p (Graham & Sloan, Numer. Math. 2002; Ganesh &
+    Graham, J. Comput. Phys. 2004).  Summed against each phi_k, k = -l..l
+    for the scalar degree l, they give the 2l + 1 pole integrals
+    I_k = K*[phi_k](r0 z-hat); the modes stream, one at a time, from one
+    harmonic table of p / r0 (`harmonics.vector_modes`).
+
+    The modes are rotation covariant, Q phi_m(Q^T p) = sum_k D^l_km(Q) phi_k(p),
+    so K*[phi_m](x) = Q^T sum_k D^l_km(Q) I_k and phi_m(x) is the same sum of
+    the pole values phi_k(z-hat), with Q = R_z(phi) R_y(-theta) R_z(-phi) the
+    rotation of x to the pole.  Over the sphere of targets,
+    int D^l_km(Q) conj(D^l_jm(Q)) = 4 pi / (2l + 1) delta_kj, so projecting
+    K*[phi_m] onto phi_m gives
+        xi = sum_k I_k . conj(phi_k(z-hat)) / sum_k |phi_k(z-hat)|^2,
+    and the residual is sum_k |I_k - xi phi_k(z-hat)|^2 over the same
+    denominator, square-rooted.  Neither reads the order m: every order of
+    a (family, n) gives the same pair.
+
     A residual above residual_tol raises NonEigenfunctionError.  The
     residual is the part of K*[phi] outside the mode, so it catches an input
     that is not an eigenfunction and a quadrature error that mixes in other
     modes (M_6^3 on an 8x16 rule: 4.4e-4), but not an error that keeps the
     mode's shape: T_6^3 on 8x16 is off its eigenvalue by 2.3e-3 with
-    residual 1.6e-16.  A small residual does not show that the rule resolves
+    residual 9.4e-17.  A small residual does not show that the rule resolves
     the mode; only the gap to the closed form or to a finer rule does.
     """
-    n_phi_out = max(2 * abs(idx.m) + 4, 8)
-    xt, wt = _leggauss(max(idx.scalar_degree + 2, 4))
-    theta = np.arccos(np.asarray(xt))
-    phi = 2 * np.pi * np.arange(n_phi_out) / n_phi_out
-    w = np.repeat(np.asarray(wt), n_phi_out) * (2 * np.pi / n_phi_out) * r0**2
-    unit = _unit_vectors(*np.meshgrid(theta, phi, indexing="ij")).reshape(-1, 3)
-    (modes,) = vector_modes(idx.family, idx.n, [idx.m], lame, unit)
-    vals = _pole_frame_np(idx, lame, rule, r0)(r0 * unit).T
-    num = fsum_c(np.sum(vals * modes.conj(), axis=0) * w)
-    den = fsum_c(np.sum(modes * modes.conj(), axis=0) * w)
-    xi = num / den
-    resid2 = fsum_c(np.sum(np.abs(vals - xi * modes) ** 2, axis=0) * w).real
-    resid = math.sqrt(max(resid2, 0.0) / den.real)
+    p, w = rule.polar_nodes(r0)
+    z = np.array([0.0, 0.0, 1.0])
+    k1 = -KernelCoeffs.from_lame(lame).b1 * k1_kernel(r0 * z, p, z)
+    k2 = k2_kernel(r0 * z, p, z, lame)
+    k1w, k2w = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1, k2))
+    del k1, k2  # only the weighted blocks stay live while the modes are summed
+
+    def contracted(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
+
+    l = idx.scalar_degree
+    orders = range(-l, l + 1)
+    pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, z[None])))[..., 0]  # phi_k(z-hat)
+    modes = vector_modes(idx.family, idx.n, orders, lame, p / r0)
+    integrals = np.stack([fsum_c(contracted(psi, c)) for psi, c in zip(modes, pole)])  # no mode outlives its sum
+    den = fsum_c(np.ravel(np.abs(pole) ** 2)).real
+    xi = fsum_c(np.ravel(integrals * pole.conj())) / den
+    resid = math.sqrt(fsum_c(np.ravel(np.abs(integrals - xi * pole) ** 2)).real / den)
     if resid > residual_tol:
         raise NonEigenfunctionError(
             f"N-P mode {idx.family} n={idx.n} m={idx.m}: projection residual "

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from npshell import cli
 from npshell.cli import _worst_error, main
 from npshell.oracle import ValidationRecord
 
@@ -68,7 +69,7 @@ class TestValidate:
         assert rc == 0
         lines = out.read_text().splitlines()
         config = _strict_json(lines[0])
-        assert (config["type"], config["quad_theta"], config["inject_fault"]) == ("config", 48, False)
+        assert (config["type"], config["quad_theta"]) == ("config", 48)
         summary = _strict_json(lines[-1])
         assert summary["failures"] == 0
         recs = [_strict_json(l) for l in lines[1:-1]]
@@ -79,13 +80,18 @@ class TestValidate:
                                  "n_theta": 48, "n_phi": 96}
         assert rec["closed_form"] == {"re": 0.5, "im": 0.0}
 
-    def test_fault_injection_detected(self, tmp_path):
+    def test_fault_injection_detected(self, tmp_path, monkeypatch):
+        # a reference eigenvalue off by 1% (M, n = 2) fails its record
+        closed_form = cli.np_eigenvalue
+        monkeypatch.setattr(cli, "np_eigenvalue", lambda fam, n, lame: closed_form(fam, n, lame)
+                            * (1.01 if (fam, n) == ("M", 2) else 1.0))
         out = tmp_path / "v.jsonl"
         rc = main(
-            ["validate", "--suite", "np", "--n-max", "2", "--inject-fault",
+            ["validate", "--suite", "np", "--n-max", "2",
              "--quad-theta", "48", "--quad-phi", "96", "--out", str(out)]
         )
         assert rc == 1
+        assert _strict_json(out.read_text().splitlines()[-1])["failures"] == 1
 
     @pytest.mark.parametrize("suite", ["gram", "energy"])
     def test_records_name_the_rule_they_used(self, tmp_path, suite):
@@ -221,6 +227,25 @@ class TestField:
             rad = np.linalg.norm([float(r[2]), float(r[3]), float(r[4])])
             assert abs(rad - 1.0) > 0.02 and abs(rad - 2.0) > 0.02
 
+    @pytest.mark.parametrize("axis, offset", [("y", 0.0), ("x", 0.3), ("z", -1.1)])
+    def test_samples_are_the_plane_grid_in_loop_order(self, tmp_path, axis, offset):
+        import numpy as np
+
+        out = tmp_path / "field.csv"
+        assert main(["field", "--resolution", "9", "--axis", axis, "--offset", str(offset),
+                     "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        kept = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}[axis]
+        expected = []
+        for u in np.linspace(-5.0, 5.0, 9):
+            for v in np.linspace(-5.0, 5.0, 9):
+                p = [offset] * 3
+                p[kept[0]], p[kept[1]] = u, v
+                rad = np.linalg.norm(p)
+                if abs(rad - 1.0) > 0.04 and abs(rad - 2.0) > 0.04:  # guard 0.02 r_e
+                    expected.append([u, v, *p])
+        assert [[float(c) for c in row[:5]] for row in rows] == expected
+
     def test_single_sample(self, tmp_path):
         out = tmp_path / "field.csv"
         rc = main(["field", "--rs", "2.5", "--delta", "1e-2", "--resolution", "1",
@@ -302,8 +327,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, flag, name", [
         (["calr", "--kappa", "0"], "--no-quad-energy", "a.jsonl"),
         (["field", "--resolution", "3"], "--include-source", "a.csv"),
-        (["validate", "--suite", "lame", "--n-max", "1"], "--inject-fault", "a.jsonl"),
-    ], ids=["calr", "field", "validate"])
+    ], ids=["calr", "field"])
     def test_header_echoes_boolean_flag(self, tmp_path, argv, flag, name):
         out = tmp_path / name
         key = flag[2:].replace("-", "_")

@@ -35,7 +35,6 @@ from npshell.oracle import (
     quad_elastic_sl,
     quad_energy_shell,
     quad_np_apply,
-    quad_np_pointwise,
     quad_scalar_sl,
     quad_surface_integral,
     rotation_to_pole,
@@ -256,9 +255,9 @@ class TestNPQuadrature:
 
 
 class TestPoleFrame:
-    """quad_np_pointwise assembles K1/K2 once at the pole and rotates each
-    target's density into that frame; the reference assembles them at the
-    target itself, as the oracle did before."""
+    """quad_np_apply reads (eigenvalue, residual) off the 2l + 1 pole
+    integrals; the reference assembles K1/K2 at every target of an outer
+    grid, as the oracle once did, and projects onto the mode there."""
 
     # Eigenvalues 0.21, 0.5 and 0.13-0.19: both routes round at ~1e-14 of the
     # integrand, so a mode with a small K*[phi] (M_2: 1/90) would measure that
@@ -266,15 +265,30 @@ class TestPoleFrame:
     MODES = (ModeIndex("T", 3, 1), ModeIndex("M", 1, 1), ModeIndex("N", 3, -1))
 
     @pytest.mark.parametrize("lp", [LameParams(2.0, 1.0), LameParams(-4 + 0.05j, -4 + 0.05j)])
-    def test_matches_kernel_assembled_at_the_target(self, lp, rng):
+    def test_matches_kernel_assembled_at_the_target(self, lp):
         rule, r0 = QuadratureRule(24, 48), 1.5
-        targets = [r0 * v / np.linalg.norm(v) for v in rng.normal(size=(10, 3))]
-        targets += [np.array([0.0, 0.0, r0]), np.array([0.0, 0.0, -r0])]  # both special Q
         for idx in self.MODES:
-            for x in targets:
-                val = quad_np_pointwise(idx, x, lp, rule, r0)
-                ref = _np_pointwise_at_target(idx, x, lp, rule, r0)
-                assert np.linalg.norm(val - ref) <= 1e-12 * np.linalg.norm(ref)
+            est, _ = quad_np_apply(idx, lp, rule, r0)
+            ref, _ = _np_projection_at_targets(idx, lp, rule, r0)
+            assert abs(est - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("idx", [ModeIndex("M", 6, 3), ModeIndex("N", 5, 2)],
+                             ids=lambda i: f"{i.family}{i.n}^{i.m}")
+    def test_residual_matches_kernel_assembled_at_the_targets(self, idx, lame):
+        # on 8x16 both modes mix with others, so the residual is far from rounding
+        rule = QuadratureRule(8, 16)
+        est, resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
+        ref, ref_resid = _np_projection_at_targets(idx, lame, rule, 1.0)
+        assert resid > 1e-6
+        assert abs(resid - ref_resid) <= 1e-9 * ref_resid
+        assert abs(est - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("fam, n", [("T", 4), ("M", 3), ("N", 4)])
+    def test_every_order_gives_the_same_pair(self, fam, n):
+        lp, rule = LameParams(-4 + 0.05j, -4 + 0.05j), QuadratureRule(8, 16)
+        l = n - 1 if fam == "N" else n
+        pairs = {quad_np_apply(ModeIndex(fam, n, m), lp, rule, residual_tol=1.0) for m in range(-l, l + 1)}
+        assert len(pairs) == 1
 
     def test_kernels_assembled_once_per_call(self, lame, monkeypatch):
         calls = []
@@ -290,7 +304,7 @@ class TestPoleFrame:
                                      ModeIndex("N", 4, -2), ModeIndex("M", 1, 1)],
                              ids=lambda i: f"{i.family}{i.n}^{i.m}")
     def test_modes_evaluated_once_per_order_per_call(self, idx, lame, monkeypatch):
-        # the outer grid grows with |m|; the pole integrals do not
+        # each of the 2l + 1 orders meets the rule's nodes once, whatever m is
         rule = QuadratureRule(16, 32)
         orders = []
 
@@ -304,39 +318,6 @@ class TestPoleFrame:
         quad_np_apply(idx, lame, rule)
         l = idx.scalar_degree
         assert orders == list(range(-l, l + 1))
-
-
-def _random_rotation(rng):
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q = q * np.sign(np.diag(r))
-    return q if np.linalg.det(q) > 0 else -q
-
-
-class TestWignerDColumn:
-    """Y_l^m(Q^T p) = sum_k D^l_{km}(Q) Y_l^k(p) at random points."""
-
-    @pytest.mark.parametrize("l", range(9))
-    def test_rotated_harmonic_is_the_combination(self, l, rng):
-        p = rng.normal(size=(20, 3))
-        rotations = [_random_rotation(rng) for _ in range(3)]
-        rotations += [rotation_to_pole(rng.normal(size=3)), rotation_to_pole(np.array([0, 0, 1.0])),
-                      rotation_to_pole(np.array([0, 0, -1.0]))]
-        assert_allclose(rotations[-2], np.eye(3))
-        assert_allclose(rotations[-1], np.diag([1.0, -1.0, -1.0]))
-        ylm = np.stack([_ylm_at(l, k, p) for k in range(-l, l + 1)])
-        for q in rotations:
-            for m in range(-l, l + 1):
-                d = oracle._wigner_d_column(l, m, q)
-                assert_allclose(d @ ylm, _ylm_at(l, m, p @ q), rtol=0, atol=1e-13)
-
-
-    def test_columns_of_many_rotations_at_once(self, rng):
-        qs = np.stack([_random_rotation(rng) for _ in range(4)]).reshape(2, 2, 3, 3)
-        for l, m in [(0, 0), (3, -2), (6, 6)]:
-            d = oracle._wigner_d_column(l, m, qs)
-            assert d.shape == (2, 2, 2 * l + 1)
-            for qi, di in zip(qs.reshape(-1, 3, 3), d.reshape(-1, 2 * l + 1)):
-                assert_allclose(di, oracle._wigner_d_column(l, m, qi), rtol=0, atol=1e-14)
 
 
 def _np_pointwise_at_target(idx, x, lame, rule, r0):
@@ -356,6 +337,22 @@ def _np_pointwise_at_target(idx, x, lame, rule, r0):
     return np.array(
         [complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist())) for v in vals.T]
     )
+
+
+def _np_projection_at_targets(idx, lame, rule, r0):
+    """(eigenvalue, residual) of K*[phi] projected onto phi over an outer
+    (l + 2) x (4l + 4) Gauss grid of targets on the sphere of radius r0, with
+    K*[phi] from `_np_pointwise_at_target` at each.  The rule integrates
+    the projection integrands, harmonics of degree <= 2l and order <= 2l in
+    the target, exactly."""
+    l = idx.scalar_degree
+    pts, w = QuadratureRule(l + 2, 4 * l + 4).surface_nodes(r0)
+    vals = np.stack([_np_pointwise_at_target(idx, x, lame, rule, r0) for x in pts])
+    modes = eval_trace_mode(idx, lame, *_cartesian_angles(pts)[1:])
+    w = w[:, None]
+    den = np.sum(np.abs(modes) ** 2 * w)
+    xi = np.sum(vals * modes.conj() * w) / den
+    return xi, math.sqrt(np.sum(np.abs(vals - xi * modes) ** 2 * w) / den)
 
 
 # Summands over 120 binary orders of magnitude, half of them cancelling
