@@ -1,0 +1,29 @@
+#!/usr/bin/env python3
+"""Rewrite the golden `calr` artifacts under tests/golden/ from the current
+code: the resonant (r_s = 2.5) and bounded (r_s = 3.5) default sweeps, both
+with the quadrature cross-check.  tests/test_golden.py re-runs the same
+commands and compares.  A change that regenerates the files should record
+the largest move per file.
+
+Usage: python scripts/regen_golden.py
+"""
+
+import os
+from pathlib import Path
+
+from npshell.cli import main as cli
+
+RUNS = {"calr_rs2.5": ["calr", "--rs", "2.5"], "calr_rs3.5": ["calr", "--rs", "3.5"]}
+
+
+def write(outdir: Path) -> None:
+    """Each run of RUNS as outdir/<name>.jsonl and its .csv."""
+    for name, argv in RUNS.items():
+        rc = cli([*argv, "--out", str(outdir / f"{name}.jsonl")])
+        if rc != 0:
+            raise SystemExit(rc)
+
+
+if __name__ == "__main__":
+    os.chdir(Path(__file__).resolve().parent.parent)  # the `out` echo stays repo-relative
+    write(Path("tests/golden"))

@@ -360,24 +360,29 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     """Coefficient stages of a solid-harmonic series: the `_rotation_block` of
     every mode summed into one row per (kind, degree, order), then the orders
     +-a recombined into one real matrix per order a <= q_max + 1 (+ 2 with
-    the gradient) and <= top.  Matrix a has shape (Re/Im (x + i y)^a part,
-    re/im, kind, component, degree k = a..top); returns (kinds present, top,
-    matrices)."""
+    the gradient) and <= top.  Coefficients of shape (sets, modes) give
+    each set its own components, set-major along the component axis, so one
+    table and one contraction serve every set.  Matrix a has shape (Re/Im
+    (x + i y)^a part, re/im, kind, set x component, degree k = a..top);
+    returns (kinds present, top, sets shape, matrices)."""
     ncomp, step = (12, 2) if gradient else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
     coeffs = (regular, decaying)
     kinds = [kind for kind in (0, 1) if coeffs[kind] is not None and n.size]
+    sets = next((np.shape(c)[:-1] for c in coeffs if c is not None), ())
     q_max = int(np.abs(m).max(initial=0))
     n_max = int(n.max(initial=0))
     top = n_max + step - 1  # highest degree reached (grad u of a decaying term)
-    # rows[kind, q + q_max + 2, comp, k + 2]: weight of the solid harmonic of
-    # degree k and order q in component comp
-    rows = np.zeros((2, 2 * q_max + 5, ncomp, n_max + 5), dtype=complex)
+    # rows[kind, q + q_max + 2, set, comp, k + 2]: weight of the solid
+    # harmonic of degree k and order q in component comp of one set
+    rows = np.zeros((2, 2 * q_max + 5, math.prod(sets), ncomp, n_max + 5), dtype=complex)
     for kind in kinds:
-        for nk, mk, c in zip(n.tolist(), m.tolist(), coeffs[kind]):
+        per_mode = np.reshape(coeffs[kind], (-1, n.size)).T[:, :, None, None]  # (modes, sets, 1, 1)
+        for nk, mk, c in zip(n.tolist(), m.tolist(), per_mode):
             lo = nk + 1 + kind
-            rows[kind, mk + q_max:mk + q_max + 5, :, lo:lo + 2] += c * _rotation_block(
-                bool(kind), nk, mk, gradient)
+            block = _rotation_block(bool(kind), nk, mk, gradient)[:, None]
+            rows[kind, mk + q_max:mk + q_max + 5, :, :, lo:lo + 2] += c * block
+    rows = rows.reshape(rows.shape[:2] + (-1, n_max + 5))
     orders = []
     for a in range(min(q_max + step, top) + 1) if kinds else ():
         # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
@@ -386,12 +391,12 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
         minus = (-1) ** a * rows[kinds, q_max + 2 - a, :, a + 2:top + 3]
         coef = np.stack([plus + minus, 1j * (plus - minus)] if a else [plus])
         orders.append(np.stack([coef.real, coef.imag], axis=1))
-    return kinds, top, orders
+    return kinds, top, sets, orders
 
 
 def _series_eval(kinds, orders, table, powers: np.ndarray, out: np.ndarray) -> None:
     """Add the series at the points of the `_harmonic_columns` table to out
-    (re/im, comp, point).
+    (re/im, set x component, point).
 
     powers holds r^0..r^(top + 1): shape (top + 2, points) for scattered
     points, or (top + 2,) when every point has the same radius, which then
@@ -409,9 +414,10 @@ def _series_eval(kinds, orders, table, powers: np.ndarray, out: np.ndarray) -> N
             out += part * t
 
 
-def _field_gradient(out: np.ndarray, shape: tuple, gradient: bool):
-    out = (out[0] + 1j * out[1]).T
-    return out[:, :3].reshape(shape), out[:, 3:].reshape(shape + (3,)) if gradient else None
+def _field_gradient(out: np.ndarray, sets: tuple, shape: tuple, gradient: bool):
+    """(u, grad u or None) of shapes sets + shape (+ (3,)) from out (re/im, set x component, point)."""
+    out = np.moveaxis((out[0] + 1j * out[1]).reshape(math.prod(sets), -1, out.shape[-1]), 1, -1)
+    return out[..., :3].reshape(sets + shape), out[..., 3:].reshape(sets + shape + (3,)) if gradient else None
 
 
 def _unit_and_radius(pts: np.ndarray):
@@ -442,32 +448,32 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     """
     xyz = np.asarray(xyz, dtype=float)
     pts = xyz.reshape(-1, 3)
-    kinds, top, orders = _series_orders(n, m, regular, decaying, gradient)
-    out = np.zeros((2, 12 if gradient else 3, len(pts)))
+    kinds, top, sets, orders = _series_orders(n, m, regular, decaying, gradient)
+    out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(pts)))
     for lo in range(0, len(pts), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         unit, r = _unit_and_radius(pts[blk])
         table = _harmonic_columns(top, unit, range(len(orders)))
         _series_eval(kinds, orders, table, r ** np.arange(top + 2.0)[:, None], out[:, :, blk])
-    return _field_gradient(out, xyz.shape, gradient)
+    return _field_gradient(out, sets, xyz.shape, gradient)
 
 
 def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False):
     """The (u, grad u or None) of `solid_harmonic_series` at the points
-    r * unit, one shell at a time, for each radius r of `radii`.
+    r * unit (unit directions (N, 3)), one shell per radius r of `radii`.
+    Coefficients of shape (sets, modes) give fields with a leading sets axis.
 
-    `unit` holds unit directions (N, 3), whose `_harmonic_columns` are built
-    once for all shells; each shell folds its r^k and r^-(k+1) into the
-    per-order coefficient rows and costs one (rows x degrees) by
-    (degrees x N) product per order.
-    """
+    The `_harmonic_columns` of `unit` are built once for all shells and
+    sets; each shell folds its r^k and r^-(k+1) into the per-order
+    coefficient rows (every set's among them) and costs one (rows x
+    degrees) by (degrees x N) product per order."""
     unit = np.asarray(unit, dtype=float)
-    kinds, top, orders = _series_orders(n, m, regular, decaying, gradient)
+    kinds, top, sets, orders = _series_orders(n, m, regular, decaying, gradient)
     table = list(_harmonic_columns(top, unit.T, range(len(orders))))
     for r in radii:
-        out = np.zeros((2, 12 if gradient else 3, len(unit)))
+        out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(unit)))
         _series_eval(kinds, orders, table, r ** np.arange(top + 2.0), out)
-        yield _field_gradient(out, unit.shape, gradient)
+        yield _field_gradient(out, sets, unit.shape, gradient)
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:

@@ -14,7 +14,7 @@ source sits inside or outside the critical radius sqrt(r_e^3 / r_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -181,7 +181,7 @@ def region_coefficients(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams):
     core regular     d1 (phi_i / r_i^(n-1) + phi_e / r_e^(n-1))
     shell regular    d1 phi_e / r_e^(n-1)       (outer layer, interior form)
     shell decaying   d1 r_i^(n+2) phi_i          (inner layer, exterior form)
-    matrix decaying  d1 (r_i^(n+2) phi_i + r_e^(n+2) phi_e)
+    matrix decaying  `matrix_coefficient` at R = 1
     """
     d1 = elastic_sl_t_coeff(n, lame)
     ri, re = float(geom.r_i), float(geom.r_e)
@@ -190,8 +190,17 @@ def region_coefficients(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams):
             d1 * (phi_i / ri ** (n - 1) + phi_e / re ** (n - 1)),
             d1 * phi_e / re ** (n - 1),
             d1 * ri ** (n + 2) * phi_i,
-            d1 * (ri ** (n + 2) * phi_i + re ** (n + 2) * phi_e),
+            matrix_coefficient(n, phi_i, phi_e, geom, lame),
         )
+
+
+def matrix_coefficient(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams, radius: float = 1.0):
+    """Matrix (both layers exterior) coefficient of the scattered T potential
+    read on the sphere |x| = R, d1 R [(r_i/R)^(n+2) phi_i + (r_e/R)^(n+2)
+    phi_e]: a decaying term of u is homogeneous of degree -(n+1), so u(R x)
+    is its series at x.  No power exceeds 1 for R >= r_e; R = 1 gives u's."""
+    r = float(radius)
+    return elastic_sl_t_coeff(n, lame) * r * ((geom.r_i / r) ** (n + 2) * phi_i + (geom.r_e / r) ** (n + 2) * phi_e)
 
 
 def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameParams):
@@ -318,8 +327,8 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
     Core (|x| <= r_i): both layers act through their interior forms.
     Shell: inner layer exterior form + outer layer interior form.
-    Matrix (|x| > r_e): both exterior, amplitudes r_i^(n+2) phi_i +
-    r_e^(n+2) phi_e.  Values are continuous across both interfaces.
+    Matrix (|x| > r_e): both exterior (`matrix_coefficient`).  Values are
+    continuous across both interfaces.
     Given a source, its (convergent) potential is added.
     """
     geom = sol.geom
@@ -371,80 +380,66 @@ class EnergyReport:
     verdict: str = "undetermined"
 
 
-def resonant_energy_envelope(src: SourceSpectrum, cfg: PlasmonicConfig, geom: ShellGeometry) -> float:
-    """Leading-order resonant-degree energy scale
-    sum_m delta |g_e^{n0,m}|^2 / (n0 (delta^2 + rho^(2 n0))).
+def farfield_sample(sols: list[DensitySolution]) -> list[float]:
+    """max |u - F| over 24 fixed probes at |x| = R = 1.05 r_e^2 / r_i, one
+    value per solution; the probe directions are a golden-angle spiral,
+    poles excluded: cos theta_k = 1 - (2k + 1) / 24, phi_k = k pi (3 - sqrt 5).
 
-    This is the order-of-magnitude envelope of the exact mode energy, with
-    unit constant; it drives the blowup rate but is not the quantity
-    cross-checked against quadrature.
+    The spectra must be prefixes of one mode list, as a sweep's are.  Each
+    solution's `matrix_coefficient` at its R, zero-padded, is one row of a
+    (solutions, modes) array, and one `solid_harmonic_shells` call at unit
+    radius evaluates every row on one harmonic table of the directions.
     """
-    g = src.g[src.n == cfg.n0]
-    return float(np.sum(cfg.delta * np.abs(g) ** 2 / (cfg.n0 * (cfg.delta**2 + geom.rho ** (2 * cfg.n0)))))
+    longest = max(sols, key=lambda sol: sol.n.size)
+    rows = np.zeros((len(sols), longest.n.size), dtype=complex)
+    for row, sol in zip(rows, sols):
+        k, radius = sol.n.size, 1.05 * sol.geom.r_e**2 / sol.geom.r_i
+        if not (np.array_equal(sol.n, longest.n[:k]) and np.array_equal(sol.m, longest.m[:k])):
+            raise ValueError("farfield_sample: the spectra must be prefixes of one mode list")
+        row[:k] = matrix_coefficient(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame, radius)
+    k = np.arange(24)
+    ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
+    st = np.sqrt(1 - ct * ct)
+    unit = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+    ((u, _),) = solid_harmonic_shells(longest.n, longest.m, None, rows, [1.0], unit)
+    return np.linalg.norm(u, axis=-1).max(axis=-1).tolist()
 
 
-_FARFIELD_PROBES = 24
-
-
-def _farfield_probe_points(radius: float) -> np.ndarray:
-    """Deterministic probe directions (golden-angle spiral, poles excluded)."""
-    k = np.arange(_FARFIELD_PROBES)
-    ct = 1 - 2 * (k + 0.5) / _FARFIELD_PROBES
-    theta = np.arccos(ct)
-    phi = k * math.pi * (3 - math.sqrt(5.0))
-    st = np.sin(theta)
-    return radius * np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-
-
-def farfield_sample(sol: DensitySolution) -> float:
-    """max |u - F| over fixed probes at |x| = 1.05 r_e^2 / r_i."""
-    pts = _farfield_probe_points(1.05 * sol.geom.r_e**2 / sol.geom.r_i)
-    vals = field_eval(sol, pts)
-    return float(np.max(np.linalg.norm(vals, axis=-1)))
-
-
-def energy(
-    sol: DensitySolution,
-    src: SourceSpectrum,
-    geom: ShellGeometry,
-    cfg: PlasmonicConfig,
-    lame: LameParams,
-    quadrature: bool = False,
-    rule=None,
-) -> EnergyReport:
-    """Dissipated shell energy of the scattered field, two ways.
+def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=None) -> list[EnergyReport]:
+    """The `EnergyReport` of each solution; one `farfield_sample` call gives every far field.
 
     energy_modal sums the exact per-mode closed form; energy_quadrature
     (optional) integrates the strain density over the shell volume with the
     brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
     and 16 radial nodes.  Both are (delta/2) * P_shell(u - F) of the shell,
-    configuration and material the solution was solved for.  `src` is not
-    read, and `geom`, `cfg` and `lame` must equal the solution's (ValueError
-    naming the field otherwise); all four stay for positional callers.
+    configuration and material the solution was solved for.
     """
-    for name, given in (("geom", geom), ("cfg", cfg), ("lame", lame)):
-        if given != getattr(sol, name):
-            raise ValueError(f"energy: {name} {given} differs from the solution's {getattr(sol, name)}")
-    geom, cfg = sol.geom, sol.cfg
-    per_mode = shell_energy(sol.n, sol.phi_i, sol.phi_e, geom, cfg.delta, sol.lame)
-    e_quad = None
     if quadrature:
         from .oracle import QuadratureRule, quad_energy_shell
 
-        e_quad = quad_energy_shell(
-            scattered_gradient_factory(sol), sol.lame, cfg.delta, geom, rule or QuadratureRule(24, 48)
-        )
-    return EnergyReport(
-        delta=cfg.delta,
-        n0=cfg.n0,
-        c_n=cfg.c_n,
-        eps_n=cfg.eps_n,
-        energy_modal=math.fsum(per_mode),
-        energy_quadrature=e_quad,
-        farfield_sample=farfield_sample(sol),
-        dominant_n=int(sol.n[np.argmax(per_mode)]) if sol.n.size else 0,
-        n_trunc=int(sol.n.max(initial=0)),
-    )
+        rule = rule or QuadratureRule(24, 48)
+    e_quads = [quad_energy_shell(scattered_gradient_factory(sol), sol.lame, sol.cfg.delta, sol.geom, rule)
+               if quadrature else None for sol in sols]
+    reports = []
+    for sol, farfield, e_quad in zip(sols, farfield_sample(sols), e_quads):
+        per_mode = shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame)
+        reports.append(EnergyReport(  # delta, n0, c_n and eps_n from the configuration
+            **asdict(sol.cfg), energy_modal=math.fsum(per_mode), energy_quadrature=e_quad, farfield_sample=farfield,
+            dominant_n=int(sol.n[np.argmax(per_mode)]) if sol.n.size else 0, n_trunc=int(sol.n.max(initial=0))))
+    return reports
+
+
+def energy(sol: DensitySolution, src: SourceSpectrum, geom: ShellGeometry, cfg: PlasmonicConfig, lame: LameParams,
+           quadrature: bool = False, rule=None) -> EnergyReport:
+    """The one-solution `energy_reports`: the shell energy two ways and the
+    far field.  `src` is not read; `geom`, `cfg` and `lame` must equal the
+    solution's (ValueError naming the field otherwise), and all four stay
+    for positional callers."""
+    for name, given in (("geom", geom), ("cfg", cfg), ("lame", lame)):
+        if given != getattr(sol, name):
+            raise ValueError(f"energy: {name} {given} differs from the solution's {getattr(sol, name)}")
+    (report,) = energy_reports([sol], quadrature, rule)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -554,11 +549,9 @@ def classify_calr(
         raise ValueError("delta grid is empty")
     if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
-    reports = []
-    for delta in delta_grid:
-        cfg = None if fixed_cfg is None else replace(fixed_cfg, delta=delta)
-        src, sol = solve_sweep_point(delta, geom, lame, r_s, kappa=kappa, cfg=cfg)
-        reports.append(energy(sol, src, geom, sol.cfg, lame, quadrature=quadrature))
+    cfgs = [None if fixed_cfg is None else replace(fixed_cfg, delta=delta) for delta in delta_grid]
+    sols = [solve_sweep_point(delta, geom, lame, r_s, kappa, cfg)[1] for delta, cfg in zip(delta_grid, cfgs)]
+    reports = energy_reports(sols, quadrature)
 
     energies = [r.energy_modal for r in reports]
     farfields = [r.farfield_sample for r in reports]

@@ -364,11 +364,12 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # r_e^(n+2) of the matrix coefficients overflows at this scale (ROADMAP
-        # item 3); once the series is evaluated in r/r_e this input exits 0.
+        # the far-field probes are scale free, but the quadrature cross-check
+        # still reads the unscaled shell coefficients of region_coefficients,
+        # whose radius powers overflow at this scale (ROADMAP item 3); the
+        # same input with --no-quad-energy exits 0.
         out = tmp_path / "s.jsonl"
-        rc = main(["calr", "--ri", "1000", "--re", "2000", "--rs", "2500",
-                   "--no-quad-energy", "--out", str(out)])
+        rc = main(["calr", "--ri", "1000", "--re", "2000", "--rs", "2500", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -3,7 +3,7 @@
 import functools
 import math
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from npshell.harmonics import (
     hess_irregular_solid_harmonic,
     hess_solid_harmonic,
     solid_harmonic_series,
+    solid_harmonic_shells,
 )
 from npshell.kelvin import LameParams
 from npshell.oracle import QuadratureRule, quad_energy_shell
@@ -39,12 +40,12 @@ from npshell.transmission import (
     choose_n0,
     classify_calr,
     energy,
+    farfield_sample,
     field_eval,
     g_i_from_g_e,
     mode_denominator,
     plasmonic_params,
     region_coefficients,
-    resonant_energy_envelope,
     scattered_gradient_factory,
     shell_energy,
     solve_mode_direct,
@@ -414,6 +415,83 @@ class TestShellGrid:
         assert counts[0] == counts[1] <= q_max + 3
 
 
+class TestCoefficientSets:
+    """Coefficient arrays (sets, modes) against one call per set."""
+
+    @pytest.mark.parametrize("gradient", [False, True], ids=["u", "grad"])
+    @pytest.mark.parametrize("kinds", ["regular", "decaying", "both"])
+    @pytest.mark.parametrize("spread_m", [False, True], ids=["m0-sweep", "spread-m"])
+    def test_sets_match_single_set_calls(self, gradient, kinds, spread_m, rng):
+        sol = _spread_m_solution() if spread_m else solve_sweep_point(1e-3, GEOM, LAME, 2.5)[1]
+        _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, GEOM, LAME)
+        weights = rng.normal(size=(2, 3, len(sol.n))) + 1j * rng.normal(size=(2, 3, len(sol.n)))
+        reg = regular * weights[0] if kinds != "decaying" else None
+        dec = decaying * weights[1] if kinds != "regular" else None
+        unit, _ = QuadratureRule(6, 12).surface_nodes()
+        radii = [1.0, 1.37, 2.0]
+        shells = list(solid_harmonic_shells(sol.n, sol.m, reg, dec, radii, unit, gradient))
+        for k in range(3):
+            one = solid_harmonic_shells(sol.n, sol.m, None if reg is None else reg[k],
+                                        None if dec is None else dec[k], radii, unit, gradient)
+            for (u, grad), (u_k, grad_k) in zip(shells, one):
+                assert u.shape == (3,) + u_k.shape
+                assert np.max(np.abs(u[k] - u_k)) <= 1e-14 * np.max(np.abs(u_k))
+                if gradient:
+                    assert np.max(np.abs(grad[k] - grad_k)) <= 1e-14 * np.max(np.abs(grad_k))
+                else:
+                    assert grad is None and grad_k is None
+
+
+def _probes(geom):
+    """The far-field probes as documented: a golden-angle spiral of 24
+    directions at radius 1.05 r_e^2 / r_i."""
+    k = np.arange(24)
+    theta, phi = np.arccos(1 - 2 * (k + 0.5) / 24), k * math.pi * (3 - math.sqrt(5))
+    return 1.05 * geom.r_e**2 / geom.r_i * _unit_vectors(theta, phi)
+
+
+class TestFarfieldSample:
+    """The one-pass far field of a sweep against field_eval at the probes."""
+
+    @pytest.mark.parametrize("geom, lame, r_s, kappa, fixed", [
+        (GEOM, LAME, 2.5, 1.0, False),
+        (GEOM, LAME, 3.5, 1.0, False),
+        (GEOM, LAME, 2.5, 1.0, True),
+        (GEOM, LAME, 2.5, 0.0, False),
+        (ShellGeometry(0.55, 1.0), LameParams(0.3, 2.0), 1.2, 1.0, False),
+    ], ids=["resonant", "bounded", "fixed-cfg", "kappa-0", "rho-0.55"])
+    def test_matches_field_eval_at_the_probes(self, geom, lame, r_s, kappa, fixed):
+        fixed_cfg = PlasmonicConfig.resonant(4, 0.1) if fixed else None
+        sweep = classify_calr(geom, lame, r_s, _SWEEP_GRID, kappa=kappa, fixed_cfg=fixed_cfg)
+        for rep in sweep.reports:
+            cfg = None if fixed_cfg is None else replace(fixed_cfg, delta=rep.delta)
+            _, sol = solve_sweep_point(rep.delta, geom, lame, r_s, kappa, cfg)
+            ref = np.max(np.linalg.norm(field_eval(sol, _probes(geom)), axis=-1))
+            assert_allclose(rep.farfield_sample, ref, rtol=1e-13)
+            assert (ref == 0) == (kappa == 0)
+
+    def test_one_table_for_the_whole_grid(self, monkeypatch):
+        calls = []
+        column = harmonics._legendre_column
+
+        def counted(n, m, ct, st):
+            calls.append(m)
+            return column(n, m, ct, st)
+
+        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        counts = []
+        for grid in ([1e-1], _SWEEP_GRID):
+            calls.clear()
+            classify_calr(GEOM, LAME, 2.5, grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2  # orders 0 and 1 of the m = 0 spectra
+
+    def test_spectra_must_share_one_mode_list(self):
+        _, sweep_sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
+        with pytest.raises(ValueError, match="prefixes of one mode list"):
+            farfield_sample([sweep_sol, _spread_m_solution()])
+
+
 class TestDegreeArrays:
     """The elementwise closed forms on arrays of n against per-mode loops."""
 
@@ -547,22 +625,6 @@ class TestChooseN0:
 
 
 class TestEnergy:
-    def test_envelope_worked_value(self):
-        cfg = PlasmonicConfig.resonant(2, 0.005)
-        src = SourceSpectrum([2], [0], [1.0])
-        env = resonant_energy_envelope(src, cfg, GEOM)
-        assert_allclose(env, 0.005 / (2 * (0.005**2 + 0.5**4)), rtol=1e-14)
-        assert_allclose(env, 0.03998, rtol=1e-3)
-
-    def test_envelope_inverse_loss_scaling(self):
-        # with delta >> rho^n0 the envelope scales like 1/delta
-        src = SourceSpectrum([8], [0], [1.0])
-        vals = []
-        for delta in (0.2, 0.4):
-            cfg = PlasmonicConfig.resonant(8, delta)
-            vals.append(resonant_energy_envelope(src, cfg, GEOM))
-        assert_allclose(vals[0] / vals[1], 2.0, rtol=1e-3)
-
     def test_zero_source_zero_energy(self):
         cfg = PlasmonicConfig.resonant(2, 0.01)
         src = SourceSpectrum([], [], [])
@@ -710,9 +772,11 @@ class TestScaleInvariance:
     the shell energy by s and leaves the far field unchanged."""
 
     @settings(deadline=None, max_examples=12)
-    @given(log_s=st.floats(-2.0, 2.0))
+    @given(log_s=st.floats(-3.0, 3.0))
+    @example(log_s=3.0)  # ShellGeometry(1000, 2000): r_e^(n+2) at the probes overflowed
     @example(log_s=2.0)  # ShellGeometry(100, 200), r_s = 250 overflowed r_e^(2n+1)
     @example(log_s=-2.0)  # ShellGeometry(0.01, 0.02), r_s = 0.025 likewise
+    @example(log_s=-3.0)
     def test_rescaled_sweep(self, log_s):
         s = 10.0**log_s
         for ratio in (2.5, 3.5):
