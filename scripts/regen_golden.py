@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Rewrite the golden `calr` artifacts under tests/golden/ from the current
-code: the resonant (r_s = 2.5) and bounded (r_s = 3.5) default sweeps, both
-with the quadrature cross-check.  tests/test_golden.py re-runs the same
-commands and compares.  A change that regenerates the files should record
-the largest move per file.
+"""Rewrite the golden artifacts under tests/golden/ from the current code:
+the resonant (r_s = 2.5) and bounded (r_s = 3.5) default `calr` sweeps, both
+with the quadrature cross-check, the `validate --suite energy` records and a
+21 x 21 `field` slice.  tests/test_golden.py re-runs the same commands and
+compares.  A change that regenerates the files should record the largest
+move per file.
 
 Usage: python scripts/regen_golden.py
 """
@@ -13,13 +14,19 @@ from pathlib import Path
 
 from npshell.cli import main as cli
 
-RUNS = {"calr_rs2.5": ["calr", "--rs", "2.5"], "calr_rs3.5": ["calr", "--rs", "3.5"]}
+# artifact name -> command; `calr` also writes the .csv next to its .jsonl
+RUNS = {
+    "calr_rs2.5.jsonl": ["calr", "--rs", "2.5"],
+    "calr_rs3.5.jsonl": ["calr", "--rs", "3.5"],
+    "validate_energy.jsonl": ["validate", "--suite", "energy"],
+    "field_res21.csv": ["field", "--resolution", "21"],
+}
 
 
 def write(outdir: Path) -> None:
-    """Each run of RUNS as outdir/<name>.jsonl and its .csv."""
+    """Each run of RUNS as outdir/<name>."""
     for name, argv in RUNS.items():
-        rc = cli([*argv, "--out", str(outdir / f"{name}.jsonl")])
+        rc = cli([*argv, "--out", str(outdir / name)])
         if rc != 0:
             raise SystemExit(rc)
 
