@@ -151,15 +151,17 @@ def irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     return eval_ylm(n, m, theta, phi) / r ** (n + 1)
 
 
-def _harmonic_columns(top: int, nu: np.ndarray, abs_orders: Iterable[int]):
+def _harmonic_columns(top: int, nu, abs_orders: Iterable[int]):
     """The harmonic table at unit points nu = (x, y, z) of shape (3, N), one
     order a of `abs_orders` (<= top) at a time, increasing: (a, column,
     (re, im)) with Y_k^a = column[k - a] (re + i im), k = a..top.  No angles:
     column holds P~_k^a(z) / sin^a theta (`_legendre_column` seeded without
-    its sin theta factors) and re + i im = (x + i y)^a."""
+    its sin theta factors) and re + i im = (x + i y)^a.  z may be any set of
+    values (the distinct z of the points): the column is taken at z, the
+    powers at x, y."""
     x, y, z = nu
     abs_orders = set(abs_orders)
-    re, im = np.ones_like(z), np.zeros_like(z)
+    re, im = np.ones_like(x), np.zeros_like(x)
     for a in range(max(abs_orders, default=-1) + 1):
         if a in abs_orders:
             yield a, _legendre_column(top, a, z, 1.0), (re, im)
@@ -334,7 +336,7 @@ def _rotation_weights(n: int, m: int) -> dict:
 _BLOCK = 256
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4 * 400)  # both kinds, with and without the gradient, of m = 0 up to a sweep's degree cap
 def _rotation_block(decaying: bool, n: int, m: int, gradient: bool) -> np.ndarray:
     """Read-only weights of u = grad(f) x x (component 0-2) and d_j u_i
     (3 + 3 i + j) of one solid harmonic f on the harmonics of order m-2..m+2
@@ -395,21 +397,15 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
 
 
 def _series_eval(kinds, orders, table, powers: np.ndarray, out: np.ndarray) -> None:
-    """Add the series at the points of the `_harmonic_columns` table to out
-    (re/im, set x component, point).
-
-    powers holds r^0..r^(top + 1): shape (top + 2, points) for scattered
-    points, or (top + 2,) when every point has the same radius, which then
-    folds r^k (regular) and r^-(k+1) (decaying) into the coefficient rows.
+    """Add the series at scattered points to out (re/im, set x component,
+    point): per order, the `_harmonic_columns` entry and the per-point
+    r^k (regular) or r^-(k+1) (decaying) of powers (r^0..r^(top + 1), shape
+    (top + 2, points)) meet the coefficients in one real contraction.
     """
     for coef, (a, col, trig) in zip(orders, table):
-        if powers.ndim == 1:
-            f = np.stack([1.0 / powers[a + 1:] if kind else powers[a:-1] for kind in kinds])
-            val = np.matmul((coef * f[:, None]).sum(axis=2), col)
-        else:
-            radial = np.stack([col / powers[a + 1:] if kind else col * powers[a:-1] for kind in kinds])
-            # (Re/Im (x + i y)^a part, re/im, comp, point), one real contraction
-            val = np.tensordot(coef, radial, ([2, 4], [0, 1]))
+        radial = np.stack([col / powers[a + 1:] if kind else col * powers[a:-1] for kind in kinds])
+        # (Re/Im (x + i y)^a part, re/im, comp, point), one real contraction
+        val = np.tensordot(coef, radial, ([2, 4], [0, 1]))
         for part, t in zip(val, trig):
             out += part * t
 
@@ -464,15 +460,28 @@ def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool =
     Coefficients of shape (sets, modes) give fields with a leading sets axis.
 
     The `_harmonic_columns` of `unit` are built once for all shells and
-    sets; each shell folds its r^k and r^-(k+1) into the per-order
-    coefficient rows (every set's among them) and costs one (rows x
-    degrees) by (degrees x N) product per order."""
+    sets, their Legendre columns only at the distinct z of `unit` (one per
+    ring of a product rule).  Each shell folds its r^k and r^-(k+1) into the
+    per-order coefficient rows (every set's among them), costs one (rows x
+    degrees) by (degrees x distinct z) product per order, and one synthesis
+    over the Re/Im (x + i y)^a parts of every order at every point."""
     unit = np.asarray(unit, dtype=float)
     kinds, top, sets, orders = _series_orders(n, m, regular, decaying, gradient)
-    table = list(_harmonic_columns(top, unit.T, range(len(orders))))
+    x, y, z = unit.T
+    z, ring = np.unique(z, return_inverse=True)
+    table = list(_harmonic_columns(top, (x, y, z), range(len(orders))))
+    trig = np.array([t for coef, (_, _, parts) in zip(orders, table) for t in parts[:len(coef)]])
+    out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(unit)))
+    spread = np.empty((len(trig),) + out.shape)  # every part at every point, for all shells
     for r in radii:
-        out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(unit)))
-        _series_eval(kinds, orders, table, r ** np.arange(top + 2.0), out)
+        powers, val = r ** np.arange(top + 2.0), []
+        for coef, (a, col, _) in zip(orders, table):
+            f = np.stack([1.0 / powers[a + 1:] if kind else powers[a:-1] for kind in kinds])
+            val.append(np.matmul((coef * f[:, None]).sum(axis=2), col))  # (part, re/im, comp, distinct z)
+        if val:  # out[:, c, point] = sum over parts p of val[p, :, c, ring[point]] trig[p, point]
+            # mode="clip" (ring is in range) lets take write to spread without a buffer
+            np.take(np.concatenate(val), ring, axis=-1, out=spread, mode="clip")
+            np.einsum("pirn,pn->irn", spread, trig, out=out)
         yield _field_gradient(out, sets, unit.shape, gradient)
 
 

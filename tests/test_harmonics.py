@@ -27,6 +27,7 @@ from npshell.harmonics import (
     mode_indices,
     solid_harmonic,
     solid_harmonic_series,
+    solid_harmonic_shells,
     trace_mode_norm_sq,
     vector_modes,
     _legendre_column,
@@ -676,3 +677,64 @@ class TestSolidHarmonicSeries:
             counts.append(len(orders))
             assert len(orders) <= (max_m + 3) * blocks
         assert counts[0] == counts[1]
+
+
+def _ring_sets():
+    """Unit point sets (N, 3) for the distinct-colatitude path: a product rule
+    (24 rings of 48), the 24-direction far-field spiral (no z repeats), one
+    ring (one z) and the product rule rotated 0.3 rad about y (rings no longer
+    at constant z)."""
+    rule, _ = QuadratureRule(24, 48).surface_nodes()
+    k = np.arange(24)
+    ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
+    st = np.sqrt(1 - ct * ct)
+    spiral = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+    ring = _unit_vectors(np.full(48, 1.1), 2 * np.pi * np.arange(48) / 48)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotated = rule @ np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    return {"rule-24x48": rule, "spiral-24": spiral, "one-ring": ring, "rotated-rule": rotated}
+
+
+class TestSolidHarmonicShells:
+    """The shell evaluator (Legendre columns at the distinct z only) against
+    the scattered-point series at r * unit."""
+
+    RADII = (0.8, 1.3, 2.0)
+
+    @pytest.mark.parametrize("name", sorted(_ring_sets()))
+    @pytest.mark.parametrize("sets", [None, 2], ids=["one-set", "two-sets"])
+    def test_matches_series_at_the_shell_points(self, name, sets, rng):
+        unit = _ring_sets()[name]
+        n, m = np.array([(n, m) for n in range(1, 9) for m in range(-n, n + 1)]).T
+        shape = (n.size,) if sets is None else (sets, n.size)
+        regular, decaying = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        for gradient in (False, True):
+            shells = solid_harmonic_shells(n, m, regular, decaying, self.RADII, unit, gradient)
+            for r, (u, grad) in zip(self.RADII, shells):
+                u_ref, grad_ref = solid_harmonic_series(n, m, regular, decaying, r * unit, gradient)
+                for k in np.ndindex(u.shape[:-2]):  # per set: rows of axis 0 are points
+                    assert_pointwise(u[k], u_ref[k])
+                    if gradient:
+                        assert_pointwise(grad[k], grad_ref[k])
+                assert (grad is None) == (grad_ref is None) == (not gradient)
+
+    def test_one_legendre_column_per_ring(self, monkeypatch):
+        widths = []
+        column = harmonics._legendre_column
+
+        def counted(n, m, ct, st):
+            widths.append((m, np.shape(ct)))
+            return column(n, m, ct, st)
+
+        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        unit, _ = QuadratureRule(24, 48).surface_nodes()
+        n, m = np.arange(2, 30), np.zeros(28, dtype=int)
+        list(solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True))
+        assert widths == [(a, (24,)) for a in range(3)]
+
+    def test_empty_spectrum_gives_zero_fields(self):
+        unit, _ = QuadratureRule(4, 8).surface_nodes()
+        empty = np.zeros(0)
+        ((u, grad),) = solid_harmonic_shells(empty, empty, empty, empty, [1.5], unit, gradient=True)
+        assert u.shape == (32, 3) and grad.shape == (32, 3, 3)
+        assert not u.any() and not grad.any()

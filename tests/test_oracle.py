@@ -253,6 +253,25 @@ class TestNPQuadrature:
         assert resid < 1e-14
         assert abs(est - np_eigenvalue("T", 6, lame)) > 1e-3 * np_eigenvalue("T", 6, lame)
 
+    @pytest.mark.parametrize("idx", [ModeIndex("T", 3, 1), ModeIndex("M", 2, 1), ModeIndex("N", 4, 1)],
+                             ids=lambda i: f"{i.family}{i.n}^{i.m}")
+    def test_k1_subtraction_on_a_tilted_rule(self, idx, lame, monkeypatch):
+        # Tilted 0.2 rad about y, the nodes no longer cancel sum K1 w against
+        # constants by symmetry, so the p.v. needs phi(y) - phi(x): without
+        # the subtraction the residual is 0.10-0.13, with it 0.9e-3 to
+        # 2.1e-3; xi is the same either way, so only the residual pins it.
+        polar = QuadratureRule.polar_nodes
+        c, s = math.cos(0.2), math.sin(0.2)
+        tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+
+        def tilted(rule, radius=1.0):
+            pts, w = polar(rule, radius)
+            return pts @ tilt, w
+
+        monkeypatch.setattr(QuadratureRule, "polar_nodes", tilted)
+        _, resid = quad_np_apply(idx, lame, QuadratureRule(64, 128), residual_tol=1.0)
+        assert resid <= 5e-3
+
 
 class TestPoleFrame:
     """quad_np_apply reads (eigenvalue, residual) off the 2l + 1 pole

@@ -40,6 +40,7 @@ from npshell.transmission import (
     choose_n0,
     classify_calr,
     energy,
+    energy_reports,
     farfield_sample,
     field_eval,
     g_i_from_g_e,
@@ -631,6 +632,11 @@ class TestEnergy:
         sol = solve_source(src, GEOM, cfg, LAME)
         rep = energy(sol, src, GEOM, cfg, LAME)
         assert rep.energy_modal == 0.0
+
+    def test_zero_source_sweep_has_zero_quadrature_energy(self):
+        # kappa = 0 keeps no degree, so every shell evaluates an empty spectrum
+        sols = [solve_sweep_point(delta, GEOM, LAME, 2.5, kappa=0.0)[1] for delta in _SWEEP_GRID]
+        assert [rep.energy_quadrature for rep in energy_reports(sols, quadrature=True)] == [0.0] * len(sols)
 
     def test_modal_vs_quadrature_single_modes(self):
         # closed-form mode sum against the volume integral of the strain density
