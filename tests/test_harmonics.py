@@ -731,10 +731,3 @@ class TestSolidHarmonicShells:
         n, m = np.arange(2, 30), np.zeros(28, dtype=int)
         list(solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True))
         assert widths == [(a, (24,)) for a in range(3)]
-
-    def test_empty_spectrum_gives_zero_fields(self):
-        unit, _ = QuadratureRule(4, 8).surface_nodes()
-        empty = np.zeros(0)
-        ((u, grad),) = solid_harmonic_shells(empty, empty, empty, empty, [1.5], unit, gradient=True)
-        assert u.shape == (32, 3) and grad.shape == (32, 3, 3)
-        assert not u.any() and not grad.any()
