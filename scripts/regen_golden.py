@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Rewrite the golden artifacts under tests/golden/ from the current code:
 the resonant (r_s = 2.5) and bounded (r_s = 3.5) default `calr` sweeps, both
-with the quadrature cross-check, the `validate --suite energy` records and a
-21 x 21 `field` slice.  tests/test_golden.py re-runs the same commands and
-compares.  A change that regenerates the files should record the largest
-move per file.
+with the quadrature cross-check, the `validate --suite energy` records, the
+`validate --suite np --n-max 4` records (N-P quadrature of T, M and N modes),
+a 21 x 21 `field` slice and the `spectrum --n-max 10` eigenvalue table.
+tests/test_golden.py re-runs the same commands and compares.  A change that
+regenerates the files should record the largest move per file.
 
 Usage: python scripts/regen_golden.py
 """
@@ -19,7 +20,9 @@ RUNS = {
     "calr_rs2.5.jsonl": ["calr", "--rs", "2.5"],
     "calr_rs3.5.jsonl": ["calr", "--rs", "3.5"],
     "validate_energy.jsonl": ["validate", "--suite", "energy"],
+    "validate_np4.jsonl": ["validate", "--suite", "np", "--n-max", "4"],
     "field_res21.csv": ["field", "--resolution", "21"],
+    "spectrum_n10.csv": ["spectrum", "--n-max", "10"],
 }
 
 
