@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -97,9 +96,10 @@ def _legendre_column(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarr
     out[0] = pmm
     if n > m:
         out[1] = math.sqrt(2 * m + 3.0) * ct * pmm
-    for k in range(m + 2, n + 1):
-        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+    k = np.arange(m + 2, n + 1.0)
+    ak = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m)).tolist()
+    bk = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0)).tolist()
+    for k, a, b in zip(range(m + 2, n + 1), ak, bk):
         out[k - m] = a * (ct * out[k - m - 1] - b * out[k - m - 2])
     return out
 
@@ -183,15 +183,14 @@ def _harmonic_table(l: int, nu: np.ndarray, abs_orders, scale=1.0) -> np.ndarray
     return table
 
 
-def _row_weights(l: int, q: int) -> np.ndarray:
-    """Complex weights c with Y_l^q = c @ `_harmonic_table`(l, .)."""
-    c = np.zeros(2 * l + 1, dtype=complex)
-    a = abs(q)
-    sign = (-1) ** a if q < 0 else 1
-    c[l + a] = sign
-    if a:
-        c[l - a] = sign * (1j if q > 0 else -1j)
-    return c
+def _row_weights(l: int, q) -> np.ndarray:
+    """Complex weights c, shape q.shape + (2l + 1,), with
+    Y_l^q = c @ `_harmonic_table`(l, .) for each order of the int array q;
+    zero for |q| > l."""
+    q = np.asarray(q)[..., None]
+    a, row = np.abs(q), np.arange(-l, l + 1)
+    sign = np.where(q < 0, (-1.0) ** a, 1.0)
+    return sign * ((row == a) + 1j * np.sign(q) * (row == -a))
 
 
 def _combine(c: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -206,52 +205,65 @@ def _combine(c: np.ndarray, table: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Cartesian gradient ladders (pole-safe)
 # ---------------------------------------------------------------------------
-# d/dx_d (r^n Y_n^m) is a combination of r^{n-1} Y_{n-1}^{m'} with m' in
-# {m-1, m, m+1}; the coefficients below are the standard ladder weights for
-# the orthonormal Condon-Shortley convention.  They are pinned against finite
-# differences in the test suite.
+# Both weight sets are closed forms in (n, m), evaluated elementwise over int
+# arrays n and m as W[component, s + 1] (+ n.shape): the weight of the
+# harmonic of order m + s, s = -1, 0, 1.  The square roots are of integer
+# products that go negative only where that harmonic does not exist; `_root`
+# makes their weight 0, never NaN.
 
-def _ladder_weights_regular(n: int, m: int) -> dict:
-    if n < 1:
-        return {0: {}, 1: {}, 2: {}}
-    c = math.sqrt((2 * n + 1) / (2 * n - 1.0))
-    a = c * math.sqrt(max((n - m) * (n + m), 0))
-    b = c * math.sqrt(max((n - m) * (n - m - 1), 0))
-    cc = -c * math.sqrt(max((n + m) * (n + m - 1), 0))
-    return {
-        0: {+1: b / 2.0, -1: cc / 2.0},
-        1: {+1: -0.5j * b, -1: 0.5j * cc},
-        2: {0: a},
-    }
+def _root(v):
+    return np.sqrt(np.maximum(v, 0))
 
 
-def _ladder_weights_irregular(n: int, m: int) -> dict:
-    c = math.sqrt((2 * n + 1) / (2 * n + 3.0))
-    a = -c * math.sqrt((n + 1 - m) * (n + 1 + m))
-    b = c * math.sqrt((n + m + 1) * (n + m + 2))
-    cc = -c * math.sqrt((n - m + 1) * (n - m + 2))
-    return {
-        0: {+1: b / 2.0, -1: cc / 2.0},
-        1: {+1: -0.5j * b, -1: 0.5j * cc},
-        2: {0: a},
-    }
+def _ladder_weights(n, m, decaying: bool) -> np.ndarray:
+    """d/dx_d (r^n Y_n^m) (regular) or d/dx_d (Y_n^m / r^(n+1)) (decaying)
+    as W[d, s + 1] on the solid harmonics of degree n - 1 or n + 1 and order
+    m + s: the standard ladder weights of the orthonormal Condon-Shortley
+    convention, pinned against finite differences in the test suite.  A
+    decaying term is r^N Y_n^m at N = -(n + 1), and its weights are the
+    regular ones at degree N, the z weight negated; regular n = 0 has none."""
+    N = -(n + 1) if decaying else n
+    c = _root((2 * N + 1) / (2 * N - 1.0))
+    z = c * _root((N - m) * (N + m))
+    up = c * _root((N - m) * (N - m - 1))
+    down = -c * _root((N + m) * (N + m - 1))
+    w = np.zeros((3, 3) + z.shape, dtype=complex)
+    w[0, 0], w[0, 2] = down / 2.0, up / 2.0
+    w[1, 0], w[1, 2] = 0.5j * down, -0.5j * up
+    w[2, 1] = -z if decaying else z
+    return w
+
+
+def _rotation_weights(n, m) -> np.ndarray:
+    """grad(f) x x = -i L f for f = r^n Y_n^m or Y_n^m / r^(n+1), as
+    W[component, s + 1] on f's radial factor times Y_n^(m+s) (angular
+    momentum: L_z Y_n^m = m Y_n^m, L_+- Y_n^m = sqrt((n -+ m)(n +- m + 1))
+    Y_n^(m+-1))."""
+    up, down = _root((n - m) * (n + m + 1)), _root((n + m) * (n - m + 1))
+    w = np.zeros((3, 3) + up.shape, dtype=complex)
+    w[0, 0], w[0, 2] = -0.5j * down, -0.5j * up
+    w[1, 0], w[1, 2] = 0.5 * down, -0.5 * up
+    w[2, 1] = -1j * m
+    return w
+
+
+def _ladder(n: int, m: int, decaying: bool):
+    """(d, shift, weight) of the nonzero `_ladder_weights` of one mode."""
+    w = _ladder_weights(n, m, decaying)
+    return [(d, k - 1, w[d, k]) for d, k in np.argwhere(w).tolist()]
 
 
 def grad_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     """Cartesian gradient of r^n Y_n^m, shape (..., 3); entire in x."""
     xyz = np.asarray(xyz, dtype=float)
     out = np.zeros(xyz.shape, dtype=complex)
-    if n < 1:
-        return out
-    w = _ladder_weights_regular(n, m)
     cache = {}
-    for d in range(3):
-        for shift, coeff in w[d].items():
-            if coeff == 0 or abs(m + shift) > n - 1:
-                continue
-            if shift not in cache:
-                cache[shift] = solid_harmonic(n - 1, m + shift, xyz)
-            out[..., d] += coeff * cache[shift]
+    for d, shift, coeff in _ladder(n, m, False):
+        if abs(m + shift) > n - 1:
+            continue
+        if shift not in cache:
+            cache[shift] = solid_harmonic(n - 1, m + shift, xyz)
+        out[..., d] += coeff * cache[shift]
     return out
 
 
@@ -259,15 +271,11 @@ def grad_irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     """Cartesian gradient of Y_n^m / r^(n+1), shape (..., 3); r > 0."""
     xyz = np.asarray(xyz, dtype=float)
     out = np.zeros(xyz.shape, dtype=complex)
-    w = _ladder_weights_irregular(n, m)
     cache = {}
-    for d in range(3):
-        for shift, coeff in w[d].items():
-            if coeff == 0:
-                continue
-            if shift not in cache:
-                cache[shift] = irregular_solid_harmonic(n + 1, m + shift, xyz)
-            out[..., d] += coeff * cache[shift]
+    for d, shift, coeff in _ladder(n, m, True):
+        if shift not in cache:
+            cache[shift] = irregular_solid_harmonic(n + 1, m + shift, xyz)
+        out[..., d] += coeff * cache[shift]
     return out
 
 
@@ -275,24 +283,17 @@ def hess_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     """Hessian of r^n Y_n^m, shape (..., 3, 3); traceless and symmetric."""
     xyz = np.asarray(xyz, dtype=float)
     out = np.zeros(xyz.shape + (3,), dtype=complex)
-    if n < 2:
-        return out
-    w1 = _ladder_weights_regular(n, m)
     cache = {}
-    for j in range(3):
-        for s1, c1 in w1[j].items():
-            if c1 == 0 or abs(m + s1) > n - 1:
+    for j, s1, c1 in _ladder(n, m, False):
+        if abs(m + s1) > n - 1:
+            continue
+        for i, s2, c2 in _ladder(n - 1, m + s1, False):
+            mm = m + s1 + s2
+            if abs(mm) > n - 2:
                 continue
-            w2 = _ladder_weights_regular(n - 1, m + s1)
-            for i in range(3):
-                for s2, c2 in w2[i].items():
-                    mm = m + s1 + s2
-                    if c2 == 0 or abs(mm) > n - 2:
-                        continue
-                    key = mm
-                    if key not in cache:
-                        cache[key] = solid_harmonic(n - 2, mm, xyz)
-                    out[..., i, j] += c1 * c2 * cache[key]
+            if mm not in cache:
+                cache[mm] = solid_harmonic(n - 2, mm, xyz)
+            out[..., i, j] += c1 * c2 * cache[mm]
     return out
 
 
@@ -300,31 +301,14 @@ def hess_irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     """Hessian of Y_n^m / r^(n+1), shape (..., 3, 3); r > 0."""
     xyz = np.asarray(xyz, dtype=float)
     out = np.zeros(xyz.shape + (3,), dtype=complex)
-    w1 = _ladder_weights_irregular(n, m)
     cache = {}
-    for j in range(3):
-        for s1, c1 in w1[j].items():
-            w2 = _ladder_weights_irregular(n + 1, m + s1)
-            for i in range(3):
-                for s2, c2 in w2[i].items():
-                    mm = m + s1 + s2
-                    if mm not in cache:
-                        cache[mm] = irregular_solid_harmonic(n + 2, mm, xyz)
-                    out[..., i, j] += c1 * c2 * cache[mm]
+    for j, s1, c1 in _ladder(n, m, True):
+        for i, s2, c2 in _ladder(n + 1, m + s1, True):
+            mm = m + s1 + s2
+            if mm not in cache:
+                cache[mm] = irregular_solid_harmonic(n + 2, mm, xyz)
+            out[..., i, j] += c1 * c2 * cache[mm]
     return out
-
-
-def _rotation_weights(n: int, m: int) -> dict:
-    """grad(f) x x = -i L f for f = r^n Y_n^m or Y_n^m / r^(n+1), as weights
-    on f's radial factor times Y_n^(m+s), per component (angular momentum:
-    L_z Y_n^m = m Y_n^m, L_+- Y_n^m = sqrt((n -+ m)(n +- m + 1)) Y_n^(m+-1))."""
-    up = math.sqrt(max((n - m) * (n + m + 1), 0))
-    down = math.sqrt(max((n + m) * (n - m + 1), 0))
-    return {
-        0: {+1: -0.5j * up, -1: -0.5j * down},
-        1: {+1: -0.5 * up, -1: 0.5 * down},
-        2: {0: -1j * m},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -336,37 +320,19 @@ def _rotation_weights(n: int, m: int) -> dict:
 _BLOCK = 256
 
 
-@lru_cache(maxsize=4 * 400)  # both kinds, with and without the gradient, of m = 0 up to a sweep's degree cap
-def _rotation_block(decaying: bool, n: int, m: int, gradient: bool) -> np.ndarray:
-    """Read-only weights of u = grad(f) x x (component 0-2) and d_j u_i
-    (3 + 3 i + j) of one solid harmonic f on the harmonics of order m-2..m+2
-    (axis 0) and degree n-1, n (regular) or n, n+1 (decaying) (axis 2):
-    `_rotation_weights`, then the ladder of grad_[ir]regular_solid_harmonic."""
-    weights = _ladder_weights_irregular if decaying else _ladder_weights_regular
-    step = 1 if decaying else -1
-    block = np.zeros((5, 12 if gradient else 3, 2), dtype=complex)
-    for i, w1 in _rotation_weights(n, m).items():
-        for s1, c1 in w1.items():
-            if c1 == 0:
-                continue
-            block[2 + s1, i, int(not decaying)] += c1
-            for j, w2 in weights(n, m + s1).items() if gradient else ():
-                for s2, c2 in w2.items():
-                    if c2 != 0 and abs(m + s1 + s2) <= n + step:
-                        block[2 + s1 + s2, 3 + 3 * i + j, int(decaying)] += c1 * c2
-    block.setflags(write=False)
-    return block
-
-
 def _series_orders(n, m, regular, decaying, gradient: bool):
-    """Coefficient stages of a solid-harmonic series: the `_rotation_block` of
-    every mode summed into one row per (kind, degree, order), then the orders
-    +-a recombined into one real matrix per order a <= q_max + 1 (+ 2 with
-    the gradient) and <= top.  Coefficients of shape (sets, modes) give
-    each set its own components, set-major along the component axis, so one
-    table and one contraction serve every set.  Matrix a has shape (Re/Im
-    (x + i y)^a part, re/im, kind, set x component, degree k = a..top);
-    returns (kinds present, top, sets shape, matrices)."""
+    """Coefficient stages of a solid-harmonic series: the weights of u on the
+    harmonics of degree n and order m + s1 (`_rotation_weights`) and of
+    grad u on degree n -+ 1 and order m + s1 + s2 (then `_ladder_weights`),
+    for all modes at once, scattered into one row per (kind, degree, order)
+    one shift at a time (the (n, m) of a spectrum are distinct, so the modes
+    of one shift hit distinct rows); then the orders +-a recombined into one
+    real matrix per order a <= q_max + 1 (+ 2 with the gradient) and <= top.
+    Coefficients of shape (sets, modes) give each set its own components,
+    set-major along the component axis, so one table and one contraction
+    serve every set.  Matrix a has shape (Re/Im (x + i y)^a part, re/im,
+    kind, set x component, degree k = a..top); returns (kinds present, top,
+    sets shape, matrices)."""
     ncomp, step = (12, 2) if gradient else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
     coeffs = (regular, decaying)
@@ -378,12 +344,21 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     # rows[kind, q + q_max + 2, set, comp, k + 2]: weight of the solid
     # harmonic of degree k and order q in component comp of one set
     rows = np.zeros((2, 2 * q_max + 5, math.prod(sets), ncomp, n_max + 5), dtype=complex)
+    rot = _rotation_weights(n, m)  # [component i, s1 + 1, mode]
     for kind in kinds:
-        per_mode = np.reshape(coeffs[kind], (-1, n.size)).T[:, :, None, None]  # (modes, sets, 1, 1)
-        for nk, mk, c in zip(n.tolist(), m.tolist(), per_mode):
-            lo = nk + 1 + kind
-            block = _rotation_block(bool(kind), nk, mk, gradient)[:, None]
-            rows[kind, mk + q_max:mk + q_max + 5, :, :, lo:lo + 2] += c * block
+        c = np.reshape(coeffs[kind], (-1, n.size)).T[:, :, None]  # (modes, sets, 1)
+        for s1 in (-1, 0, 1):
+            rows[kind, m + s1 + q_max + 2, :, :3, n + 2] += c * rot[:, s1 + 1].T[:, None]
+        if not gradient:
+            continue
+        # d_j u_i on order m + s: the paths s1 + s2 = s of one mode summed first
+        grad = np.zeros((3, 3, 5, n.size), dtype=complex)  # [i, j, s + 2, mode]
+        ladder = _ladder_weights(n, m + np.arange(-1, 2)[:, None], bool(kind))  # [j, s2 + 1, s1 + 1, mode]
+        for s1 in (-1, 0, 1):
+            grad[:, :, s1 + 1:s1 + 4] += rot[:, None, s1 + 1, None] * ladder[:, :, s1 + 1]
+        k = n + 2 + (1 if kind else -1)
+        for s in range(-2, 3):
+            rows[kind, m + s + q_max + 2, :, 3:, k] += c * grad[:, :, s + 2].reshape(9, -1).T[:, None]
     rows = rows.reshape(rows.shape[:2] + (-1, n_max + 5))
     orders = []
     for a in range(min(q_max + step, top) + 1) if kinds else ():
@@ -524,35 +499,37 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
     orders the weights reach, scaled by r^degree (homogeneity); each mode is
     one (3 x rows) by (rows x N) product with it: T_n^m = -i L (r^n Y_n^m)
     is `_rotation_weights` on degree n; with l the scalar degree (n, or
-    n - 1 for N), grad(r^l Y_l^m) is the ladder on degree l - 1, and
-    r^l Y_l^m = x . grad(r^l Y_l^m) / l (Euler).  The modes are made one at
+    n - 1 for N), grad(r^l Y_l^m) is `_ladder_weights` on degree l - 1, and
+    r^l Y_l^m = x . grad(r^l Y_l^m) / l (Euler).  The weights on the table
+    rows are evaluated once, as arrays over all requested orders.  The modes are made one at
     a time, as the returned iterator is advanced, and only the consumer
     holds one.
     """
     pts = np.asarray(xyz, dtype=float)
     unit, r = _unit_and_radius(pts)
     l = n - 1 if family == "N" else n
-    degree, weights = (n, _rotation_weights) if family == "T" else (l - 1, _ladder_weights_regular)
-    orders = list(orders)
-    reach = {abs(m + s) for m in orders for s in (-1, 0, 1) if abs(m + s) <= degree}
+    orders = np.array(list(orders), dtype=int)
+    shifted = orders[:, None] + np.arange(-1, 2)  # the orders m + s the weights reach
+    if family == "T":
+        degree, weights = n, _rotation_weights(n, orders)
+    else:
+        degree, weights = l - 1, _ladder_weights(l, orders, False)
+    # w[mode, component]: the weights on the rows of the table
+    w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted))
+    reach = set(np.abs(shifted[np.abs(shifted) <= degree]).tolist())
     table = _harmonic_table(degree, unit, reach, r ** max(degree, 0))
     if family == "N":
         a, x = a_coeff(n, lame), pts.T
         radial = 1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)
 
-    def mode(m: int) -> np.ndarray:
-        w = np.zeros((3, len(table)), dtype=complex)
-        for d, row in weights(l, m).items():
-            for shift, c in row.items():
-                if c != 0 and abs(m + shift) <= degree:
-                    w[d] += c * _row_weights(degree, m + shift)
-        g = _combine(w, table)
+    def mode(weights: np.ndarray) -> np.ndarray:
+        g = _combine(weights, table)
         if family != "N":
             return g
         y = np.sum(x * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
         return a * y * x + radial * g
 
-    return map(mode, orders)
+    return map(mode, w)
 
 
 def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from npshell import cli, harmonics
+from npshell import cli
 from npshell.cli import _worst_error, main
 from npshell.oracle import ValidationRecord
 
@@ -194,15 +194,6 @@ class TestCalr:
         # 0/0 is no ratio: not "inf", which would read as unbounded growth
         assert lines[-1]["energy_ratio"] == "nan"
         assert lines[-1]["farfield_ratio"] == "nan"
-
-    def test_repeated_degree_400_sweep_rebuilds_no_rotation_block(self, tmp_path):
-        # the far field of this sweep walks the 399 modes up to degree 400
-        argv = ["calr", "--re", "2.5", "--rs", "2.6", "--kappa", "2", "--no-quad-energy",
-                "--out", str(tmp_path / "sweep.jsonl")]
-        assert main(argv) == 0
-        misses = harmonics._rotation_block.cache_info().misses
-        assert main(argv) == 0
-        assert harmonics._rotation_block.cache_info().misses == misses
 
     def test_single_point_grid(self, tmp_path):
         out = tmp_path / "sweep.jsonl"

@@ -679,6 +679,84 @@ class TestSolidHarmonicSeries:
         assert counts[0] == counts[1]
 
 
+class TestWeightArrays:
+    """The closed-form weights over int arrays n, m against their scalar calls."""
+
+    N, M = np.array([(n, m) for n in range(13) for m in range(-n - 1, n + 2)]).T
+
+    @pytest.mark.parametrize("name,weights", [
+        ("rotation", harmonics._rotation_weights),
+        ("regular", lambda n, m: harmonics._ladder_weights(n, m, False)),
+        ("decaying", lambda n, m: harmonics._ladder_weights(n, m, True)),
+    ])
+    def test_arrays_equal_scalar_calls(self, name, weights):
+        w = weights(self.N, self.M)
+        assert w.shape == (3, 3, self.N.size)
+        assert np.isfinite(w).all()
+        for k, (n, m) in enumerate(zip(self.N.tolist(), self.M.tolist())):
+            assert np.array_equal(w[..., k], weights(n, m)), (n, m)
+
+    def test_regular_degree_zero_has_no_weights(self):
+        # the gradient of a constant; no degree-0 harmonic has |m| = 1
+        assert not harmonics._ladder_weights(0, np.array([-1, 0, 1]), False).any()
+
+
+def _per_mode_series_orders(n, m, regular, decaying, gradient):
+    """`_series_orders` one mode and one nonzero weight at a time: each weight
+    w of u (component i) or d_j u_i (3 + 3 i + j) on the harmonic of order q
+    and degree k goes straight into the matrix of order a = |q|, as w on the
+    Re (x + i y)^a part and i w on the Im part (q > 0), (-1)^a w and
+    -i (-1)^a w (q < 0)."""
+    ncomp, step = (12, 2) if gradient else (3, 1)
+    coeffs = [(kind, np.reshape(c, (-1, len(n)))) for kind, c in enumerate((regular, decaying)) if c is not None]
+    sets = coeffs[0][1].shape[0]
+    top = max(n) + step - 1
+    out = [np.zeros((2 if a else 1, len(coeffs), sets, ncomp, top - a + 1), dtype=complex)
+           for a in range(min(max(map(abs, m)) + step, top) + 1)]
+
+    def add(pos, q, comp, k, w):
+        a = abs(q)
+        sign = (-1) ** a if q < 0 else 1
+        for part, phase in enumerate([1, 1j if q > 0 else -1j][:1 + bool(a)]):
+            out[a][part, pos, :, comp, k - a] += phase * sign * w
+
+    for pos, (kind, c) in enumerate(coeffs):
+        for mode, (nk, mk) in enumerate(zip(n, m)):
+            rot = harmonics._rotation_weights(nk, mk)
+            for i, k1 in np.argwhere(rot).tolist():
+                add(pos, mk + k1 - 1, i, nk, c[:, mode] * rot[i, k1])
+                if not gradient:
+                    continue
+                lad = harmonics._ladder_weights(nk, mk + k1 - 1, bool(kind))
+                for j, k2 in np.argwhere(lad).tolist():
+                    w = c[:, mode] * (rot[i, k1] * lad[j, k2])
+                    add(pos, mk + k1 + k2 - 2, 3 + 3 * i + j, nk + (1 if kind else -1), w)
+    return [np.stack([o.real, o.imag], axis=1).reshape(o.shape[:1] + (2, len(coeffs), -1, top - a + 1))
+            for a, o in enumerate(out)]
+
+
+class TestSeriesOrders:
+    """The all-modes scatter of `_series_orders` against the per-mode sums."""
+
+    SPECTRA = {
+        "zonal-2..400": [(n, 0) for n in range(2, 401)],
+        "all-to-12": [(n, m) for n in range(13) for m in range(-n, n + 1)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_matches_per_mode_sums(self, name, gradient, rng):
+        n, m = np.array(self.SPECTRA[name]).T
+        regular, decaying = (rng.normal(size=(2, n.size)) + 1j * rng.normal(size=(2, n.size)) for _ in range(2))
+        kinds, top, sets, orders = harmonics._series_orders(n, m, regular, decaying, gradient)
+        ref = _per_mode_series_orders(n.tolist(), m.tolist(), regular, decaying, gradient)
+        assert (kinds, top, sets) == ([0, 1], n.max() + gradient, (2,))
+        assert len(orders) == len(ref)
+        for new, old in zip(orders, ref):
+            assert new.shape == old.shape
+            assert_allclose(new, old, rtol=1e-14, atol=1e-14 * np.abs(old).max())
+
+
 def _ring_sets():
     """Unit point sets (N, 3) for the distinct-colatitude path: a product rule
     (24 rings of 48), the 24-direction far-field spiral (no z repeats), one
