@@ -6,8 +6,8 @@ resonance, and brute-force quadrature / finite-difference oracles that
 cross-check every closed form.
 """
 
-from .harmonics import ModeIndex, a_coeff, eval_solid_mode, eval_trace_mode, eval_ylm
-from .kelvin import KernelCoeffs, LameParams, gamma_laplace, kelvin_matrix, traction_kernel
+from .harmonics import ModeIndex, a_coeff, eval_solid_mode, eval_trace_mode
+from .kelvin import KernelCoeffs, LameParams, gamma_laplace, kelvin_matrix
 from .oracle import FDStencil, QuadratureRule
 from .potentials import (
     np_decomposed_multiplier,
@@ -41,7 +41,6 @@ __all__ = [
     "classify_calr",
     "eval_solid_mode",
     "eval_trace_mode",
-    "eval_ylm",
     "gamma_laplace",
     "kelvin_matrix",
     "np_decomposed_multiplier",
@@ -49,7 +48,6 @@ __all__ = [
     "plasmonic_params",
     "scalar_sl_multiplier",
     "synth_source",
-    "traction_kernel",
     "transfer_factors",
 ]
 

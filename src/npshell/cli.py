@@ -163,9 +163,9 @@ def _geom(cfg: dict) -> ShellGeometry:
 def cmd_spectrum(cfg: dict) -> int:
     lame = _lame(cfg)
     fams = [f.strip() for f in str(cfg["families"]).split(",") if f.strip()]
+    limits = [(fam, np_eigenvalue_limit(fam, lame)) for fam in fams]  # rejects an unknown family first
     rows = []
-    for fam in fams:
-        lim = np_eigenvalue_limit(fam, lame)
+    for fam, lim in limits:
         for n in range(cfg["n_min"], cfg["n_max"] + 1):
             xi = complex(np_eigenvalue(fam, n, lame))
             rows.append([fam, n, xi.real, xi.imag, complex(lim).real])
@@ -358,13 +358,13 @@ def cmd_field(cfg: dict) -> int:
     axis = cfg["axis"].lower()
     if axis not in ("x", "y", "z"):
         raise ValueError("axis must be one of x, y, z")
+    res = cfg["resolution"]
+    if res < 1:
+        raise ValueError(f"resolution must be >= 1, got {res}")
     lame = _lame(cfg)
     geom = _geom(cfg)
     src, sol = solve_sweep_point(cfg["delta"], geom, lame, cfg["rs"], kappa=cfg["kappa"])
     n0 = sol.cfg.n0
-    res = cfg["resolution"]
-    if res < 1:
-        raise ValueError(f"resolution must be >= 1, got {res}")
     ext = cfg["extent"]
     ticks = np.zeros(1) if res == 1 else np.linspace(-ext, ext, res)
     kept = dict(x=[1, 2], y=[0, 2], z=[0, 1])[axis]

@@ -7,18 +7,19 @@ evaluator (`vector_modes`): the solid (volume) modes, whose values at unit
 points are the trace (surface) modes.
 
 Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
-per order a, the Legendre column in z = cos theta seeded without its
-sin^a theta, times Re/Im (x + i y)^a of the unit vectors.  No angle is
-formed, so the table is exact on the polar axis and keeps full accuracy
-next to it.  The seed's single-mode ladder family (`eval_ylm`,
-`solid_harmonic`, `grad_`/`hess_[ir]regular_solid_harmonic`), which goes
-through arccos/arctan2, is kept as the tests' independent reference.
+the (order x degree) Legendre table in z = cos theta without its sin^a theta
+factors, one degree recurrence for all orders (`_legendre_table`), and the
+Re/Im (x + i y)^a rows of the unit vectors.  No angle is formed, so it is
+exact on the polar axis and keeps full accuracy next to it.  The seed's
+single-mode ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
+`grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -79,35 +80,58 @@ def mode_indices(n_max: int, families: Iterable[str] = FAMILIES) -> list[ModeInd
 # scalar harmonics
 # ---------------------------------------------------------------------------
 
-def _legendre_column(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre P~_k^m for k = m..n, m >= 0.
+@lru_cache(maxsize=256)
+def _recurrence(n: int, lo: int, stop: int):
+    """The point-free factors of `_legendre_table`(n, range(lo, stop), .):
+    sectoral, first-step, and per step j = 2..n - lo the a_k, b_k at k = a + j,
+    as columns against a row of points; the mask of k < a."""
+    a, k = np.arange(lo, stop)[:, None], np.arange(1, stop)[:, None]
+    sectoral, first = -np.sqrt((2 * k + 1) / (2.0 * k)), np.sqrt(2 * a + 3.0)
+    k = a + np.arange(2, n - lo + 1.0)[:, None, None]
+    ak = np.sqrt((4.0 * k * k - 1.0) / (k * k - a ** 2))
+    bk = np.sqrt(((k - 1.0) ** 2 - a ** 2) / (4.0 * (k - 1.0) ** 2 - 1.0))
+    factors = sectoral, first, ak, bk, np.tri(stop - lo, n + 1, lo - 1, dtype=bool)
+    for w in factors:
+        w.flags.writeable = False  # every caller gets these same arrays
+    return factors
 
-    Returns shape (n - m + 1,) + ct.shape; row k - m holds degree k.
-    Normalized so that Y_k^m = P~_k^m(cos theta) exp(i m phi) is orthonormal
-    on the sphere; Condon-Shortley phase included.  Sectoral seed, then the
-    upward three-term recurrence in the degree with prenormalized
-    coefficients (the column recurrence of Holmes & Featherstone, J. Geodesy
-    2002, without their underflow scaling; stable to n of a few hundred).
-    """
-    out = np.empty((n - m + 1,) + np.shape(ct))
-    pmm = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
-    for k in range(1, m + 1):
-        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * st * pmm
-    out[0] = pmm
-    if n > m:
-        out[1] = math.sqrt(2 * m + 3.0) * ct * pmm
-    k = np.arange(m + 2, n + 1.0)
-    ak = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m)).tolist()
-    bk = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0)).tolist()
-    for k, a, b in zip(range(m + 2, n + 1), ak, bk):
-        out[k - m] = a * (ct * out[k - m - 1] - b * out[k - m - 2])
+
+def _legendre_table(n: int, orders: range, z, st) -> np.ndarray:
+    """Fully normalized associated Legendre P~_k^a(z), Condon-Shortley phase
+    included, for the orders a of `orders` (a range in 0..n) and the degrees
+    k = 0..n: shape (len(orders), n + 1) + z.shape, entry [a - orders.start,
+    k], zero below the diagonal (k < a).  The sectoral seeds P~_a^a are one
+    running product in st, then the upward three-term recurrence in the
+    degree with prenormalized coefficients (the column recurrence of Holmes &
+    Featherstone, J. Geodesy 2002, without their underflow scaling; stable to
+    n of a few hundred) steps every order at once: step j gives the degree
+    a + j of each order a."""
+    shape, z, st = np.shape(z), np.reshape(z, (1, -1)).astype(float, copy=False), np.reshape(st, -1)
+    lo, count = orders.start, len(orders)
+    sectoral, first, ak, bk, below = _recurrence(n, lo, orders.stop)
+    seed = np.empty((orders.stop, z.size))
+    seed[:1] = 1.0 / math.sqrt(4.0 * math.pi)
+    seed[1:] = sectoral * st
+    # skew[i, j] (rows of n + 2) is out[i, lo + i + j] (rows of n + 1) in one buffer: the
+    # degrees past n land below the next order's diagonal, or in the padding, and are cleared
+    buf = np.zeros((lo + count * (n + 2)) * z.size)
+    skew = buf[lo * z.size:].reshape(count, n + 2, z.size)
+    skew[:, 0] = np.cumprod(seed, axis=0)[lo:]
+    skew[:, 1] = first * z * skew[:, 0]
+    cols = list(skew.swapaxes(0, 1))
+    for p, p1, p2, a, b in zip(cols[2:], cols[1:], cols, ak, bk):  # step j = 2..n - lo: columns j, j - 1, j - 2
+        np.multiply(z, p1, p)
+        p -= b * p2
+        p *= a
+    out = buf[:count * (n + 1) * z.size].reshape((count, n + 1) + shape)
+    out[below] = 0.0
     return out
 
 
 def _norm_legendre(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre P~_n^m for m >= 0: the last row
-    of `_legendre_column`."""
-    return _legendre_column(n, m, ct, st)[-1]
+    """Fully normalized associated Legendre P~_n^m for m >= 0: the (m, n)
+    entry of `_legendre_table`, with the recurrence run for order m alone."""
+    return _legendre_table(n, range(m, m + 1), ct, st)[0, n]
 
 
 def eval_ylm(n: int, m: int, theta, phi) -> np.ndarray:
@@ -151,55 +175,29 @@ def irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     return eval_ylm(n, m, theta, phi) / r ** (n + 1)
 
 
-def _harmonic_columns(top: int, nu, abs_orders: Iterable[int]):
-    """The harmonic table at unit points nu = (x, y, z) of shape (3, N), one
-    order a of `abs_orders` (<= top) at a time, increasing: (a, column,
-    (re, im)) with Y_k^a = column[k - a] (re + i im), k = a..top.  No angles:
-    column holds P~_k^a(z) / sin^a theta (`_legendre_column` seeded without
-    its sin theta factors) and re + i im = (x + i y)^a.  z may be any set of
-    values (the distinct z of the points): the column is taken at z, the
-    powers at x, y."""
+def _harmonic_columns(top: int, nu, count: int):
+    """The harmonic table at unit points nu = (x, y, z) of shape (3, N) for
+    the orders a < count (<= top + 1): (legendre, trig) with Y_k^a =
+    legendre[a, k] (trig[a, 0] + i trig[a, 1]), k = a..top.  No angles:
+    legendre[a, k] = P~_k^a(z) / sin^a theta (`_legendre_table` seeded with
+    st = 1) and trig[a] = Re/Im (x + i y)^a, one running product.  z may be
+    any values (the distinct z of the points); trig is taken at x, y."""
     x, y, z = nu
-    abs_orders = set(abs_orders)
-    re, im = np.ones_like(x), np.zeros_like(x)
-    for a in range(max(abs_orders, default=-1) + 1):
-        if a in abs_orders:
-            yield a, _legendre_column(top, a, z, 1.0), (re, im)
-        re, im = re * x - im * y, re * y + im * x
-
-
-def _harmonic_table(l: int, nu: np.ndarray, abs_orders, scale=1.0) -> np.ndarray:
-    """Real rows t of the degree-l harmonics at unit points nu (3, N) from
-    `_harmonic_columns`, times `scale` (a number or one per point); shape
-    (2l + 1, N): Y_l^a = t[l + a] + i t[l - a] (t[l] alone for a = 0) and
-    Y_l^-a = (-1)^a conj(Y_l^a), for the a of `abs_orders` (the other rows
-    zero); an empty table for l < 0."""
-    table = np.zeros((max(2 * l + 1, 0), nu.shape[1]))
-    for a, column, (re, im) in _harmonic_columns(l, nu, abs_orders):
-        p = column[-1] * scale
-        table[l + a] = p * re
-        if a:
-            table[l - a] = p * im
-    return table
+    powers = np.empty((count, len(x)), dtype=complex)
+    powers[:1] = 1.0
+    powers.real[1:], powers.imag[1:] = x, y
+    np.cumprod(powers, axis=0, out=powers)
+    return _legendre_table(top, range(count), z, 1.0), np.stack([powers.real, powers.imag], axis=1)
 
 
 def _row_weights(l: int, q) -> np.ndarray:
-    """Complex weights c, shape q.shape + (2l + 1,), with
-    Y_l^q = c @ `_harmonic_table`(l, .) for each order of the int array q;
-    zero for |q| > l."""
+    """Complex weights c, shape q.shape + (2l + 2,), with Y_l^q = c @ rows for
+    each order of the int array q, where rows[2a] + i rows[2a + 1] = P~_l^a
+    (x + i y)^a / sin^a theta, a = 0..l (as `vector_modes` builds them); zero for |q| > l."""
     q = np.asarray(q)[..., None]
-    a, row = np.abs(q), np.arange(-l, l + 1)
+    a, row = np.abs(q), np.arange(2 * l + 2)
     sign = np.where(q < 0, (-1.0) ** a, 1.0)
-    return sign * ((row == a) + 1j * np.sign(q) * (row == -a))
-
-
-def _combine(c: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """c @ table for complex weights c (..., rows) and a real table
-    (rows, N), without a complex copy of the table."""
-    out = np.empty(c.shape[:-1] + table.shape[1:], dtype=complex)
-    out.real = c.real @ table
-    out.imag = c.imag @ table
-    return out
+    return sign * ((row == 2 * a) + 1j * np.sign(q) * (row == 2 * a + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +324,13 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     grad u on degree n -+ 1 and order m + s1 + s2 (then `_ladder_weights`),
     for all modes at once, scattered into one row per (kind, degree, order)
     one shift at a time (the (n, m) of a spectrum are distinct, so the modes
-    of one shift hit distinct rows); then the orders +-a recombined into one
-    real matrix per order a <= q_max + 1 (+ 2 with the gradient) and <= top.
+    of one shift hit distinct rows); then the orders +-a recombined into the
+    real rows of order a <= q_max + 1 (+ 2 with the gradient) and <= top.
     Coefficients of shape (sets, modes) give each set its own components,
     set-major along the component axis, so one table and one contraction
-    serve every set.  Matrix a has shape (Re/Im (x + i y)^a part, re/im,
-    kind, set x component, degree k = a..top); returns (kinds present, top,
-    sets shape, matrices)."""
+    serve every set.  Returns (kinds present, top, sets shape, coef) with
+    coef of shape (order a, Re/Im (x + i y)^a part, re/im, set x component,
+    kind, degree k = 0..top), zero for k < a and for the Im part of order 0."""
     ncomp, step = (12, 2) if gradient else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
     coeffs = (regular, decaying)
@@ -359,30 +357,27 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
         k = n + 2 + (1 if kind else -1)
         for s in range(-2, 3):
             rows[kind, m + s + q_max + 2, :, 3:, k] += c * grad[:, :, s + 2].reshape(9, -1).T[:, None]
-    rows = rows.reshape(rows.shape[:2] + (-1, n_max + 5))
-    orders = []
-    for a in range(min(q_max + step, top) + 1) if kinds else ():
-        # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
-        # combine into real matrices for the Re and Im (x + i y)^a parts.
-        plus = rows[kinds, q_max + 2 + a, :, a + 2:top + 3]
-        minus = (-1) ** a * rows[kinds, q_max + 2 - a, :, a + 2:top + 3]
-        coef = np.stack([plus + minus, 1j * (plus - minus)] if a else [plus])
-        orders.append(np.stack([coef.real, coef.imag], axis=1))
-    return kinds, top, sets, orders
+    # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
+    # combine into real rows for the Re and Im (x + i y)^a parts.
+    a = np.arange(min(q_max + step, top) + 1 if kinds else 0)
+    rows = rows.reshape(rows.shape[:2] + (-1, n_max + 5))[  # (kind, order +a or -a, comp, degree)
+        np.array(kinds, dtype=int)[:, None, None], q_max + 2 + np.stack([a, -a]), :, 2:top + 3]
+    plus, minus = rows[:, 0], np.where(a > 0, (-1.0) ** a, 0.0)[:, None, None] * rows[:, 1]
+    coef = np.stack([plus + minus, 1j * (plus - minus)], axis=2)  # (kind, order, part, comp, degree)
+    coef[:, :1, 1] = 0.0
+    return kinds, top, sets, np.ascontiguousarray(np.stack([coef.real, coef.imag], axis=3).transpose(1, 2, 3, 4, 0, 5))
 
 
-def _series_eval(kinds, orders, table, powers: np.ndarray, out: np.ndarray) -> None:
+def _series_eval(kinds, coef, legendre, trig, powers: np.ndarray, out: np.ndarray) -> None:
     """Add the series at scattered points to out (re/im, set x component,
-    point): per order, the `_harmonic_columns` entry and the per-point
-    r^k (regular) or r^-(k+1) (decaying) of powers (r^0..r^(top + 1), shape
-    (top + 2, points)) meet the coefficients in one real contraction.
-    """
-    for coef, (a, col, trig) in zip(orders, table):
-        radial = np.stack([col / powers[a + 1:] if kind else col * powers[a:-1] for kind in kinds])
-        # (Re/Im (x + i y)^a part, re/im, comp, point), one real contraction
-        val = np.tensordot(coef, radial, ([2, 4], [0, 1]))
-        for part, t in zip(val, trig):
-            out += part * t
+    point): the `_harmonic_columns` (legendre, trig) times the per-point r^k
+    (regular) or r^-(k+1) (decaying) of powers (r^0..r^(top + 1), shape
+    (top + 2, points)) meet the `_series_orders` coef of every order in one
+    contraction over (kind, degree), then one sum over the Re/Im parts."""
+    radial = np.stack([legendre / powers[1:] if kind else legendre * powers[:-1] for kind in kinds], axis=1)
+    orders, nkinds, degrees, points = radial.shape
+    val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
+    out += np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
 
 
 def _field_gradient(out: np.ndarray, sets: tuple, shape: tuple, gradient: bool):
@@ -411,21 +406,21 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     the integer arrays of degrees `n` and orders `m`; None drops that kind.
     u = -i L F is read off harmonics of the same degrees (`_rotation_weights`);
     a cross product would cancel the radial part of grad F in the last
-    digits.  The weights of every mode are summed into one real matrix per
-    order |m| (`_series_orders`); per block of points each order meets its
-    `_harmonic_columns` entry at x / r and the per-point r^k or r^-(k+1) in
-    one contraction (`_series_eval`).  Returns (u (..., 3), grad u
+    digits.  The weights of every mode are summed into real rows per order
+    |m| (`_series_orders`); per block of points they meet the
+    `_harmonic_columns` at x / r and the per-point r^k or r^-(k+1) in one
+    contraction (`_series_eval`).  Returns (u (..., 3), grad u
     (..., 3, 3) or None), complex.  Decaying terms need r > 0.
     """
     xyz = np.asarray(xyz, dtype=float)
     pts = xyz.reshape(-1, 3)
-    kinds, top, sets, orders = _series_orders(n, m, regular, decaying, gradient)
+    kinds, top, sets, coef = _series_orders(n, m, regular, decaying, gradient)
     out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(pts)))
-    for lo in range(0, len(pts), _BLOCK):
+    for lo in range(0, len(pts) if kinds else 0, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         unit, r = _unit_and_radius(pts[blk])
-        table = _harmonic_columns(top, unit, range(len(orders)))
-        _series_eval(kinds, orders, table, r ** np.arange(top + 2.0)[:, None], out[:, :, blk])
+        legendre, trig = _harmonic_columns(top, unit, len(coef))
+        _series_eval(kinds, coef, legendre, trig, r ** np.arange(top + 2.0)[:, None], out[:, :, blk])
     return _field_gradient(out, sets, xyz.shape, gradient)
 
 
@@ -435,28 +430,28 @@ def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool =
     Coefficients of shape (sets, modes) give fields with a leading sets axis.
 
     The `_harmonic_columns` of `unit` are built once for all shells and
-    sets, their Legendre columns only at the distinct z of `unit` (one per
-    ring of a product rule).  Each shell folds its r^k and r^-(k+1) into the
-    per-order coefficient rows (every set's among them), costs one (rows x
-    degrees) by (degrees x distinct z) product per order, and one synthesis
-    over the Re/Im (x + i y)^a parts of every order at every point."""
+    sets, the Legendre table only at the distinct z of `unit` (one per ring
+    of a product rule).  Each shell folds its r^k and r^-(k+1) into the
+    coefficient rows (every set's among them), costs one batched (rows x
+    degrees) by (degrees x distinct z) product over the Re/Im (x + i y)^a
+    parts of every order, and one synthesis over them at every point."""
     unit = np.asarray(unit, dtype=float)
-    kinds, top, sets, orders = _series_orders(n, m, regular, decaying, gradient)
-    x, y, z = unit.T
-    z, ring = np.unique(z, return_inverse=True)
-    table = list(_harmonic_columns(top, (x, y, z), range(len(orders))))
-    trig = np.array([t for coef, (_, _, parts) in zip(orders, table) for t in parts[:len(coef)]])
+    kinds, top, sets, coef = _series_orders(n, m, regular, decaying, gradient)
+    z, ring = np.unique(unit[:, 2], return_inverse=True)
+    legendre, trig = _harmonic_columns(top, (unit[:, 0], unit[:, 1], z), len(coef))
+    part = np.arange(2 * len(coef)) != 1  # the Re/Im (x + i y)^a parts but Im (x + i y)^0 = 0
+    coef = coef.reshape((2 * len(coef),) + coef.shape[2:])[part]
+    legendre, trig = np.repeat(legendre, 2, axis=0)[part], trig.reshape(-1, len(unit))[part]
     out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(unit)))
     spread = np.empty((len(trig),) + out.shape)  # every part at every point, for all shells
     for r in radii:
-        powers, val = r ** np.arange(top + 2.0), []
-        for coef, (a, col, _) in zip(orders, table):
-            f = np.stack([1.0 / powers[a + 1:] if kind else powers[a:-1] for kind in kinds])
-            val.append(np.matmul((coef * f[:, None]).sum(axis=2), col))  # (part, re/im, comp, distinct z)
-        if val:  # out[:, c, point] = sum over parts p of val[p, :, c, ring[point]] trig[p, point]
-            # mode="clip" (ring is in range) lets take write to spread without a buffer
-            np.take(np.concatenate(val), ring, axis=-1, out=spread, mode="clip")
-            np.einsum("pirn,pn->irn", spread, trig, out=out)
+        powers = r ** np.arange(top + 2.0)
+        f = np.where(np.array(kinds, dtype=bool)[:, None], 1.0 / powers[1:], powers[:-1])  # (kind, degree)
+        val = np.matmul((coef * f).sum(axis=-2), legendre[:, None])  # (part, re/im, comp, distinct z)
+        # out[:, c, point] = sum over parts p of val[p, :, c, ring[point]] trig[p, point];
+        # mode="clip" (ring is in range) lets take write to spread without a buffer
+        np.take(val, ring, axis=-1, out=spread, mode="clip")
+        np.einsum("pirn,pn->irn", spread, trig, out=out)
         yield _field_gradient(out, sets, unit.shape, gradient)
 
 
@@ -495,15 +490,16 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
     N_n^m = a_n r^{n-1} Y_{n-1}^m x + (1 - a_n/(2n-1) - r^2) grad(r^{n-1} Y_{n-1}^m)
 
     All three solve the homogeneous Lame system; T and M do not depend on
-    the material.  One real `_harmonic_table` at x / r per call, for the
-    orders the weights reach, scaled by r^degree (homogeneity); each mode is
-    one (3 x rows) by (rows x N) product with it: T_n^m = -i L (r^n Y_n^m)
-    is `_rotation_weights` on degree n; with l the scalar degree (n, or
-    n - 1 for N), grad(r^l Y_l^m) is `_ladder_weights` on degree l - 1, and
-    r^l Y_l^m = x . grad(r^l Y_l^m) / l (Euler).  The weights on the table
-    rows are evaluated once, as arrays over all requested orders.  The modes are made one at
-    a time, as the returned iterator is advanced, and only the consumer
-    holds one.
+    the material.  One real table per call: the degree row of the
+    `_harmonic_columns` at x / r, every order of that degree, scaled by
+    r^degree (homogeneity); each mode is one (3 x rows) by (rows x N)
+    product with it: T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on
+    degree n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m)
+    is `_ladder_weights` on degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m)
+    / l (Euler).  The weights on the table rows (`_row_weights`) are
+    evaluated once, as arrays over all requested orders.  The modes are made
+    one at a time, as the returned iterator is advanced, and only the
+    consumer holds one.
     """
     pts = np.asarray(xyz, dtype=float)
     unit, r = _unit_and_radius(pts)
@@ -516,14 +512,17 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
         degree, weights = l - 1, _ladder_weights(l, orders, False)
     # w[mode, component]: the weights on the rows of the table
     w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted))
-    reach = set(np.abs(shifted[np.abs(shifted) <= degree]).tolist())
-    table = _harmonic_table(degree, unit, reach, r ** max(degree, 0))
+    z, ring = np.unique(unit[2], return_inverse=True)  # the Legendre table at the distinct z only
+    legendre, table = _harmonic_columns(max(degree, 0), (unit[0], unit[1], z), degree + 1)
+    table *= (legendre[:, -1, ring] * r ** max(degree, 0))[:, None]
+    table = table.reshape(-1, len(r))
     if family == "N":
         a, x = a_coeff(n, lame), pts.T
         radial = 1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)
 
     def mode(weights: np.ndarray) -> np.ndarray:
-        g = _combine(weights, table)
+        g = np.empty((3, table.shape[1]), dtype=complex)  # weights @ table, without a complex copy of it
+        g.real, g.imag = weights.real @ table, weights.imag @ table
         if family != "N":
             return g
         y = np.sum(x * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m

@@ -1,4 +1,4 @@
-"""Fundamental solutions of the Laplace and Lame operators and the traction kernel.
+"""Fundamental solutions of the Laplace and Lame operators and the two parts of the traction kernel.
 
 Sign conventions carry the leading minus of the Newtonian potential
 (gamma = -1/(4 pi |x|)) throughout; the jump relations of the layer
@@ -139,15 +139,3 @@ def k2_kernel(x, y, nu_x, lame: LameParams) -> np.ndarray:
         + co.b2 * (dn / (4 * np.pi * r**5))[..., None, None] * outer
     )
 
-
-def traction_kernel(x, y, lame: LameParams, nu_x=None) -> np.ndarray:
-    """Conormal derivative of the Kelvin matrix, d/d nu_x G(x - y).
-
-    Assembled as -b1 K1 + K2.  By default nu_x = x/|x| (x on an
-    origin-centered sphere).
-    """
-    x = np.asarray(x, dtype=float)
-    if nu_x is None:
-        nu_x = x / _norms(x)[..., None]
-    co = KernelCoeffs.from_lame(lame)
-    return -co.b1 * k1_kernel(x, y, nu_x) + k2_kernel(x, y, nu_x, lame)

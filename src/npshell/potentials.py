@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .harmonics import (
+    FAMILIES,
     ModeIndex,
     SingularParameterError,
     a_coeff,
@@ -53,6 +54,8 @@ def np_eigenvalue(family: str, n: int, lame: LameParams) -> complex:
 
 def np_eigenvalue_limit(family: str, lame: LameParams) -> complex:
     """Accumulation point of the eigenvalue sequence as n -> infinity."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     if family == "T":
         return 0.0
     half = lame.mu / (2 * (lame.lam + 2 * lame.mu))

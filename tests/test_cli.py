@@ -47,6 +47,15 @@ class TestSpectrum:
         _, rows = _read_rows(out)
         assert rows == []
 
+    def test_unknown_family_exits_2_before_writing(self, tmp_path, capsys):
+        # an empty degree range used to hide the bad family behind a header-only CSV
+        out = tmp_path / "spec.csv"
+        for extra in (["--n-min", "5", "--n-max", "4"], []):
+            rc = main(["spectrum", "--families", "T,X", *extra, "--out", str(out)])
+            assert rc == 2 and not out.exists()
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "unknown family 'X'" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["spectrum", "--n-max", "6", "--out", str(a)])
@@ -261,6 +270,15 @@ class TestField:
         assert rc == 2
         assert capsys.readouterr().err.strip() == f"error: resolution must be >= 1, got {resolution}"
         assert not out.exists()
+
+    def test_resolution_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # this shell is too thin for the degree cap; the bad flag is reported, not the cap
+        args = ["field", "--resolution", "0", "--ri", "0.999", "--re", "1", "--rs", "1.2",
+                "--out", str(tmp_path / "field.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.strip() == "error: resolution must be >= 1, got 0"
+        monkeypatch.setattr(cli, "solve_sweep_point", lambda *a, **k: pytest.fail("solved before the flag check"))
+        assert main(args) == 2
 
 
 class TestConfigHandling:

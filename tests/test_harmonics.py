@@ -30,7 +30,8 @@ from npshell.harmonics import (
     solid_harmonic_shells,
     trace_mode_norm_sq,
     vector_modes,
-    _legendre_column,
+    _legendre_table,
+    _norm_legendre,
     _unit_vectors,
 )
 from npshell.kelvin import LameParams
@@ -318,10 +319,11 @@ class TestTraceModes:
 
     @pytest.mark.parametrize("l", range(9))
     def test_scalar_harmonics_match_eval_ylm(self, l, rng):
-        # every order of degree l from the one real table vector_modes reads
+        # every order of degree l from the rows of the one real table vector_modes reads
         theta = np.concatenate([np.arccos(rng.uniform(-1, 1, 40)), [0.0, np.pi]])
         phi = np.concatenate([rng.uniform(0, 2 * np.pi, 40), [0.0, 0.0]])
-        table = harmonics._harmonic_table(l, _unit_vectors(theta, phi).T, range(l + 1))
+        legendre, trig = harmonics._harmonic_columns(l, _unit_vectors(theta, phi).T, l + 1)
+        table = (legendre[:, l, None] * trig).reshape(2 * l + 2, -1)
         ylm = np.stack([harmonics._row_weights(l, k) @ table for k in range(-l, l + 1)])
         ref = np.stack([eval_ylm(l, k, theta, phi) for k in range(-l, l + 1)])
         assert_allclose(ylm, ref, rtol=0, atol=1e-14)
@@ -574,21 +576,18 @@ class TestEdgeCases:
 
 
 def _legendre_reference(n, m, ct, st):
-    """The per-(n, m) recurrence that the column routine replaced."""
-    pmm = np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))
+    """P~_k^m for k = m..n, one scalar-coefficient recurrence step per
+    degree: the per-(n, m) recurrence that the table routine replaced."""
+    rows = [np.full_like(ct, 1.0 / math.sqrt(4.0 * math.pi))]
     for k in range(1, m + 1):
-        pmm = -math.sqrt((2 * k + 1) / (2.0 * k)) * st * pmm
-    if n == m:
-        return pmm
-    pk1 = math.sqrt(2 * m + 3.0) * ct * pmm
-    if n == m + 1:
-        return pk1
-    pk2 = pmm
+        rows[0] = -math.sqrt((2 * k + 1) / (2.0 * k)) * st * rows[0]
+    if n > m:
+        rows.append(math.sqrt(2 * m + 3.0) * ct * rows[0])
     for k in range(m + 2, n + 1):
         a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
         b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-        pk2, pk1 = pk1, a * (ct * pk1 - b * pk2)
-    return pk1
+        rows.append(a * (ct * rows[-1] - b * rows[-2]))
+    return np.array(rows)
 
 
 def _per_mode_series(regular, decaying, xyz):
@@ -604,22 +603,34 @@ def _per_mode_series(regular, decaying, xyz):
 
 
 class TestLegendreColumn:
+    """The columns of `_legendre_table`, one per order, against the
+    per-degree recurrence."""
+
     def test_rows_equal_per_degree_recurrence(self, rng):
+        # every (a, k) entry bit for bit, k = a and k = a + 1 among them,
+        # exact zeros below the diagonal, and _norm_legendre as the (m, n) entry
         theta = np.concatenate([[0.0, np.pi / 2, np.pi], rng.uniform(0, np.pi, 40)])
         ct, st = np.cos(theta), np.sin(theta)
-        for n, m in [(0, 0), (1, 0), (1, 1), (7, 0), (7, 7), (30, 3), (60, 59), (400, 9)]:
-            col = _legendre_column(n, m, ct, st)
-            assert col.shape == (n - m + 1, len(theta))
-            for k in range(m, n + 1):
-                assert np.array_equal(col[k - m], _legendre_reference(k, m, ct, st))
+        for n in (0, 1, 2, 3, 7, 9, 10, 11, 30, 400):
+            m = min(n, 9)
+            table = _legendre_table(n, range(m + 1), ct, st)
+            assert table.shape == (m + 1, n + 1, len(theta))
+            for a in range(m + 1):
+                assert not table[a, :a].any()
+                assert np.array_equal(table[a, a:], _legendre_reference(n, a, ct, st)), (n, a)
+                assert np.array_equal(_norm_legendre(n, a, ct, st), table[a, n])
+            # the orders lo..m alone are the rows lo.. of the table
+            assert np.array_equal(_legendre_table(n, range(m // 2, m + 1), ct, st), table[m // 2:])
+        ct, st = math.cos(0.3), math.sin(0.3)  # one angle, as eval_ylm passes a scalar
+        assert np.array_equal(_legendre_table(5, range(3), ct, st)[2, 2:], _legendre_reference(5, 2, ct, st))
 
     def test_matches_scipy_to_degree_200(self, rng):
         theta = np.concatenate([[0.0, np.pi], rng.uniform(0, np.pi, 8)])
+        table = _legendre_table(200, range(201), np.cos(theta), np.sin(theta))
         for m in (0, 1, 2, 57, 199, 200):
-            col = _legendre_column(200, m, np.cos(theta), np.sin(theta))
             degrees = np.arange(m, 201)[:, None]
             ref = sph_harm_y(degrees, m, theta[None, :], 0.0).real
-            assert_allclose(col, ref, rtol=1e-10, atol=1e-12)
+            assert_allclose(table[m, m:], ref, rtol=1e-10, atol=1e-12)
 
 
 def _aligned(regular, decaying):
@@ -659,24 +670,21 @@ class TestSolidHarmonicSeries:
         assert_pointwise(grad_u, grad_u_ref)
 
     def test_one_legendre_column_per_order_and_block(self, rng, monkeypatch):
-        orders = []
-        column = harmonics._legendre_column
+        builds = []
+        table = harmonics._legendre_table
 
-        def counted(n, m, ct, st):
-            orders.append(m)
-            return column(n, m, ct, st)
+        def counted(n, orders, z, st):
+            builds.append(orders)
+            return table(n, orders, z, st)
 
-        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        monkeypatch.setattr(harmonics, "_legendre_table", counted)
         pts = rng.normal(size=(2 * harmonics._BLOCK + 5, 3))
         blocks, max_m = 3, 2
-        counts = []
         for n_max in (3, 40):
-            orders.clear()
+            builds.clear()
             coeffs = {(n, m): 1.0 for n in range(2, n_max + 1) for m in (-max_m, 0, 1)}
             solid_harmonic_series(*_aligned(coeffs, coeffs), pts, gradient=True)
-            counts.append(len(orders))
-            assert len(orders) <= (max_m + 3) * blocks
-        assert counts[0] == counts[1]
+            assert builds == [range(max_m + 3)] * blocks
 
 
 class TestWeightArrays:
@@ -711,14 +719,14 @@ def _per_mode_series_orders(n, m, regular, decaying, gradient):
     coeffs = [(kind, np.reshape(c, (-1, len(n)))) for kind, c in enumerate((regular, decaying)) if c is not None]
     sets = coeffs[0][1].shape[0]
     top = max(n) + step - 1
-    out = [np.zeros((2 if a else 1, len(coeffs), sets, ncomp, top - a + 1), dtype=complex)
-           for a in range(min(max(map(abs, m)) + step, top) + 1)]
+    orders = min(max(map(abs, m)) + step, top) + 1
+    out = np.zeros((orders, 2, sets, ncomp, len(coeffs), top + 1), dtype=complex)
 
     def add(pos, q, comp, k, w):
         a = abs(q)
         sign = (-1) ** a if q < 0 else 1
         for part, phase in enumerate([1, 1j if q > 0 else -1j][:1 + bool(a)]):
-            out[a][part, pos, :, comp, k - a] += phase * sign * w
+            out[a, part, :, comp, pos, k] += phase * sign * w
 
     for pos, (kind, c) in enumerate(coeffs):
         for mode, (nk, mk) in enumerate(zip(n, m)):
@@ -731,8 +739,7 @@ def _per_mode_series_orders(n, m, regular, decaying, gradient):
                 for j, k2 in np.argwhere(lad).tolist():
                     w = c[:, mode] * (rot[i, k1] * lad[j, k2])
                     add(pos, mk + k1 + k2 - 2, 3 + 3 * i + j, nk + (1 if kind else -1), w)
-    return [np.stack([o.real, o.imag], axis=1).reshape(o.shape[:1] + (2, len(coeffs), -1, top - a + 1))
-            for a, o in enumerate(out)]
+    return np.stack([out.real, out.imag], axis=2).reshape(orders, 2, 2, sets * ncomp, len(coeffs), top + 1)
 
 
 class TestSeriesOrders:
@@ -748,12 +755,11 @@ class TestSeriesOrders:
     def test_matches_per_mode_sums(self, name, gradient, rng):
         n, m = np.array(self.SPECTRA[name]).T
         regular, decaying = (rng.normal(size=(2, n.size)) + 1j * rng.normal(size=(2, n.size)) for _ in range(2))
-        kinds, top, sets, orders = harmonics._series_orders(n, m, regular, decaying, gradient)
+        kinds, top, sets, coef = harmonics._series_orders(n, m, regular, decaying, gradient)
         ref = _per_mode_series_orders(n.tolist(), m.tolist(), regular, decaying, gradient)
         assert (kinds, top, sets) == ([0, 1], n.max() + gradient, (2,))
-        assert len(orders) == len(ref)
-        for new, old in zip(orders, ref):
-            assert new.shape == old.shape
+        assert coef.shape == ref.shape
+        for new, old in zip(coef, ref):  # per order
             assert_allclose(new, old, rtol=1e-14, atol=1e-14 * np.abs(old).max())
 
 
@@ -797,15 +803,15 @@ class TestSolidHarmonicShells:
                 assert (grad is None) == (grad_ref is None) == (not gradient)
 
     def test_one_legendre_column_per_ring(self, monkeypatch):
-        widths = []
-        column = harmonics._legendre_column
+        builds = []
+        table = harmonics._legendre_table
 
-        def counted(n, m, ct, st):
-            widths.append((m, np.shape(ct)))
-            return column(n, m, ct, st)
+        def counted(n, orders, z, st):
+            builds.append((orders, np.shape(z)))
+            return table(n, orders, z, st)
 
-        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        monkeypatch.setattr(harmonics, "_legendre_table", counted)
         unit, _ = QuadratureRule(24, 48).surface_nodes()
         n, m = np.arange(2, 30), np.zeros(28, dtype=int)
         list(solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True))
-        assert widths == [(a, (24,)) for a in range(3)]
+        assert builds == [(range(3), (24,))]

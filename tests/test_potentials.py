@@ -41,6 +41,14 @@ class TestEigenvalues:
         assert_allclose(np_eigenvalue("M", 400, lame), -1 / 6, atol=1e-3)
         assert_allclose(np_eigenvalue("N", 400, lame), 1 / 6, atol=1e-3)
 
+    @pytest.mark.parametrize("family", ["X", "t", ""])
+    def test_unknown_family_rejected(self, lame, family):
+        # as np_eigenvalue does; no family silently gets the N limit
+        with pytest.raises(ValueError, match="unknown family"):
+            np_eigenvalue_limit(family, lame)
+        with pytest.raises(ValueError, match="unknown family"):
+            np_eigenvalue(family, 2, lame)
+
     def test_radius_independent_signature(self, lame):
         # eigenvalues carry no radius argument at all
         assert np_eigenvalue("T", 5, lame) == 3 / 22

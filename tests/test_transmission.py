@@ -395,25 +395,25 @@ class TestShellGrid:
                         quad_energy_shell(per_shell, *args), rtol=1e-13)
 
     def test_legendre_columns_independent_of_radial_nodes(self, sol, monkeypatch):
-        orders = []
-        column = harmonics._legendre_column
+        builds = []
+        table = harmonics._legendre_table
 
-        def counted(n, m, ct, st):
-            orders.append(m)
-            return column(n, m, ct, st)
+        def counted(n, orders, z, st):
+            builds.append(orders)
+            return table(n, orders, z, st)
 
-        monkeypatch.setattr(harmonics, "_legendre_column", counted)
+        monkeypatch.setattr(harmonics, "_legendre_table", counted)
         energy(sol, None, GEOM, sol.cfg, LAME)
-        probes = len(orders)
+        probes = list(builds)
         q_max = int(np.abs(sol.m).max())
-        counts = []
         for n_radial in (4, 16):
             quad = functools.partial(quad_energy_shell, n_radial=n_radial)
             monkeypatch.setattr(oracle, "quad_energy_shell", quad)
-            orders.clear()
+            builds.clear()
             energy(sol, None, GEOM, sol.cfg, LAME, quadrature=True)
-            counts.append(len(orders) - probes)
-        assert counts[0] == counts[1] <= q_max + 3
+            for orders in probes:
+                builds.remove(orders)
+            assert len(builds) == 1 and len(builds[0]) <= q_max + 3  # one table for every shell
 
 
 class TestCoefficientSets:
@@ -472,20 +472,18 @@ class TestFarfieldSample:
             assert (ref == 0) == (kappa == 0)
 
     def test_one_table_for_the_whole_grid(self, monkeypatch):
-        calls = []
-        column = harmonics._legendre_column
+        builds = []
+        table = harmonics._legendre_table
 
-        def counted(n, m, ct, st):
-            calls.append(m)
-            return column(n, m, ct, st)
+        def counted(n, orders, z, st):
+            builds.append(orders)
+            return table(n, orders, z, st)
 
-        monkeypatch.setattr(harmonics, "_legendre_column", counted)
-        counts = []
+        monkeypatch.setattr(harmonics, "_legendre_table", counted)
         for grid in ([1e-1], _SWEEP_GRID):
-            calls.clear()
+            builds.clear()
             classify_calr(GEOM, LAME, 2.5, grid)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 2  # orders 0 and 1 of the m = 0 spectra
+            assert builds == [range(2)]  # orders 0 and 1 of the m = 0 spectra
 
     def test_spectra_must_share_one_mode_list(self):
         _, sweep_sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
