@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -80,22 +79,6 @@ def mode_indices(n_max: int, families: Iterable[str] = FAMILIES) -> list[ModeInd
 # scalar harmonics
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _recurrence(n: int, lo: int, stop: int):
-    """The point-free factors of `_legendre_table`(n, range(lo, stop), .):
-    sectoral, first-step, and per step j = 2..n - lo the a_k, b_k at k = a + j,
-    as columns against a row of points; the mask of k < a."""
-    a, k = np.arange(lo, stop)[:, None], np.arange(1, stop)[:, None]
-    sectoral, first = -np.sqrt((2 * k + 1) / (2.0 * k)), np.sqrt(2 * a + 3.0)
-    k = a + np.arange(2, n - lo + 1.0)[:, None, None]
-    ak = np.sqrt((4.0 * k * k - 1.0) / (k * k - a ** 2))
-    bk = np.sqrt(((k - 1.0) ** 2 - a ** 2) / (4.0 * (k - 1.0) ** 2 - 1.0))
-    factors = sectoral, first, ak, bk, np.tri(stop - lo, n + 1, lo - 1, dtype=bool)
-    for w in factors:
-        w.flags.writeable = False  # every caller gets these same arrays
-    return factors
-
-
 def _legendre_table(n: int, orders: range, z, st) -> np.ndarray:
     """Fully normalized associated Legendre P~_k^a(z), Condon-Shortley phase
     included, for the orders a of `orders` (a range in 0..n) and the degrees
@@ -106,26 +89,35 @@ def _legendre_table(n: int, orders: range, z, st) -> np.ndarray:
     Featherstone, J. Geodesy 2002, without their underflow scaling; stable to
     n of a few hundred) steps every order at once: step j gives the degree
     a + j of each order a."""
-    shape, z, st = np.shape(z), np.reshape(z, (1, -1)).astype(float, copy=False), np.reshape(st, -1)
-    lo, count = orders.start, len(orders)
-    sectoral, first, ak, bk, below = _recurrence(n, lo, orders.stop)
+    shape = np.shape(z)
+    z = np.reshape(z, (1, -1)).astype(float, copy=False)
+    lo = orders.start
+    count = len(orders)
+    a = np.arange(lo, orders.stop, dtype=float)[:, None]
+    k = np.arange(1.0, orders.stop)[:, None]
     seed = np.empty((orders.stop, z.size))
     seed[:1] = 1.0 / math.sqrt(4.0 * math.pi)
-    seed[1:] = sectoral * st
-    # skew[i, j] (rows of n + 2) is out[i, lo + i + j] (rows of n + 1) in one buffer: the
-    # degrees past n land below the next order's diagonal, or in the padding, and are cleared
-    buf = np.zeros((lo + count * (n + 2)) * z.size)
-    skew = buf[lo * z.size:].reshape(count, n + 2, z.size)
+    seed[1:] = -np.sqrt((2 * k + 1) / (2 * k)) * np.reshape(st, -1)
+    # Order row i holds the degrees 0..n + count, and skew[i, j] (rows one longer) is its
+    # degree lo + i + j: the steps past degree n stay in the row, and k < a stays zero
+    width = n + count + 1
+    buf = np.zeros((lo + count * (width + 1)) * z.size)
+    skew = buf[lo * z.size:].reshape(count, width + 1, z.size)
+    # the degrees k = a + j of the steps j = 1..n - lo + 1: a_k at j, and b_(k + 1) for step j + 1
+    k = a + np.arange(1.0, n - lo + 2)[:, None, None]
+    num = 4 * k * k - 1
+    den = k * k - a * a
+    ak = np.sqrt(num / den)  # sqrt(2a + 3) exactly at j = 1
+    bk = np.sqrt(den / num)
     skew[:, 0] = np.cumprod(seed, axis=0)[lo:]
-    skew[:, 1] = first * z * skew[:, 0]
+    skew[:, 1] = ak[0] * z * skew[:, 0]
     cols = list(skew.swapaxes(0, 1))
-    for p, p1, p2, a, b in zip(cols[2:], cols[1:], cols, ak, bk):  # step j = 2..n - lo: columns j, j - 1, j - 2
+    for p, p1, p2, a, b in zip(cols[2:n - lo + 1], cols[1:], cols, ak[1:], bk):  # step j: columns j, j - 1, j - 2
         np.multiply(z, p1, p)
         p -= b * p2
         p *= a
-    out = buf[:count * (n + 1) * z.size].reshape((count, n + 1) + shape)
-    out[below] = 0.0
-    return out
+    out = buf[:count * width * z.size].reshape(count, width, z.size)[:, :n + 1]
+    return out.reshape((count, n + 1) + shape)
 
 
 def _norm_legendre(n: int, m: int, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
@@ -180,14 +172,15 @@ def _harmonic_columns(top: int, nu, count: int):
     the orders a < count (<= top + 1): (legendre, trig) with Y_k^a =
     legendre[a, k] (trig[a, 0] + i trig[a, 1]), k = a..top.  No angles:
     legendre[a, k] = P~_k^a(z) / sin^a theta (`_legendre_table` seeded with
-    st = 1) and trig[a] = Re/Im (x + i y)^a, one running product.  z may be
+    st = 1) and trig[a] = Re/Im (x + i y)^a, a running product.  z may be
     any values (the distinct z of the points); trig is taken at x, y."""
     x, y, z = nu
-    powers = np.empty((count, len(x)), dtype=complex)
-    powers[:1] = 1.0
-    powers.real[1:], powers.imag[1:] = x, y
-    np.cumprod(powers, axis=0, out=powers)
-    return _legendre_table(top, range(count), z, 1.0), np.stack([powers.real, powers.imag], axis=1)
+    trig = np.zeros((count, 2, len(x)))
+    trig[:1, 0] = 1.0  # no rows for count = 0
+    for a in range(1, count):
+        re, im = trig[a - 1]
+        trig[a] = re * x - im * y, re * y + im * x
+    return _legendre_table(top, range(count), z, 1.0), trig
 
 
 def _row_weights(l: int, q) -> np.ndarray:
@@ -362,10 +355,12 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     a = np.arange(min(q_max + step, top) + 1 if kinds else 0)
     rows = rows.reshape(rows.shape[:2] + (-1, n_max + 5))[  # (kind, order +a or -a, comp, degree)
         np.array(kinds, dtype=int)[:, None, None], q_max + 2 + np.stack([a, -a]), :, 2:top + 3]
-    plus, minus = rows[:, 0], np.where(a > 0, (-1.0) ** a, 0.0)[:, None, None] * rows[:, 1]
+    plus = rows[:, 0]
+    minus = np.where(a > 0, (-1.0) ** a, 0.0)[:, None, None] * rows[:, 1]
     coef = np.stack([plus + minus, 1j * (plus - minus)], axis=2)  # (kind, order, part, comp, degree)
     coef[:, :1, 1] = 0.0
-    return kinds, top, sets, np.ascontiguousarray(np.stack([coef.real, coef.imag], axis=3).transpose(1, 2, 3, 4, 0, 5))
+    coef = np.stack([coef.real, coef.imag], axis=3).transpose(1, 2, 3, 4, 0, 5)
+    return kinds, top, sets, np.ascontiguousarray(coef)
 
 
 def _series_eval(kinds, coef, legendre, trig, powers: np.ndarray, out: np.ndarray) -> None:
@@ -441,7 +436,8 @@ def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool =
     legendre, trig = _harmonic_columns(top, (unit[:, 0], unit[:, 1], z), len(coef))
     part = np.arange(2 * len(coef)) != 1  # the Re/Im (x + i y)^a parts but Im (x + i y)^0 = 0
     coef = coef.reshape((2 * len(coef),) + coef.shape[2:])[part]
-    legendre, trig = np.repeat(legendre, 2, axis=0)[part], trig.reshape(-1, len(unit))[part]
+    legendre = np.repeat(legendre, 2, axis=0)[part]
+    trig = trig.reshape(-1, len(unit))[part]
     out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(unit)))
     spread = np.empty((len(trig),) + out.shape)  # every part at every point, for all shells
     for r in radii:
@@ -491,7 +487,7 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
 
     All three solve the homogeneous Lame system; T and M do not depend on
     the material.  One real table per call: the degree row of the
-    `_harmonic_columns` at x / r, every order of that degree, scaled by
+    `_harmonic_columns` at x / r, every order the weights reach, scaled by
     r^degree (homogeneity); each mode is one (3 x rows) by (rows x N)
     product with it: T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on
     degree n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m)
@@ -510,19 +506,23 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
         degree, weights = n, _rotation_weights(n, orders)
     else:
         degree, weights = l - 1, _ladder_weights(l, orders, False)
+    count = min(int(np.abs(shifted).max(initial=0)), degree) + 1  # the orders the weights reach
     # w[mode, component]: the weights on the rows of the table
-    w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted))
-    z, ring = np.unique(unit[2], return_inverse=True)  # the Legendre table at the distinct z only
-    legendre, table = _harmonic_columns(max(degree, 0), (unit[0], unit[1], z), degree + 1)
-    table *= (legendre[:, -1, ring] * r ** max(degree, 0))[:, None]
-    table = table.reshape(-1, len(r))
+    w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted)[..., :2 * count])
+    run = np.diff(unit[2], prepend=np.nan) != 0  # the Legendre table once per run of equal z
+    legendre, table = _harmonic_columns(max(degree, 0), (unit[0], unit[1], unit[2, run]), count)
+    scale = legendre[:, -1, np.cumsum(run) - 1]
+    scale *= r ** max(degree, 0)
+    table *= scale[:, None]
+    table = table.reshape(2 * count, len(r))
     if family == "N":
         a, x = a_coeff(n, lame), pts.T
         radial = 1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)
 
     def mode(weights: np.ndarray) -> np.ndarray:
         g = np.empty((3, table.shape[1]), dtype=complex)  # weights @ table, without a complex copy of it
-        g.real, g.imag = weights.real @ table, weights.imag @ table
+        g.real = weights.real @ table
+        g.imag = weights.imag @ table
         if family != "N":
             return g
         y = np.sum(x * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
