@@ -396,13 +396,12 @@ def quad_energy_shell(
     lam = complex(lame.lam).real
     mu = complex(lame.mu).real
     unit, w_unit = rule.surface_nodes()
-    shells = []
-    for r, w_r, (_, grad) in zip(radii, wr, u_grad(radii, unit)):
+    dens = np.empty((radii.size, w_unit.size))  # one row of weighted densities per shell
+    for row, r, (_, grad) in zip(dens, radii, u_grad(radii, unit)):
         div = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
         sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
-        dens = lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))
-        shells.append(w_r * fsum_c(dens * (w_unit * r**2)).real)
-    return 0.5 * delta * math.fsum(shells)
+        row[:] = (lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))) * (w_unit * r**2)
+    return 0.5 * delta * math.fsum(wr * fsum_c(dens).real)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def np_eigenvalue(family: str, n: int, lame: LameParams) -> complex:
     Y_{n-1}); with that convention the same formula index applies.  The
     result is independent of m and of the sphere radius.  Elementwise in n.
     """
-    if np.any(np.asarray(n) < 1):
+    if (np.asarray(n) < 1).any():
         raise ValueError("n must be >= 1")
     if family == "T":
         return 3.0 / (4 * n + 2)

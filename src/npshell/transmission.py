@@ -117,13 +117,13 @@ class SourceSpectrum:
         n, m, g = np.asarray(self.n, dtype=int), np.asarray(self.m, dtype=int), np.asarray(self.g)
         if not (n.ndim == 1 and n.shape == m.shape == g.shape):
             raise ValueError("n, m and g must be aligned 1-D arrays")
-        if np.any(n < 2):
+        if (n < 2).any():
             raise ValueError("source spectra start at n = 2 (degree-1 traction vanishes)")
-        if np.any(np.abs(m) > n):
+        if (np.abs(m) > n).any():
             raise ValueError("orders must satisfy |m| <= n")
         order = np.lexsort((m, n))
         n, m, g = n[order], m[order], g[order]
-        if np.any((np.diff(n) == 0) & (np.diff(m) == 0)):
+        if ((n[1:] == n[:-1]) & (m[1:] == m[:-1])).any():
             raise ValueError("each mode (n, m) may appear only once")
         for name, column in (("n", n), ("m", m), ("g", g)):
             column.setflags(write=False)
@@ -146,28 +146,29 @@ def source_coefficient(n, r_s: float, geom: ShellGeometry, lame: LameParams, kap
     return kappa * complex(lame.mu).real * (n - 1) * (geom.r_e / r_s) ** n / geom.r_e
 
 
-def mode_denominator(n, cfg: PlasmonicConfig, geom: ShellGeometry, lame: LameParams):
+def mode_denominator(n, cfg: PlasmonicConfig | ADeltaPair, geom: ShellGeometry, lame: LameParams):
     """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
     xi = np_eigenvalue("T", n, lame)
-    pair = a_delta(cfg)
+    pair = cfg if isinstance(cfg, ADeltaPair) else a_delta(cfg)
     d1mu = elastic_sl_t_coeff(n, lame) * lame.mu  # = -1/(2n+1), material free
     rho = geom.rho
     return (xi - pair.a1) * (xi - pair.a2) + d1mu**2 * (n - 1) * (n + 2) * rho ** (2 * n + 1)
 
 
-def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig, lame: LameParams):
+def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig | ADeltaPair, lame: LameParams):
     """(phi_i / g_e, phi_e / g_e), the closed-form solve of the 2x2 system:
 
     phi_i = g_e (a2 - xi + d1 mu (n-1)) rho^(n-1) / D
     phi_e = -g_e (xi - a1 + d1 mu (n+2) rho^(2n+1)) / D
+    `cfg` may be the pair (a1, a2) itself, e.g. loss-grid columns against n.
     """
     xi = np_eigenvalue("T", n, lame)
-    pair = a_delta(cfg)
+    pair = cfg if isinstance(cfg, ADeltaPair) else a_delta(cfg)
     d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
     rho = geom.rho
     D = mode_denominator(n, cfg, geom, lame)
     if np.any(D == 0):
-        raise ExactResonanceError(f"degree n={np.ravel(n)[np.ravel(D == 0)]} is exactly resonant (D = 0)")
+        raise ExactResonanceError(f"degree n={np.broadcast_to(n, np.shape(D))[D == 0]} is exactly resonant (D = 0)")
     return (
         (pair.a2 - xi + d1mu * (n - 1)) * rho ** (n - 1) / D,
         -(xi - pair.a1 + d1mu * (n + 2) * rho ** (2 * n + 1)) / D,
@@ -263,14 +264,8 @@ class DensitySolution:
     lame: LameParams
 
 
-def solve_mode_direct(
-    n: int,
-    m: int,
-    g_e: complex,
-    geom: ShellGeometry,
-    cfg: PlasmonicConfig,
-    lame: LameParams,
-) -> tuple[complex, complex]:
+def solve_mode_direct(n: int, m: int, g_e: complex, geom: ShellGeometry, cfg: PlasmonicConfig,
+                      lame: LameParams) -> tuple[complex, complex]:
     """Independent route: assemble and solve the 2x2 interface system.
 
     Row 1 (inner interface): (xi - a1) phi_i + d1 mu (n-1) rho^(n-1) phi_e = -g_i
@@ -285,24 +280,14 @@ def solve_mode_direct(
     d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
     rho = geom.rho
     g_i = g_i_from_g_e(n, g_e, geom)
-    mat = np.array(
-        [
-            [xi - pair.a1, d1mu * (n - 1) * rho ** (n - 1)],
-            [-d1mu * (n + 2) * rho ** (n + 2), xi - pair.a2],
-        ],
-        dtype=complex,
-    )
+    mat = np.array([[xi - pair.a1, d1mu * (n - 1) * rho ** (n - 1)],
+                    [-d1mu * (n + 2) * rho ** (n + 2), xi - pair.a2]], dtype=complex)
     rhs = np.array([-g_i, -g_e], dtype=complex)
     sol = np.linalg.solve(mat, rhs)
     return complex(sol[0]), complex(sol[1])
 
 
-def solve_source(
-    src: SourceSpectrum,
-    geom: ShellGeometry,
-    cfg: PlasmonicConfig,
-    lame: LameParams,
-) -> DensitySolution:
+def solve_source(src: SourceSpectrum, geom: ShellGeometry, cfg: PlasmonicConfig, lame: LameParams) -> DensitySolution:
     """Solve every mode of a source spectrum."""
     t_i, t_e = transfer_factors(src.n, geom, cfg, lame)
     return DensitySolution(src.n, src.m, src.g * t_i, src.g * t_e, geom, cfg, lame)
@@ -385,18 +370,24 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     value per solution; the probe directions are a golden-angle spiral,
     poles excluded: cos theta_k = 1 - (2k + 1) / 24, phi_k = k pi (3 - sqrt 5).
 
-    The spectra must be prefixes of one mode list, as a sweep's are.  Each
-    solution's `matrix_coefficient` at its R, zero-padded, is one row of a
-    (solutions, modes) array, and one `solid_harmonic_shells` call at unit
-    radius evaluates every row on one harmonic table of the directions.
+    The solutions must share one shell and material, and their spectra must
+    be prefixes of one mode list, as a sweep's are.  Their densities,
+    zero-padded, are (solutions, modes) arrays: one `matrix_coefficient` at
+    the shared R gives every far-field row, and one `solid_harmonic_shells`
+    call at unit radius evaluates every row on one harmonic table of the
+    directions.
     """
     longest = max(sols, key=lambda sol: sol.n.size)
-    rows = np.zeros((len(sols), longest.n.size), dtype=complex)
-    for row, sol in zip(rows, sols):
-        k, radius = sol.n.size, 1.05 * sol.geom.r_e**2 / sol.geom.r_i
-        if not (np.array_equal(sol.n, longest.n[:k]) and np.array_equal(sol.m, longest.m[:k])):
-            raise ValueError("farfield_sample: the spectra must be prefixes of one mode list")
-        row[:k] = matrix_coefficient(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame, radius)
+    geom, lame = longest.geom, longest.lame
+    dens = np.zeros((2, len(sols), longest.n.size), dtype=complex)  # phi_i and phi_e rows
+    for j, sol in enumerate(sols):
+        k = sol.n.size
+        if not ((sol.geom, sol.lame) == (geom, lame) and np.array_equal(sol.n, longest.n[:k])
+                and np.array_equal(sol.m, longest.m[:k])):
+            raise ValueError("farfield_sample: the solutions must share one shell and material, "
+                             "and their spectra must be prefixes of one mode list")
+        dens[:, j, :k] = sol.phi_i, sol.phi_e
+    rows = matrix_coefficient(longest.n, *dens, geom, lame, 1.05 * geom.r_e**2 / geom.r_i)
     k = np.arange(24)
     ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
     st = np.sqrt(1 - ct * ct)
@@ -405,10 +396,13 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     return np.linalg.norm(u, axis=-1).max(axis=-1).tolist()
 
 
-def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=None) -> list[EnergyReport]:
+def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=None,
+                   per_mode=None) -> list[EnergyReport]:
     """The `EnergyReport` of each solution; one `farfield_sample` call gives every far field.
 
-    energy_modal sums the exact per-mode closed form; energy_quadrature
+    energy_modal sums the exact per-mode closed form: row k of `per_mode`
+    (the energy grid of `solve_sweep`, past solution k's modes ignored) or
+    else `shell_energy` of solution k.  energy_quadrature
     (optional) integrates the strain density over the shell volume with the
     brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
     and 16 radial nodes.  Both are (delta/2) * P_shell(u - F) of the shell,
@@ -420,12 +414,14 @@ def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=N
         rule = rule or QuadratureRule(24, 48)
     e_quads = [quad_energy_shell(scattered_gradient_factory(sol), sol.lame, sol.cfg.delta, sol.geom, rule)
                if quadrature else None for sol in sols]
+    if per_mode is None:
+        per_mode = [shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame) for sol in sols]
     reports = []
-    for sol, farfield, e_quad in zip(sols, farfield_sample(sols), e_quads):
-        per_mode = shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame)
+    for sol, e, farfield, e_quad in zip(sols, per_mode, farfield_sample(sols), e_quads):
+        e = e[: sol.n.size]
         reports.append(EnergyReport(  # delta, n0, c_n and eps_n from the configuration
-            **asdict(sol.cfg), energy_modal=math.fsum(per_mode), energy_quadrature=e_quad, farfield_sample=farfield,
-            dominant_n=int(sol.n[np.argmax(per_mode)]) if sol.n.size else 0, n_trunc=int(sol.n.max(initial=0))))
+            **asdict(sol.cfg), energy_modal=math.fsum(e), energy_quadrature=e_quad, farfield_sample=farfield,
+            dominant_n=int(sol.n[np.argmax(e)]) if sol.n.size else 0, n_trunc=int(sol.n.max(initial=0))))
     return reports
 
 
@@ -472,43 +468,52 @@ _ENERGY_FLOOR = 1e-14  # a kept spectrum's last mode carries less than this shar
 _N_HARD_CAP = 400  # highest degree a sweep point grows its spectrum to
 
 
-def solve_sweep_point(
-    delta: float,
-    geom: ShellGeometry,
-    lame: LameParams,
-    r_s: float,
-    kappa: float = 1.0,
-    cfg: PlasmonicConfig | None = None,
-) -> tuple[SourceSpectrum, "DensitySolution"]:
-    """Source synthesis and solve for one loss value, truncation-converged.
+def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, r_s: float, kappa: float = 1.0,
+                cfgs: list[PlasmonicConfig | None] | None = None,
+                ) -> tuple[list[DensitySolution], np.ndarray, np.ndarray]:
+    """Source synthesis and solve over a loss grid, each loss truncation-converged.
 
-    One pass evaluates the mode energies E_n up to the hard cap.  The cut is
-    the first k of truncation_degree(n0), +20, ... (capped at degree 400)
-    with E_k < 1e-14 * (E_2 + ... + E_k); the spectrum and its
-    solution are that pass's prefix up to k, or empty when the total energy
-    is 0 (kappa = 0).  A resonant degree whose baseline truncation passes
-    the cap (a shell so thin, or a loss so small, that n0 > 380) raises
-    ValueError before any degree array is built.
+    A loss takes its configuration from `cfgs`, or if None the resonant one
+    of its n0.  One pass evaluates E_n(delta) over (loss x degree) up to the
+    hard cap.  A row's cut is the first k of truncation_degree(n0), +20, ...
+    (capped at degree 400) with E_k < 1e-14 * (E_2 + ... + E_k); its solution
+    is the row's prefix up to k, or empty when the total energy is 0 (kappa =
+    0).  Returns the solutions, the source coefficients g_e^n of n = 2..400
+    and the energy grid, each row zero past its cut.  A resonant degree whose
+    baseline truncation passes the cap (a shell so thin, or a loss so small,
+    that n0 > 380) at any loss raises ValueError before any degree array.
     """
-    if cfg is None:
-        cfg = PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta)
-    start = truncation_degree(cfg.n0)
-    if start > _N_HARD_CAP:
-        raise ValueError(
-            f"resonant degree n0={cfg.n0} (rho={geom.rho:.9g}, delta={cfg.delta:g}) needs degrees "
-            f"up to {start}, past the cap of {_N_HARD_CAP}; thicken the shell or raise the loss"
-        )
+    cfgs = [PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta) if cfg is None else cfg
+            for delta, cfg in zip(delta_grid, cfgs or [None] * len(delta_grid))]
+    for cfg in cfgs:
+        if (start := truncation_degree(cfg.n0)) > _N_HARD_CAP:
+            raise ValueError(
+                f"resonant degree n0={cfg.n0} (rho={geom.rho:.9g}, delta={cfg.delta:g}) needs degrees "
+                f"up to {start}, past the cap of {_N_HARD_CAP}; thicken the shell or raise the loss"
+            )
     n = np.arange(2, _N_HARD_CAP + 1)
     g = source_coefficient(n, r_s, geom, lame, kappa)
-    t_i, t_e = transfer_factors(n, geom, cfg, lame)
-    e = shell_energy(n, g * t_i, g * t_e, geom, cfg.delta, lame)
-    for n_max in [*range(start, _N_HARD_CAP, 20), _N_HARD_CAP]:
-        total = math.fsum(e[: n_max - 1])
-        if total == 0.0 or e[n_max - 2] < _ENERGY_FLOOR * total:
-            break
-    keep = slice(0, n_max - 1 if total else 0)
-    src = SourceSpectrum(n[keep], np.zeros_like(n[keep]), g[keep], r_s=r_s)
-    return src, DensitySolution(src.n, src.m, g[keep] * t_i[keep], g[keep] * t_e[keep], geom, cfg, lame)
+    a = np.array([[[p.a1], [p.a2]] for p in map(a_delta, cfgs)])  # Python complex division, as for one loss
+    t_i, t_e = transfer_factors(n, geom, ADeltaPair(a[:, 0], a[:, 1]), lame)
+    phi_i, phi_e = g * t_i, g * t_e
+    e = shell_energy(n, phi_i, phi_e, geom, np.array([[cfg.delta] for cfg in cfgs]), lame)
+    sols = []
+    for row, cfg in enumerate(cfgs):
+        for n_max in [*range(truncation_degree(cfg.n0), _N_HARD_CAP, 20), _N_HARD_CAP]:
+            total = math.fsum(e[row, : n_max - 1])
+            if total == 0.0 or e[row, n_max - 2] < _ENERGY_FLOOR * total:
+                break
+        k = n_max - 1 if total else 0
+        e[row, k:] = 0.0
+        sols.append(DensitySolution(n[:k], np.zeros(k, dtype=int), phi_i[row, :k], phi_e[row, :k], geom, cfg, lame))
+    return sols, g, e
+
+
+def solve_sweep_point(delta: float, geom: ShellGeometry, lame: LameParams, r_s: float, kappa: float = 1.0,
+                      cfg: PlasmonicConfig | None = None) -> tuple[SourceSpectrum, DensitySolution]:
+    """The one-loss `solve_sweep`: the kept source spectrum and its solution."""
+    (sol,), g, _ = solve_sweep([delta], geom, lame, r_s, kappa, [cfg])
+    return SourceSpectrum(sol.n, sol.m, g[: sol.n.size], r_s=r_s), sol
 
 
 @dataclass
@@ -526,23 +531,17 @@ _GROWTH_THRESHOLD = 1e3  # E(smallest loss) / E(largest loss) above this is blow
 _MIN_DECADES = 4.0  # shortest loss grid, in decades, that can tell blowup apart
 
 
-def classify_calr(
-    geom: ShellGeometry,
-    lame: LameParams,
-    r_s: float,
-    delta_grid: list[float],
-    kappa: float = 1.0,
-    fixed_cfg: PlasmonicConfig | None = None,
-    quadrature: bool = False,
-) -> CalrSweep:
+def classify_calr(geom: ShellGeometry, lame: LameParams, r_s: float, delta_grid: list[float], kappa: float = 1.0,
+                  fixed_cfg: PlasmonicConfig | None = None, quadrature: bool = False) -> CalrSweep:
     """Run the full pipeline over a decreasing loss grid and classify.
 
     Per grid point the resonant degree is re-chosen (rho^n0 < delta <=
     rho^(n0-1)) and the plasmonic parameters re-tuned, unless a fixed
-    configuration is supplied.  Verdict "resonant" requires the energy to
-    grow by more than 1e3 from the largest to the smallest loss over a grid
-    spanning at least 4 decades; a source with zero energy throughout
-    (kappa = 0) is "bounded"; grids too short to decide return
+    configuration is supplied.  One `solve_sweep` solves every loss, and one
+    `energy_reports` pass reads its energy grid.  Verdict "resonant" requires
+    the energy to grow by more than 1e3 from the largest to the smallest loss
+    over a grid spanning at least 4 decades; a source with zero energy
+    throughout (kappa = 0) is "bounded"; grids too short to decide return
     "insufficient-grid"; r_s equal to the critical radius returns "boundary".
     """
     if not delta_grid:
@@ -550,8 +549,8 @@ def classify_calr(
     if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
     cfgs = [None if fixed_cfg is None else replace(fixed_cfg, delta=delta) for delta in delta_grid]
-    sols = [solve_sweep_point(delta, geom, lame, r_s, kappa, cfg)[1] for delta, cfg in zip(delta_grid, cfgs)]
-    reports = energy_reports(sols, quadrature)
+    sols, _, per_mode = solve_sweep(delta_grid, geom, lame, r_s, kappa, cfgs)
+    reports = energy_reports(sols, quadrature, per_mode=per_mode)
 
     energies = [r.energy_modal for r in reports]
     farfields = [r.farfield_sample for r in reports]
@@ -571,10 +570,4 @@ def classify_calr(
         verdict = "bounded"
     for r in reports:
         r.verdict = verdict
-    return CalrSweep(
-        reports=reports,
-        verdict=verdict,
-        energy_ratio=energy_ratio,
-        farfield_ratio=farfield_ratio,
-        r_s=r_s,
-    )
+    return CalrSweep(reports, verdict, energy_ratio, farfield_ratio, r_s)

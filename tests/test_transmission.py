@@ -51,6 +51,7 @@ from npshell.transmission import (
     shell_energy,
     solve_mode_direct,
     solve_source,
+    solve_sweep,
     solve_sweep_point,
     source_coefficient,
     source_field,
@@ -490,6 +491,13 @@ class TestFarfieldSample:
         with pytest.raises(ValueError, match="prefixes of one mode list"):
             farfield_sample([sweep_sol, _spread_m_solution()])
 
+    @pytest.mark.parametrize("other", [{"geom": ShellGeometry(1.0, 2.2)}, {"lame": LameParams(2.0, 1.0)}])
+    def test_solutions_must_share_one_shell_and_material(self, other):
+        # one matrix_coefficient call reads every row at the first shell's R
+        _, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
+        with pytest.raises(ValueError, match="share one shell and material"):
+            farfield_sample([sol, replace(sol, **other)])
+
 
 class TestDegreeArrays:
     """The elementwise closed forms on arrays of n against per-mode loops."""
@@ -856,3 +864,74 @@ class TestTruncationRule:
         src, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5, kappa=0.0)
         for column in (src.n, src.m, src.g, sol.n, sol.m, sol.phi_i, sol.phi_e):
             assert column.size == 0
+
+
+_CAP_GEOM = ShellGeometry(1.0, 2.5)  # r_s = 2.6, kappa = 2: cuts 400, 400, 400, 360, 300, 240
+
+
+class TestLossGrid:
+    """`classify_calr` solves its whole loss grid in one (loss x degree) pass."""
+
+    @pytest.mark.parametrize("geom, r_s, kappa, fixed", [
+        (GEOM, 2.5, 1.0, False),
+        (GEOM, 3.5, 1.0, False),
+        (GEOM, 2.5, 1.0, True),
+        (GEOM, 2.5, 0.0, False),
+        (_CAP_GEOM, 2.6, 2.0, False),
+    ], ids=["resonant", "bounded", "fixed-cfg", "kappa-0", "cap"])
+    def test_rows_equal_the_one_loss_solve(self, geom, r_s, kappa, fixed, monkeypatch):
+        fixed_cfg = PlasmonicConfig.resonant(4, 0.1) if fixed else None
+        seen = {}
+
+        def reports(sols, quadrature=False, rule=None, per_mode=None):
+            seen.update(sols=sols, per_mode=per_mode)
+            return energy_reports(sols, quadrature, rule, per_mode)
+
+        monkeypatch.setattr(tr, "energy_reports", reports)
+        sweep = classify_calr(geom, LAME, r_s, _SWEEP_GRID, kappa=kappa, fixed_cfg=fixed_cfg)
+        for rep, sol, e in zip(sweep.reports, seen["sols"], seen["per_mode"], strict=True):
+            cfg = None if fixed_cfg is None else replace(fixed_cfg, delta=rep.delta)
+            src, ref = solve_sweep_point(rep.delta, geom, LAME, r_s, kappa, cfg)
+            for name in ("n", "m", "phi_i", "phi_e"):
+                assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+            assert sol.cfg == ref.cfg
+            ref_rep = energy(ref, src, geom, ref.cfg, LAME)
+            assert (rep.energy_modal, rep.dominant_n, rep.n_trunc) == (
+                ref_rep.energy_modal, ref_rep.dominant_n, ref_rep.n_trunc)
+            # the energy grid row: the kept degrees' energies, zero past the cut
+            assert math.fsum(e) == rep.energy_modal
+            assert not e[sol.n.size:].any() and (e[: sol.n.size] > 0).all()
+        if geom is _CAP_GEOM:
+            assert [rep.n_trunc for rep in sweep.reports] == [400, 400, 400, 360, 300, 240]
+
+    @pytest.mark.parametrize("grid", [[1e-1], _SWEEP_GRID], ids=["one-loss", "six-losses"])
+    def test_closed_forms_run_once_per_sweep(self, grid, monkeypatch):
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return wrapper
+
+        for name in ("source_coefficient", "transfer_factors", "shell_energy"):
+            monkeypatch.setattr(tr, name, counted(name, getattr(tr, name)))
+        classify_calr(GEOM, LAME, 2.5, grid)
+        assert sorted(calls) == ["shell_energy", "source_coefficient", "transfer_factors"]
+
+    def test_cap_of_the_last_loss_raises_before_any_closed_form(self, monkeypatch):
+        # rho = 0.5 resonates at n0 = 432 for delta = 1e-130; the losses
+        # before it reach degree 100 at most
+        def built(*args, **kwargs):
+            raise AssertionError("a closed form ran before the cap check")
+
+        for name in ("source_coefficient", "transfer_factors", "shell_energy", "matrix_coefficient"):
+            monkeypatch.setattr(tr, name, built)
+        with pytest.raises(ValueError, match=r"n0=432 \(rho=0\.5, delta=1e-130\).*cap of 400"):
+            classify_calr(GEOM, LAME, 2.5, [1e-1, 1e-2, 1e-130])
+
+    def test_grid_solve_returns_the_source_coefficients(self):
+        sols, g, e = solve_sweep(_SWEEP_GRID, GEOM, LAME, 2.5)
+        assert np.array_equal(g, source_coefficient(np.arange(2, 401), 2.5, GEOM, LAME))
+        assert e.shape == (len(_SWEEP_GRID), 399)
+        assert [sol.cfg.n0 for sol in sols] == [choose_n0(delta, GEOM) for delta in _SWEEP_GRID]
