@@ -264,8 +264,14 @@ class DensitySolution:
     lame: LameParams
 
 
-def solve_mode_direct(n: int, m: int, g_e: complex, geom: ShellGeometry, cfg: PlasmonicConfig,
-                      lame: LameParams) -> tuple[complex, complex]:
+def solve_mode_direct(
+    n: int,
+    m: int,
+    g_e: complex,
+    geom: ShellGeometry,
+    cfg: PlasmonicConfig,
+    lame: LameParams,
+) -> tuple[complex, complex]:
     """Independent route: assemble and solve the 2x2 interface system.
 
     Row 1 (inner interface): (xi - a1) phi_i + d1 mu (n-1) rho^(n-1) phi_e = -g_i
@@ -280,14 +286,24 @@ def solve_mode_direct(n: int, m: int, g_e: complex, geom: ShellGeometry, cfg: Pl
     d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
     rho = geom.rho
     g_i = g_i_from_g_e(n, g_e, geom)
-    mat = np.array([[xi - pair.a1, d1mu * (n - 1) * rho ** (n - 1)],
-                    [-d1mu * (n + 2) * rho ** (n + 2), xi - pair.a2]], dtype=complex)
+    mat = np.array(
+        [
+            [xi - pair.a1, d1mu * (n - 1) * rho ** (n - 1)],
+            [-d1mu * (n + 2) * rho ** (n + 2), xi - pair.a2],
+        ],
+        dtype=complex,
+    )
     rhs = np.array([-g_i, -g_e], dtype=complex)
     sol = np.linalg.solve(mat, rhs)
     return complex(sol[0]), complex(sol[1])
 
 
-def solve_source(src: SourceSpectrum, geom: ShellGeometry, cfg: PlasmonicConfig, lame: LameParams) -> DensitySolution:
+def solve_source(
+    src: SourceSpectrum,
+    geom: ShellGeometry,
+    cfg: PlasmonicConfig,
+    lame: LameParams,
+) -> DensitySolution:
     """Solve every mode of a source spectrum."""
     t_i, t_e = transfer_factors(src.n, geom, cfg, lame)
     return DensitySolution(src.n, src.m, src.g * t_i, src.g * t_e, geom, cfg, lame)
@@ -401,8 +417,8 @@ def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=N
     """The `EnergyReport` of each solution; one `farfield_sample` call gives every far field.
 
     energy_modal sums the exact per-mode closed form: row k of `per_mode`
-    (the energy grid of `solve_sweep`, past solution k's modes ignored) or
-    else `shell_energy` of solution k.  energy_quadrature
+    (the energy grid of `solve_sweep`, zero past solution k's modes) or else
+    `shell_energy` of solution k.  energy_quadrature
     (optional) integrates the strain density over the shell volume with the
     brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
     and 16 radial nodes.  Both are (delta/2) * P_shell(u - F) of the shell,
@@ -418,7 +434,6 @@ def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=N
         per_mode = [shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame) for sol in sols]
     reports = []
     for sol, e, farfield, e_quad in zip(sols, per_mode, farfield_sample(sols), e_quads):
-        e = e[: sol.n.size]
         reports.append(EnergyReport(  # delta, n0, c_n and eps_n from the configuration
             **asdict(sol.cfg), energy_modal=math.fsum(e), energy_quadrature=e_quad, farfield_sample=farfield,
             dominant_n=int(sol.n[np.argmax(e)]) if sol.n.size else 0, n_trunc=int(sol.n.max(initial=0))))
@@ -468,9 +483,8 @@ _ENERGY_FLOOR = 1e-14  # a kept spectrum's last mode carries less than this shar
 _N_HARD_CAP = 400  # highest degree a sweep point grows its spectrum to
 
 
-def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, r_s: float, kappa: float = 1.0,
-                cfgs: list[PlasmonicConfig | None] | None = None,
-                ) -> tuple[list[DensitySolution], np.ndarray, np.ndarray]:
+def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, r_s: float, kappa: float,
+                cfgs: list[PlasmonicConfig | None]) -> tuple[list[DensitySolution], np.ndarray, np.ndarray]:
     """Source synthesis and solve over a loss grid, each loss truncation-converged.
 
     A loss takes its configuration from `cfgs`, or if None the resonant one
@@ -484,7 +498,7 @@ def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, 
     that n0 > 380) at any loss raises ValueError before any degree array.
     """
     cfgs = [PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta) if cfg is None else cfg
-            for delta, cfg in zip(delta_grid, cfgs or [None] * len(delta_grid))]
+            for delta, cfg in zip(delta_grid, cfgs)]
     for cfg in cfgs:
         if (start := truncation_degree(cfg.n0)) > _N_HARD_CAP:
             raise ValueError(
@@ -531,8 +545,15 @@ _GROWTH_THRESHOLD = 1e3  # E(smallest loss) / E(largest loss) above this is blow
 _MIN_DECADES = 4.0  # shortest loss grid, in decades, that can tell blowup apart
 
 
-def classify_calr(geom: ShellGeometry, lame: LameParams, r_s: float, delta_grid: list[float], kappa: float = 1.0,
-                  fixed_cfg: PlasmonicConfig | None = None, quadrature: bool = False) -> CalrSweep:
+def classify_calr(
+    geom: ShellGeometry,
+    lame: LameParams,
+    r_s: float,
+    delta_grid: list[float],
+    kappa: float = 1.0,
+    fixed_cfg: PlasmonicConfig | None = None,
+    quadrature: bool = False,
+) -> CalrSweep:
     """Run the full pipeline over a decreasing loss grid and classify.
 
     Per grid point the resonant degree is re-chosen (rho^n0 < delta <=
@@ -570,4 +591,10 @@ def classify_calr(geom: ShellGeometry, lame: LameParams, r_s: float, delta_grid:
         verdict = "bounded"
     for r in reports:
         r.verdict = verdict
-    return CalrSweep(reports, verdict, energy_ratio, farfield_ratio, r_s)
+    return CalrSweep(
+        reports=reports,
+        verdict=verdict,
+        energy_ratio=energy_ratio,
+        farfield_ratio=farfield_ratio,
+        r_s=r_s,
+    )

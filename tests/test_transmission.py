@@ -931,7 +931,7 @@ class TestLossGrid:
             classify_calr(GEOM, LAME, 2.5, [1e-1, 1e-2, 1e-130])
 
     def test_grid_solve_returns_the_source_coefficients(self):
-        sols, g, e = solve_sweep(_SWEEP_GRID, GEOM, LAME, 2.5)
+        sols, g, e = solve_sweep(_SWEEP_GRID, GEOM, LAME, 2.5, 1.0, [None] * len(_SWEEP_GRID))
         assert np.array_equal(g, source_coefficient(np.arange(2, 401), 2.5, GEOM, LAME))
         assert e.shape == (len(_SWEEP_GRID), 399)
         assert [sol.cfg.n0 for sol in sols] == [choose_n0(delta, GEOM) for delta in _SWEEP_GRID]
