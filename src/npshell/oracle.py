@@ -401,6 +401,7 @@ def quad_energy_shell(
         div = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
         sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
         row[:] = (lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))) * (w_unit * r**2)
+        del div, sym  # freed before the next shell's fields, so the peak holds the densities instead
     return 0.5 * delta * math.fsum(wr * fsum_c(dens).real)
 
 

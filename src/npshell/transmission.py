@@ -395,15 +395,16 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     """
     longest = max(sols, key=lambda sol: sol.n.size)
     geom, lame = longest.geom, longest.lame
-    dens = np.zeros((2, len(sols), longest.n.size), dtype=complex)  # phi_i and phi_e rows
+    # the zero-padded densities; rebinding `rows` to their coefficients frees them before the probes
+    rows = np.zeros((2, len(sols), longest.n.size), dtype=complex)
     for j, sol in enumerate(sols):
         k = sol.n.size
         if not ((sol.geom, sol.lame) == (geom, lame) and np.array_equal(sol.n, longest.n[:k])
                 and np.array_equal(sol.m, longest.m[:k])):
             raise ValueError("farfield_sample: the solutions must share one shell and material, "
                              "and their spectra must be prefixes of one mode list")
-        dens[:, j, :k] = sol.phi_i, sol.phi_e
-    rows = matrix_coefficient(longest.n, *dens, geom, lame, 1.05 * geom.r_e**2 / geom.r_i)
+        rows[:, j, :k] = sol.phi_i, sol.phi_e
+    rows = matrix_coefficient(longest.n, *rows, geom, lame, 1.05 * geom.r_e**2 / geom.r_i)
     k = np.arange(24)
     ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
     st = np.sqrt(1 - ct * ct)
