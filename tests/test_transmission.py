@@ -51,7 +51,6 @@ from npshell.transmission import (
     shell_energy,
     solve_mode_direct,
     solve_source,
-    solve_sweep,
     solve_sweep_point,
     source_coefficient,
     source_field,
@@ -929,9 +928,3 @@ class TestLossGrid:
             monkeypatch.setattr(tr, name, built)
         with pytest.raises(ValueError, match=r"n0=432 \(rho=0\.5, delta=1e-130\).*cap of 400"):
             classify_calr(GEOM, LAME, 2.5, [1e-1, 1e-2, 1e-130])
-
-    def test_grid_solve_returns_the_source_coefficients(self):
-        sols, g, e = solve_sweep(_SWEEP_GRID, GEOM, LAME, 2.5, 1.0, [None] * len(_SWEEP_GRID))
-        assert np.array_equal(g, source_coefficient(np.arange(2, 401), 2.5, GEOM, LAME))
-        assert e.shape == (len(_SWEEP_GRID), 399)
-        assert [sol.cfg.n0 for sol in sols] == [choose_n0(delta, GEOM) for delta in _SWEEP_GRID]
