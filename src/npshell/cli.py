@@ -160,15 +160,25 @@ def _geom(cfg: dict) -> ShellGeometry:
 # spectrum
 # ---------------------------------------------------------------------------
 
+_SPECTRUM_N_CAP = 10**6  # highest degree `spectrum` tabulates; n^2 stays exact in int64
+
+
 def cmd_spectrum(cfg: dict) -> int:
     lame = _lame(cfg)
     fams = [f.strip() for f in str(cfg["families"]).split(",") if f.strip()]
+    if not fams or len(set(fams)) < len(fams):
+        raise ValueError(f"--families must name each family once, at least one, got {cfg['families']!r}")
     limits = [(fam, np_eigenvalue_limit(fam, lame)) for fam in fams]  # rejects an unknown family first
+    if not cfg["n_min"] <= cfg["n_max"] <= _SPECTRUM_N_CAP:
+        raise ValueError(f"need n_min <= n_max <= {_SPECTRUM_N_CAP}, got n_min={cfg['n_min']}, n_max={cfg['n_max']}")
+    n = np.arange(cfg["n_min"], cfg["n_max"] + 1)
     rows = []
     for fam, lim in limits:
-        for n in range(cfg["n_min"], cfg["n_max"] + 1):
-            xi = complex(np_eigenvalue(fam, n, lame))
-            rows.append([fam, n, xi.real, xi.imag, complex(lim).real])
+        with np.errstate(all="ignore"):  # an overflow is reported below, not warned
+            xi = np.asarray(np_eigenvalue(fam, n, lame), dtype=complex)
+        if not (np.isfinite(xi).all() and np.isfinite(lim)):
+            raise ArithmeticError(f"{fam} eigenvalues overflow at lambda={lame.lam}, mu={lame.mu}")
+        rows += [[fam, k, x.real, x.imag, complex(lim).real] for k, x in zip(n.tolist(), xi.tolist())]
     _write_csv(cfg["out"], cfg, ["family", "n", "eigenvalue_re", "eigenvalue_im", "limit_value"], rows)
     print(f"wrote {len(rows)} rows to {cfg['out']}")
     return 0
@@ -188,7 +198,7 @@ def _suite_layers(lame, rule, n_max, records):
             x = r0 * probe
             val = quad_scalar_sl(idx, x, lame, rule, r0)
             mode = harmonics.eval_solid_mode(idx, lame, probe)
-            mult = scalar_sl_multiplier(idx, r0)
+            mult = scalar_sl_multiplier(idx.family, idx.n, r0)
             rel = float(np.linalg.norm(val - mult * mode) / np.linalg.norm(mult * mode))
             est = complex(np.vdot(mode, val) / np.vdot(mode, mode))
             records.append(
@@ -203,44 +213,30 @@ def _suite_layers(lame, rule, n_max, records):
             )
 
 
+def _suite_modes(n_max):
+    """The modes the np and lame suites check: every family and degree up to
+    n_max, at order 1 (0 for N_1)."""
+    return [ModeIndex(fam, n, min(1, n - 1) if fam == "N" else 1) for fam in harmonics.FAMILIES
+            for n in range(1, n_max + 1)]
+
+
 def _suite_np(lame, rule, n_max, records):
-    for fam in ("T", "M", "N"):
-        for n in range(1, n_max + 1):
-            m = min(1, n - 1) if fam == "N" else min(1, n)
-            idx = ModeIndex(fam, n, m)
-            est, resid = quad_np_apply(idx, lame, rule)
-            ref = np_eigenvalue(fam, n, lame)
-            records.append(
-                compare(
-                    "np_eigenvalue",
-                    {"family": fam, "n": n, "m": m, "residual": resid, **asdict(rule)},
-                    complex(ref),
-                    est,
-                    1e-6,
-                )
-            )
+    for idx in _suite_modes(n_max):
+        est, resid = quad_np_apply(idx, lame, rule)
+        ref = np_eigenvalue(idx.family, idx.n, lame)
+        records.append(compare("np_eigenvalue", {**asdict(idx), "residual": resid, **asdict(rule)},
+                               complex(ref), est, 1e-6))
 
 
 def _suite_lame(lame, n_max, records):
     rng = np.random.default_rng(20240811)
     stencil = FDStencil(h=1e-4, order=2)
-    for fam in ("T", "M", "N"):
-        for n in range(1, n_max + 1):
-            m = min(1, n - 1) if fam == "N" else min(1, n)
-            idx = ModeIndex(fam, n, m)
-            x = rng.normal(size=3)
-            x *= (0.6 + 0.8 * rng.random()) / np.linalg.norm(x)
-            res = fd_lame_residual(lambda p: harmonics.eval_solid_mode(idx, lame, p), lame, x, stencil)
-            records.append(
-                ValidationRecord(
-                    operation="lame_kernel",
-                    params={"family": fam, "n": n, "m": m},
-                    closed_form=0.0,
-                    oracle=res,
-                    rel_error=float(res),
-                    tol=1e-6,
-                )
-            )
+    for idx in _suite_modes(n_max):
+        x = rng.normal(size=3)
+        x *= (0.6 + 0.8 * rng.random()) / np.linalg.norm(x)
+        res = fd_lame_residual(lambda p: harmonics.eval_solid_mode(idx, lame, p), lame, x, stencil)
+        records.append(ValidationRecord(operation="lame_kernel", params=asdict(idx), closed_form=0.0,
+                                        oracle=res, rel_error=float(res), tol=1e-6))
 
 
 def _suite_gram(lame, rule, n_max, records):
@@ -264,7 +260,7 @@ def _suite_gram(lame, rule, n_max, records):
                 compare(
                     "gram_diagonal_T",
                     {"n": idx.n, "m": idx.m, **asdict(rule)},
-                    harmonics.trace_mode_norm_sq(idx, lame),
+                    harmonics.trace_mode_norm_sq(idx.family, idx.n, lame),
                     diag[i],
                     1e-10,
                 )

@@ -460,20 +460,22 @@ def _unit_vectors(theta, phi) -> np.ndarray:
 # vector harmonic families
 # ---------------------------------------------------------------------------
 
-def a_coeff(n: int, lame: "LameParams") -> complex:
-    """Radial-mixing coefficient of the N family.
+def a_coeff(n, lame: "LameParams"):
+    """Radial-mixing coefficient of the N family, elementwise in n.
 
     (2(n-1) lam + 2(3n-2) mu) / ((n+2) lam + (n+4) mu); independent of the
-    order m.  Complex Lame parameters pass through unchanged.
+    order m.  Complex Lame parameters pass through unchanged; an int n gives
+    a Python float (complex for a complex pair).
     """
-    if n < 1:
+    if (np.asarray(n) < 1).any():
         raise ValueError("n must be >= 1")
     den = (n + 2) * lame.lam + (n + 4) * lame.mu
-    if den == 0:
-        raise SingularParameterError(f"a_coeff denominator vanishes at n={n}")
-    num = 2 * (n - 1) * lame.lam + 2 * (3 * n - 2) * lame.mu
-    val = num / den
-    return complex(val) if isinstance(val, complex) else float(val)
+    if np.any(den == 0):
+        raise SingularParameterError(f"a_coeff denominator vanishes at n={np.extract(den == 0, n)}")
+    val = (2 * (n - 1) * lame.lam + 2 * (3 * n - 2) * lame.mu) / den
+    if np.ndim(n):
+        return val
+    return complex(val) if np.iscomplexobj(val) else float(val)
 
 
 def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", xyz) -> Iterator[np.ndarray]:
@@ -551,15 +553,18 @@ def eval_trace_mode(idx: ModeIndex, lame: "LameParams", theta, phi) -> np.ndarra
     return eval_solid_mode(idx, lame, nu)
 
 
-def trace_mode_norm_sq(idx: ModeIndex, lame: "LameParams") -> float:
-    """Exact L^2(S)^3 norm squared of a trace mode on the unit sphere."""
-    n = idx.n
-    if idx.family == "T":
-        return float(n * (n + 1))
-    if idx.family == "M":
-        return float(n * (2 * n + 1))
-    a = a_coeff(n, lame)
-    return abs(a) ** 2 * n / (2 * n - 1)
+def trace_mode_norm_sq(family: str, n, lame: "LameParams"):
+    """Exact L^2(S)^3 norm squared of the trace modes (family, n) on the unit
+    sphere, any order; elementwise in n (a float for an int n)."""
+    if family == "T":
+        val = n * (n + 1.0)
+    elif family == "M":
+        val = n * (2.0 * n + 1)
+    elif family == "N":
+        val = abs(a_coeff(n, lame)) ** 2 * n / (2 * n - 1)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return val if np.ndim(n) else float(val)
 
 
 def gram_matrix(n_max: int, lame: "LameParams", rule) -> tuple[np.ndarray, list[ModeIndex]]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .harmonics import solid_harmonic_series, solid_harmonic_shells
 from .kelvin import LameParams
-from .potentials import elastic_sl_t_coeff, np_eigenvalue
+from .potentials import elastic_sl_coeff, np_eigenvalue
 
 
 class ExactResonanceError(ZeroDivisionError):
@@ -150,7 +150,7 @@ def mode_denominator(n, cfg: PlasmonicConfig | ADeltaPair, geom: ShellGeometry, 
     """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
     xi = np_eigenvalue("T", n, lame)
     pair = cfg if isinstance(cfg, ADeltaPair) else a_delta(cfg)
-    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu  # = -1/(2n+1), material free
+    d1mu = elastic_sl_coeff("T", n, lame) * lame.mu  # = -1/(2n+1), material free
     rho = geom.rho
     return (xi - pair.a1) * (xi - pair.a2) + d1mu**2 * (n - 1) * (n + 2) * rho ** (2 * n + 1)
 
@@ -164,7 +164,7 @@ def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig | ADeltaPair, 
     """
     xi = np_eigenvalue("T", n, lame)
     pair = cfg if isinstance(cfg, ADeltaPair) else a_delta(cfg)
-    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
+    d1mu = elastic_sl_coeff("T", n, lame) * lame.mu
     rho = geom.rho
     D = mode_denominator(n, cfg, geom, lame)
     if np.any(D == 0):
@@ -184,7 +184,7 @@ def region_coefficients(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams):
     shell decaying   d1 r_i^(n+2) phi_i          (inner layer, exterior form)
     matrix decaying  `matrix_coefficient` at R = 1
     """
-    d1 = elastic_sl_t_coeff(n, lame)
+    d1 = elastic_sl_coeff("T", n, lame)
     ri, re = float(geom.r_i), float(geom.r_e)
     with np.errstate(over="raise"):  # a radius power past the float range raises
         return (
@@ -201,7 +201,7 @@ def matrix_coefficient(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams, r
     phi_e]: a decaying term of u is homogeneous of degree -(n+1), so u(R x)
     is its series at x.  No power exceeds 1 for R >= r_e; R = 1 gives u's."""
     r = float(radius)
-    return elastic_sl_t_coeff(n, lame) * r * ((geom.r_i / r) ** (n + 2) * phi_i + (geom.r_e / r) ** (n + 2) * phi_e)
+    return elastic_sl_coeff("T", n, lame) * r * ((geom.r_i / r) ** (n + 2) * phi_i + (geom.r_e / r) ** (n + 2) * phi_e)
 
 
 def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameParams):
@@ -217,7 +217,7 @@ def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameP
     factor delta/2.
     """
     return (
-        0.5 * delta * complex(lame.mu).real * n * (n + 1) * np.abs(elastic_sl_t_coeff(n, lame)) ** 2
+        0.5 * delta * complex(lame.mu).real * n * (n + 1) * np.abs(elastic_sl_coeff("T", n, lame)) ** 2
         * (1 - geom.rho ** (2 * n + 1))
         * ((n + 2) * geom.r_i**3 * np.abs(phi_i) ** 2 + (n - 1) * geom.r_e**3 * np.abs(phi_e) ** 2)
     )
@@ -283,7 +283,7 @@ def solve_mode_direct(
         raise ValueError("mode solves start at n = 2")
     xi = np_eigenvalue("T", n, lame)
     pair = a_delta(cfg)
-    d1mu = elastic_sl_t_coeff(n, lame) * lame.mu
+    d1mu = elastic_sl_coeff("T", n, lame) * lame.mu
     rho = geom.rho
     g_i = g_i_from_g_e(n, g_e, geom)
     mat = np.array(

@@ -81,7 +81,7 @@ def test_criterion_02_decomposition_equals_direct():
     for lame in MATERIALS:
         for idx in mode_indices(12):
             direct = np_eigenvalue(idx.family, idx.n, lame)
-            decomposed = np_decomposed_multiplier(idx, lame, 1.0)
+            decomposed = np_decomposed_multiplier(idx.family, idx.n, lame, 1.0)
             worst = max(worst, abs(decomposed - direct) / abs(direct))
             count += 1
     ok = worst <= tol
@@ -104,7 +104,7 @@ def test_criterion_03_scalar_layer_actions():
                 idx = ModeIndex(fam, n, min(1, idx_mmax(fam, n)))
                 val = quad_scalar_sl(idx, r0 * x0, LAME, rule, r0)
                 _, t, p = _cartesian_angles(r0 * x0)
-                ref = scalar_sl_multiplier(idx, r0) * eval_trace_mode(idx, LAME, t, p)
+                ref = scalar_sl_multiplier(idx.family, idx.n, r0) * eval_trace_mode(idx, LAME, t, p)
                 worst = max(worst, float(np.linalg.norm(val - ref) / np.linalg.norm(ref)))
     ok = worst <= tol
     _report(3, "scalar single-layer multipliers", ok,

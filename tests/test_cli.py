@@ -40,12 +40,14 @@ class TestSpectrum:
         _, rows = _read_rows(out)
         assert all(float(r[4]) == pytest.approx(-1 / 6) for r in rows)
 
-    def test_empty_range_header_only(self, tmp_path):
+    @pytest.mark.parametrize("flags", [["--n-min", "5", "--n-max", "4"], ["--families", ","],
+                                       ["--families", "T,T"], ["--families", "M, N,M"]],
+                             ids=["empty-range", "no-family", "repeated-family", "repeated-spaced-family"])
+    def test_empty_or_repeated_table_exits_2(self, tmp_path, capsys, flags):
+        # each used to write an empty table, or every row twice, and exit 0
         out = tmp_path / "spec.csv"
-        rc = main(["spectrum", "--n-min", "5", "--n-max", "4", "--out", str(out)])
-        assert rc == 0
-        _, rows = _read_rows(out)
-        assert rows == []
+        assert main(["spectrum", *flags, "--out", str(out)]) == 2 and not out.exists()
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_unknown_family_exits_2_before_writing(self, tmp_path, capsys):
         # an empty degree range used to hide the bad family behind a header-only CSV

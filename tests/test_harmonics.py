@@ -258,7 +258,7 @@ class TestModes:
                 lambda p: np.sum(np.abs(_trace_at(idx, lame, p)) ** 2, axis=-1), rule
             )
             assert_allclose(val.real, n * (n + 1), rtol=1e-12)
-            assert_allclose(trace_mode_norm_sq(idx, lame), n * (n + 1))
+            assert_allclose(trace_mode_norm_sq(idx.family, idx.n, lame), n * (n + 1))
 
     def test_real_combination_gives_real_field(self, lame, rng):
         # conjugate-symmetric amplitudes produce a real vector field
@@ -529,7 +529,7 @@ class TestGram:
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-10 * np.max(diag)
         for i, idx in enumerate(modes):
-            assert_allclose(diag[i], trace_mode_norm_sq(idx, lame), rtol=1e-12)
+            assert_allclose(diag[i], trace_mode_norm_sq(idx.family, idx.n, lame), rtol=1e-12)
 
     def test_hermitian(self, lame):
         rule = QuadratureRule(16, 32)

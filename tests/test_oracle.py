@@ -39,7 +39,7 @@ from npshell.oracle import (
     quad_surface_integral,
     rotation_to_pole,
 )
-from npshell.potentials import np_eigenvalue, scalar_sl_multiplier
+from npshell.potentials import elastic_sl_coeff, np_eigenvalue, scalar_sl_multiplier
 from npshell.transmission import ShellGeometry
 
 
@@ -150,7 +150,7 @@ class TestScalarSLQuadrature:
         for r0 in (0.5, 2.0):
             val = quad_scalar_sl(idx, r0 * x, lame, rule, r0)
             _, t, p = _angles(x)
-            ref = scalar_sl_multiplier(idx, r0) * eval_trace_mode(idx, lame, t, p)
+            ref = scalar_sl_multiplier(idx.family, idx.n, r0) * eval_trace_mode(idx, lame, t, p)
             assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
 
     def test_convergence_with_order(self, lame):
@@ -159,7 +159,7 @@ class TestScalarSLQuadrature:
         x = np.array([0.3, 0.4, 0.87])
         x /= np.linalg.norm(x)
         _, t, p = _angles(x)
-        ref = scalar_sl_multiplier(idx, 1.0) * eval_trace_mode(idx, lame, t, p)
+        ref = scalar_sl_multiplier(idx.family, idx.n, 1.0) * eval_trace_mode(idx, lame, t, p)
         errs = []
         for n_theta in (8, 16, 32):
             val = quad_scalar_sl(idx, x, lame, QuadratureRule(n_theta, 2 * n_theta))
@@ -187,28 +187,24 @@ class TestElasticSLQuadrature:
         assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
 
     def test_m_density_boundary_value(self, lame, rule):
-        from npshell.potentials import elastic_sl_on_M
-
         n, m = 2, 0
         idx = ModeIndex("M", n, m)
         x = np.array([-0.3, 0.5, 0.81])
         x /= np.linalg.norm(x)
         val = quad_elastic_sl(idx, x, lame, rule, 1.0)
         _, t, p = _angles(x)
-        ref = elastic_sl_on_M(n, 1.0, lame) * eval_trace_mode(idx, lame, t, p)
+        ref = elastic_sl_coeff("M", n, lame) * eval_trace_mode(idx, lame, t, p)
         assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
 
     def test_mn_general_radius_rescaling(self, lame, rule):
         # boundary value scales like r0 for the M and N families as well
-        from npshell.potentials import elastic_sl_boundary_coeff
-
         x = np.array([0.6, -0.64, 0.48])
         for fam, n in (("M", 3), ("N", 3)):
             idx = ModeIndex(fam, n, 0)
             for r0 in (0.5, 1.0, 2.0):
                 val = quad_elastic_sl(idx, r0 * x, lame, rule, r0)
                 _, t, p = _angles(x)
-                ref = elastic_sl_boundary_coeff(idx, r0, lame) * eval_trace_mode(idx, lame, t, p)
+                ref = elastic_sl_coeff(fam, n, lame) * r0 * eval_trace_mode(idx, lame, t, p)
                 assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
 
 

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_surface_angles
-from npshell.harmonics import ModeIndex, a_coeff, eval_trace_mode, _unit_vectors
+from npshell.harmonics import (
+    ModeIndex,
+    a_coeff,
+    eval_trace_mode,
+    solid_harmonic_series,
+    trace_mode_norm_sq,
+    _unit_vectors,
+)
 from npshell.kelvin import LameParams
 from npshell.oracle import FDStencil, fd_traction
 from npshell.potentials import (
-    elastic_sl_on_M,
-    elastic_sl_on_N,
-    elastic_sl_on_T,
-    elastic_sl_t_coeff,
-    eval_elastic_sl_T,
+    curl_grad_limits,
+    elastic_sl_coeff,
     np_decomposed_multiplier,
     np_eigenvalue,
     np_eigenvalue_limit,
@@ -75,43 +79,64 @@ class TestEigenvalues:
 
 class TestScalarSLMultipliers:
     def test_worked_values(self):
-        assert_allclose(scalar_sl_multiplier(ModeIndex("T", 2, 1), 1.0), -0.2)
-        assert_allclose(scalar_sl_multiplier(ModeIndex("M", 2, 1), 1.0), -1 / 3)
-        assert_allclose(scalar_sl_multiplier(ModeIndex("N", 3, 1), 1.0), -1 / 7)
+        assert_allclose(scalar_sl_multiplier("T", 2, 1.0), -0.2)
+        assert_allclose(scalar_sl_multiplier("M", 2, 1.0), -1 / 3)
+        assert_allclose(scalar_sl_multiplier("N", 3, 1.0), -1 / 7)
 
     @settings(deadline=None)
     @given(r0=st.floats(0.1, 10.0), n=st.integers(1, 20))
     def test_radius_linearity(self, r0, n):
         for fam in ("T", "M", "N"):
-            idx = ModeIndex(fam, n, 0)
             assert_allclose(
-                scalar_sl_multiplier(idx, r0), r0 * scalar_sl_multiplier(idx, 1.0), rtol=1e-15
+                scalar_sl_multiplier(fam, n, r0), r0 * scalar_sl_multiplier(fam, n, 1.0), rtol=1e-15
             )
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
-            scalar_sl_multiplier(ModeIndex("T", 1, 0), 0.0)
+            scalar_sl_multiplier("T", 1, 0.0)
+
+
+def _t_layer_coeffs(n, r0, lame):
+    """(interior, exterior) coefficients of the elastic single layer of a T
+    trace density of degree n on the sphere of radius r0: d1 / r0^(n-1) on
+    T-solid(x) inside, d1 r0^(n+2) on grad(r^-(n+1) Y_n^m) x x outside
+    (`elastic_sl_coeff` by homogeneity)."""
+    d1 = elastic_sl_coeff("T", n, lame)
+    return d1 / r0 ** (n - 1), d1 * r0 ** (n + 2)
+
+
+def _t_layer(n, m, r0, lame, xyz):
+    """Pointwise elastic single layer of a T density, both forms
+    (`solid_harmonic_series`); the two agree on |x| = r0."""
+    xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
+    interior, exterior = _t_layer_coeffs(n, r0, lame)
+    inside = np.linalg.norm(xyz, axis=-1) <= r0
+    out = np.zeros(xyz.shape, dtype=complex)
+    for mask, regular, decaying in ((inside, [interior], None), (~inside, None, [exterior])):
+        if np.any(mask):
+            out[mask], _ = solid_harmonic_series([n], [m], regular, decaying, xyz[mask])
+    return out
 
 
 class TestElasticSLOnT:
     def test_interior_coefficient(self, lame):
-        assert_allclose(elastic_sl_on_T(2, 1.0, lame), (-0.2, -0.2))
-        assert_allclose(elastic_sl_on_T(2, 2.0, lame), (-0.1, -3.2))
+        assert_allclose(_t_layer_coeffs(2, 1.0, lame), (-0.2, -0.2))
+        assert_allclose(_t_layer_coeffs(2, 2.0, lame), (-0.1, -3.2))
 
     def test_continuity_at_boundary(self, lame, rng):
         theta, phi = random_surface_angles(rng, 8)
         for n, m, r0 in [(2, 0, 1.0), (3, 2, 0.7), (5, -1, 2.0)]:
             nu = _unit_vectors(theta, phi)
-            inner = eval_elastic_sl_T(n, m, r0, lame, r0 * (1 - 1e-12) * nu)
-            outer = eval_elastic_sl_T(n, m, r0, lame, r0 * (1 + 1e-12) * nu)
+            inner = _t_layer(n, m, r0, lame, r0 * (1 - 1e-12) * nu)
+            outer = _t_layer(n, m, r0, lame, r0 * (1 + 1e-12) * nu)
             assert_allclose(inner, outer, rtol=1e-9, atol=1e-12)
 
     def test_exterior_decay(self, lame):
         n, m = 2, 0
         direction = np.array([0.3, 0.5, 0.81])
         direction /= np.linalg.norm(direction)
-        v1 = eval_elastic_sl_T(n, m, 1.0, lame, 2.0 * direction)
-        v2 = eval_elastic_sl_T(n, m, 1.0, lame, 4.0 * direction)
+        v1 = _t_layer(n, m, 1.0, lame, 2.0 * direction)
+        v2 = _t_layer(n, m, 1.0, lame, 4.0 * direction)
         ratio = np.linalg.norm(v2) / np.linalg.norm(v1)
         assert_allclose(ratio, 2.0 ** -(n + 1), rtol=1e-12)
 
@@ -119,13 +144,12 @@ class TestElasticSLOnT:
         # exterior minus interior traction of the single layer is the density;
         # each one-sided limit is the FD traction of the smooth representation
         from npshell.harmonics import eval_solid_mode, grad_irregular_solid_harmonic
-        from npshell.potentials import elastic_sl_on_T
 
         theta, phi = random_surface_angles(rng, 1)
         for lp in (lame, lame21):
             for n, m, r0 in [(2, 1, 1.0), (4, 0, 0.8)]:
                 x = r0 * _unit_vectors(theta, phi)[0]
-                interior, exterior = elastic_sl_on_T(n, r0, lp)
+                interior, exterior = _t_layer_coeffs(n, r0, lp)
                 idx = ModeIndex("T", n, m)
                 f_in = lambda p: interior * eval_solid_mode(idx, lp, p)
                 f_out = lambda p: exterior * np.cross(
@@ -140,30 +164,30 @@ class TestElasticSLOnT:
 
 class TestElasticSLOnMN:
     def test_m_worked_value(self, lame):
-        assert_allclose(elastic_sl_on_M(2, 1.0, lame), -11 / 45)
+        assert_allclose(elastic_sl_coeff("M", 2, lame), -11 / 45)
 
     def test_m_eigen_consistency(self, lame, lame21):
         # replay of the jump algebra: 2 c mu (n-1) + 1/2 reproduces the eigenvalue
         for lp in (lame, lame21, LameParams(3.3, 0.7)):
             for n in range(1, 9):
-                c = elastic_sl_on_M(n, 1.0, lp)
+                c = elastic_sl_coeff("M", n, lp)
                 assert_allclose(2 * c * lp.mu * (n - 1) + 0.5, np_eigenvalue("M", n, lp), rtol=1e-13)
 
     def test_m_large_lambda_limit(self):
         lp = LameParams(1e12, 1.0)
         for n in (2, 4):
             expect = -(0.5 + 3 / (2 * (2 * n - 1))) / (lp.mu * (2 * n + 1))
-            assert_allclose(elastic_sl_on_M(n, 1.0, lp), expect, rtol=1e-9)
+            assert_allclose(elastic_sl_coeff("M", n, lp), expect, rtol=1e-9)
 
     def test_n_worked_value(self, lame):
-        assert_allclose(elastic_sl_on_N(3, lame), -3 / 35)
+        assert_allclose(elastic_sl_coeff("N", 3, lame), -3 / 35)
 
     def test_n_eigen_consistency(self, lame, lame21):
         # traction factor mu (2(2k+1)/a_{k+1} - 3) feeds the jump relation
         for lp in (lame, lame21, LameParams(0.4, 1.9)):
             for n_mode in range(2, 9):
                 k = n_mode - 1
-                c = elastic_sl_on_N(n_mode, lp)
+                c = elastic_sl_coeff("N", n_mode, lp)
                 a = a_coeff(n_mode, lp)
                 xi = c * lp.mu * (2 * (2 * k + 1) / a - 3) + 0.5
                 assert_allclose(xi, np_eigenvalue("N", n_mode, lp), rtol=1e-13)
@@ -172,12 +196,13 @@ class TestElasticSLOnMN:
         for mu in (1e-4, 1e-6):
             lp = LameParams(1.0, mu)
             k = 2  # mode N_3
-            val = elastic_sl_on_N(3, lp) * lp.mu
+            val = elastic_sl_coeff("N", 3, lp) * lp.mu
             assert_allclose(val, -k / ((2 * k + 3) * (2 * k + 1)), rtol=1e-3)
 
 
 class TestNPApply:
-    """The operator applied elementwise: np_eigenvalue over arrays of n."""
+    """The closed forms applied elementwise: np_eigenvalue and every other
+    family-keyed form over arrays of n."""
 
     def test_single_mode(self, lame):
         assert_allclose(np_eigenvalue("T", np.array([2]), lame), [0.3])
@@ -187,33 +212,42 @@ class TestNPApply:
             assert np_eigenvalue(fam, np.arange(1, 1), lame).shape == (0,)
 
     def test_no_cross_coupling(self, lame21):
-        # each degree of an array gets exactly its own scalar eigenvalue
+        # each degree of an array gets exactly its own scalar value, in the
+        # trailing axis for the curl/grad limits
         n = np.array([7, 2, 2, 12, 1])
-        for fam in "TMN":
-            out = np_eigenvalue(fam, n, lame21)
-            assert out.shape == n.shape
-            assert out.tolist() == [np_eigenvalue(fam, k, lame21) for k in n.tolist()]
+        forms = [
+            lambda fam, k: np_eigenvalue(fam, k, lame21),
+            lambda fam, k: scalar_sl_multiplier(fam, k, 0.7),
+            lambda fam, k: elastic_sl_coeff(fam, k, lame21),
+            lambda fam, k: curl_grad_limits(fam, k, lame21),
+            lambda fam, k: np_decomposed_multiplier(fam, k, lame21, 0.7),
+            lambda fam, k: a_coeff(k, lame21),
+            lambda fam, k: trace_mode_norm_sq(fam, k, lame21),
+        ]
+        for form in forms:
+            for fam in "TMN":
+                out = np.asarray(form(fam, n))
+                assert out.shape[-1:] == n.shape
+                assert out.tolist() == np.stack([form(fam, k) for k in n.tolist()], axis=-1).tolist()
 
 
 class TestDecomposedRoute:
     def test_t_coefficient_form(self, lame):
         # the decomposition reproduces 3/(2(2n+1)) on the rotational family
         for n in range(1, 8):
-            mult = np_decomposed_multiplier(ModeIndex("T", n, 0), lame)
+            mult = np_decomposed_multiplier("T", n, lame)
             assert_allclose(mult, 3 / (2 * (2 * n + 1)), rtol=1e-14)
 
     def test_matches_direct_route(self, lame, lame21):
         for lp in (lame, lame21, LameParams(2.7, 0.4), LameParams(-4 + 0.01j, -4 + 0.01j)):
             for fam in ("T", "M", "N"):
-                for n in range(1, 13):
-                    idx = ModeIndex(fam, n, 0)
-                    d = np_decomposed_multiplier(idx, lp)
-                    e = np_eigenvalue(fam, n, lp)
-                    assert abs(d - e) <= 1e-10 * abs(e)
+                n = np.arange(1, 13)
+                d = np_decomposed_multiplier(fam, n, lp)
+                e = np_eigenvalue(fam, n, lp)
+                assert np.all(abs(d - e) <= 1e-10 * abs(e))
 
     def test_radius_drops_out(self, lame21):
-        idx = ModeIndex("M", 4, 0)
-        vals = [np_decomposed_multiplier(idx, lame21, r0) for r0 in (0.5, 1.0, 2.0)]
+        vals = [np_decomposed_multiplier("M", 4, lame21, r0) for r0 in (0.5, 1.0, 2.0)]
         assert_allclose(vals, vals[0], rtol=1e-14)
 
 
@@ -227,13 +261,10 @@ class TestJumpRelations:
         return -pair[0]
 
     def test_curl_jump_is_minus_density(self, lame, lame21):
-        from npshell.potentials import curl_grad_limits
-
         for lp in (lame, lame21):
             for fam, n in (("M", 2), ("M", 5), ("N", 3), ("N", 6)):
-                idx = ModeIndex(fam, n, 0)
-                lim = curl_grad_limits(idx, lp)
-                jump = lim["curl_ex"] - lim["curl_in"]
+                curl = curl_grad_limits(fam, n, lp)[0]
+                jump = curl[1] - curl[0]
                 # density of the curl layer is nu x mode
                 if fam == "M":
                     psi_t_coeff = -1.0  # nu x M_n = -T_n
@@ -246,13 +277,10 @@ class TestJumpRelations:
                 assert abs(jump[1]) < 1e-14
 
     def test_grad_jump_is_normal_times_density(self, lame, lame21):
-        from npshell.potentials import curl_grad_limits
-
         for lp in (lame, lame21):
             for fam, n in (("M", 2), ("M", 5), ("N", 3), ("N", 6)):
-                idx = ModeIndex(fam, n, 0)
-                lim = curl_grad_limits(idx, lp)
-                jump = lim["grad_ex"] - lim["grad_in"]
+                grad = curl_grad_limits(fam, n, lp)[1]
+                jump = grad[1] - grad[0]
                 # scalar density is nu . mode
                 if fam == "M":
                     g_coeff = float(n)
@@ -263,11 +291,9 @@ class TestJumpRelations:
                 assert abs(jump[0]) < 1e-14  # tangential part continuous
 
     def test_t_family_curl_jump(self, lame):
-        from npshell.potentials import curl_grad_limits
-
         # density nu x T_n = grad_S Y_n; the curl limits live on T itself and
         # nu x (jump) = -grad_S Y requires jump coefficient -1 on T... the
         # tangential T-coefficient jump equals -1 exactly:
         for n in (1, 4, 8):
-            lim = curl_grad_limits(ModeIndex("T", n, 0), lame)
-            assert abs((lim["curl_ex"] - lim["curl_in"])[0] - (-1.0)) < 1e-14
+            curl = curl_grad_limits("T", n, lame)[0]
+            assert abs((curl[1] - curl[0])[0] - (-1.0)) < 1e-14

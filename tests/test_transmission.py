@@ -29,7 +29,7 @@ from npshell.harmonics import (
 from npshell.kelvin import LameParams
 from npshell.oracle import QuadratureRule, quad_energy_shell
 from npshell.potentials import np_eigenvalue
-from npshell.potentials import elastic_sl_t_coeff
+from npshell.potentials import elastic_sl_coeff
 from npshell.transmission import (
     CalrSweep,
     DensitySolution,
@@ -264,7 +264,7 @@ def _modes(spec):
 def _shell_amplitudes(sol, k, idx):
     """(decaying, regular) amplitudes of one mode in the shell: the inner layer
     in its exterior form, the outer layer in its interior form."""
-    d1 = elastic_sl_t_coeff(idx.n, sol.lame)
+    d1 = elastic_sl_coeff("T", idx.n, sol.lame)
     return d1 * sol.geom.r_i ** (idx.n + 2) * sol.phi_i[k], d1 * sol.phi_e[k] / sol.geom.r_e ** (idx.n - 1)
 
 
@@ -276,7 +276,7 @@ def _per_mode_field(sol, geom, lame, xyz):
     shell = ~core & ~outer
     for k, idx in _modes(sol):
         n, m = idx.n, idx.m
-        d1 = elastic_sl_t_coeff(n, lame)
+        d1 = elastic_sl_coeff("T", n, lame)
         c = d1 * (sol.phi_i[k] / geom.r_i ** (n - 1) + sol.phi_e[k] / geom.r_e ** (n - 1))
         out[core] += c * eval_solid_mode(idx, lame, xyz[core])
         a, b = _shell_amplitudes(sol, k, idx)
