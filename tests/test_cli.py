@@ -1,9 +1,14 @@
 """Command-line interface: artifacts, determinism, config precedence, exit codes."""
 
+import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from npshell import cli
 from npshell.cli import _worst_error, main
@@ -22,6 +27,11 @@ def _read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     return header, [l.split(",") for l in lines[1:]]
+
+
+def _mostly(valid, edge):
+    """`valid` three times in four, else `edge`."""
+    return st.integers(0, 3).flatmap(lambda k: edge if k == 0 else valid)
 
 
 class TestSpectrum:
@@ -57,6 +67,52 @@ class TestSpectrum:
             assert rc == 2 and not out.exists()
             err = capsys.readouterr().err
             assert err.count("error:") == 1 and "unknown family 'X'" in err
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_min=_mostly(st.integers(1, 40), st.sampled_from([-2, -1, 0, 999_999, 10**6, 10**6 + 1])),
+        span=_mostly(st.integers(0, 30), st.sampled_from([-3, -1, "nan", "inf", "2.5", "-0", ""])),
+        families=_mostly(st.sampled_from(["T", "M", "N", "T,M,N", "N,T", "M,", "T,,N", " M , N "]),
+                         st.sampled_from(["", ",", " , ", "T,T", "M,N,M", "X", "t", "T,M,N,X"])),
+        lam=_mostly(st.floats(-0.6, 1e3), st.one_of(st.floats(), st.sampled_from(
+            [-0.0, -0.66, -0.67, 5e-324, 1e300, 1e308, -1e308]))),
+        mu=_mostly(st.floats(1e-3, 1e3), st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 5e-324, 1e300, 1e308]))),
+    )
+    @example(n_min=1, span=3, families="M", lam=1e308, mu=1.0)  # M and N overflow to nan
+    @example(n_min=1, span=3, families="N,T", lam=1e308, mu=1e308)
+    @example(n_min=10**6, span=0, families="T,M,N", lam=0.0, mu=5e-324)  # the cap, a subnormal mu
+    @example(n_min=5, span=-1, families="T", lam=1.0, mu=1.0)
+    @example(n_min=1, span=3, families="T,T", lam=1.0, mu=1.0)
+    def test_input_contract(self, tmp_path_factory, n_min, span, families, lam, mu):
+        # exit 0 with a non-empty CSV of finite numbers and distinct rows, or
+        # exit 2 with one `error:` line and no CSV; never a warning
+        out = tmp_path_factory.getbasetemp() / "contract.csv"
+        out.unlink(missing_ok=True)
+        n_max = n_min + span if isinstance(span, int) else span  # a text span is the --n-max value
+        argv = ["spectrum", f"--n-min={n_min}", f"--n-max={n_max}", f"--families={families}",
+                f"--lambda={lam!r}", f"--mu={mu!r}", f"--out={out}"]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejects a value its type cannot parse
+                rc = exc.code
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            assert err.getvalue() == ""
+            lines = out.read_text().splitlines()
+            echo = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
+            rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+            assert rows and echo.keys() == {"families", "lam", "mu", "n_max", "n_min", "out"}
+            assert len({(r[0], r[1]) for r in rows}) == len(rows)  # no (family, n) row twice
+            for cell in [c for row in rows for c in row[1:]] + [echo[k] for k in ("lam", "mu", "n_max", "n_min")]:
+                assert math.isfinite(float(cell)), cell
+        else:
+            assert rc == 2
+            assert sum("error:" in l for l in err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -903,6 +903,36 @@ class TestLossGrid:
         if geom is _CAP_GEOM:
             assert [rep.n_trunc for rep in sweep.reports] == [400, 400, 400, 360, 300, 240]
 
+    @pytest.mark.parametrize("geom, r_s, kappa, fixed", [
+        (GEOM, 2.5, 1.0, False),
+        (GEOM, 2.5, 1.0, True),
+        (GEOM, 2.5, 0.0, False),
+        (_CAP_GEOM, 2.6, 2.0, False),
+    ], ids=["resonant", "fixed-cfg", "kappa-0", "cap"])
+    def test_solve_sweep_returns(self, geom, r_s, kappa, fixed):
+        # g is source_coefficient over n = 2..400, each energy row is the
+        # shell_energy of its solution up to the cut and 0 past it, and each
+        # solution is the one-loss solve's, all bit for bit
+        fixed_cfg = PlasmonicConfig.resonant(4, 0.1) if fixed else None
+        cfgs = [None if fixed_cfg is None else replace(fixed_cfg, delta=d) for d in _SWEEP_GRID]
+        sols, g, e = tr.solve_sweep(_SWEEP_GRID, geom, LAME, r_s, kappa, cfgs)
+        n = np.arange(2, 401)
+        assert g.tolist() == source_coefficient(n, r_s, geom, LAME, kappa).tolist()
+        assert e.shape == (len(_SWEEP_GRID), n.size) and len(sols) == len(_SWEEP_GRID)
+        for row, (delta, cfg, sol) in enumerate(zip(_SWEEP_GRID, cfgs, sols)):
+            k = sol.n.size
+            assert sol.n.tolist() == n[:k].tolist() and sol.cfg.delta == delta
+            assert e[row, :k].tolist() == shell_energy(sol.n, sol.phi_i, sol.phi_e, geom, delta, LAME).tolist()
+            assert not e[row, k:].any()
+            _, ref = tr.solve_sweep_point(delta, geom, LAME, r_s, kappa, cfg)
+            for name in ("n", "m", "phi_i", "phi_e"):
+                assert getattr(sol, name).tolist() == getattr(ref, name).tolist(), name
+            assert (sol.cfg, sol.geom, sol.lame) == (ref.cfg, ref.geom, ref.lame)
+        sizes = [sol.n.size for sol in sols]
+        assert (max(sizes) == 0) if kappa == 0 else (min(sizes) > 0)
+        if geom is _CAP_GEOM:
+            assert sizes == [399, 399, 399, 359, 299, 239]
+
     @pytest.mark.parametrize("grid", [[1e-1], _SWEEP_GRID], ids=["one-loss", "six-losses"])
     def test_closed_forms_run_once_per_sweep(self, grid, monkeypatch):
         calls = []
