@@ -167,7 +167,7 @@ def cmd_spectrum(cfg: dict) -> int:
     lame = _lame(cfg)
     fams = [f.strip() for f in str(cfg["families"]).split(",") if f.strip()]
     if not fams or len(set(fams)) < len(fams):
-        raise ValueError(f"--families must name each family once, at least one, got {cfg['families']!r}")
+        raise ValueError(f"--families needs at least one family and none twice, got {cfg['families']!r}")
     limits = [(fam, np_eigenvalue_limit(fam, lame)) for fam in fams]  # rejects an unknown family first
     if not cfg["n_min"] <= cfg["n_max"] <= _SPECTRUM_N_CAP:
         raise ValueError(f"need n_min <= n_max <= {_SPECTRUM_N_CAP}, got n_min={cfg['n_min']}, n_max={cfg['n_max']}")

@@ -140,7 +140,9 @@ class SourceSpectrum:
 
 def source_coefficient(n, r_s: float, geom: ShellGeometry, lame: LameParams, kappa: float = 1.0):
     """g_e^n = kappa mu (n-1) (r_e/r_s)^n / r_e: the source whose potential
-    converges exactly for |x| < r_s.  Only the ratio r_e/r_s is raised to n."""
+    converges exactly for |x| < r_s.  Only the ratio r_e/r_s is raised to n.
+    This source is a definition of the study, not a derived quantity: no
+    oracle checks it (the golden artifacts pin its values)."""
     if not r_s > geom.r_e:  # also rejects a NaN radius
         raise ValueError(f"synthetic source must sit outside the shell (r_s > r_e), got r_s={r_s}, r_e={geom.r_e}")
     return kappa * complex(lame.mu).real * (n - 1) * (geom.r_e / r_s) ** n / geom.r_e
@@ -385,6 +387,8 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     """max |u - F| over 24 fixed probes at |x| = R = 1.05 r_e^2 / r_i, one
     value per solution; the probe directions are a golden-angle spiral,
     poles excluded: cos theta_k = 1 - (2k + 1) / 24, phi_k = k pi (3 - sqrt 5).
+    The probe radius and directions are definitions with no oracle; the
+    field they sample is checked against `field_eval` at the same points.
 
     The solutions must share one shell and material, and their spectra must
     be prefixes of one mode list, as a sweep's are.  Their densities,

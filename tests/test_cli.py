@@ -51,10 +51,13 @@ class TestSpectrum:
         assert all(float(r[4]) == pytest.approx(-1 / 6) for r in rows)
 
     @pytest.mark.parametrize("flags", [["--n-min", "5", "--n-max", "4"], ["--families", ","],
-                                       ["--families", "T,T"], ["--families", "M, N,M"]],
-                             ids=["empty-range", "no-family", "repeated-family", "repeated-spaced-family"])
-    def test_empty_or_repeated_table_exits_2(self, tmp_path, capsys, flags):
-        # each used to write an empty table, or every row twice, and exit 0
+                                       ["--families", "T,T"], ["--families", "M, N,M"],
+                                       ["--n-min", "3100000000", "--n-max", "3100000000"]],
+                             ids=["empty-range", "no-family", "repeated-family", "repeated-spaced-family",
+                                  "past-degree-cap"])
+    def test_rejected_table_exits_2(self, tmp_path, capsys, flags):
+        # the first four used to write an empty table, or every row twice, and
+        # exit 0; past the cap, 4 n^2 would wrap around in int64
         out = tmp_path / "spec.csv"
         assert main(["spectrum", *flags, "--out", str(out)]) == 2 and not out.exists()
         assert capsys.readouterr().err.count("error:") == 1
