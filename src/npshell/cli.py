@@ -139,8 +139,8 @@ _SYMBOL = {"lam": "lambda", "ri": "r_i", "re": "r_e", "rs": "r_s"}
 
 def _lame(cfg: dict) -> LameParams:
     """The background material, built once per command after the input
-    contract is checked: every float flag finite, and the material regular
-    (real, mu > 0 and 3 lambda + 2 mu > 0)."""
+    contract is checked: every float flag finite, the material regular
+    (real, mu > 0 and 3 lambda + 2 mu > 0), and 8 n lambda, 8 n mu finite to n = 10^6."""
     for key, val in sorted(cfg.items()):
         for v in val if isinstance(val, list) else [val]:
             if isinstance(v, float) and not math.isfinite(v):
@@ -149,6 +149,10 @@ def _lame(cfg: dict) -> LameParams:
     if not lame.is_regular:
         raise ValueError(f"background material needs mu > 0 and 3 lambda + 2 mu > 0, "
                          f"got lambda={lame.lam}, mu={lame.mu}")
+    for key in ("lam", "mu"):
+        if not math.isfinite(8 * _SPECTRUM_N_CAP * cfg[key]):
+            raise ValueError(f"{_SYMBOL.get(key, key)}={cfg[key]} overflows the closed forms, "
+                             f"which weigh it by up to 8 n at degrees n <= {_SPECTRUM_N_CAP}")
     return lame
 
 

@@ -10,7 +10,9 @@ Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
 the (order x degree) Legendre table in z = cos theta without its sin^a theta
 factors, one degree recurrence for all orders (`_legendre_table`), and the
 Re/Im (x + i y)^a rows of the unit vectors.  No angle is formed, so it is
-exact on the polar axis and keeps full accuracy next to it.  The seed's
+exact on the polar axis and keeps full accuracy next to it.  Scattered
+points go through `solid_harmonic_series`; product grids (rings x azimuths)
+through `solid_harmonic_shells`, which factors the table the same way.  The seed's
 single-mode ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
 `grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
@@ -167,20 +169,20 @@ def irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
     return eval_ylm(n, m, theta, phi) / r ** (n + 1)
 
 
-def _harmonic_columns(top: int, nu, count: int):
+def _harmonic_columns(top: int, nu, count: int, st=1.0):
     """The harmonic table at unit points nu = (x, y, z) of shape (3, N) for
     the orders a < count (<= top + 1): (legendre, trig) with Y_k^a =
     legendre[a, k] (trig[a, 0] + i trig[a, 1]), k = a..top.  No angles:
     legendre[a, k] = P~_k^a(z) / sin^a theta (`_legendre_table` seeded with
-    st = 1) and trig[a] = Re/Im (x + i y)^a, a running product.  z may be
-    any values (the distinct z of the points); trig is taken at x, y."""
+    st = 1) and trig[a] = Re/Im (x + i y)^a, a running product.  Given the
+    rings' z and st of a product grid, legendre is P~_k^a(z) and x, y are cos phi, sin phi."""
     x, y, z = nu
     trig = np.zeros((count, 2, len(x)))
     trig[:1, 0] = 1.0  # no rows for count = 0
     for a in range(1, count):
         re, im = trig[a - 1]
         trig[a] = re * x - im * y, re * y + im * x
-    return _legendre_table(top, range(count), z, 1.0), trig
+    return _legendre_table(top, range(count), z, st), trig
 
 
 def _row_weights(l: int, q) -> np.ndarray:
@@ -363,18 +365,6 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     return kinds, top, sets, np.ascontiguousarray(coef)
 
 
-def _series_eval(kinds, coef, legendre, trig, powers: np.ndarray, out: np.ndarray) -> None:
-    """Add the series at scattered points to out (re/im, set x component,
-    point): the `_harmonic_columns` (legendre, trig) times the per-point r^k
-    (regular) or r^-(k+1) (decaying) of powers (r^0..r^(top + 1), shape
-    (top + 2, points)) meet the `_series_orders` coef of every order in one
-    contraction over (kind, degree), then one sum over the Re/Im parts."""
-    radial = np.stack([legendre / powers[1:] if kind else legendre * powers[:-1] for kind in kinds], axis=1)
-    orders, nkinds, degrees, points = radial.shape
-    val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
-    out += np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
-
-
 def _field_gradient(out: np.ndarray, sets: tuple, shape: tuple, gradient: bool):
     """(u, grad u or None) of shapes sets + shape (+ (3,)) from out (re/im, set x component, point)."""
     out = np.moveaxis((out[0] + 1j * out[1]).reshape(math.prod(sets), -1, out.shape[-1]), 1, -1)
@@ -403,9 +393,10 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     a cross product would cancel the radial part of grad F in the last
     digits.  The weights of every mode are summed into real rows per order
     |m| (`_series_orders`); per block of points they meet the
-    `_harmonic_columns` at x / r and the per-point r^k or r^-(k+1) in one
-    contraction (`_series_eval`).  Returns (u (..., 3), grad u
-    (..., 3, 3) or None), complex.  Decaying terms need r > 0.
+    `_harmonic_columns` at x / r times the per-point r^k or r^-(k+1) in one
+    contraction over (kind, degree), then one sum over the Re/Im parts.
+    Returns (u (..., 3), grad u (..., 3, 3) or None), complex.  Decaying
+    terms need r > 0.
     """
     xyz = np.asarray(xyz, dtype=float)
     pts = xyz.reshape(-1, 3)
@@ -415,40 +406,44 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
         blk = slice(lo, lo + _BLOCK)
         unit, r = _unit_and_radius(pts[blk])
         legendre, trig = _harmonic_columns(top, unit, len(coef))
-        _series_eval(kinds, coef, legendre, trig, r ** np.arange(top + 2.0)[:, None], out[:, :, blk])
+        powers = r ** np.arange(top + 2.0)[:, None]  # r^0..r^(top + 1) per point
+        radial = np.stack([legendre / powers[1:] if kind else legendre * powers[:-1] for kind in kinds], axis=1)
+        orders, nkinds, degrees, points = radial.shape
+        val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
+        out[:, :, blk] += np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
     return _field_gradient(out, sets, xyz.shape, gradient)
 
 
 def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False):
     """The (u, grad u or None) of `solid_harmonic_series` at the points
-    r * unit (unit directions (N, 3)), one shell per radius r of `radii`.
+    r * unit, one shell per radius r of `radii`, on a product grid `unit`
+    (rings, azimuths, 3): each ring at one z, all at the same azimuths.
     Coefficients of shape (sets, modes) give fields with a leading sets axis.
 
-    The `_harmonic_columns` of `unit` are built once for all shells and
-    sets, the Legendre table only at the distinct z of `unit` (one per ring
-    of a product rule).  Each shell folds its r^k and r^-(k+1) into the
-    coefficient rows (every set's among them), costs one batched (rows x
-    degrees) by (degrees x distinct z) product over the Re/Im (x + i y)^a
-    parts of every order, and one synthesis over them at every point."""
+    The table factors (`_harmonic_columns`, once for all shells and sets):
+    P~_k^a at the ring cosines, seeded with each ring's sin theta, times Re/Im
+    (cos phi + i sin phi)^a at the widest ring's azimuths.  Each shell folds
+    its r^k and r^-(k+1) into the coefficient rows, then makes one batched
+    (rows x degrees) by (degrees x rings) product per Re/Im part of every
+    order and one (rows x rings, part) by (part, azimuth) product."""
     unit = np.asarray(unit, dtype=float)
+    rings, azimuths, _ = unit.shape
     kinds, top, sets, coef = _series_orders(n, m, regular, decaying, gradient)
-    z, ring = np.unique(unit[:, 2], return_inverse=True)
-    legendre, trig = _harmonic_columns(top, (unit[:, 0], unit[:, 1], z), len(coef))
-    part = np.arange(2 * len(coef)) != 1  # the Re/Im (x + i y)^a parts but Im (x + i y)^0 = 0
+    st = np.hypot(unit[:, 0, 0], unit[:, 0, 1])
+    w = np.argmax(st)  # the widest ring's (cos phi, sin phi); phi = 0 on the axis, where P~_k^a = 0 for a > 0
+    phi = unit[w, :, :2] / st[w] if st[w] else np.tile([1.0, 0.0], (azimuths, 1))
+    legendre, trig = _harmonic_columns(top, (*phi.T, unit[:, 0, 2]), len(coef), st)
+    part = np.arange(2 * len(coef)) != 1  # the Re/Im (cos phi + i sin phi)^a parts but Im of a = 0, which is 0
+    width = 2 * math.prod(sets) * (12 if gradient else 3) * rings  # re/im x set x component x ring
     coef = coef.reshape((2 * len(coef),) + coef.shape[2:])[part]
     legendre = np.repeat(legendre, 2, axis=0)[part]
-    trig = trig.reshape(-1, len(unit))[part]
-    out = np.zeros((2, math.prod(sets) * (12 if gradient else 3), len(unit)))
-    spread = np.empty((len(trig),) + out.shape)  # every part at every point, for all shells
+    trig = trig.reshape(2 * len(trig), azimuths)[part]
     for r in radii:
         powers = r ** np.arange(top + 2.0)
         f = np.where(np.array(kinds, dtype=bool)[:, None], 1.0 / powers[1:], powers[:-1])  # (kind, degree)
-        val = np.matmul((coef * f).sum(axis=-2), legendre[:, None])  # (part, re/im, comp, distinct z)
-        # out[:, c, point] = sum over parts p of val[p, :, c, ring[point]] trig[p, point];
-        # mode="clip" (ring is in range) lets take write to spread without a buffer
-        np.take(val, ring, axis=-1, out=spread, mode="clip")
-        np.einsum("pirn,pn->irn", spread, trig, out=out)
-        yield _field_gradient(out, sets, unit.shape, gradient)
+        val = np.matmul((coef * f).sum(axis=-2), legendre[:, None])  # (part, re/im, comp, ring)
+        out = val.reshape(len(val), width).T @ trig  # (re/im x comp x ring, azimuth)
+        yield _field_gradient(out.reshape(2, -1, rings * azimuths), sets, unit.shape, gradient)
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:

@@ -383,9 +383,10 @@ def quad_energy_shell(
 ) -> float:
     """(delta/2) * int_shell [lam |div u|^2 + 2 mu |sym grad u|^2] dx.
 
-    u_grad(radii, unit) is called once with the radial nodes and the
-    rule's unit-sphere nodes (N, 3), and yields (u (N, 3), grad u (N, 3, 3))
-    at the points r * unit one radius at a time, in the order of `radii`.
+    u_grad(radii, unit) is called once with the radial nodes and the rule's
+    unit-sphere nodes as its product grid (n_theta rings, n_phi azimuths, 3),
+    and yields (u, grad u) of shapes unit.shape and unit.shape + (3,) at the
+    points r * unit one radius at a time, in the order of `radii`.
     The radial direction uses Gauss-Legendre with n_radial nodes, angles the
     rule's exactness nodes.  Material constants are the background real
     pair; the loss enters only through the leading factor.
@@ -397,7 +398,8 @@ def quad_energy_shell(
     mu = complex(lame.mu).real
     unit, w_unit = rule.surface_nodes()
     dens = np.empty((radii.size, w_unit.size))  # one row of weighted densities per shell
-    for row, r, (_, grad) in zip(dens, radii, u_grad(radii, unit)):
+    for row, r, (_, grad) in zip(dens, radii, u_grad(radii, unit.reshape(rule.n_theta, rule.n_phi, 3))):
+        grad = grad.reshape(-1, 3, 3)
         div = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
         sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
         row[:] = (lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))) * (w_unit * r**2)

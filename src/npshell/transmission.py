@@ -354,9 +354,9 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
 def scattered_gradient_factory(sol: DensitySolution):
     """Callable (radii, unit) -> iterator over the radii of (u, grad u) at
-    the shell points r * unit (unit directions (N, 3)), analytic gradients:
-    the T field u = grad F x x of the shell potential F of all modes
-    (`solid_harmonic_shells`), with grad u[:, i, l] = d_l u_i.  Each call
+    the shell points r * unit (a product grid (rings, azimuths, 3)), analytic
+    gradients: the T field u = grad F x x of the shell potential F of all modes
+    (`solid_harmonic_shells`), with grad u[..., i, l] = d_l u_i.  Each call
     builds the harmonic table of `unit` once for all its radii.
     """
     _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame)
@@ -393,9 +393,8 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     The solutions must share one shell and material, and their spectra must
     be prefixes of one mode list, as a sweep's are.  Their densities,
     zero-padded, are (solutions, modes) arrays: one `matrix_coefficient` at
-    the shared R gives every far-field row, and one `solid_harmonic_shells`
-    call at unit radius evaluates every row on one harmonic table of the
-    directions.
+    the shared R gives every far-field row, and one `solid_harmonic_series`
+    call at the unit directions evaluates every row on one harmonic table.
     """
     longest = max(sols, key=lambda sol: sol.n.size)
     geom, lame = longest.geom, longest.lame
@@ -413,7 +412,7 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
     st = np.sqrt(1 - ct * ct)
     unit = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    ((u, _),) = solid_harmonic_shells(longest.n, longest.m, None, rows, [1.0], unit)
+    u, _ = solid_harmonic_series(longest.n, longest.m, None, rows, unit)
     return np.linalg.norm(u, axis=-1).max(axis=-1).tolist()
 
 

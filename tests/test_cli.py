@@ -491,6 +491,22 @@ class TestConfigHandling:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and names in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, names", [
+        (["--suite", "layers", "--lambda", "1e308", "--n-max", "2"], "lambda=1e+308"),
+        (["--suite", "gram", "--lambda", "1e308", "--mu", "1e308", "--n-max", "2"], "lambda=1e+308"),
+    ], ids=["layers-huge-lambda", "gram-huge-lambda-mu"])
+    def test_overflowing_material_exit_code(self, tmp_path, capsys, argv, names):
+        # a_coeff divided inf by inf: a RuntimeWarning and NaN N-family
+        # records (layers), a NaN gram record (gram), and exit 1
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", *argv, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and names in err
+        assert "overflows" in err
+        assert not out.exists()
+
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])

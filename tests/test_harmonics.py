@@ -764,24 +764,44 @@ class TestSeriesOrders:
 
 
 def _ring_sets():
-    """Unit point sets (N, 3) for the distinct-colatitude path: a product rule
-    (24 rings of 48), the 24-direction far-field spiral (no z repeats), one
-    ring (one z) and the product rule rotated 0.3 rad about y (rings no longer
-    at constant z)."""
-    rule, _ = QuadratureRule(24, 48).surface_nodes()
+    """Product grids of unit directions (rings, azimuths, 3), the input of
+    `solid_harmonic_shells`: the default rule (24 rings of 48), a 6x12 rule,
+    one ring of 48, a rule with an odd azimuth count (5x11) and the rule with
+    one node in theta (1x2)."""
+    def rule(n_theta, n_phi):
+        return QuadratureRule(n_theta, n_phi).surface_nodes()[0].reshape(n_theta, n_phi, 3)
+
+    ring = _unit_vectors(np.full((1, 48), 1.1), 2 * np.pi * np.arange(48) / 48)
+    return {"rule-24x48": rule(24, 48), "rule-6x12": rule(6, 12), "one-ring": ring,
+            "rule-5x11": rule(5, 11), "rule-1x2": rule(1, 2)}
+
+
+def _scattered_sets():
+    """Unit point sets (N, 3) that are no product grid: the 24-direction
+    far-field spiral (no z repeats) and the 24x48 rule rotated 0.3 rad about y
+    (rings no longer at constant z)."""
     k = np.arange(24)
     ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
     st = np.sqrt(1 - ct * ct)
     spiral = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    ring = _unit_vectors(np.full(48, 1.1), 2 * np.pi * np.arange(48) / 48)
     c, s = math.cos(0.3), math.sin(0.3)
-    rotated = rule @ np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    return {"rule-24x48": rule, "spiral-24": spiral, "one-ring": ring, "rotated-rule": rotated}
+    rotated = QuadratureRule(24, 48).surface_nodes()[0] @ np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    return {"spiral-24": spiral, "rotated-rule": rotated}
+
+
+def _series_modes(sets, rng):
+    """Degrees 1..8, every order, and random complex (regular, decaying)
+    coefficients, of shape (modes,) or (sets, modes)."""
+    n, m = np.array([(n, m) for n in range(1, 9) for m in range(-n, n + 1)]).T
+    shape = (n.size,) if sets is None else (sets, n.size)
+    regular, decaying = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    return n, m, regular, decaying
 
 
 class TestSolidHarmonicShells:
-    """The shell evaluator (Legendre columns at the distinct z only) against
-    the scattered-point series at r * unit."""
+    """The product-grid shell evaluator (Legendre columns at the ring
+    cosines, azimuth rows of one ring) against the scattered-point series at
+    r * unit."""
 
     RADII = (0.8, 1.3, 2.0)
 
@@ -789,17 +809,16 @@ class TestSolidHarmonicShells:
     @pytest.mark.parametrize("sets", [None, 2], ids=["one-set", "two-sets"])
     def test_matches_series_at_the_shell_points(self, name, sets, rng):
         unit = _ring_sets()[name]
-        n, m = np.array([(n, m) for n in range(1, 9) for m in range(-n, n + 1)]).T
-        shape = (n.size,) if sets is None else (sets, n.size)
-        regular, decaying = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        n, m, regular, decaying = _series_modes(sets, rng)
         for gradient in (False, True):
             shells = solid_harmonic_shells(n, m, regular, decaying, self.RADII, unit, gradient)
             for r, (u, grad) in zip(self.RADII, shells):
                 u_ref, grad_ref = solid_harmonic_series(n, m, regular, decaying, r * unit, gradient)
-                for k in np.ndindex(u.shape[:-2]):  # per set: rows of axis 0 are points
-                    assert_pointwise(u[k], u_ref[k])
+                assert u.shape == u_ref.shape
+                for k in np.ndindex(u.shape[:-3]):  # per set, one row per point
+                    assert_pointwise(u[k].reshape(-1, 3), u_ref[k].reshape(-1, 3))
                     if gradient:
-                        assert_pointwise(grad[k], grad_ref[k])
+                        assert_pointwise(grad[k].reshape(-1, 9), grad_ref[k].reshape(-1, 9))
                 assert (grad is None) == (grad_ref is None) == (not gradient)
 
     def test_one_legendre_column_per_ring(self, monkeypatch):
@@ -811,7 +830,29 @@ class TestSolidHarmonicShells:
             return table(n, orders, z, st)
 
         monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        unit, _ = QuadratureRule(24, 48).surface_nodes()
+        unit = _ring_sets()["rule-24x48"]
+        assert unit.shape == (24, 48, 3)
         n, m = np.arange(2, 30), np.zeros(28, dtype=int)
         list(solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True))
         assert builds == [(range(3), (24,))]
+
+
+class TestSolidHarmonicSeriesSets:
+    """The scattered-point series with coefficient sets (sets, modes) against
+    one call per set, at point sets that are no product grid."""
+
+    @pytest.mark.parametrize("name", sorted(_scattered_sets()))
+    @pytest.mark.parametrize("gradient", [False, True], ids=["u", "grad"])
+    def test_sets_match_single_set_calls(self, name, gradient, rng):
+        n, m, regular, decaying = _series_modes(2, rng)
+        for r in (0.8, 1.3, 2.0):
+            xyz = r * _scattered_sets()[name]
+            u, grad = solid_harmonic_series(n, m, regular, decaying, xyz, gradient)
+            assert u.shape == (2,) + xyz.shape
+            for k in range(2):
+                u_k, grad_k = solid_harmonic_series(n, m, regular[k], decaying[k], xyz, gradient)
+                assert_pointwise(u[k], u_k)
+                if gradient:
+                    assert_pointwise(grad[k], grad_k)
+                else:
+                    assert grad is None and grad_k is None

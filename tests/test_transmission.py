@@ -342,12 +342,13 @@ class TestBatchedFields:
         check(field_eval(sol, pts), _per_mode_field(sol, GEOM, LAME, pts), on_axis)
 
         r = np.linalg.norm(pts, axis=1)
-        # each shell point is its own one-point shell of radius |x|
+        # each shell point is its own one-point shell of radius |x|, a 1 x 1 grid
         in_shell = (r > GEOM.r_i) & (r <= GEOM.r_e)
         shell = r[in_shell]
         unit = pts[in_shell] / shell[:, None]
         u_grad = scattered_gradient_factory(sol)
-        u, grad = map(np.concatenate, zip(*(next(u_grad([s], d[None])) for s, d in zip(shell, unit))))
+        u, grad = (np.concatenate([f.reshape((1,) + f.shape[2:]) for f in fields]) for fields in
+                   zip(*(next(u_grad([s], d[None, None])) for s, d in zip(shell, unit))))
         u_ref, grad_ref = _per_mode_u_grad(sol, shell[:, None] * unit)
         check(u, u_ref, on_axis[in_shell])
         assert_pointwise(grad, grad_ref)
@@ -375,12 +376,12 @@ class TestShellGrid:
     def test_product_grid_matches_per_mode_sums(self, sol):
         unit, _ = QuadratureRule(6, 12).surface_nodes()
         radii = np.array([1.0, 1.37, 2.0])
-        shells = list(scattered_gradient_factory(sol)(radii, unit))
+        shells = list(scattered_gradient_factory(sol)(radii, unit.reshape(6, 12, 3)))
         assert len(shells) == len(radii)
         for r, (u, grad) in zip(radii, shells):
             u_ref, grad_ref = _per_mode_u_grad(sol, r * unit)
-            assert_pointwise(u, u_ref)
-            assert_pointwise(grad, grad_ref)
+            assert_pointwise(u.reshape(-1, 3), u_ref)
+            assert_pointwise(grad.reshape(-1, 3, 3), grad_ref)
 
     def test_quadrature_matches_per_shell_series(self, sol):
         # the same strain integral with every shell evaluated on its own
@@ -428,7 +429,7 @@ class TestCoefficientSets:
         weights = rng.normal(size=(2, 3, len(sol.n))) + 1j * rng.normal(size=(2, 3, len(sol.n)))
         reg = regular * weights[0] if kinds != "decaying" else None
         dec = decaying * weights[1] if kinds != "regular" else None
-        unit, _ = QuadratureRule(6, 12).surface_nodes()
+        unit = QuadratureRule(6, 12).surface_nodes()[0].reshape(6, 12, 3)
         radii = [1.0, 1.37, 2.0]
         shells = list(solid_harmonic_shells(sol.n, sol.m, reg, dec, radii, unit, gradient))
         for k in range(3):
