@@ -109,33 +109,26 @@ def k1_kernel(x, y, nu_x) -> np.ndarray:
     K1 = (nu_x d^t - d nu_x^t) / (4 pi |d|^3) with d = x - y.  On a common
     origin-centered sphere this equals the same expression built with nu_y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     nu_x = np.asarray(nu_x, dtype=float)
-    d = x - y
     r3 = _norms(d) ** 3
     num = nu_x[..., :, None] * d[..., None, :] - d[..., :, None] * nu_x[..., None, :]
     return num / (4 * np.pi * r3[..., None, None])
 
 
-def k2_kernel(x, y, nu_x, lame: LameParams) -> np.ndarray:
-    """Weakly singular part K2(x, y) of the traction kernel, shape (..., 3, 3).
-
-    K2 = b1 (d . nu_x)/(4 pi |d|^3) I + b2 (d . nu_x)/(4 pi |d|^5) d d^t.
+def k2_parts(x, y, nu_x) -> tuple[np.ndarray, np.ndarray]:
+    """Material-free parts (a, B) of K2 = b1 a I + b2 B, shapes (...,) and
+    (..., 3, 3): a = (d . nu_x)/(4 pi |d|^3), B = a d d^t / |d|^2, d = x - y.
     For x, y on a common origin-centered sphere of radius r0 the factor
-    (d . nu_x)/|d|^3 equals 1/(2 r0 |d|), so both terms are 1/|d| kernels.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nu_x = np.asarray(nu_x, dtype=float)
-    co = KernelCoeffs.from_lame(lame)
-    d = x - y
+    (d . nu_x)/|d|^3 equals 1/(2 r0 |d|), so both parts are 1/|d| kernels."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     r = _norms(d)
-    dn = np.sum(d * nu_x, axis=-1)
-    eye = np.broadcast_to(np.eye(3), d.shape + (3,))
-    outer = d[..., :, None] * d[..., None, :]
-    return (
-        co.b1 * (dn / (4 * np.pi * r**3))[..., None, None] * eye
-        + co.b2 * (dn / (4 * np.pi * r**5))[..., None, None] * outer
-    )
+    dn = np.sum(d * np.asarray(nu_x, dtype=float), axis=-1)
+    return dn / (4 * np.pi * r**3), (dn / (4 * np.pi * r**5))[..., None, None] * (d[..., :, None] * d[..., None, :])
 
+
+def k2_kernel(x, y, nu_x, lame: LameParams) -> np.ndarray:
+    """Weakly singular part K2(x, y) of the traction kernel, b1 a I + b2 B of `k2_parts`, shape (..., 3, 3)."""
+    co = KernelCoeffs.from_lame(lame)
+    a, b = k2_parts(x, y, nu_x)
+    return co.b1 * a[..., None, None] * np.eye(3) + co.b2 * b

@@ -9,11 +9,11 @@ mapping points (S, 3) to values (S, 3) per derivative), and energies come
 from strain densities on a volume grid.  Reductions use compensated
 summation in a fixed order so repeated runs are bit-identical.
 
-The N-P eigenvalue and its projection residual are read off the 2l + 1
-pole integrals of the modes of one degree (`quad_np_apply`).  The residual
-sees modes mixed in by the rule (M_6^3 on an 8x16 rule: 4.4e-4), not an
-error that keeps the mode's shape (T_6^3 on 8x16: eigenvalue off by 2.3e-3,
-residual 9.4e-17).
+The N-P eigenvalue and its projection residual are read off the 2l + 1 pole
+integrals of the modes of one degree (`quad_np_apply`), against kernel blocks
+built once per rule and radius without the material.  The residual sees modes
+mixed in by the rule (M_6^3 on an 8x16 rule: 4.4e-4), not an error that keeps
+the mode's shape (T_6^3 on 8x16: eigenvalue off by 2.3e-3, residual 9.4e-17).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonics import ModeIndex, vector_modes
-from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
+from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_parts, kelvin_matrix
 from .transmission import ShellGeometry
 
 
@@ -198,6 +198,22 @@ def quad_elastic_sl(
     return fsum_c((np.einsum("aij,aj->ai", ker, dens) * w[:, None]).T)
 
 
+_POLE = np.array([0.0, 0.0, 1.0])
+
+
+@lru_cache(maxsize=4)
+def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only material-free kernel blocks of `quad_np_apply`, target at the pole r0 z-hat,
+    weighted on the rule's polar nodes: K1 w and B w as (3, 3, N), and a w as (N,)."""
+    p, w = rule.polar_nodes(r0)
+    a, b = k2_parts(r0 * _POLE, p, _POLE)
+    k1w, bw = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1_kernel(r0 * _POLE, p, _POLE), b))
+    aw = a * w
+    for block in (k1w, aw, bw):
+        block.setflags(write=False)
+    return k1w, aw, bw
+
+
 def quad_np_apply(
     idx: ModeIndex,
     lame: LameParams,
@@ -213,10 +229,11 @@ def quad_np_apply(
     stands.  The strongly singular K1 has vanishing principal value against
     constants on a sphere, so its p.v. action equals the absolutely
     convergent integral of K1(x, y)(phi(y) - phi(x)).  Both are isotropic,
-    K(Qx, Qy) = Q K(x, y) Q^T, so they are assembled once, with the target
-    at the pole r0 z-hat, as the (3, 3, N) blocks -b1 K1 w and K2 w on the
-    rule's polar nodes p (Graham & Sloan, Numer. Math. 2002; Ganesh &
-    Graham, J. Comput. Phys. 2004).  Summed against each phi_k, k = -l..l
+    K(Qx, Qy) = Q K(x, y) Q^T, so with the target at the pole r0 z-hat they
+    are assembled once per rule and radius, material-free; b1, b2 applied per
+    mode: K2 = b1 a I + b2 B, with K1 w, a w, B w on the rule's polar nodes p
+    (`_pole_blocks`; Graham & Sloan, Numer. Math. 2002; Ganesh & Graham,
+    J. Comput. Phys. 2004).  Summed against each phi_k, k = -l..l
     for the scalar degree l, they give the 2l + 1 pole integrals
     I_k = K*[phi_k](r0 z-hat); the modes stream, one at a time, from one
     harmonic table of p / r0 (`harmonics.vector_modes`).
@@ -240,20 +257,20 @@ def quad_np_apply(
     residual 9.4e-17.  A small residual does not show that the rule resolves
     the mode; only the gap to the closed form or to a finer rule does.
     """
-    p, w = rule.polar_nodes(r0)
-    z = np.array([0.0, 0.0, 1.0])
-    k1 = -KernelCoeffs.from_lame(lame).b1 * k1_kernel(r0 * z, p, z)
-    k2 = k2_kernel(r0 * z, p, z, lame)
-    k1w, k2w = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1, k2))
-    del k1, k2  # only the weighted blocks stay live while the modes are summed
+    k1w, aw, bw = _pole_blocks(rule, r0)
+    co = KernelCoeffs.from_lame(lame)
 
     def contracted(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return sum(k1w[:, j] * (psi[j] - c[j]) + k2w[:, j] * psi[j] for j in range(3))
+        out = co.b1 * aw * psi  # the material scales the mode, not the blocks; summed in place
+        for j in range(3):
+            out += k1w[:, j] * (-co.b1 * (psi[j] - c[j]))
+            out += bw[:, j] * (co.b2 * psi[j])
+        return out
 
     l = idx.scalar_degree
     orders = range(-l, l + 1)
-    pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, z[None])))[..., 0]  # phi_k(z-hat)
-    modes = vector_modes(idx.family, idx.n, orders, lame, p / r0)
+    pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, _POLE[None])))[..., 0]  # phi_k(z-hat)
+    modes = vector_modes(idx.family, idx.n, orders, lame, rule.polar_nodes(r0)[0] / r0)
     integrals = np.stack([fsum_c(contracted(psi, c)) for psi, c in zip(modes, pole)])  # no mode outlives its sum
     den = fsum_c(np.ravel(np.abs(pole) ** 2)).real
     xi = fsum_c(np.ravel(integrals * pole.conj())) / den

@@ -574,9 +574,11 @@ def classify_calr(
     if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
     cfgs = [None if fixed_cfg is None else replace(fixed_cfg, delta=delta) for delta in delta_grid]
-    sols, _, per_mode = solve_sweep(delta_grid, geom, lame, r_s, kappa, cfgs)
-    reports = energy_reports(sols, quadrature, per_mode=per_mode)
-
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy raises below
+        sols, _, per_mode = solve_sweep(delta_grid, geom, lame, r_s, kappa, cfgs)
+        reports = energy_reports(sols, quadrature, per_mode=per_mode)
+    if not np.isfinite([(r.energy_modal, r.energy_quadrature or 0.0, r.farfield_sample) for r in reports]).all():
+        raise ArithmeticError(f"shell energy or far field overflows at lambda={lame.lam}, mu={lame.mu}, r_s={r_s}")
     energies = [r.energy_modal for r in reports]
     farfields = [r.farfield_sample for r in reports]
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 is inf, 0/0 (no source) nan

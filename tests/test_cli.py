@@ -507,6 +507,20 @@ class TestConfigHandling:
         assert "overflows" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", [["--no-quad-energy"], []], ids=["modal", "with-quadrature"])
+    def test_overflowing_energy_exit_code(self, tmp_path, capsys, extra):
+        # the material passes _lame's guard, but the shell energies, which
+        # scale with it, overflow: this once printed three RuntimeWarnings and
+        # exited 0 with "verdict: bounded (energy ratio nan ...)"
+        out = tmp_path / "s.jsonl"
+        rc = main(["calr", "--lambda", "1e200", "--mu", "1e200", "--rs", "2.5", *extra, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "overflows" in captured.err and "verdict" not in captured.out
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])

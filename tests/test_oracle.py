@@ -3,6 +3,7 @@ finite-difference operators, and the shell energy integral."""
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -251,22 +252,60 @@ class TestNPQuadrature:
 
     @pytest.mark.parametrize("idx", [ModeIndex("T", 3, 1), ModeIndex("M", 2, 1), ModeIndex("N", 4, 1)],
                              ids=lambda i: f"{i.family}{i.n}^{i.m}")
-    def test_k1_subtraction_on_a_tilted_rule(self, idx, lame, monkeypatch):
+    def test_k1_subtraction_on_a_tilted_rule(self, idx, lame, tilted_polar_nodes):
         # Tilted 0.2 rad about y, the nodes no longer cancel sum K1 w against
         # constants by symmetry, so the p.v. needs phi(y) - phi(x): without
         # the subtraction the residual is 0.10-0.13, with it 0.9e-3 to
         # 2.1e-3; xi is the same either way, so only the residual pins it.
-        polar = QuadratureRule.polar_nodes
-        c, s = math.cos(0.2), math.sin(0.2)
-        tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-
-        def tilted(rule, radius=1.0):
-            pts, w = polar(rule, radius)
-            return pts @ tilt, w
-
-        monkeypatch.setattr(QuadratureRule, "polar_nodes", tilted)
         _, resid = quad_np_apply(idx, lame, QuadratureRule(64, 128), residual_tol=1.0)
         assert resid <= 5e-3
+
+    def test_tilted_blocks_reach_no_later_call(self, lame):
+        # the pole blocks are cached per (rule, r0): blocks built from the
+        # tilted nodes must be gone once the tilt is undone
+        idx, rule = ModeIndex("T", 3, 1), QuadratureRule(64, 128)
+        with _tilted_polar_nodes():
+            _, tilted_resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
+        after = quad_np_apply(idx, lame, rule)
+        oracle._pole_blocks.cache_clear()
+        assert tilted_resid > 1e-4
+        assert after == quad_np_apply(idx, lame, rule)
+
+
+@contextmanager
+def _tilted_polar_nodes():
+    """QuadratureRule.polar_nodes tilted 0.2 rad about y, with the pole-block
+    cache emptied on entry and on exit."""
+    polar = QuadratureRule.polar_nodes
+    c, s = math.cos(0.2), math.sin(0.2)
+    tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+
+    def tilted(rule, radius=1.0):
+        pts, w = polar(rule, radius)
+        return pts @ tilt, w
+
+    oracle._pole_blocks.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(QuadratureRule, "polar_nodes", tilted)
+            yield
+    finally:
+        oracle._pole_blocks.cache_clear()
+
+
+@pytest.fixture
+def tilted_polar_nodes():
+    with _tilted_polar_nodes():
+        yield
+
+
+@pytest.fixture
+def fresh_pole_blocks():
+    """An empty pole-block cache before and after the test, so that blocks
+    built by patched kernels reach no other test."""
+    oracle._pole_blocks.cache_clear()
+    yield
+    oracle._pole_blocks.cache_clear()
 
 
 class TestPoleFrame:
@@ -305,15 +344,25 @@ class TestPoleFrame:
         pairs = {quad_np_apply(ModeIndex(fam, n, m), lp, rule, residual_tol=1.0) for m in range(-l, l + 1)}
         assert len(pairs) == 1
 
-    def test_kernels_assembled_once_per_call(self, lame, monkeypatch):
+    def test_kernels_assembled_once_per_rule_and_radius(self, lame, monkeypatch, fresh_pole_blocks):
+        # the material enters per mode, so a real and a lossy one share the blocks
         calls = []
-        for name in ("k1_kernel", "k2_kernel"):
+        for name in ("k1_kernel", "k2_parts"):
             kernel = getattr(oracle, name)
             monkeypatch.setattr(
                 oracle, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a)
             )
-        quad_np_apply(ModeIndex("T", 3, 2), lame, QuadratureRule(16, 32))
-        assert sorted(calls) == ["k1_kernel", "k2_kernel"]
+        idx, rule = ModeIndex("T", 3, 2), QuadratureRule(16, 32)
+        for lp in (lame, LameParams(-4 + 0.05j, -4 + 0.05j)):
+            quad_np_apply(idx, lp, rule)
+        assert sorted(calls) == ["k1_kernel", "k2_parts"]
+        quad_np_apply(idx, lame, rule, r0=2.0)
+        assert sorted(calls) == ["k1_kernel", "k1_kernel", "k2_parts", "k2_parts"]
+
+    def test_cached_blocks_are_read_only(self):
+        for block in oracle._pole_blocks(QuadratureRule(8, 16), 1.0):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0.0
 
     @pytest.mark.parametrize("idx", [ModeIndex("T", 3, 0), ModeIndex("T", 3, 3),
                                      ModeIndex("N", 4, -2), ModeIndex("M", 1, 1)],
