@@ -207,11 +207,10 @@ def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarra
     weighted on the rule's polar nodes: K1 w and B w as (3, 3, N), and a w as (N,)."""
     p, w = rule.polar_nodes(r0)
     a, b = k2_parts(r0 * _POLE, p, _POLE)
-    k1w, bw = (np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1_kernel(r0 * _POLE, p, _POLE), b))
-    aw = a * w
-    for block in (k1w, aw, bw):
+    blocks = (*(np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1_kernel(r0 * _POLE, p, _POLE), b)), a * w)
+    for block in blocks:
         block.setflags(write=False)
-    return k1w, aw, bw
+    return blocks
 
 
 def quad_np_apply(
@@ -257,18 +256,17 @@ def quad_np_apply(
     residual 9.4e-17.  A small residual does not show that the rule resolves
     the mode; only the gap to the closed form or to a finer rule does.
     """
-    k1w, aw, bw = _pole_blocks(rule, r0)
+    k1w, bw, aw = _pole_blocks(rule, r0)
     co = KernelCoeffs.from_lame(lame)
 
     def contracted(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = co.b1 * aw * psi  # the material scales the mode, not the blocks; summed in place
+        out = co.b1 * aw * psi  # the material scales the mode, not the blocks; in place, two (3, N) live
         for j in range(3):
             out += k1w[:, j] * (-co.b1 * (psi[j] - c[j]))
             out += bw[:, j] * (co.b2 * psi[j])
         return out
 
-    l = idx.scalar_degree
-    orders = range(-l, l + 1)
+    orders = range(-idx.scalar_degree, idx.scalar_degree + 1)
     pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, _POLE[None])))[..., 0]  # phi_k(z-hat)
     modes = vector_modes(idx.family, idx.n, orders, lame, rule.polar_nodes(r0)[0] / r0)
     integrals = np.stack([fsum_c(contracted(psi, c)) for psi, c in zip(modes, pole)])  # no mode outlives its sum

@@ -499,7 +499,8 @@ def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, 
     0).  Returns the solutions, the source coefficients g_e^n of n = 2..400
     and the energy grid, each row zero past its cut.  A resonant degree whose
     baseline truncation passes the cap (a shell so thin, or a loss so small,
-    that n0 > 380) at any loss raises ValueError before any degree array.
+    that n0 > 380) at any loss raises ValueError before any degree array;
+    a non-finite energy (a huge material) raises ArithmeticError.
     """
     cfgs = [PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta) if cfg is None else cfg
             for delta, cfg in zip(delta_grid, cfgs)]
@@ -514,7 +515,10 @@ def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, 
     a = np.array([[[p.a1], [p.a2]] for p in map(a_delta, cfgs)])  # Python complex division, as for one loss
     t_i, t_e = transfer_factors(n, geom, ADeltaPair(a[:, 0], a[:, 1]), lame)
     phi_i, phi_e = g * t_i, g * t_e
-    e = shell_energy(n, phi_i, phi_e, geom, np.array([[cfg.delta] for cfg in cfgs]), lame)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below; the energies scale with the material
+        e = shell_energy(n, phi_i, phi_e, geom, np.array([[cfg.delta] for cfg in cfgs]), lame)
+    if not np.isfinite(e).all():
+        raise ArithmeticError(f"shell energies overflow at lambda={lame.lam}, mu={lame.mu}")
     sols = []
     for row, cfg in enumerate(cfgs):
         for n_max in [*range(truncation_degree(cfg.n0), _N_HARD_CAP, 20), _N_HARD_CAP]:
@@ -574,11 +578,9 @@ def classify_calr(
     if any(d2 >= d1 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
     cfgs = [None if fixed_cfg is None else replace(fixed_cfg, delta=delta) for delta in delta_grid]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy raises below
-        sols, _, per_mode = solve_sweep(delta_grid, geom, lame, r_s, kappa, cfgs)
-        reports = energy_reports(sols, quadrature, per_mode=per_mode)
-    if not np.isfinite([(r.energy_modal, r.energy_quadrature or 0.0, r.farfield_sample) for r in reports]).all():
-        raise ArithmeticError(f"shell energy or far field overflows at lambda={lame.lam}, mu={lame.mu}, r_s={r_s}")
+    sols, _, per_mode = solve_sweep(delta_grid, geom, lame, r_s, kappa, cfgs)
+    reports = energy_reports(sols, quadrature, per_mode=per_mode)
+
     energies = [r.energy_modal for r in reports]
     farfields = [r.farfield_sample for r in reports]
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 is inf, 0/0 (no source) nan

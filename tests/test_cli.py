@@ -508,17 +508,18 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("extra", [["--no-quad-energy"], []], ids=["modal", "with-quadrature"])
-    def test_overflowing_energy_exit_code(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("argv", [["calr", "--no-quad-energy"], ["calr"], ["field", "--resolution", "5"]],
+                             ids=["calr-modal", "calr-with-quadrature", "field"])
+    def test_overflowing_energy_exit_code(self, tmp_path, capsys, argv):
         # the material passes _lame's guard, but the shell energies, which
-        # scale with it, overflow: this once printed three RuntimeWarnings and
+        # scale with it, overflow: calr once printed three RuntimeWarnings and
         # exited 0 with "verdict: bounded (energy ratio nan ...)"
-        out = tmp_path / "s.jsonl"
-        rc = main(["calr", "--lambda", "1e200", "--mu", "1e200", "--rs", "2.5", *extra, "--out", str(out)])
+        out = tmp_path / "a.out"
+        rc = main([*argv, "--lambda", "1e200", "--mu", "1e200", "--rs", "2.5", "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
-        assert "overflows" in captured.err and "verdict" not in captured.out
+        assert "overflow" in captured.err and "verdict" not in captured.out
         assert not out.exists() and not out.with_suffix(".csv").exists()
 
     def test_bad_geometry_exit_code(self, tmp_path):
