@@ -116,19 +116,22 @@ def k1_kernel(x, y, nu_x) -> np.ndarray:
     return num / (4 * np.pi * r3[..., None, None])
 
 
-def k2_parts(x, y, nu_x) -> tuple[np.ndarray, np.ndarray]:
-    """Material-free parts (a, B) of K2 = b1 a I + b2 B, shapes (...,) and
-    (..., 3, 3): a = (d . nu_x)/(4 pi |d|^3), B = a d d^t / |d|^2, d = x - y.
-    For x, y on a common origin-centered sphere of radius r0 the factor
-    (d . nu_x)/|d|^3 equals 1/(2 r0 |d|), so both parts are 1/|d| kernels."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+def k2_parts(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Material-free parts (a, B) of K2 = b1 a I + b2 B for x, y on a common
+    origin-centered sphere of radius r0 = |x|, shapes (...,) and (..., 3, 3):
+    a = 1/(8 pi r0 |d|) and B = a d d^t / |d|^2, d = x - y.  On the sphere
+    (d . nu_x)/(4 pi |d|^3) equals a; written so, a does not cancel at y next
+    to x, where d . nu_x = r0 - y . nu_x does."""
+    x = np.asarray(x, dtype=float)
+    d = x - np.asarray(y, dtype=float)
     r = _norms(d)
-    dn = np.sum(d * np.asarray(nu_x, dtype=float), axis=-1)
-    return dn / (4 * np.pi * r**3), (dn / (4 * np.pi * r**5))[..., None, None] * (d[..., :, None] * d[..., None, :])
+    a = 1.0 / (8 * np.pi * np.linalg.norm(x, axis=-1) * r)
+    return a, (a / r**2)[..., None, None] * (d[..., :, None] * d[..., None, :])
 
 
-def k2_kernel(x, y, nu_x, lame: LameParams) -> np.ndarray:
-    """Weakly singular part K2(x, y) of the traction kernel, b1 a I + b2 B of `k2_parts`, shape (..., 3, 3)."""
+def k2_kernel(x, y, lame: LameParams) -> np.ndarray:
+    """Weakly singular part K2(x, y) of the traction kernel on a common
+    sphere, b1 a I + b2 B of `k2_parts`, shape (..., 3, 3)."""
     co = KernelCoeffs.from_lame(lame)
-    a, b = k2_parts(x, y, nu_x)
+    a, b = k2_parts(x, y)
     return co.b1 * a[..., None, None] * np.eye(3) + co.b2 * b

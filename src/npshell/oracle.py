@@ -206,7 +206,7 @@ def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarra
     """Read-only material-free kernel blocks of `quad_np_apply`, target at the pole r0 z-hat,
     weighted on the rule's polar nodes: K1 w and B w as (3, 3, N), and a w as (N,)."""
     p, w = rule.polar_nodes(r0)
-    a, b = k2_parts(r0 * _POLE, p, _POLE)
+    a, b = k2_parts(r0 * _POLE, p)
     blocks = (*(np.moveaxis(k * w[:, None, None], 0, -1).copy() for k in (k1_kernel(r0 * _POLE, p, _POLE), b)), a * w)
     for block in blocks:
         block.setflags(write=False)

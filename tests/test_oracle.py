@@ -394,7 +394,7 @@ def _np_pointwise_at_target(idx, x, lame, rule, r0):
     dens = eval_trace_mode(idx, lame, *_cartesian_angles(y)[1:])
     dens_x = eval_trace_mode(idx, lame, *_cartesian_angles(x)[1:])
     k1 = k1_kernel(x[None, :], y, nu_x[None, :])
-    k2 = k2_kernel(x[None, :], y, nu_x[None, :], lame)
+    k2 = k2_kernel(x[None, :], y, lame)
     vals = -co.b1 * np.einsum("aij,aj->ai", k1, dens - dens_x[None, :])
     vals += np.einsum("aij,aj->ai", k2, dens)
     vals *= w[:, None]
