@@ -5,9 +5,9 @@ Artifacts are plain CSV (tables, grids) or JSON lines (structured reports),
 and this module alone encodes them: one value encoder, one JSONL writer, one
 CSV writer.  Every artifact echoes the effective configuration, every flag
 included, in its header; identical runs are byte-identical.
-Exit codes: 0 success, 1 validation failure (a failed record, or an N-P
-mode whose projection residual shows it is no eigenfunction at the rule
-used), 2 bad input or a numerical failure (overflow, exact resonance).
+Exit codes: 0 success, 1 validation failure (a failed record, or a mode
+whose projection residual shows it is no eigenfunction of a surface
+operator at the rule used), 2 bad input or a numerical failure (overflow, exact resonance).
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from .oracle import (
     ValidationRecord,
     compare,
     fd_lame_residual,
+    quad_elastic_sl,
     quad_np_apply,
     quad_scalar_sl,
 )
-from .potentials import np_eigenvalue, np_eigenvalue_limit, scalar_sl_multiplier
+from .potentials import elastic_sl_coeff, np_eigenvalue, np_eigenvalue_limit, scalar_sl_multiplier
 from .transmission import (
     PlasmonicConfig,
     ShellGeometry,
@@ -193,32 +194,19 @@ def cmd_spectrum(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_layers(lame, rule, n_max, records):
-    probe = np.array([0.33, -0.44, 0.83])
-    probe /= np.linalg.norm(probe)
     for r0 in (0.5, 1.0, 2.0):
-        for idx in [ModeIndex("T", n, min(1, n)) for n in range(1, n_max + 1)] + [
-            ModeIndex("M", n, 0) for n in range(1, n_max + 1)
-        ] + [ModeIndex("N", n, 0) for n in range(1, n_max + 1)]:
-            x = r0 * probe
-            val = quad_scalar_sl(idx, x, lame, rule, r0)
-            mode = harmonics.eval_solid_mode(idx, lame, probe)
-            mult = scalar_sl_multiplier(idx.family, idx.n, r0)
-            rel = float(np.linalg.norm(val - mult * mode) / np.linalg.norm(mult * mode))
-            est = complex(np.vdot(mode, val) / np.vdot(mode, mode))
-            records.append(
-                ValidationRecord(
-                    operation="scalar_single_layer",
-                    params={"family": idx.family, "n": idx.n, "m": idx.m, "r0": r0, **asdict(rule)},
-                    closed_form=complex(mult),
-                    oracle=est,
-                    rel_error=rel,
-                    tol=1e-6,
-                )
-            )
+        for idx in _suite_modes(n_max):
+            params = {**asdict(idx), "r0": r0}
+            for op, quad, closed in (
+                ("scalar_single_layer", quad_scalar_sl, scalar_sl_multiplier(idx.family, idx.n, r0)),
+                ("elastic_single_layer", quad_elastic_sl, r0 * elastic_sl_coeff(idx.family, idx.n, lame)),
+            ):
+                est, resid = quad(idx, lame, rule, r0)
+                records.append(compare(op, {**params, "residual": resid, **asdict(rule)}, complex(closed), est, 1e-6))
 
 
 def _suite_modes(n_max):
-    """The modes the np and lame suites check: every family and degree up to
+    """The modes the layers, np and lame suites check: every family and degree up to
     n_max, at order 1 (0 for N_1)."""
     return [ModeIndex(fam, n, min(1, n - 1) if fam == "N" else 1) for fam in harmonics.FAMILIES
             for n in range(1, n_max + 1)]
@@ -445,7 +433,7 @@ def main(argv=None) -> int:
     try:
         args, cfg = _resolve(ap, argv)
         return args.func(cfg)
-    except NonEigenfunctionError as exc:  # an N-P check that failed before its record
+    except NonEigenfunctionError as exc:  # a pole-frame check that failed before its record
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, ArithmeticError) as exc:

@@ -1,25 +1,26 @@
-"""Independent brute-force checks: sphere quadrature, principal-value
-Neumann-Poincare action, finite-difference Lame residuals and tractions,
-and shell-volume energy quadrature.
+"""Independent brute-force checks: sphere quadrature of the single layers
+and the principal-value Neumann-Poincare action, finite-difference Lame
+residuals and tractions, and shell-volume energy quadrature.
 
 Nothing here reuses the closed forms it is meant to check: layer potentials
-are integrated pointwise from the raw kernels, differential operators are
-applied by central differences (one product stencil, one call of a field
-mapping points (S, 3) to values (S, 3) per derivative), and energies come
-from strain densities on a volume grid.  Reductions use compensated
-summation in a fixed order so repeated runs are bit-identical.
+are integrated from the raw kernels, differential operators are applied by
+central differences (one product stencil, one call of a field mapping
+points (S, 3) to values (S, 3) per derivative), and energies come from
+strain densities on a volume grid.  Reductions use compensated summation in
+a fixed order so repeated runs are bit-identical.
 
-The N-P eigenvalue and its projection residual are read off the 2l + 1 pole
-integrals of the modes of one degree (`quad_np_apply`), against kernel blocks
-built once per rule and radius without the material.  The residual sees modes
-mixed in by the rule (M_6^3 on an 8x16 rule: 4.4e-4), not an error that keeps
-the mode's shape (T_6^3 on 8x16: eigenvalue off by 2.3e-3, residual 9.4e-17).
+The scalar and elastic single layers and the N-P operator share one
+routine (`_pole_frame`): on the sphere each kernel is a combination of
+material-free blocks built once per rule and radius with the target at the
+pole, and the multiplier and its projection residual are read off the pole
+integrals of the modes of one degree.  The residual sees modes mixed in by
+the rule (N-P, M_6^3 on an 8x16 rule: 4.4e-4), not an error that keeps the
+mode's shape (N-P, T_6^3 on 8x16: eigenvalue off by 2.3e-3, residual 1.6e-17).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonics import ModeIndex, vector_modes
-from .kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_parts, kelvin_matrix
+from .kelvin import KernelCoeffs, LameParams, k1_kernel, k2_parts
 from .transmission import ShellGeometry
 
 
@@ -120,82 +121,10 @@ def _unit_nodes(rule: QuadratureRule, polar: bool) -> tuple[np.ndarray, np.ndarr
     return pts, weights
 
 
-def rotation_to_pole(x: np.ndarray) -> np.ndarray:
-    """Rotation Q with Q @ (x/|x|) = z-hat (Rodrigues, deterministic), for a
-    point (3,) or for each of the points (..., 3) at once, shape (..., 3, 3).
-    On the axis Q is the identity (+z-hat) or diag(1, -1, -1) (-z-hat)."""
-    xh = np.asarray(x, dtype=float)
-    xh = xh / np.linalg.norm(xh, axis=-1, keepdims=True)
-    v = np.cross(xh, [0.0, 0.0, 1.0])
-    s2 = np.sum(v * v, axis=-1)
-    c = xh[..., 2]
-    vx = np.cross(np.eye(3), v[..., None, :])  # row i: e_i x v, so vx @ u = v x u
-    on_axis = s2 < 1e-28
-    q = np.eye(3) + vx + vx @ vx * ((1 - c) / np.where(on_axis, 1.0, s2))[..., None, None]
-    pole = np.where(c[..., None, None] > 0, np.eye(3), np.diag([1.0, -1.0, -1.0]))
-    return np.where(on_axis[..., None, None], pole, q)
-
-
 def quad_surface_integral(f: Callable, rule: QuadratureRule, radius: float = 1.0) -> complex:
     """Integrate f(points (N,3)) -> (N,) over the sphere of given radius."""
     pts, w = rule.surface_nodes(radius)
     return fsum_c(np.asarray(f(pts)) * w)
-
-
-def _rotated_sources(idx: ModeIndex, lame: LameParams, x, rule: QuadratureRule, r0: float):
-    """Rotation Q of x to the pole, the nodes y = Q^T p rotated with it (the
-    singular target x at their pole), their weights, and the mode phi(y)."""
-    q = rotation_to_pole(x)
-    pts, w = rule.polar_nodes(r0)
-    y = pts @ q
-    (dens,) = vector_modes(idx.family, idx.n, [idx.m], lame, y / r0)
-    return q, y, w, dens.T
-
-
-def quad_scalar_sl(
-    idx: ModeIndex,
-    x: np.ndarray,
-    lame: LameParams,
-    rule: QuadratureRule,
-    r0: float = 1.0,
-    warn_unresolved: bool = False,
-) -> np.ndarray:
-    """Componentwise scalar single layer of a trace mode at x on the sphere.
-
-    Direct quadrature of gamma(x - y) phi(y) after rotating x to the pole;
-    the 1/|x-y| singularity is absorbed by the surface element.  With
-    warn_unresolved a half-order Richardson estimate is computed and a
-    RuntimeWarning is raised if it exceeds 1e-6 of the value.
-    """
-
-    def one_pass(r: QuadratureRule) -> np.ndarray:
-        _, y, w, dens = _rotated_sources(idx, lame, x, r, r0)
-        ker = gamma_laplace(x[None, :] - y)
-        return fsum_c((ker[:, None] * dens * w[:, None]).T)
-
-    x = np.asarray(x, dtype=float)
-    out = one_pass(rule)
-    if warn_unresolved:
-        half = QuadratureRule(max(rule.n_theta // 2, 2), max(rule.n_phi // 2, 4))
-        gap = np.linalg.norm(out - one_pass(half))
-        if gap > 1e-6 * max(np.linalg.norm(out), 1e-300):
-            msg = f"scalar single-layer quadrature not resolved for {idx}"
-            warnings.warn(f"{msg}: Richardson gap {gap:.2e}", RuntimeWarning, stacklevel=2)
-    return out
-
-
-def quad_elastic_sl(
-    idx: ModeIndex,
-    x: np.ndarray,
-    lame: LameParams,
-    rule: QuadratureRule,
-    r0: float = 1.0,
-) -> np.ndarray:
-    """Elastic single layer (Kelvin kernel) of a trace mode at x, |x| = r0."""
-    x = np.asarray(x, dtype=float)
-    _, y, w, dens = _rotated_sources(idx, lame, x, rule, r0)
-    ker = kelvin_matrix(x[None, :] - y, lame)
-    return fsum_c((np.einsum("aij,aj->ai", ker, dens) * w[:, None]).T)
 
 
 _POLE = np.array([0.0, 0.0, 1.0])
@@ -203,7 +132,7 @@ _POLE = np.array([0.0, 0.0, 1.0])
 
 @lru_cache(maxsize=4)
 def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only material-free kernel blocks of `quad_np_apply`, target at the pole r0 z-hat,
+    """Read-only material-free kernel blocks of `_pole_frame`, target at the pole r0 z-hat,
     weighted on the rule's polar nodes: K1 w and B w as (3, 3, N), and a w as (N,)."""
     p, w = rule.polar_nodes(r0)
     a, b = k2_parts(r0 * _POLE, p)
@@ -213,60 +142,70 @@ def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarra
     return blocks
 
 
-def quad_np_apply(
-    idx: ModeIndex,
-    lame: LameParams,
-    rule: QuadratureRule,
-    r0: float = 1.0,
-    residual_tol: float = 1e-4,
-) -> tuple[complex, float]:
-    """Eigenvalue estimate of the N-P operator on one trace mode, and the
-    relative L2 residual of K*[phi] orthogonal to the mode.
+def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float, k1: complex, ka: complex,
+                kb: complex, residual_tol: float, operator: str) -> tuple[complex, float]:
+    """Multiplier of the surface operator with kernel k1 K1 + ka a I + kb B on
+    the sphere of radius r0, estimated on one trace mode, and the relative L2
+    residual of its action orthogonal to the mode.
 
-    K*[phi] is the principal-value action with the kernel split
-    d/dnu_x G = -b1 K1 + K2.  K2 is weakly singular on the sphere as it
-    stands.  The strongly singular K1 has vanishing principal value against
-    constants on a sphere, so its p.v. action equals the absolutely
-    convergent integral of K1(x, y)(phi(y) - phi(x)).  Both are isotropic,
-    K(Qx, Qy) = Q K(x, y) Q^T, so with the target at the pole r0 z-hat they
-    are assembled once per rule and radius, material-free; b1, b2 applied per
-    mode: K2 = b1 a I + b2 B, with K1 w, a w, B w on the rule's polar nodes p
-    (`_pole_blocks`; Graham & Sloan, Numer. Math. 2002; Ganesh & Graham,
-    J. Comput. Phys. 2004).  Summed against each phi_k, k = -l..l
-    for the scalar degree l, they give the 2l + 1 pole integrals
-    I_k = K*[phi_k](r0 z-hat); the modes stream, one at a time, from one
-    harmonic table of p / r0 (`harmonics.vector_modes`).
+    K1, a and B are the material-free blocks of `_pole_blocks`, with the
+    target at the pole r0 z-hat and d = r0 z-hat - p for the rule's polar
+    nodes p: a = 1/(8 pi r0 |d|), B = a d d^t / |d|^2, and K1 the
+    antisymmetric part of the traction kernel.  On the sphere every kernel
+    the oracles integrate is such a combination: gamma = -2 r0 a, the Kelvin
+    matrix -2 r0 (alpha1 a I + alpha2 B), and the traction kernel
+    -b1 K1 + b1 a I + b2 B (Graham & Sloan, Numer. Math. 2002; Ganesh &
+    Graham, J. Comput. Phys. 2004).  The a and B parts are weakly singular
+    as they stand.  K1 is strongly singular, but has vanishing principal
+    value against constants on a sphere, so its p.v. action equals the
+    absolutely convergent integral of K1(x, y)(phi(y) - phi(x)); that term
+    runs only when k1 != 0.  Summed against each phi_k of the scalar degree
+    l, the blocks give the pole integrals I_k = K[phi_k](r0 z-hat); the
+    modes stream, one at a time, from one harmonic table of p / r0
+    (`harmonics.vector_modes`).
 
-    The modes are rotation covariant, Q phi_m(Q^T p) = sum_k D^l_km(Q) phi_k(p),
-    so K*[phi_m](x) = Q^T sum_k D^l_km(Q) I_k and phi_m(x) is the same sum of
-    the pole values phi_k(z-hat), with Q = R_z(phi) R_y(-theta) R_z(-phi) the
-    rotation of x to the pole.  Over the sphere of targets,
+    The kernels are isotropic, K(Qx, Qy) = Q K(x, y) Q^T, and the modes
+    rotation covariant, Q phi_m(Q^T p) = sum_k D^l_km(Q) phi_k(p), so
+    K[phi_m](x) = Q^T sum_k D^l_km(Q) I_k and phi_m(x) is the same sum of
+    the pole values phi_k(z-hat), with Q = R_z(phi) R_y(-theta) R_z(-phi)
+    the rotation of x to the pole.  Over the sphere of targets,
     int D^l_km(Q) conj(D^l_jm(Q)) = 4 pi / (2l + 1) delta_kj, so projecting
-    K*[phi_m] onto phi_m gives
+    K[phi_m] onto phi_m gives
         xi = sum_k I_k . conj(phi_k(z-hat)) / sum_k |phi_k(z-hat)|^2,
     and the residual is sum_k |I_k - xi phi_k(z-hat)|^2 over the same
     denominator, square-rooted.  Neither reads the order m: every order of
     a (family, n) gives the same pair.
 
+    Only the orders k with k mod n_phi in {0, 1, n_phi - 1} are evaluated.
+    The polar nodes are invariant under the rotation R by alpha = 2 pi / n_phi
+    about the axis, and phi_k(R p) = e^(i k alpha) R phi_k(p), so
+    I_k = e^(i k alpha) R I_k: I_k vanishes unless e^(-i k alpha) is an
+    eigenvalue of R, that is 1 or e^(+-i alpha).  The other orders also have
+    phi_k(z-hat) = 0, so leaving them out leaves xi as it is and takes only
+    rounding noise out of the residual; orders aliased by the rule
+    (k = +-7, +-8 for l = 8 on n_phi = 8) are kept and seen.
+
     A residual above residual_tol raises NonEigenfunctionError.  The
-    residual is the part of K*[phi] outside the mode, so it catches an input
+    residual is the part of K[phi] outside the mode, so it catches an input
     that is not an eigenfunction and a quadrature error that mixes in other
-    modes (M_6^3 on an 8x16 rule: 4.4e-4), but not an error that keeps the
-    mode's shape: T_6^3 on 8x16 is off its eigenvalue by 2.3e-3 with
-    residual 9.4e-17.  A small residual does not show that the rule resolves
-    the mode; only the gap to the closed form or to a finer rule does.
+    modes (N-P, M_6^3 on an 8x16 rule: 4.4e-4), but not an error that keeps
+    the mode's shape: N-P on T_6^3 on 8x16 is off its eigenvalue by 2.3e-3
+    with residual 1.6e-17.  A small residual does not show that the rule
+    resolves the mode; only the gap to the closed form or to a finer rule does.
     """
     k1w, bw, aw = _pole_blocks(rule, r0)
-    co = KernelCoeffs.from_lame(lame)
 
     def contracted(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = co.b1 * aw * psi  # the material scales the mode, not the blocks; in place, two (3, N) live
+        out = ka * aw * psi  # the material scales the mode, not the blocks; in place, two (3, N) live
         for j in range(3):
-            out += k1w[:, j] * (-co.b1 * (psi[j] - c[j]))
-            out += bw[:, j] * (co.b2 * psi[j])
+            if k1:
+                out += k1w[:, j] * (k1 * (psi[j] - c[j]))
+            if kb:
+                out += bw[:, j] * (kb * psi[j])
         return out
 
-    orders = range(-idx.scalar_degree, idx.scalar_degree + 1)
+    l = idx.scalar_degree
+    orders = [k for k in range(-l, l + 1) if k % rule.n_phi in (0, 1, rule.n_phi - 1)]
     pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, _POLE[None])))[..., 0]  # phi_k(z-hat)
     modes = vector_modes(idx.family, idx.n, orders, lame, rule.polar_nodes(r0)[0] / r0)
     integrals = np.stack([fsum_c(contracted(psi, c)) for psi, c in zip(modes, pole)])  # no mode outlives its sum
@@ -275,10 +214,41 @@ def quad_np_apply(
     resid = math.sqrt(fsum_c(np.ravel(np.abs(integrals - xi * pole) ** 2)).real / den)
     if resid > residual_tol:
         raise NonEigenfunctionError(
-            f"N-P mode {idx.family} n={idx.n} m={idx.m}: projection residual "
+            f"{operator} mode {idx.family} n={idx.n} m={idx.m}: projection residual "
             f"{resid:.3e} exceeds {residual_tol:.1e}"
         )
     return xi, resid
+
+
+def quad_scalar_sl(
+    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = 1e-4
+) -> tuple[complex, float]:
+    """Multiplier of the componentwise scalar single layer, kernel
+    gamma(x - y) = -1/(4 pi |x - y|), on one trace mode on the sphere of
+    radius r0, and its projection residual (`_pole_frame`)."""
+    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0, 0.0, residual_tol, "scalar single-layer")
+
+
+def quad_elastic_sl(
+    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = 1e-4
+) -> tuple[complex, float]:
+    """Multiplier of the elastic single layer, the Kelvin matrix G(x - y),
+    on one trace mode on the sphere of radius r0, and its projection
+    residual (`_pole_frame`)."""
+    co = KernelCoeffs.from_lame(lame)
+    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0 * co.alpha1, -2 * r0 * co.alpha2, residual_tol,
+                       "elastic single-layer")
+
+
+def quad_np_apply(
+    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = 1e-4
+) -> tuple[complex, float]:
+    """Eigenvalue of the N-P operator K*, the principal-value action of the
+    traction kernel d/dnu_x G = -b1 K1 + K2 with K2 = b1 a I + b2 B, on one
+    trace mode on the sphere of radius r0, and its projection residual
+    (`_pole_frame`)."""
+    co = KernelCoeffs.from_lame(lame)
+    return _pole_frame(idx, lame, rule, r0, -co.b1, co.b1, co.b2, residual_tol, "N-P")
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +318,16 @@ def fd_lame_residual(
     Zero (to FD accuracy) exactly when the field solves the homogeneous
     Lame system near x.  The scale combines the second- and first-derivative
     magnitudes so that locally affine solutions (whose Hessians vanish) are
-    still judged relative to something finite.  field maps points (S, 3) to
-    values (S, 3) and is called once.
+    still judged relative to something finite.  The material scale
+    |mu| + |lam + mu| is divided out before the norm, so a huge material
+    does not overflow it.  field maps points (S, 3) to values (S, 3) and is
+    called once.
     """
     grad, d2 = _fd_derivatives(field, x, stencil)
-    res = np.linalg.norm(_lame_operator(d2, lame))
+    res = np.linalg.norm(_lame_operator(d2, lame) / (abs(lame.mu) + abs(lame.lam + lame.mu)))
     hess_scale = max(np.sqrt(np.sum(np.abs(d2[i]) ** 2)) for i in range(3))
     grad_scale = np.sqrt(np.sum(np.abs(grad) ** 2))
-    scale = (abs(lame.mu) + abs(lame.lam + lame.mu)) * (hess_scale + grad_scale)
+    scale = hess_scale + grad_scale
     if scale == 0:
         return float(res)
     return float(res / scale)

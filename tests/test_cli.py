@@ -173,6 +173,18 @@ class TestValidate:
         assert (config["quad_theta"], config["quad_phi"]) == (64, 128)
         assert records and all((r["params"]["n_theta"], r["params"]["n_phi"]) == (24, 48) for r in records)
 
+    def test_layers_suite_checks_both_single_layers(self, tmp_path):
+        # every mode at every radius: one scalar and one elastic record, each with a residual
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", "layers", "--n-max", "2",
+                   "--quad-theta", "24", "--quad-phi", "48", "--out", str(out)])
+        assert rc == 0
+        recs = [_strict_json(l) for l in out.read_text().splitlines()[1:-1]]
+        keys = {(r["operation"], r["params"]["family"], r["params"]["n"], r["params"]["r0"]) for r in recs}
+        assert len(recs) == len(keys) == 2 * 3 * 2 * 3
+        assert {k[0] for k in keys} == {"scalar_single_layer", "elastic_single_layer"}
+        assert all(r["passed"] and 0 <= r["params"]["residual"] < 1e-14 for r in recs)
+
     def test_lame_suite(self, tmp_path):
         out = tmp_path / "v.jsonl"
         rc = main(["validate", "--suite", "lame", "--n-max", "4", "--out", str(out)])
@@ -521,6 +533,22 @@ class TestConfigHandling:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
         assert "overflow" in captured.err and "verdict" not in captured.out
         assert not out.exists() and not out.with_suffix(".csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_material_lame_suite(self, tmp_path):
+        # the FD Lame residual once squared L u ~ 1e200 in its norm: 17 `inf`
+        # records, a RuntimeWarning and exit 1; the material scale is now
+        # divided out first, so the records are those of lambda = mu = 1 up
+        # to the FD rounding noise (a_coeff differs in its last bit at n = 3, 4)
+        records = {}
+        for scale in ("1", "1e200"):
+            out = tmp_path / f"lame-{scale}.jsonl"
+            assert main(["validate", "--suite", "lame", "--lambda", scale, "--mu", scale, "--out", str(out)]) == 0
+            records[scale] = [_strict_json(l) for l in out.read_text().splitlines()[1:-1]]
+        assert len(records["1e200"]) == 18
+        for huge, unit in zip(records["1e200"], records["1"]):
+            assert huge["passed"] and huge["params"] == unit["params"]
+            assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-9
 
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",

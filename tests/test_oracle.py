@@ -22,7 +22,7 @@ from npshell.harmonics import (
     eval_ylm,
     vector_modes,
 )
-from npshell.kelvin import KernelCoeffs, LameParams, k1_kernel, k2_kernel
+from npshell.kelvin import KernelCoeffs, LameParams, gamma_laplace, k1_kernel, k2_kernel, kelvin_matrix
 from npshell.oracle import (
     FDStencil,
     NonEigenfunctionError,
@@ -38,7 +38,6 @@ from npshell.oracle import (
     quad_np_apply,
     quad_scalar_sl,
     quad_surface_integral,
-    rotation_to_pole,
 )
 from npshell.potentials import elastic_sl_coeff, np_eigenvalue, scalar_sl_multiplier
 from npshell.transmission import ShellGeometry
@@ -62,24 +61,6 @@ class TestQuadratureRule:
     def test_colatitude_floor(self, n_theta):
         with pytest.raises(ValueError, match=f"n_theta={n_theta}"):
             QuadratureRule(n_theta, 128)
-
-    def test_rotation_to_pole(self, rng):
-        for _ in range(10):
-            x = rng.normal(size=3)
-            q = rotation_to_pole(x)
-            assert_allclose(q @ q.T, np.eye(3), atol=1e-14)
-            assert_allclose(q @ (x / np.linalg.norm(x)), [0, 0, 1], atol=1e-14)
-        assert_allclose(rotation_to_pole(np.array([0, 0, 1.0])), np.eye(3))
-        q = rotation_to_pole(np.array([0, 0, -1.0]))
-        assert_allclose(q @ np.array([0, 0, -1.0]), [0, 0, 1], atol=1e-15)
-
-    def test_rotations_of_many_targets_at_once(self, rng):
-        x = np.vstack([rng.normal(size=(20, 3)), [[0, 0, 2.0], [0, 0, -0.5]]])
-        q = rotation_to_pole(x.reshape(2, 11, 3))
-        assert q.shape == (2, 11, 3, 3)
-        for xi, qi in zip(x, q.reshape(-1, 3, 3)):
-            assert_allclose(qi, _rotation_to_pole_one(xi), rtol=0, atol=1e-15)
-        assert np.array_equal(q[1, -2], np.eye(3)) and np.array_equal(q[1, -1], np.diag([1.0, -1.0, -1.0]))
 
 
 def _rotation_to_pole_one(x):
@@ -124,89 +105,54 @@ def _ylm_at(n, m, pts):
     return eval_ylm(n, m, theta, phi)
 
 
+def _assert_multiplier(est, resid, ref, rtol=1e-6):
+    """The L2 distance of the action from ref phi over the sphere of targets,
+    hypot(|est - ref|, resid) relative to |ref phi|, within rtol."""
+    assert math.hypot(abs(est - ref), resid) < rtol * abs(ref), (est, resid, ref)
+
+
 class TestScalarSLQuadrature:
     def test_m_mode(self, lame, rule):
-        idx = ModeIndex("M", 2, 0)
-        x = np.array([0.2, -0.5, 0.9])
-        x /= np.linalg.norm(x)
-        val = quad_scalar_sl(idx, x, lame, rule)
-        _, t, p = _angles(x)
-        ref = -eval_trace_mode(idx, lame, t, p) / 3
-        assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
+        _assert_multiplier(*quad_scalar_sl(ModeIndex("M", 2, 0), lame, rule), -1 / 3)
 
     def test_t_mode(self, lame, rule):
-        idx = ModeIndex("T", 2, 0)
-        x = np.array([0.6, 0.3, -0.6])
-        x /= np.linalg.norm(x)
-        val = quad_scalar_sl(idx, x, lame, rule)
-        _, t, p = _angles(x)
-        ref = -0.2 * eval_trace_mode(idx, lame, t, p)
-        assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
+        _assert_multiplier(*quad_scalar_sl(ModeIndex("T", 2, 0), lame, rule), -0.2)
 
     def test_linearity(self, lame, rule):
-        # the quadrature is linear in the density by construction of the sum;
-        # verified through the multiplier scaling with the radius
+        # the multiplier scales with the radius
         idx = ModeIndex("N", 3, 1)
-        x = np.array([0.0, 0.8, 0.6])
         for r0 in (0.5, 2.0):
-            val = quad_scalar_sl(idx, r0 * x, lame, rule, r0)
-            _, t, p = _angles(x)
-            ref = scalar_sl_multiplier(idx.family, idx.n, r0) * eval_trace_mode(idx, lame, t, p)
-            assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
+            _assert_multiplier(*quad_scalar_sl(idx, lame, rule, r0), scalar_sl_multiplier(idx.family, idx.n, r0))
 
     def test_convergence_with_order(self, lame):
         # doubling the rule reduces the error by far more than 4x until the floor
         idx = ModeIndex("M", 4, 2)
-        x = np.array([0.3, 0.4, 0.87])
-        x /= np.linalg.norm(x)
-        _, t, p = _angles(x)
-        ref = scalar_sl_multiplier(idx.family, idx.n, 1.0) * eval_trace_mode(idx, lame, t, p)
+        ref = scalar_sl_multiplier(idx.family, idx.n, 1.0)
         errs = []
         for n_theta in (8, 16, 32):
-            val = quad_scalar_sl(idx, x, lame, QuadratureRule(n_theta, 2 * n_theta))
-            errs.append(np.linalg.norm(val - ref) / np.linalg.norm(ref))
+            est, resid = quad_scalar_sl(idx, lame, QuadratureRule(n_theta, 2 * n_theta), residual_tol=1.0)
+            errs.append(math.hypot(abs(est - ref), resid) / abs(ref))
         assert errs[1] < errs[0] / 4 or errs[1] < 1e-8
         assert errs[2] < errs[1] / 4 or errs[2] < 1e-8
-
-
-def _angles(x):
-    r = np.linalg.norm(x)
-    return r, np.arccos(x[2] / r), np.arctan2(x[1], x[0])
 
 
 class TestElasticSLQuadrature:
     def test_t_density_interior_coeff(self, lame, rule):
         # quadrature reproduces d1 * r0 * T on the boundary
         n, m, r0 = 2, 1, 1.0
-        idx = ModeIndex("T", n, m)
-        x = np.array([0.48, 0.6, 0.64])
-        x *= r0 / np.linalg.norm(x)
-        val = quad_elastic_sl(idx, x, lame, rule, r0)
-        _, t, p = _angles(x)
         d1 = -1 / (lame.mu * (2 * n + 1))
-        ref = d1 * r0 * eval_trace_mode(idx, lame, t, p)
-        assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
+        _assert_multiplier(*quad_elastic_sl(ModeIndex("T", n, m), lame, rule, r0), d1 * r0)
 
     def test_m_density_boundary_value(self, lame, rule):
         n, m = 2, 0
-        idx = ModeIndex("M", n, m)
-        x = np.array([-0.3, 0.5, 0.81])
-        x /= np.linalg.norm(x)
-        val = quad_elastic_sl(idx, x, lame, rule, 1.0)
-        _, t, p = _angles(x)
-        ref = elastic_sl_coeff("M", n, lame) * eval_trace_mode(idx, lame, t, p)
-        assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
+        _assert_multiplier(*quad_elastic_sl(ModeIndex("M", n, m), lame, rule, 1.0), elastic_sl_coeff("M", n, lame))
 
     def test_mn_general_radius_rescaling(self, lame, rule):
         # boundary value scales like r0 for the M and N families as well
-        x = np.array([0.6, -0.64, 0.48])
         for fam, n in (("M", 3), ("N", 3)):
             idx = ModeIndex(fam, n, 0)
             for r0 in (0.5, 1.0, 2.0):
-                val = quad_elastic_sl(idx, r0 * x, lame, rule, r0)
-                _, t, p = _angles(x)
-                ref = elastic_sl_coeff(fam, n, lame) * r0 * eval_trace_mode(idx, lame, t, p)
-                assert np.linalg.norm(val - ref) < 1e-6 * np.linalg.norm(ref)
+                _assert_multiplier(*quad_elastic_sl(idx, lame, rule, r0), elastic_sl_coeff(fam, n, lame) * r0)
 
 
 class TestNPQuadrature:
@@ -255,8 +201,8 @@ class TestNPQuadrature:
     def test_k1_subtraction_on_a_tilted_rule(self, idx, lame, tilted_polar_nodes):
         # Tilted 0.2 rad about y, the nodes no longer cancel sum K1 w against
         # constants by symmetry, so the p.v. needs phi(y) - phi(x): without
-        # the subtraction the residual is 0.10-0.13, with it 0.9e-3 to
-        # 2.1e-3; xi is the same either way, so only the residual pins it.
+        # the subtraction the residual is 0.10-0.13, with it 0.8e-3 to
+        # 2.0e-3; xi is the same either way, so only the residual pins it.
         _, resid = quad_np_apply(idx, lame, QuadratureRule(64, 128), residual_tol=1.0)
         assert resid <= 5e-3
 
@@ -309,21 +255,33 @@ def fresh_pole_blocks():
 
 
 class TestPoleFrame:
-    """quad_np_apply reads (eigenvalue, residual) off the 2l + 1 pole
-    integrals; the reference assembles K1/K2 at every target of an outer
-    grid, as the oracle once did, and projects onto the mode there."""
+    """quad_scalar_sl, quad_elastic_sl and quad_np_apply read (multiplier,
+    residual) off the pole integrals; the reference assembles the kernel at
+    every target of an outer grid, as the oracles once did, and projects
+    onto the mode there."""
 
     # Eigenvalues 0.21, 0.5 and 0.13-0.19: both routes round at ~1e-14 of the
     # integrand, so a mode with a small K*[phi] (M_2: 1/90) would measure that
     # rounding rather than the frame.
     MODES = (ModeIndex("T", 3, 1), ModeIndex("M", 1, 1), ModeIndex("N", 3, -1))
+    MATERIALS = [LameParams(2.0, 1.0), LameParams(-4 + 0.05j, -4 + 0.05j)]
 
-    @pytest.mark.parametrize("lp", [LameParams(2.0, 1.0), LameParams(-4 + 0.05j, -4 + 0.05j)])
+    @pytest.mark.parametrize("lp", MATERIALS)
     def test_matches_kernel_assembled_at_the_target(self, lp):
         rule, r0 = QuadratureRule(24, 48), 1.5
         for idx in self.MODES:
             est, _ = quad_np_apply(idx, lp, rule, r0)
-            ref, _ = _np_projection_at_targets(idx, lp, rule, r0)
+            ref, _ = _projection_at_targets(idx, lp, rule, r0, "np")
+            assert abs(est - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("lp", MATERIALS)
+    @pytest.mark.parametrize("op", ["scalar", "elastic"])
+    def test_single_layers_match_kernels_assembled_at_the_target(self, op, lp):
+        # the per-target rotated quadrature these oracles replace
+        rule, r0 = QuadratureRule(24, 48), 1.5
+        for idx in self.MODES:
+            est, _ = _TARGET_KERNELS[op][0](idx, lp, rule, r0)
+            ref, _ = _projection_at_targets(idx, lp, rule, r0, op)
             assert abs(est - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("idx", [ModeIndex("M", 6, 3), ModeIndex("N", 5, 2)],
@@ -332,7 +290,19 @@ class TestPoleFrame:
         # on 8x16 both modes mix with others, so the residual is far from rounding
         rule = QuadratureRule(8, 16)
         est, resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
-        ref, ref_resid = _np_projection_at_targets(idx, lame, rule, 1.0)
+        ref, ref_resid = _projection_at_targets(idx, lame, rule, 1.0, "np")
+        assert resid > 1e-6
+        assert abs(resid - ref_resid) <= 1e-9 * ref_resid
+        assert abs(est - ref) <= 1e-12 * abs(ref)
+
+    def test_orders_aliased_by_the_rule_are_kept(self, lame, monkeypatch):
+        # on 4x8, orders +-7 and +-8 of M_8 alias to 1, 0 and -1, so they are
+        # evaluated, and (multiplier, residual) match the reference
+        idx, rule = ModeIndex("M", 8, 0), QuadratureRule(4, 8)
+        orders = _count_orders(rule, monkeypatch)
+        est, resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
+        assert orders == [-8, -7, -1, 0, 1, 7, 8]
+        ref, ref_resid = _projection_at_targets(idx, lame, rule, 1.0, "np")
         assert resid > 1e-6
         assert abs(resid - ref_resid) <= 1e-9 * ref_resid
         assert abs(est - ref) <= 1e-12 * abs(ref)
@@ -345,7 +315,8 @@ class TestPoleFrame:
         assert len(pairs) == 1
 
     def test_kernels_assembled_once_per_rule_and_radius(self, lame, monkeypatch, fresh_pole_blocks):
-        # the material enters per mode, so a real and a lossy one share the blocks
+        # the kernel and the material enter per mode, so the scalar, elastic
+        # and N-P oracles, for a real and a lossy material, share the blocks
         calls = []
         for name in ("k1_kernel", "k2_parts"):
             kernel = getattr(oracle, name)
@@ -354,9 +325,10 @@ class TestPoleFrame:
             )
         idx, rule = ModeIndex("T", 3, 2), QuadratureRule(16, 32)
         for lp in (lame, LameParams(-4 + 0.05j, -4 + 0.05j)):
-            quad_np_apply(idx, lp, rule)
+            for quad in (quad_scalar_sl, quad_elastic_sl, quad_np_apply):
+                quad(idx, lp, rule)
         assert sorted(calls) == ["k1_kernel", "k2_parts"]
-        quad_np_apply(idx, lame, rule, r0=2.0)
+        quad_scalar_sl(idx, lame, rule, r0=2.0)
         assert sorted(calls) == ["k1_kernel", "k1_kernel", "k2_parts", "k2_parts"]
 
     def test_cached_blocks_are_read_only(self):
@@ -368,50 +340,65 @@ class TestPoleFrame:
                                      ModeIndex("N", 4, -2), ModeIndex("M", 1, 1)],
                              ids=lambda i: f"{i.family}{i.n}^{i.m}")
     def test_modes_evaluated_once_per_order_per_call(self, idx, lame, monkeypatch):
-        # each of the 2l + 1 orders meets the rule's nodes once, whatever m is
+        # each order k of -l..l with k mod n_phi in {0, 1, n_phi - 1} meets
+        # the rule's nodes once, whatever m is; on 16x32 those are -1, 0, 1
         rule = QuadratureRule(16, 32)
-        orders = []
-
-        def counted(family, n, js, lame, unit):
-            js = list(js)
-            if len(unit) >= rule.n_theta * rule.n_phi:
-                orders.extend(js)
-            return vector_modes(family, n, js, lame, unit)
-
-        monkeypatch.setattr(oracle, "vector_modes", counted)
+        orders = _count_orders(rule, monkeypatch)
         quad_np_apply(idx, lame, rule)
-        l = idx.scalar_degree
-        assert orders == list(range(-l, l + 1))
+        assert orders == [-1, 0, 1]
 
 
-def _np_pointwise_at_target(idx, x, lame, rule, r0):
-    """K*[phi](x) with K1/K2 assembled at x on the rotated nodes, and
-    math.fsum per component."""
-    co = KernelCoeffs.from_lame(lame)
-    nu_x = x / np.linalg.norm(x)
+def _count_orders(rule, monkeypatch):
+    """The list that collects, in call order, the orders `vector_modes` is
+    asked for on the nodes of the rule."""
+    orders = []
+
+    def counted(family, n, js, lame, unit):
+        js = list(js)
+        if len(unit) >= rule.n_theta * rule.n_phi:
+            orders.extend(js)
+        return vector_modes(family, n, js, lame, unit)
+
+    monkeypatch.setattr(oracle, "vector_modes", counted)
+    return orders
+
+
+# operator -> (pole-frame oracle, kernel(x, y, lame) -> (N, 3, 3), K1 weight)
+_TARGET_KERNELS = {
+    "scalar": (quad_scalar_sl, lambda x, y, lp: gamma_laplace(x - y)[:, None, None] * np.eye(3), lambda lp: 0.0),
+    "elastic": (quad_elastic_sl, lambda x, y, lp: kelvin_matrix(x - y, lp), lambda lp: 0.0),
+    "np": (quad_np_apply, k2_kernel, lambda lp: -KernelCoeffs.from_lame(lp).b1),
+}
+
+
+def _pointwise_at_target(idx, x, lame, rule, r0, op):
+    """K[phi](x) with the kernel of op assembled at x on the nodes rotated
+    to x, and math.fsum per component; for the N-P operator K2 and
+    -b1 K1 against phi(y) - phi(x)."""
+    _, kernel, k1_weight = _TARGET_KERNELS[op]
     pts, w = rule.polar_nodes(r0)
-    y = pts @ rotation_to_pole(x)
+    y = pts @ _rotation_to_pole_one(x)
     dens = eval_trace_mode(idx, lame, *_cartesian_angles(y)[1:])
-    dens_x = eval_trace_mode(idx, lame, *_cartesian_angles(x)[1:])
-    k1 = k1_kernel(x[None, :], y, nu_x[None, :])
-    k2 = k2_kernel(x[None, :], y, lame)
-    vals = -co.b1 * np.einsum("aij,aj->ai", k1, dens - dens_x[None, :])
-    vals += np.einsum("aij,aj->ai", k2, dens)
+    vals = np.einsum("aij,aj->ai", kernel(x[None, :], y, lame), dens)
+    if k1 := k1_weight(lame):
+        dens_x = eval_trace_mode(idx, lame, *_cartesian_angles(x)[1:])
+        k1_block = k1_kernel(x[None, :], y, x[None, :] / np.linalg.norm(x))
+        vals += k1 * np.einsum("aij,aj->ai", k1_block, dens - dens_x[None, :])
     vals *= w[:, None]
     return np.array(
         [complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist())) for v in vals.T]
     )
 
 
-def _np_projection_at_targets(idx, lame, rule, r0):
-    """(eigenvalue, residual) of K*[phi] projected onto phi over an outer
+def _projection_at_targets(idx, lame, rule, r0, op):
+    """(multiplier, residual) of K[phi] projected onto phi over an outer
     (l + 2) x (4l + 4) Gauss grid of targets on the sphere of radius r0, with
-    K*[phi] from `_np_pointwise_at_target` at each.  The rule integrates
+    K[phi] from `_pointwise_at_target` at each.  The rule integrates
     the projection integrands, harmonics of degree <= 2l and order <= 2l in
     the target, exactly."""
     l = idx.scalar_degree
     pts, w = QuadratureRule(l + 2, 4 * l + 4).surface_nodes(r0)
-    vals = np.stack([_np_pointwise_at_target(idx, x, lame, rule, r0) for x in pts])
+    vals = np.stack([_pointwise_at_target(idx, x, lame, rule, r0, op) for x in pts])
     modes = eval_trace_mode(idx, lame, *_cartesian_angles(pts)[1:])
     w = w[:, None]
     den = np.sum(np.abs(modes) ** 2 * w)
@@ -621,18 +608,6 @@ class TestResolutionWarnings:
 
         with pytest.warns(RuntimeWarning):
             gram_matrix(8, lame, QuadratureRule(8, 16))
-
-    def test_scalar_sl_richardson_warning(self, lame):
-        idx = ModeIndex("M", 6, 2)
-        x = np.array([0.6, 0.0, 0.8])
-        with pytest.warns(RuntimeWarning):
-            quad_scalar_sl(idx, x, lame, QuadratureRule(6, 12), warn_unresolved=True)
-        # resolved rule stays silent
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            quad_scalar_sl(idx, x, lame, QuadratureRule(48, 96), warn_unresolved=True)
 
     def test_high_degree_quadrature_agreement(self, lame):
         # principal-value route keeps 1e-6 accuracy out to degree 8 modes
