@@ -7,7 +7,8 @@ CSV writer.  Every artifact echoes the effective configuration, every flag
 included, in its header; identical runs are byte-identical.
 Exit codes: 0 success, 1 validation failure (a failed record, or a mode
 whose projection residual shows it is no eigenfunction of a surface
-operator at the rule used), 2 bad input or a numerical failure (overflow, exact resonance).
+operator at the rule used), 2 bad input or a numerical failure (overflow,
+exact resonance).
 """
 
 from __future__ import annotations
@@ -196,18 +197,18 @@ def cmd_spectrum(cfg: dict) -> int:
 def _suite_layers(lame, rule, n_max, records):
     for r0 in (0.5, 1.0, 2.0):
         for idx in _suite_modes(n_max):
-            params = {**asdict(idx), "r0": r0}
             for op, quad, closed in (
                 ("scalar_single_layer", quad_scalar_sl, scalar_sl_multiplier(idx.family, idx.n, r0)),
                 ("elastic_single_layer", quad_elastic_sl, r0 * elastic_sl_coeff(idx.family, idx.n, lame)),
             ):
                 est, resid = quad(idx, lame, rule, r0)
-                records.append(compare(op, {**params, "residual": resid, **asdict(rule)}, complex(closed), est, 1e-6))
+                params = {**asdict(idx), "r0": r0, "residual": resid, **asdict(rule)}
+                records.append(compare(op, params, complex(closed), est, 1e-6))
 
 
 def _suite_modes(n_max):
-    """The modes the layers, np and lame suites check: every family and degree up to
-    n_max, at order 1 (0 for N_1)."""
+    """The modes the layers, np and lame suites check: every family and
+    degree up to n_max, at order 1 (0 for N_1)."""
     return [ModeIndex(fam, n, min(1, n - 1) if fam == "N" else 1) for fam in harmonics.FAMILIES
             for n in range(1, n_max + 1)]
 
