@@ -459,15 +459,17 @@ def a_coeff(n, lame: "LameParams"):
     """Radial-mixing coefficient of the N family, elementwise in n.
 
     (2(n-1) lam + 2(3n-2) mu) / ((n+2) lam + (n+4) mu); independent of the
-    order m.  Complex Lame parameters pass through unchanged; an int n gives
-    a Python float (complex for a complex pair).
+    order m.  It is formed in t = lam / mu, so it depends on the material's
+    ratio alone, to the last bit.  Complex Lame parameters pass through
+    unchanged; an int n gives a Python float (complex for a complex pair).
     """
     if (np.asarray(n) < 1).any():
         raise ValueError("n must be >= 1")
-    den = (n + 2) * lame.lam + (n + 4) * lame.mu
+    t = lame.lam / lame.mu
+    den = (n + 2) * t + (n + 4)
     if np.any(den == 0):
         raise SingularParameterError(f"a_coeff denominator vanishes at n={np.extract(den == 0, n)}")
-    val = (2 * (n - 1) * lame.lam + 2 * (3 * n - 2) * lame.mu) / den
+    val = (2 * (n - 1) * t + 2 * (3 * n - 2)) / den
     if np.ndim(n):
         return val
     return complex(val) if np.iscomplexobj(val) else float(val)

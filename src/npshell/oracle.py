@@ -128,6 +128,7 @@ def quad_surface_integral(f: Callable, rule: QuadratureRule, radius: float = 1.0
 
 
 _POLE = np.array([0.0, 0.0, 1.0])
+_RESIDUAL_TOL = 1e-4  # projection residual above which a pole-frame check raises
 
 
 @lru_cache(maxsize=4)
@@ -220,28 +221,24 @@ def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: floa
     return xi, resid
 
 
-def quad_scalar_sl(
-    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = 1e-4
-) -> tuple[complex, float]:
+def quad_scalar_sl(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0) -> tuple[complex, float]:
     """Multiplier of the componentwise scalar single layer, kernel
     gamma(x - y) = -1/(4 pi |x - y|), on one trace mode on the sphere of
     radius r0, and its projection residual (`_pole_frame`)."""
-    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0, 0.0, residual_tol, "scalar single-layer")
+    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0, 0.0, _RESIDUAL_TOL, "scalar single-layer")
 
 
-def quad_elastic_sl(
-    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = 1e-4
-) -> tuple[complex, float]:
+def quad_elastic_sl(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0) -> tuple[complex, float]:
     """Multiplier of the elastic single layer, the Kelvin matrix G(x - y),
     on one trace mode on the sphere of radius r0, and its projection
     residual (`_pole_frame`)."""
     co = KernelCoeffs.from_lame(lame)
-    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0 * co.alpha1, -2 * r0 * co.alpha2, residual_tol,
+    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0 * co.alpha1, -2 * r0 * co.alpha2, _RESIDUAL_TOL,
                        "elastic single-layer")
 
 
 def quad_np_apply(
-    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = 1e-4
+    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = _RESIDUAL_TOL
 ) -> tuple[complex, float]:
     """Eigenvalue of the N-P operator K*, the principal-value action of the
     traction kernel d/dnu_x G = -b1 K1 + K2 with K2 = b1 a I + b2 B, on one

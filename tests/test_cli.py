@@ -185,6 +185,22 @@ class TestValidate:
         assert {k[0] for k in keys} == {"scalar_single_layer", "elastic_single_layer"}
         assert all(r["passed"] and 0 <= r["params"]["residual"] < 1e-14 for r in recs)
 
+    def test_layers_record_fails_on_its_residual(self, tmp_path, monkeypatch):
+        # the exact multiplier with a residual of 1e-5 of it: the shape is
+        # wrong, so the record fails although its gap is zero
+        def off_shape(idx, lame, rule, r0):
+            closed = r0 * cli.elastic_sl_coeff(idx.family, idx.n, lame)
+            return complex(closed), 1e-5 * abs(closed)
+
+        monkeypatch.setattr(cli, "quad_elastic_sl", off_shape)
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", "layers", "--n-max", "1",
+                   "--quad-theta", "24", "--quad-phi", "48", "--out", str(out)])
+        assert rc == 1
+        recs = [_strict_json(l) for l in out.read_text().splitlines()[1:-1]]
+        assert {r["operation"] for r in recs if not r["passed"]} == {"elastic_single_layer"}
+        assert all(r["oracle"] == r["closed_form"] for r in recs if not r["passed"])
+
     def test_lame_suite(self, tmp_path):
         out = tmp_path / "v.jsonl"
         rc = main(["validate", "--suite", "lame", "--n-max", "4", "--out", str(out)])
@@ -538,8 +554,8 @@ class TestConfigHandling:
     def test_huge_material_lame_suite(self, tmp_path):
         # the FD Lame residual once squared L u ~ 1e200 in its norm: 17 `inf`
         # records, a RuntimeWarning and exit 1; the material scale is now
-        # divided out first, so the records are those of lambda = mu = 1 up
-        # to the FD rounding noise (a_coeff differs in its last bit at n = 3, 4)
+        # divided out first, and a_coeff reads only lambda / mu, so the
+        # records are those of lambda = mu = 1
         records = {}
         for scale in ("1", "1e200"):
             out = tmp_path / f"lame-{scale}.jsonl"
@@ -548,7 +564,7 @@ class TestConfigHandling:
         assert len(records["1e200"]) == 18
         for huge, unit in zip(records["1e200"], records["1"]):
             assert huge["passed"] and huge["params"] == unit["params"]
-            assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-9
+            assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-12
 
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",

@@ -130,7 +130,7 @@ class TestScalarSLQuadrature:
         ref = scalar_sl_multiplier(idx.family, idx.n, 1.0)
         errs = []
         for n_theta in (8, 16, 32):
-            est, resid = quad_scalar_sl(idx, lame, QuadratureRule(n_theta, 2 * n_theta), residual_tol=1.0)
+            est, resid = quad_scalar_sl(idx, lame, QuadratureRule(n_theta, 2 * n_theta))
             errs.append(math.hypot(abs(est - ref), resid) / abs(ref))
         assert errs[1] < errs[0] / 4 or errs[1] < 1e-8
         assert errs[2] < errs[1] / 4 or errs[2] < 1e-8
