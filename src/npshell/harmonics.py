@@ -7,19 +7,20 @@ evaluator (`vector_modes`): the solid (volume) modes, whose values at unit
 points are the trace (surface) modes.
 
 Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
-the (order x degree) Legendre table in z = cos theta without its sin^a theta
-factors, one degree recurrence for all orders (`_legendre_table`), and the
-Re/Im (x + i y)^a rows of the unit vectors.  No angle is formed, so it is
-exact on the polar axis and keeps full accuracy next to it.  Scattered
-points go through `solid_harmonic_series`; product grids (rings x azimuths)
-through `solid_harmonic_shells`, which factors the table the same way.  The seed's
-single-mode ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
+the (order x degree) Legendre table in z = cos theta, one degree recurrence
+for all orders (`_legendre_table`), and the Re/Im (x + i y)^a rows; no angle
+is formed, so it is exact on the polar axis and accurate next to it.
+`solid_harmonic_series` takes scattered points; `solid_harmonic_shells` and
+`vector_modes` take product grids (rings, azimuths, 3), scattered points as
+(N, 1), through one table step (`_grid_columns`).  The seed's single-mode
+ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
 `grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -174,8 +175,8 @@ def _harmonic_columns(top: int, nu, count: int, st=1.0):
     the orders a < count (<= top + 1): (legendre, trig) with Y_k^a =
     legendre[a, k] (trig[a, 0] + i trig[a, 1]), k = a..top.  No angles:
     legendre[a, k] = P~_k^a(z) / sin^a theta (`_legendre_table` seeded with
-    st = 1) and trig[a] = Re/Im (x + i y)^a, a running product.  Given the
-    rings' z and st of a product grid, legendre is P~_k^a(z) and x, y are cos phi, sin phi."""
+    st = 1) and trig[a] = Re/Im (x + i y)^a, a running product; seeded with
+    st = sin theta, legendre is P~_k^a(z) and x, y are cos phi, sin phi."""
     x, y, z = nu
     trig = np.zeros((count, 2, len(x)))
     trig[:1, 0] = 1.0  # no rows for count = 0
@@ -414,30 +415,42 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     return _field_gradient(out, sets, xyz.shape, gradient)
 
 
+def _grid_columns(top: int, unit: np.ndarray, count: int):
+    """`_harmonic_columns` on a product grid `unit` (rings, azimuths, 3), each ring
+    at one z: (legendre, trig) of shapes (2 count, top + 1, rings) and (2 count,
+    azimuths), Y_k^a at (ring i, azimuth j) the sum over the Re/Im parts p of
+    (1, i)[p] legendre[2a + p, k, i] trig[2a + p, j]; seeded with each ring's
+    sin theta, at the widest ring's azimuths (phi = 0 on the axis, where P~_k^a
+    = 0 for a > 0).  An (N, 1) grid keeps each point's own azimuth: legendre is
+    P~_k^a / sin^a theta times Re/Im (x + i y)^a, trig 1."""
+    if unit.shape[1] == 1:
+        legendre, trig = _harmonic_columns(top, unit[:, 0].T, count)
+        return (legendre[:, None] * trig[:, :, None]).reshape(2 * count, top + 1, len(unit)), np.ones((2 * count, 1))
+    st = np.hypot(unit[:, 0, 0], unit[:, 0, 1])
+    w = np.argmax(st)
+    phi = unit[w, :, :2] / st[w] if st[w] else np.tile([1.0, 0.0], (unit.shape[1], 1))
+    legendre, trig = _harmonic_columns(top, (*phi.T, unit[:, 0, 2]), count, st)
+    return np.repeat(legendre, 2, axis=0), trig.reshape(2 * count, unit.shape[1])
+
+
 def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False):
     """The (u, grad u or None) of `solid_harmonic_series` at the points
     r * unit, one shell per radius r of `radii`, on a product grid `unit`
     (rings, azimuths, 3): each ring at one z, all at the same azimuths.
     Coefficients of shape (sets, modes) give fields with a leading sets axis.
 
-    The table factors (`_harmonic_columns`, once for all shells and sets):
-    P~_k^a at the ring cosines, seeded with each ring's sin theta, times Re/Im
-    (cos phi + i sin phi)^a at the widest ring's azimuths.  Each shell folds
-    its r^k and r^-(k+1) into the coefficient rows, then makes one batched
-    (rows x degrees) by (degrees x rings) product per Re/Im part of every
-    order and one (rows x rings, part) by (part, azimuth) product."""
+    The table factors (`_grid_columns`, once for all shells and sets) into
+    Legendre columns at the rings and Re/Im rows at the azimuths.  Each shell
+    folds its r^k and r^-(k+1) into the coefficient rows, then makes one
+    batched (rows x degrees) by (degrees x rings) product per Re/Im part of
+    every order and one (rows x rings, part) by (part, azimuth) product."""
     unit = np.asarray(unit, dtype=float)
     rings, azimuths, _ = unit.shape
     kinds, top, sets, coef = _series_orders(n, m, regular, decaying, gradient)
-    st = np.hypot(unit[:, 0, 0], unit[:, 0, 1])
-    w = np.argmax(st)  # the widest ring's (cos phi, sin phi); phi = 0 on the axis, where P~_k^a = 0 for a > 0
-    phi = unit[w, :, :2] / st[w] if st[w] else np.tile([1.0, 0.0], (azimuths, 1))
-    legendre, trig = _harmonic_columns(top, (*phi.T, unit[:, 0, 2]), len(coef), st)
     part = np.arange(2 * len(coef)) != 1  # the Re/Im (cos phi + i sin phi)^a parts but Im of a = 0, which is 0
+    legendre, trig = (t[part] for t in _grid_columns(top, unit, len(coef)))
     width = 2 * math.prod(sets) * (12 if gradient else 3) * rings  # re/im x set x component x ring
     coef = coef.reshape((2 * len(coef),) + coef.shape[2:])[part]
-    legendre = np.repeat(legendre, 2, axis=0)[part]
-    trig = trig.reshape(2 * len(trig), azimuths)[part]
     for r in radii:
         powers = r ** np.arange(top + 2.0)
         f = np.where(np.array(kinds, dtype=bool)[:, None], 1.0 / powers[1:], powers[:-1])  # (kind, degree)
@@ -475,29 +488,28 @@ def a_coeff(n, lame: "LameParams"):
     return complex(val) if np.iscomplexobj(val) else float(val)
 
 
-def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", xyz) -> Iterator[np.ndarray]:
-    """The solid vector harmonics (family, n, m) at points (N, 3), one complex
-    (3, N) array per order m of `orders`, in request order.  At unit points
-    they are the traces on the unit sphere.
+def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", unit, r=1.0) -> Iterator[np.ndarray]:
+    """The solid vector harmonics (family, n, m) at the points r * unit, on a
+    product grid `unit` of unit vectors (rings, azimuths, 3), each ring at one
+    z, and r one radius per ring (a scalar or shape (rings, 1)): one complex
+    (3, rings x azimuths) array per order m of `orders`, in request order.
+    At r = 1 they are the traces on the unit sphere.
 
     T_n^m = grad(r^n Y_n^m) x x        (rotational, divergence free)
     M_n^m = grad(r^n Y_n^m)            (irrotational, divergence free)
     N_n^m = a_n r^{n-1} Y_{n-1}^m x + (1 - a_n/(2n-1) - r^2) grad(r^{n-1} Y_{n-1}^m)
 
     All three solve the homogeneous Lame system; T and M do not depend on
-    the material.  One real table per call: the degree row of the
-    `_harmonic_columns` at x / r, every order the weights reach, scaled by
-    r^degree (homogeneity); each mode is one (3 x rows) by (rows x N)
-    product with it: T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on
-    degree n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m)
-    is `_ladder_weights` on degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m)
-    / l (Euler).  The weights on the table rows (`_row_weights`) are
-    evaluated once, as arrays over all requested orders.  The modes are made
-    one at a time, as the returned iterator is advanced, and only the
-    consumer holds one.
-    """
-    pts = np.asarray(xyz, dtype=float)
-    unit, r = _unit_and_radius(pts)
+    the material.  T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on degree
+    n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m) is
+    `_ladder_weights` on degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m) / l
+    (Euler).  One table per call (`_grid_columns`): each ring's row of that
+    degree, every order the weights reach, times r^degree is a (ring, row)
+    factor; with the weights on the rows (`_row_weights`, once for all orders)
+    each mode is one (component x ring, row) by (row, azimuth) product, made
+    as the returned iterator advances."""
+    unit = np.asarray(unit, dtype=float)
+    rings, azimuths, _ = unit.shape
     l = n - 1 if family == "N" else n
     orders = np.array(list(orders), dtype=int)
     shifted = orders[:, None] + np.arange(-1, 2)  # the orders m + s the weights reach
@@ -506,35 +518,29 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
     else:
         degree, weights = l - 1, _ladder_weights(l, orders, False)
     count = min(int(np.abs(shifted).max(initial=0)), degree) + 1  # the orders the weights reach
-    # w[mode, component]: the weights on the rows of the table
-    w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted)[..., :2 * count])
-    run = np.diff(unit[2], prepend=np.nan) != 0  # the Legendre table once per run of equal z
-    legendre, table = _harmonic_columns(max(degree, 0), (unit[0], unit[1], unit[2, run]), count)
-    scale = legendre[:, -1, np.cumsum(run) - 1]
-    scale *= r ** max(degree, 0)
-    table *= scale[:, None]
-    table = table.reshape(2 * count, len(r))
+    # w[mode, component, 1, row]: the weights on the rows of the table
+    w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted)[..., :2 * count])[:, :, None]
+    legendre, trig = _grid_columns(max(degree, 0), unit, count)
+    factor = legendre[:, -1].T * r ** max(degree, 0)  # (ring, row)
     if family == "N":
-        a, x = a_coeff(n, lame), pts.T
-        radial = 1.0 - a / (2 * n - 1) - np.sum(x * x, axis=0)
+        a, nu = a_coeff(n, lame), np.moveaxis(unit, -1, 0)
+        radial = 1.0 - a / (2 * n - 1) - r * r
 
     def mode(weights: np.ndarray) -> np.ndarray:
-        g = np.empty((3, table.shape[1]), dtype=complex)  # weights @ table, without a complex copy of it
-        g.real = weights.real @ table
-        g.imag = weights.imag @ table
+        g = ((weights * factor).reshape(3 * rings, 2 * count) @ trig).reshape(3, rings, azimuths)
         if family != "N":
-            return g
-        y = np.sum(x * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
-        return a * y * x + radial * g
+            return g.reshape(3, -1)
+        y = r * np.sum(nu * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
+        return (a * r * y * nu + radial * g).reshape(3, -1)
 
     return map(mode, w)
 
 
 def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
-    """Solid (volume) vector harmonic at Cartesian points (..., 3): the
-    one-order call of `vector_modes`."""
+    """Solid vector harmonic at points (..., 3): `vector_modes` on the (N, 1) grid x / |x|, r per ring."""
     xyz = np.asarray(xyz, dtype=float)
-    (mode,) = vector_modes(idx.family, idx.n, [idx.m], lame, xyz.reshape(-1, 3))
+    unit, r = _unit_and_radius(xyz.reshape(-1, 3))
+    (mode,) = vector_modes(idx.family, idx.n, [idx.m], lame, unit.T[:, None], r[:, None])
     return mode.T.reshape(xyz.shape)
 
 
@@ -567,24 +573,17 @@ def trace_mode_norm_sq(family: str, n, lame: "LameParams"):
 def gram_matrix(n_max: int, lame: "LameParams", rule) -> tuple[np.ndarray, list[ModeIndex]]:
     """Gram matrix of all trace modes up to degree n_max, by surface quadrature.
 
-    `rule` must provide surface_nodes(radius) -> (points, weights); the rule
-    should integrate polynomial products of degree 2*n_max exactly (warns
-    otherwise).  Returns (G, modes) with the Hermitian matrix G ordered like
-    `modes`.
+    `rule` is an `oracle.QuadratureRule`, its surface nodes the (n_theta, n_phi)
+    grid; it should integrate polynomial products of degree 2*n_max exactly
+    (warns otherwise).  Returns (G, modes), the Hermitian G ordered like `modes`.
     """
-    if getattr(rule, "n_theta", n_max + 1) <= n_max:
-        import warnings
-
-        warnings.warn(
-            f"quadrature rule with n_theta={rule.n_theta} is not exact for "
-            f"mode products up to degree {2 * n_max}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if rule.n_theta <= n_max:
+        warnings.warn(f"quadrature rule with n_theta={rule.n_theta} is not exact for mode products up to "
+                      f"degree {2 * n_max}", RuntimeWarning, stacklevel=2)
     modes = mode_indices(n_max)
     pts, w = rule.surface_nodes(1.0)
     vals = np.stack([mode for (fam, n), group in groupby(modes, key=lambda i: (i.family, i.n))
-                     for mode in vector_modes(fam, n, [i.m for i in group], lame, pts)])
+                     for mode in vector_modes(fam, n, [i.m for i in group], lame, pts.reshape(rule.n_theta, -1, 3))])
     # G[a, b] = sum_k w_k <mode_a(k), conj mode_b(k)>
     gram = np.einsum("aik,bik,k->ab", vals, vals.conj(), w)
     return gram, modes

@@ -91,16 +91,17 @@ class QuadratureRule:
 
     def surface_nodes(self, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         pts, w = _unit_nodes(self, polar=False)
-        return radius * pts, w * radius**2
+        return (radius * pts).reshape(-1, 3), w * radius**2
 
     def polar_nodes(self, radius: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         pts, w = _unit_nodes(self, polar=True)
-        return radius * pts, w * radius**2
+        return (radius * pts).reshape(-1, 3), w * radius**2
 
 
 @lru_cache(maxsize=32)
 def _unit_nodes(rule: QuadratureRule, polar: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only unit-sphere nodes (N, 3) and weights of one rule and kind.
+    """Read-only unit-sphere nodes of one rule and kind, as the product grid
+    (n_theta rings, n_phi azimuths, 3), and their weights, flattened (N,).
 
     Cached per rule, not per radius: callers scale by the radius, in the
     order that keeps the scaled nodes bit-identical to building them anew.
@@ -115,7 +116,7 @@ def _unit_nodes(rule: QuadratureRule, polar: bool) -> tuple[np.ndarray, np.ndarr
     T, P = np.meshgrid(theta, phi, indexing="ij")
     weights = np.repeat(wtheta, rule.n_phi) * (2 * np.pi / rule.n_phi)
     st, ct = np.sin(T), np.cos(T)
-    pts = np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1).reshape(-1, 3)
+    pts = np.stack([st * np.cos(P), st * np.sin(P), ct], axis=-1)
     pts.setflags(write=False)
     weights.setflags(write=False)
     return pts, weights
@@ -144,7 +145,7 @@ def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float, k1: complex, ka: complex,
-                kb: complex, residual_tol: float, operator: str) -> tuple[complex, float]:
+                kb: complex, operator: str) -> tuple[complex, float]:
     """Multiplier of the surface operator with kernel k1 K1 + ka a I + kb B on
     the sphere of radius r0, estimated on one trace mode, and the relative L2
     residual of its action orthogonal to the mode.
@@ -162,8 +163,8 @@ def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: floa
     absolutely convergent integral of K1(x, y)(phi(y) - phi(x)); that term
     runs only when k1 != 0.  Summed against each phi_k of the scalar degree
     l, the blocks give the pole integrals I_k = K[phi_k](r0 z-hat); the
-    modes stream, one at a time, from one harmonic table of p / r0
-    (`harmonics.vector_modes`).
+    modes stream, one at a time, from one harmonic table of the rule's
+    cached unit grid (`harmonics.vector_modes` on `_unit_nodes`).
 
     The kernels are isotropic, K(Qx, Qy) = Q K(x, y) Q^T, and the modes
     rotation covariant, Q phi_m(Q^T p) = sum_k D^l_km(Q) phi_k(p), so
@@ -186,13 +187,12 @@ def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: floa
     rounding noise out of the residual; orders aliased by the rule
     (k = +-7, +-8 for l = 8 on n_phi = 8) are kept and seen.
 
-    A residual above residual_tol raises NonEigenfunctionError.  The
+    A residual above `_RESIDUAL_TOL` raises NonEigenfunctionError.  The
     residual is the part of K[phi] outside the mode, so it catches an input
     that is not an eigenfunction and a quadrature error that mixes in other
-    modes (N-P, M_6^3 on an 8x16 rule: 4.4e-4), but not an error that keeps
-    the mode's shape: N-P on T_6^3 on 8x16 is off its eigenvalue by 2.3e-3
-    with residual 1.6e-17.  A small residual does not show that the rule
-    resolves the mode; only the gap to the closed form or to a finer rule does.
+    modes, not one that keeps the mode's shape (see the module docstring):
+    only the gap to the closed form or to a finer rule shows that the rule
+    resolves the mode.
     """
     k1w, bw, aw = _pole_blocks(rule, r0)
 
@@ -207,16 +207,16 @@ def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: floa
 
     l = idx.scalar_degree
     orders = [k for k in range(-l, l + 1) if k % rule.n_phi in (0, 1, rule.n_phi - 1)]
-    pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, _POLE[None])))[..., 0]  # phi_k(z-hat)
-    modes = vector_modes(idx.family, idx.n, orders, lame, rule.polar_nodes(r0)[0] / r0)
+    pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, _POLE[None, None])))[..., 0]  # phi_k(z-hat)
+    modes = vector_modes(idx.family, idx.n, orders, lame, _unit_nodes(rule, polar=True)[0])
     integrals = np.stack([fsum_c(contracted(psi, c)) for psi, c in zip(modes, pole)])  # no mode outlives its sum
     den = fsum_c(np.ravel(np.abs(pole) ** 2)).real
     xi = fsum_c(np.ravel(integrals * pole.conj())) / den
     resid = math.sqrt(fsum_c(np.ravel(np.abs(integrals - xi * pole) ** 2)).real / den)
-    if resid > residual_tol:
+    if resid > _RESIDUAL_TOL:
         raise NonEigenfunctionError(
             f"{operator} mode {idx.family} n={idx.n} m={idx.m}: projection residual "
-            f"{resid:.3e} exceeds {residual_tol:.1e}"
+            f"{resid:.3e} exceeds {_RESIDUAL_TOL:.1e}"
         )
     return xi, resid
 
@@ -225,7 +225,7 @@ def quad_scalar_sl(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: f
     """Multiplier of the componentwise scalar single layer, kernel
     gamma(x - y) = -1/(4 pi |x - y|), on one trace mode on the sphere of
     radius r0, and its projection residual (`_pole_frame`)."""
-    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0, 0.0, _RESIDUAL_TOL, "scalar single-layer")
+    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0, 0.0, "scalar single-layer")
 
 
 def quad_elastic_sl(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0) -> tuple[complex, float]:
@@ -233,19 +233,16 @@ def quad_elastic_sl(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: 
     on one trace mode on the sphere of radius r0, and its projection
     residual (`_pole_frame`)."""
     co = KernelCoeffs.from_lame(lame)
-    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0 * co.alpha1, -2 * r0 * co.alpha2, _RESIDUAL_TOL,
-                       "elastic single-layer")
+    return _pole_frame(idx, lame, rule, r0, 0.0, -2 * r0 * co.alpha1, -2 * r0 * co.alpha2, "elastic single-layer")
 
 
-def quad_np_apply(
-    idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0, residual_tol: float = _RESIDUAL_TOL
-) -> tuple[complex, float]:
+def quad_np_apply(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float = 1.0) -> tuple[complex, float]:
     """Eigenvalue of the N-P operator K*, the principal-value action of the
     traction kernel d/dnu_x G = -b1 K1 + K2 with K2 = b1 a I + b2 B, on one
     trace mode on the sphere of radius r0, and its projection residual
     (`_pole_frame`)."""
     co = KernelCoeffs.from_lame(lame)
-    return _pole_frame(idx, lame, rule, r0, -co.b1, co.b1, co.b2, residual_tol, "N-P")
+    return _pole_frame(idx, lame, rule, r0, -co.b1, co.b1, co.b2, "N-P")
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +377,9 @@ def quad_energy_shell(
     wr = np.asarray(wg) * 0.5 * (geom.r_e - geom.r_i)
     lam = complex(lame.lam).real
     mu = complex(lame.mu).real
-    unit, w_unit = rule.surface_nodes()
+    unit, w_unit = _unit_nodes(rule, polar=False)
     dens = np.empty((radii.size, w_unit.size))  # one row of weighted densities per shell
-    for row, r, (_, grad) in zip(dens, radii, u_grad(radii, unit.reshape(rule.n_theta, rule.n_phi, 3))):
+    for row, r, (_, grad) in zip(dens, radii, u_grad(radii, unit)):
         grad = grad.reshape(-1, 3, 3)
         div = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
         sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
@@ -412,6 +409,8 @@ class ValidationRecord:
 
 
 def compare(operation: str, params: dict, closed, oracle, tol: float) -> ValidationRecord:
+    if closed == 0 and oracle == 0:  # a record that would pass checking nothing
+        raise ArithmeticError(f"{operation} {params}: closed form and oracle are both exactly 0")
     scale = max(abs(closed), abs(oracle), 1e-300)
     return ValidationRecord(
         operation=operation,

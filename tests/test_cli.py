@@ -566,6 +566,19 @@ class TestConfigHandling:
             assert huge["passed"] and huge["params"] == unit["params"]
             assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_material_energy_suite_exit_code(self, tmp_path, capsys):
+        # |elastic_sl_coeff|^2 ~ 4e-402 underflows, so closed form and
+        # quadrature both read exactly 0: the suite once passed 5/5 records
+        # comparing 0 with 0
+        out = tmp_path / "v.jsonl"
+        rc = main(["validate", "--suite", "energy", "--lambda", "1e200", "--mu", "1e200", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: shell_energy ")
+        assert "both exactly 0" in err
+        assert not out.exists()
+
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
 from conftest import assert_pointwise, random_surface_angles
-from npshell import harmonics
+from npshell import harmonics, oracle
 from npshell.harmonics import (
     ModeIndex,
     a_coeff,
@@ -288,7 +288,8 @@ def _ladder_trace_mode(idx, lame, theta, phi):
 
 class TestTraceModes:
     """vector_modes (one harmonic table for all orders of a degree) at unit
-    points and off the sphere against the single-mode ladder paths."""
+    points and off the sphere, as (N, 1) grids, against the single-mode
+    ladder paths."""
 
     @pytest.mark.parametrize("fam", ["T", "M", "N"])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -299,23 +300,57 @@ class TestTraceModes:
         lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
         mmax = n - 1 if fam == "N" else n
         orders = range(-mmax, mmax + 1)
-        for m, mode in zip(orders, vector_modes(fam, n, orders, lp, unit), strict=True):
+        for m, mode in zip(orders, vector_modes(fam, n, orders, lp, unit[:, None]), strict=True):
             ref = _ladder_trace_mode(ModeIndex(fam, n, m), lp, theta, phi)
             assert mode.shape == (3, len(theta))
             assert np.max(np.abs(mode.T - ref)) <= 1e-13 * np.max(np.abs(ref))
         for r in (0.5, 2.0):
-            for m, mode in zip(orders, vector_modes(fam, n, orders, lp, r * unit), strict=True):
+            for m, mode in zip(orders, vector_modes(fam, n, orders, lp, unit[:, None], r), strict=True):
                 ref = _ladder_solid_mode(ModeIndex(fam, n, m), lp, r * unit)
                 assert mode.shape == (3, len(theta))
                 assert np.max(np.abs(mode.T - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_orders_stream_in_request_order(self, lame, rng):
-        unit = _unit_vectors(*random_surface_angles(rng, 5))
+        unit = _unit_vectors(*random_surface_angles(rng, 5))[:, None]
         modes = vector_modes("T", 3, [2, -3, 2], lame, unit)
         assert not isinstance(modes, (list, tuple))
         first, second, third = modes
         (alone,) = vector_modes("T", 3, [-3], lame, unit)
         assert np.array_equal(first, third) and np.array_equal(second, alone)
+
+    @pytest.mark.parametrize("fam", ["T", "M", "N"])
+    def test_grid_matches_scattered_points(self, fam):
+        # a rule's grid (the widest ring's azimuths, Legendre columns seeded
+        # with sin theta) against its nodes as an (N, 1) grid (each point its
+        # own (x + i y)^a), on the sphere and with one radius per ring; the
+        # gap grows like the degree in ulps (8 ulps of the largest value at n = 8)
+        lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
+        for grid in (oracle._unit_nodes(QuadratureRule(64, 128), polar=True)[0],
+                     oracle._unit_nodes(QuadratureRule(16, 32), polar=False)[0]):
+            rings, azimuths, _ = grid.shape
+            r = np.linspace(0.5, 2.0, rings)[:, None]
+            for n in range(1, 5):
+                orders = range(-n, n + 1) if fam != "N" else range(1 - n, n)
+                for radius, per_point in ((1.0, 1.0), (r, np.repeat(r, azimuths)[:, None])):
+                    modes = vector_modes(fam, n, orders, lp, grid, radius)
+                    points = vector_modes(fam, n, orders, lp, grid.reshape(-1, 1, 3), per_point)
+                    for mode, ref in zip(modes, points, strict=True):
+                        assert mode.shape == ref.shape == (3, rings * azimuths)
+                        assert np.max(np.abs(mode - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fam, n", [("T", 3), ("M", 4), ("N", 5)])
+    def test_pole_grids(self, fam, n):
+        # the pole as one point (its own azimuth, (x + i y)^a = 0 for a > 0)
+        # and as one ring of four azimuths at sin theta = 0 (phi = 0 there)
+        lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
+        orders = range(-n, n + 1) if fam != "N" else range(1 - n, n)
+        for grid in (np.array([[[0.0, 0.0, 1.0]]]), np.tile([0.0, 0.0, 1.0], (1, 4, 1))):
+            modes = list(vector_modes(fam, n, orders, lp, grid))
+            for m, mode in zip(orders, modes, strict=True):
+                ref = _ladder_trace_mode(ModeIndex(fam, n, m), lp, 0.0, 0.0)
+                assert mode.shape == (3, grid.shape[1])
+                assert np.max(np.abs(mode - ref[:, None])) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+            assert np.min(np.abs(modes[orders.index(1)]).max(axis=0)) > 0.1  # m = 1 is nonzero there
 
     @pytest.mark.parametrize("l", range(9))
     def test_scalar_harmonics_match_eval_ylm(self, l, rng):

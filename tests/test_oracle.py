@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_surface_angles
-from npshell import oracle
+from npshell import harmonics, oracle
 from npshell.harmonics import (
     ModeIndex,
     _cartesian_angles,
@@ -180,10 +180,9 @@ class TestNPQuadrature:
             assert abs(est - np_eigenvalue("T", 3, lame21)) < 1e-6
 
     def test_under_resolved_raises(self, lame):
+        # residual 0.145, above the default tolerance 1e-4
         with pytest.raises(NonEigenfunctionError):
-            quad_np_apply(
-                ModeIndex("M", 6, 3), lame, QuadratureRule(4, 8), residual_tol=1e-10
-            )
+            quad_np_apply(ModeIndex("M", 6, 3), lame, QuadratureRule(4, 8))
 
     def test_residual_sees_mixing_not_resolution(self, lame):
         # on 8x16 the M mode mixes with N and the default tolerance catches it;
@@ -198,20 +197,22 @@ class TestNPQuadrature:
 
     @pytest.mark.parametrize("idx", [ModeIndex("T", 3, 1), ModeIndex("M", 2, 1), ModeIndex("N", 4, 1)],
                              ids=lambda i: f"{i.family}{i.n}^{i.m}")
-    def test_k1_subtraction_on_a_tilted_rule(self, idx, lame, tilted_polar_nodes):
+    def test_k1_subtraction_on_a_tilted_rule(self, idx, lame, tilted_polar_nodes, monkeypatch):
         # Tilted 0.2 rad about y, the nodes no longer cancel sum K1 w against
         # constants by symmetry, so the p.v. needs phi(y) - phi(x): without
         # the subtraction the residual is 0.10-0.13, with it 0.8e-3 to
         # 2.0e-3; xi is the same either way, so only the residual pins it.
-        _, resid = quad_np_apply(idx, lame, QuadratureRule(64, 128), residual_tol=1.0)
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1.0)
+        _, resid = quad_np_apply(idx, lame, QuadratureRule(64, 128))
         assert resid <= 5e-3
 
-    def test_tilted_blocks_reach_no_later_call(self, lame):
+    def test_tilted_blocks_reach_no_later_call(self, lame, monkeypatch):
         # the pole blocks are cached per (rule, r0): blocks built from the
         # tilted nodes must be gone once the tilt is undone
         idx, rule = ModeIndex("T", 3, 1), QuadratureRule(64, 128)
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1.0)
         with _tilted_polar_nodes():
-            _, tilted_resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
+            _, tilted_resid = quad_np_apply(idx, lame, rule)
         after = quad_np_apply(idx, lame, rule)
         oracle._pole_blocks.cache_clear()
         assert tilted_resid > 1e-4
@@ -220,20 +221,21 @@ class TestNPQuadrature:
 
 @contextmanager
 def _tilted_polar_nodes():
-    """QuadratureRule.polar_nodes tilted 0.2 rad about y, with the pole-block
-    cache emptied on entry and on exit."""
-    polar = QuadratureRule.polar_nodes
+    """The rule's polar nodes tilted 0.2 rad about y, as an (N, 1) grid from
+    `oracle._unit_nodes`, so that the pole blocks and the modes tilt
+    together; the pole-block cache is emptied on entry and on exit."""
+    unit_nodes = oracle._unit_nodes
     c, s = math.cos(0.2), math.sin(0.2)
     tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
-    def tilted(rule, radius=1.0):
-        pts, w = polar(rule, radius)
-        return pts @ tilt, w
+    def tilted(rule, polar):
+        pts, w = unit_nodes(rule, polar)
+        return ((pts.reshape(-1, 3) @ tilt)[:, None] if polar else pts), w
 
     oracle._pole_blocks.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(QuadratureRule, "polar_nodes", tilted)
+            mp.setattr(oracle, "_unit_nodes", tilted)
             yield
     finally:
         oracle._pole_blocks.cache_clear()
@@ -286,10 +288,11 @@ class TestPoleFrame:
 
     @pytest.mark.parametrize("idx", [ModeIndex("M", 6, 3), ModeIndex("N", 5, 2)],
                              ids=lambda i: f"{i.family}{i.n}^{i.m}")
-    def test_residual_matches_kernel_assembled_at_the_targets(self, idx, lame):
+    def test_residual_matches_kernel_assembled_at_the_targets(self, idx, lame, monkeypatch):
         # on 8x16 both modes mix with others, so the residual is far from rounding
         rule = QuadratureRule(8, 16)
-        est, resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1.0)
+        est, resid = quad_np_apply(idx, lame, rule)
         ref, ref_resid = _projection_at_targets(idx, lame, rule, 1.0, "np")
         assert resid > 1e-6
         assert abs(resid - ref_resid) <= 1e-9 * ref_resid
@@ -300,7 +303,8 @@ class TestPoleFrame:
         # evaluated, and (multiplier, residual) match the reference
         idx, rule = ModeIndex("M", 8, 0), QuadratureRule(4, 8)
         orders = _count_orders(rule, monkeypatch)
-        est, resid = quad_np_apply(idx, lame, rule, residual_tol=1.0)
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1.0)
+        est, resid = quad_np_apply(idx, lame, rule)
         assert orders == [-8, -7, -1, 0, 1, 7, 8]
         ref, ref_resid = _projection_at_targets(idx, lame, rule, 1.0, "np")
         assert resid > 1e-6
@@ -308,10 +312,11 @@ class TestPoleFrame:
         assert abs(est - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("fam, n", [("T", 4), ("M", 3), ("N", 4)])
-    def test_every_order_gives_the_same_pair(self, fam, n):
+    def test_every_order_gives_the_same_pair(self, fam, n, monkeypatch):
         lp, rule = LameParams(-4 + 0.05j, -4 + 0.05j), QuadratureRule(8, 16)
         l = n - 1 if fam == "N" else n
-        pairs = {quad_np_apply(ModeIndex(fam, n, m), lp, rule, residual_tol=1.0) for m in range(-l, l + 1)}
+        monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1.0)
+        pairs = {quad_np_apply(ModeIndex(fam, n, m), lp, rule) for m in range(-l, l + 1)}
         assert len(pairs) == 1
 
     def test_kernels_assembled_once_per_rule_and_radius(self, lame, monkeypatch, fresh_pole_blocks):
@@ -347,17 +352,33 @@ class TestPoleFrame:
         quad_np_apply(idx, lame, rule)
         assert orders == [-1, 0, 1]
 
+    def test_one_legendre_column_per_ring(self, lame, monkeypatch):
+        # the pole, then the 64 ring cosines of the rule's grid, as they are
+        builds = []
+        table = harmonics._legendre_table
+
+        def counted(n, orders, z, st):
+            builds.append(np.array(z))
+            return table(n, orders, z, st)
+
+        monkeypatch.setattr(harmonics, "_legendre_table", counted)
+        rule = QuadratureRule(64, 128)
+        quad_np_apply(ModeIndex("T", 3, 1), lame, rule)
+        pole, rings = builds
+        assert pole.tolist() == [1.0]
+        assert np.array_equal(rings, oracle._unit_nodes(rule, polar=True)[0][:, 0, 2])
+
 
 def _count_orders(rule, monkeypatch):
     """The list that collects, in call order, the orders `vector_modes` is
-    asked for on the nodes of the rule."""
+    asked for on the rule's grid."""
     orders = []
 
-    def counted(family, n, js, lame, unit):
+    def counted(family, n, js, lame, unit, r=1.0):
         js = list(js)
-        if len(unit) >= rule.n_theta * rule.n_phi:
+        if np.shape(unit)[:2] == (rule.n_theta, rule.n_phi):
             orders.extend(js)
-        return vector_modes(family, n, js, lame, unit)
+        return vector_modes(family, n, js, lame, unit, r)
 
     monkeypatch.setattr(oracle, "vector_modes", counted)
     return orders
