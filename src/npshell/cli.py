@@ -266,7 +266,7 @@ def _suite_gram(lame, rule, n_max, records):
 def _suite_energy(lame, geom, rule, n_max, records):
     for n in range(2, n_max + 1):
         cfg = PlasmonicConfig.resonant(n, 0.01)
-        src = SourceSpectrum([n], [0], [1.0], r_s=3.0 * geom.r_e)
+        src = SourceSpectrum([n], [0], [lame.mu], r_s=3.0 * geom.r_e)  # phi ~ mu, so E ~ mu
         sol = solve_source(src, geom, cfg, lame)
         rep = energy(sol, src, geom, cfg, lame, quadrature=True, rule=rule)
         records.append(

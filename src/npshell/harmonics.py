@@ -372,6 +372,17 @@ def _field_gradient(out: np.ndarray, sets: tuple, shape: tuple, gradient: bool):
     return out[..., :3].reshape(sets + shape), out[..., 3:].reshape(sets + shape + (3,)) if gradient else None
 
 
+def _radial(kinds: list, coef: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(kind, degree k, radius) factors r^k (regular) and (1/r)^(k+1) (decaying,
+    underflowing where r^(k+1) overflows), formed only at the (kind, degree)
+    rows of `coef` that hold a coefficient: zero rows past the float range stay 0."""
+    live = coef.any(axis=tuple(range(coef.ndim - 2)))
+    out = np.zeros(live.shape + r.shape)
+    for f, kind, on in zip(out, kinds, live):
+        np.power(1 / r if kind else r, np.arange(live.shape[1])[:, None] + kind, out=f, where=on[:, None])
+    return out
+
+
 def _unit_and_radius(pts: np.ndarray):
     """(x / |x| as coordinate rows (3, N), |x|) of points (N, 3); the origin
     gets the unit vector z-hat, where every term a regular series keeps
@@ -407,8 +418,7 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
         blk = slice(lo, lo + _BLOCK)
         unit, r = _unit_and_radius(pts[blk])
         legendre, trig = _harmonic_columns(top, unit, len(coef))
-        powers = r ** np.arange(top + 2.0)[:, None]  # r^0..r^(top + 1) per point
-        radial = np.stack([legendre / powers[1:] if kind else legendre * powers[:-1] for kind in kinds], axis=1)
+        radial = legendre[:, None] * _radial(kinds, coef, r)
         orders, nkinds, degrees, points = radial.shape
         val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
         out[:, :, blk] += np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
@@ -451,9 +461,7 @@ def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool =
     legendre, trig = (t[part] for t in _grid_columns(top, unit, len(coef)))
     width = 2 * math.prod(sets) * (12 if gradient else 3) * rings  # re/im x set x component x ring
     coef = coef.reshape((2 * len(coef),) + coef.shape[2:])[part]
-    for r in radii:
-        powers = r ** np.arange(top + 2.0)
-        f = np.where(np.array(kinds, dtype=bool)[:, None], 1.0 / powers[1:], powers[:-1])  # (kind, degree)
+    for f in np.moveaxis(_radial(kinds, coef, np.asarray(radii, dtype=float)), -1, 0):  # (kind, degree) per shell
         val = np.matmul((coef * f).sum(axis=-2), legendre[:, None])  # (part, re/im, comp, ring)
         out = val.reshape(len(val), width).T @ trig  # (re/im x comp x ring, azimuth)
         yield _field_gradient(out.reshape(2, -1, rings * azimuths), sets, unit.shape, gradient)

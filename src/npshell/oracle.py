@@ -364,17 +364,17 @@ def quad_energy_shell(
 ) -> float:
     """(delta/2) * int_shell [lam |div u|^2 + 2 mu |sym grad u|^2] dx.
 
-    u_grad(radii, unit) is called once with the radial nodes and the rule's
-    unit-sphere nodes as its product grid (n_theta rings, n_phi azimuths, 3),
-    and yields (u, grad u) of shapes unit.shape and unit.shape + (3,) at the
-    points r * unit one radius at a time, in the order of `radii`.
+    u_grad(radii, unit) is called once with the radial nodes of the unit shell
+    [rho, 1] and the rule's nodes as a grid (n_theta rings, n_phi azimuths, 3);
+    it yields (u, grad u in x / r_e) of shapes unit.shape (+ (3,)) at r_e r unit,
+    one radius at a time in the order of `radii`.  The integral is times r_e.
     The radial direction uses Gauss-Legendre with n_radial nodes, angles the
     rule's exactness nodes.  Material constants are the background real
     pair; the loss enters only through the leading factor.
     """
     xg, wg = _leggauss(n_radial)
-    radii = 0.5 * (geom.r_e - geom.r_i) * np.asarray(xg) + 0.5 * (geom.r_e + geom.r_i)
-    wr = np.asarray(wg) * 0.5 * (geom.r_e - geom.r_i)
+    radii = 0.5 * (1 - geom.rho) * np.asarray(xg) + 0.5 * (1 + geom.rho)
+    wr = np.asarray(wg) * 0.5 * (1 - geom.rho)
     lam = complex(lame.lam).real
     mu = complex(lame.mu).real
     unit, w_unit = _unit_nodes(rule, polar=False)
@@ -385,7 +385,7 @@ def quad_energy_shell(
         sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
         row[:] = (lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))) * (w_unit * r**2)
         del div, sym  # freed before the next shell's fields, so the peak holds the densities instead
-    return 0.5 * delta * math.fsum(wr * fsum_c(dens).real)
+    return 0.5 * delta * geom.r_e * math.fsum(wr * fsum_c(dens).real)
 
 
 # ---------------------------------------------------------------------------

@@ -179,31 +179,20 @@ def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig | ADeltaPair, 
 
 def region_coefficients(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams):
     """Solid-harmonic coefficients of the scattered T potential F per region,
-    u - F = grad F x x, from the layer densities:
+    u - F = grad F x x, from the layer densities, as series in x / r_e:
 
-    core regular     d1 (phi_i / r_i^(n-1) + phi_e / r_e^(n-1))
-    shell regular    d1 phi_e / r_e^(n-1)       (outer layer, interior form)
-    shell decaying   d1 r_i^(n+2) phi_i          (inner layer, exterior form)
-    matrix decaying  `matrix_coefficient` at R = 1
+    core regular     d1 r_e (phi_i / rho^(n-1) + phi_e), the phi_i term 0 where
+                     rho^(n-1) < 2.2e-308 (it is under rho^n at |x| <= r_i)
+    shell regular    d1 r_e phi_e            (outer layer, interior form)
+    shell decaying   d1 r_e rho^(n+2) phi_i  (inner layer, exterior form)
+    matrix decaying  the sum of the shell's two
     """
-    d1 = elastic_sl_coeff("T", n, lame)
-    ri, re = float(geom.r_i), float(geom.r_e)
-    with np.errstate(over="raise"):  # a radius power past the float range raises
-        return (
-            d1 * (phi_i / ri ** (n - 1) + phi_e / re ** (n - 1)),
-            d1 * phi_e / re ** (n - 1),
-            d1 * ri ** (n + 2) * phi_i,
-            matrix_coefficient(n, phi_i, phi_e, geom, lame),
-        )
-
-
-def matrix_coefficient(n, phi_i, phi_e, geom: ShellGeometry, lame: LameParams, radius: float = 1.0):
-    """Matrix (both layers exterior) coefficient of the scattered T potential
-    read on the sphere |x| = R, d1 R [(r_i/R)^(n+2) phi_i + (r_e/R)^(n+2)
-    phi_e]: a decaying term of u is homogeneous of degree -(n+1), so u(R x)
-    is its series at x.  No power exceeds 1 for R >= r_e; R = 1 gives u's."""
-    r = float(radius)
-    return elastic_sl_coeff("T", n, lame) * r * ((geom.r_i / r) ** (n + 2) * phi_i + (geom.r_e / r) ** (n + 2) * phi_e)
+    d1, rho = elastic_sl_coeff("T", n, lame) * geom.r_e, geom.rho
+    inner = rho ** (n - 1)
+    core = np.divide(phi_i, inner, out=np.zeros(np.broadcast(phi_i, inner).shape, complex),
+                     where=inner >= np.finfo(float).tiny)
+    regular, decaying = d1 * phi_e, d1 * rho ** (n + 2) * phi_i
+    return d1 * (core + phi_e), regular, decaying, regular + decaying
 
 
 def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameParams):
@@ -212,16 +201,17 @@ def shell_energy(n, phi_i, phi_e, geom: ShellGeometry, delta: float, lame: LameP
     For the divergence-free shell field a V_n + b T_n (the shell decaying and
     regular coefficients) the strain integral reduces to boundary terms,
     cross terms cancel and distinct modes decouple:
-    E_n = (delta/2) mu n(n+1) d1^2 (1 - rho^(2n+1))
-          [(n+2) r_i^3 |phi_i|^2 + (n-1) r_e^3 |phi_e|^2],
-    which is scale free: no power of a radius grows with n.  The material
-    constants are the background (real) pair; the shell loss enters as the
-    factor delta/2.
+    E_n = (delta/2) n(n+1) (d1 mu)^2 (1 - rho^(2n+1)) r_e^3
+          [(n+2) rho^3 (|phi_i| / sqrt mu)^2 + (n-1) (|phi_e| / sqrt mu)^2],
+    with d1 mu = -1/(2n+1) and |phi| / sqrt mu ~ sqrt mu / r_e: no radius
+    power grows with n, and no mu^2 is formed.  The material constants are
+    the background (real) pair; the shell loss enters as the factor delta/2.
     """
+    root_mu, rho = math.sqrt(complex(lame.mu).real), geom.rho
     return (
-        0.5 * delta * complex(lame.mu).real * n * (n + 1) * np.abs(elastic_sl_coeff("T", n, lame)) ** 2
-        * (1 - geom.rho ** (2 * n + 1))
-        * ((n + 2) * geom.r_i**3 * np.abs(phi_i) ** 2 + (n - 1) * geom.r_e**3 * np.abs(phi_e) ** 2)
+        0.5 * delta * n * (n + 1) * np.abs(elastic_sl_coeff("T", n, lame) * lame.mu) ** 2
+        * (1 - rho ** (2 * n + 1)) * geom.r_e**3
+        * ((n + 2) * rho**3 * (np.abs(phi_i) / root_mu) ** 2 + (n - 1) * (np.abs(phi_e) / root_mu) ** 2)
     )
 
 
@@ -316,13 +306,13 @@ def solve_source(
 # ---------------------------------------------------------------------------
 
 def source_field(src: SourceSpectrum, geom: ShellGeometry, lame: LameParams, xyz) -> np.ndarray:
-    """Source potential inside its convergence radius:
-    F = sum g_e / (mu (n-1) r_e^(n-1)) T-solid(x); the free constant is 0."""
+    """Source potential inside its convergence radius, a series in x / r_e:
+    F = sum g_e r_e / (mu (n-1)) T-solid(x / r_e); the free constant is 0."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     if src.r_s is not None and np.any(np.linalg.norm(xyz, axis=-1) >= src.r_s):
         raise ValueError("source potential series only converges for |x| < r_s")
-    coeffs = src.g / (lame.mu * (src.n - 1) * float(geom.r_e) ** (src.n - 1))
-    return solid_harmonic_series(src.n, src.m, coeffs, None, xyz)[0]
+    coeffs = src.g * geom.r_e / (lame.mu * (src.n - 1))
+    return solid_harmonic_series(src.n, src.m, coeffs, None, xyz / geom.r_e)[0]
 
 
 def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> np.ndarray:
@@ -330,8 +320,8 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
     Core (|x| <= r_i): both layers act through their interior forms.
     Shell: inner layer exterior form + outer layer interior form.
-    Matrix (|x| > r_e): both exterior (`matrix_coefficient`).  Values are
-    continuous across both interfaces.
+    Matrix (|x| > r_e): both exterior.  Each series (`region_coefficients`)
+    is read at x / r_e.  Values are continuous across both interfaces.
     Given a source, its (convergent) potential is added.
     """
     geom = sol.geom
@@ -346,7 +336,7 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
     )
     for mask, regular, decaying in regions:
         if np.any(mask):
-            out[mask] = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz[mask])[0]
+            out[mask] = solid_harmonic_series(sol.n, sol.m, regular, decaying, xyz[mask] / geom.r_e)[0]
     if src is not None:
         out += source_field(src, geom, sol.lame, xyz)
     return out
@@ -354,10 +344,10 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
 def scattered_gradient_factory(sol: DensitySolution):
     """Callable (radii, unit) -> iterator over the radii of (u, grad u) at
-    the shell points r * unit (a product grid (rings, azimuths, 3)), analytic
+    the shell points r_e r unit (a product grid (rings, azimuths, 3)), analytic
     gradients: the T field u = grad F x x of the shell potential F of all modes
-    (`solid_harmonic_shells`), with grad u[..., i, l] = d_l u_i.  Each call
-    builds the harmonic table of `unit` once for all its radii.
+    (`solid_harmonic_shells`), with grad u[..., i, l] = d_l u_i in x / r_e.
+    Each call builds the harmonic table of `unit` once for all its radii.
     """
     _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame)
     return partial(solid_harmonic_shells, sol.n, sol.m, regular, decaying, gradient=True)
@@ -392,9 +382,9 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
 
     The solutions must share one shell and material, and their spectra must
     be prefixes of one mode list, as a sweep's are.  Their densities,
-    zero-padded, are (solutions, modes) arrays: one `matrix_coefficient` at
-    the shared R gives every far-field row, and one `solid_harmonic_series`
-    call at the unit directions evaluates every row on one harmonic table.
+    zero-padded, are (solutions, modes) arrays: one `region_coefficients`
+    gives every matrix row, and one `solid_harmonic_series` call at the
+    probes' x / r_e evaluates every row on one harmonic table.
     """
     longest = max(sols, key=lambda sol: sol.n.size)
     geom, lame = longest.geom, longest.lame
@@ -407,12 +397,12 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
             raise ValueError("farfield_sample: the solutions must share one shell and material, "
                              "and their spectra must be prefixes of one mode list")
         rows[:, j, :k] = sol.phi_i, sol.phi_e
-    rows = matrix_coefficient(longest.n, *rows, geom, lame, 1.05 * geom.r_e**2 / geom.r_i)
+    rows = region_coefficients(longest.n, *rows, geom, lame)[3]
     k = np.arange(24)
     ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
     st = np.sqrt(1 - ct * ct)
     unit = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    u, _ = solid_harmonic_series(longest.n, longest.m, None, rows, unit)
+    u, _ = solid_harmonic_series(longest.n, longest.m, None, rows, 1.05 / geom.rho * unit)
     return np.linalg.norm(u, axis=-1).max(axis=-1).tolist()
 
 
@@ -500,7 +490,7 @@ def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, 
     and the energy grid, each row zero past its cut.  A resonant degree whose
     baseline truncation passes the cap (a shell so thin, or a loss so small,
     that n0 > 380) at any loss raises ValueError before any degree array;
-    a non-finite energy (a huge material) raises ArithmeticError.
+    a non-finite energy (it grows as kappa^2) raises ArithmeticError.
     """
     cfgs = [PlasmonicConfig.resonant(max(choose_n0(delta, geom), 2), delta) if cfg is None else cfg
             for delta, cfg in zip(delta_grid, cfgs)]
@@ -515,10 +505,10 @@ def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, 
     a = np.array([[[p.a1], [p.a2]] for p in map(a_delta, cfgs)])  # Python complex division, as for one loss
     t_i, t_e = transfer_factors(n, geom, ADeltaPair(a[:, 0], a[:, 1]), lame)
     phi_i, phi_e = g * t_i, g * t_e
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below; the energies scale with the material
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         e = shell_energy(n, phi_i, phi_e, geom, np.array([[cfg.delta] for cfg in cfgs]), lame)
     if not np.isfinite(e).all():
-        raise ArithmeticError(f"shell energies overflow at lambda={lame.lam}, mu={lame.mu}")
+        raise ArithmeticError(f"shell energies overflow at kappa={kappa}, lambda={lame.lam}, mu={lame.mu}")
     sols = []
     for row, cfg in enumerate(cfgs):
         for n_max in [*range(truncation_degree(cfg.n0), _N_HARD_CAP, 20), _N_HARD_CAP]:

@@ -471,12 +471,11 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # the far-field probes are scale free, but the quadrature cross-check
-        # still reads the unscaled shell coefficients of region_coefficients,
-        # whose radius powers overflow at this scale (ROADMAP item 3); the
-        # same input with --no-quad-energy exits 0.
+        # the shell energy grows as kappa^2, so kappa = 1e200 overflows it
+        # in solve_sweep, before the quadrature cross-check; every rescaled
+        # shell and material now exits 0 (TestScaledRuns)
         out = tmp_path / "s.jsonl"
-        rc = main(["calr", "--ri", "1000", "--re", "2000", "--rs", "2500", "--out", str(out)])
+        rc = main(["calr", "--kappa", "1e200", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -539,11 +538,12 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [["calr", "--no-quad-energy"], ["calr"], ["field", "--resolution", "5"]],
                              ids=["calr-modal", "calr-with-quadrature", "field"])
     def test_overflowing_energy_exit_code(self, tmp_path, capsys, argv):
-        # the material passes _lame's guard, but the shell energies, which
-        # scale with it, overflow: calr once printed three RuntimeWarnings and
-        # exited 0 with "verdict: bounded (energy ratio nan ...)"
+        # the shell energies grow as kappa^2 and overflow: with lambda = mu =
+        # 1e200, whose energies once overflowed the same way, calr printed
+        # three RuntimeWarnings and exited 0 with "verdict: bounded (energy
+        # ratio nan ...)"
         out = tmp_path / "a.out"
-        rc = main([*argv, "--lambda", "1e200", "--mu", "1e200", "--rs", "2.5", "--out", str(out)])
+        rc = main([*argv, "--kappa", "1e200", "--rs", "2.5", "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
@@ -567,22 +567,58 @@ class TestConfigHandling:
             assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
-    def test_huge_material_energy_suite_exit_code(self, tmp_path, capsys):
-        # |elastic_sl_coeff|^2 ~ 4e-402 underflows, so closed form and
-        # quadrature both read exactly 0: the suite once passed 5/5 records
-        # comparing 0 with 0
-        out = tmp_path / "v.jsonl"
-        rc = main(["validate", "--suite", "energy", "--lambda", "1e200", "--mu", "1e200", "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: shell_energy ")
-        assert "both exactly 0" in err
-        assert not out.exists()
+    def test_huge_material_energy_suite_exit_code(self, tmp_path):
+        # |elastic_sl_coeff|^2 ~ 4e-402 once underflowed, so closed form and
+        # quadrature both read exactly 0 (the suite passed 5/5 records
+        # comparing 0 with 0, and later exited 2); the source amplitude is
+        # now mu, so the energies are mu times the unit-material ones
+        records = {}
+        for scale in ("1", "1e200"):
+            out = tmp_path / f"energy-{scale}.jsonl"
+            assert main(["validate", "--suite", "energy", "--lambda", scale, "--mu", scale, "--out", str(out)]) == 0
+            records[scale] = [_strict_json(l) for l in out.read_text().splitlines()[1:-1]]
+        assert len(records["1e200"]) == 5
+        for huge, unit in zip(records["1e200"], records["1"]):
+            assert huge["passed"] and huge["params"] == unit["params"]
+            assert huge["closed_form"] > 1e199 and huge["oracle"] > 1e199
+            assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-12
 
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
                    "--no-quad-energy", "--out", str(tmp_path / "s.jsonl")])
         assert rc == 2
+
+
+class TestScaledRuns:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["calr", "--ri", "1e-3", "--re", "2e-3", "--rs", "2.05e-3", "--lambda", "1e-150", "--mu", "1e-150"],
+        ["calr", "--ri", "1e3", "--re", "2e3", "--rs", "2.5e3", "--lambda", "1e150", "--mu", "1e150"],
+        ["field", "--ri", "1e-3", "--re", "2e-3", "--rs", "2.1e-3", "--extent", "5e-3", "--lambda", "1e150",
+         "--mu", "1e150"],
+        ["field", "--ri", "1e3", "--re", "2e3", "--rs", "2.1e3", "--extent", "5e3", "--lambda", "1e-150",
+         "--mu", "1e-150"],
+        ["field", "--rs", "2.05", "--extent", "1000"],
+        ["calr", "--ri", "0.1", "--re", "1", "--rs", "1.025"],
+        ["calr", "--ri", "0.1", "--re", "1", "--rs", "1.025", "--no-quad-energy"],
+        ["field", "--ri", "0.1", "--re", "1", "--rs", "1.025", "--extent", "1.2", "--resolution", "21"],
+    ], ids=["calr-small", "calr-large", "field-small", "field-large", "field-far-extent", "calr-rho-0.1",
+            "calr-rho-0.1-modal", "field-rho-0.1"])
+    def test_exit_0_with_finite_artifacts(self, tmp_path, capsys, argv):
+        # all but the modal run at rho = 0.1 once exited 2 (overflow) or ended
+        # in a traceback on a RuntimeWarning: radius powers past the float
+        # range, |phi|^2 ~ mu^2, r^(k+1) of the far slice's decaying terms,
+        # and at rho = 0.1 a core coefficient over a subnormal rho^(n-1) and
+        # decaying factors (1/r)^(k+1) past the float range on rows that are 0
+        out = tmp_path / "a.out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        csv = out.with_suffix(".csv") if argv[0] == "calr" else out
+        _, *rows = [line.split(",") for line in csv.read_text().splitlines() if not line.startswith("# ")]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+        if argv[0] == "calr" and "--no-quad-energy" not in argv:
+            assert all(math.isfinite(_strict_json(line)["energy_quadrature"])
+                       for line in out.read_text().splitlines()[1:-1])
 
 
 class TestDeterminism:

@@ -342,16 +342,17 @@ class TestBatchedFields:
         check(field_eval(sol, pts), _per_mode_field(sol, GEOM, LAME, pts), on_axis)
 
         r = np.linalg.norm(pts, axis=1)
-        # each shell point is its own one-point shell of radius |x|, a 1 x 1 grid
+        # each shell point is its own one-point shell of radius |x|, a 1 x 1
+        # grid; the factory takes radii and gives gradients in units of r_e
         in_shell = (r > GEOM.r_i) & (r <= GEOM.r_e)
         shell = r[in_shell]
         unit = pts[in_shell] / shell[:, None]
         u_grad = scattered_gradient_factory(sol)
-        shells = (next(u_grad([s], d[None, None])) for s, d in zip(shell, unit))
+        shells = (next(u_grad([s / GEOM.r_e], d[None, None])) for s, d in zip(shell, unit))
         u, grad = (np.concatenate(f)[:, 0] for f in zip(*shells))
         u_ref, grad_ref = _per_mode_u_grad(sol, shell[:, None] * unit)
         check(u, u_ref, on_axis[in_shell])
-        assert_pointwise(grad, grad_ref)
+        assert_pointwise(grad, GEOM.r_e * grad_ref)
 
         inside = pts[r < 0.95 * src.r_s]
         assert_pointwise(source_field(src, GEOM, LAME, inside),
@@ -374,14 +375,15 @@ class TestShellGrid:
         return solve_sweep_point(1e-3, GEOM, LAME, 2.5)[1]
 
     def test_product_grid_matches_per_mode_sums(self, sol):
+        # radii and gradients in units of r_e
         unit, _ = QuadratureRule(6, 12).surface_nodes()
         radii = np.array([1.0, 1.37, 2.0])
-        shells = list(scattered_gradient_factory(sol)(radii, unit.reshape(6, 12, 3)))
+        shells = list(scattered_gradient_factory(sol)(radii / GEOM.r_e, unit.reshape(6, 12, 3)))
         assert len(shells) == len(radii)
         for r, (u, grad) in zip(radii, shells):
             u_ref, grad_ref = _per_mode_u_grad(sol, r * unit)
             assert_pointwise(u.reshape(-1, 3), u_ref)
-            assert_pointwise(grad.reshape(-1, 3, 3), grad_ref)
+            assert_pointwise(grad.reshape(-1, 3, 3), GEOM.r_e * grad_ref)
 
     def test_quadrature_matches_per_shell_series(self, sol):
         # the same strain integral with every shell evaluated on its own
@@ -780,25 +782,38 @@ _SWEEP_GRID = [10.0 ** (-k) for k in range(1, 7)]
 
 
 class TestScaleInvariance:
-    """Rescaling all lengths by s keeps the verdict and the cut, multiplies
-    the shell energy by s and leaves the far field unchanged."""
+    """Rescaling all lengths by s and (lambda, mu) by t keeps the verdict and
+    the cut, multiplies the shell energy by s t and leaves the far field
+    unchanged; the field at s x is the unscaled field at x."""
 
     @settings(deadline=None, max_examples=12)
-    @given(log_s=st.floats(-3.0, 3.0))
-    @example(log_s=3.0)  # ShellGeometry(1000, 2000): r_e^(n+2) at the probes overflowed
-    @example(log_s=2.0)  # ShellGeometry(100, 200), r_s = 250 overflowed r_e^(2n+1)
-    @example(log_s=-2.0)  # ShellGeometry(0.01, 0.02), r_s = 0.025 likewise
-    @example(log_s=-3.0)
-    def test_rescaled_sweep(self, log_s):
-        s = 10.0**log_s
+    @given(log_s=st.floats(-3.0, 3.0), log_t=st.floats(-150.0, 150.0), quadrature=st.just(False))
+    @example(log_s=3.0, log_t=0.0, quadrature=False)  # ShellGeometry(1000, 2000): r_e^(n+2) at the probes overflowed
+    @example(log_s=2.0, log_t=0.0, quadrature=False)  # ShellGeometry(100, 200), r_s = 250 overflowed r_e^(2n+1)
+    @example(log_s=-2.0, log_t=0.0, quadrature=False)  # ShellGeometry(0.01, 0.02), r_s = 0.025 likewise
+    @example(log_s=-3.0, log_t=150.0, quadrature=False)  # |phi|^2 ~ mu^2 overflowed the shell energy
+    @example(log_s=3.0, log_t=-150.0, quadrature=False)
+    @example(log_s=-3.0, log_t=-150.0, quadrature=True)  # the shell coefficients over r_e^(n-1) overflowed
+    @example(log_s=3.0, log_t=150.0, quadrature=True)
+    def test_rescaled_sweep(self, log_s, log_t, quadrature):
+        s, t = 10.0**log_s, 10.0**log_t
+        lame = LameParams(t * LAME.lam, t * LAME.mu)
         for ratio in (2.5, 3.5):
-            unit = classify_calr(GEOM, LAME, ratio, _SWEEP_GRID)
-            sweep = classify_calr(ShellGeometry(s, 2 * s), LAME, ratio * s, _SWEEP_GRID)
+            unit = classify_calr(GEOM, LAME, ratio, _SWEEP_GRID, quadrature=quadrature)
+            sweep = classify_calr(ShellGeometry(s, 2 * s), lame, ratio * s, _SWEEP_GRID, quadrature=quadrature)
             assert sweep.verdict == unit.verdict
-            for rep, ref in zip(sweep.reports, unit.reports):
+            for rep, ref in zip(sweep.reports, unit.reports, strict=True):
                 assert rep.n_trunc == ref.n_trunc
-                assert_allclose(rep.energy_modal / s, ref.energy_modal, rtol=1e-12)
+                assert_allclose(rep.energy_modal / (s * t), ref.energy_modal, rtol=1e-13)
+                if quadrature:
+                    assert_allclose(rep.energy_quadrature / (s * t), ref.energy_quadrature, rtol=1e-13)
                 assert_allclose(rep.farfield_sample, ref.farfield_sample, rtol=1e-12)
+        src, sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
+        scaled_src, scaled = solve_sweep_point(1e-3, ShellGeometry(s, 2 * s), lame, 2.5 * s)
+        radii = np.array([0.5, 1.5, 2.3, 6.0])  # core, shell, matrix, and past r_s without the source
+        pts = _unit_vectors(*random_surface_angles(np.random.default_rng(5), 4)) * radii[:, None]
+        assert_pointwise(field_eval(scaled, s * pts), field_eval(sol, pts), rtol=1e-12)
+        assert_pointwise(field_eval(scaled, s * pts[:3], scaled_src), field_eval(sol, pts[:3], src), rtol=1e-12)
 
 
 class TestTruncationRule:
@@ -955,7 +970,7 @@ class TestLossGrid:
         def built(*args, **kwargs):
             raise AssertionError("a closed form ran before the cap check")
 
-        for name in ("source_coefficient", "transfer_factors", "shell_energy", "matrix_coefficient"):
+        for name in ("source_coefficient", "transfer_factors", "shell_energy", "region_coefficients"):
             monkeypatch.setattr(tr, name, built)
         with pytest.raises(ValueError, match=r"n0=432 \(rho=0\.5, delta=1e-130\).*cap of 400"):
             classify_calr(GEOM, LAME, 2.5, [1e-1, 1e-2, 1e-130])
