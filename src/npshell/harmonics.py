@@ -10,10 +10,11 @@ Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
 the (order x degree) Legendre table in z = cos theta, one degree recurrence
 for all orders (`_legendre_table`), and the Re/Im (x + i y)^a rows; no angle
 is formed, so it is exact on the polar axis and accurate next to it.
-`solid_harmonic_series` takes scattered points; `solid_harmonic_shells` and
-`vector_modes` take product grids (rings, azimuths, 3), scattered points as
-(N, 1), through one table step (`_grid_columns`).  The seed's single-mode
-ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
+`solid_harmonic_series` takes scattered points; `solid_harmonic_shells` (every
+shell in one call, factored as values at the rings times trig rows at the
+azimuths) and `vector_modes` take product grids (rings, azimuths, 3), scattered
+points as (N, 1), through one table step (`_grid_columns`).  The seed's
+single-mode ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
 `grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
 
@@ -443,28 +444,27 @@ def _grid_columns(top: int, unit: np.ndarray, count: int):
     return np.repeat(legendre, 2, axis=0), trig.reshape(2 * count, unit.shape[1])
 
 
-def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False):
-    """The (u, grad u or None) of `solid_harmonic_series` at the points
-    r * unit, one shell per radius r of `radii`, on a product grid `unit`
-    (rings, azimuths, 3): each ring at one z, all at the same azimuths.
-    Coefficients of shape (sets, modes) give fields with a leading sets axis.
-
-    The table factors (`_grid_columns`, once for all shells and sets) into
-    Legendre columns at the rings and Re/Im rows at the azimuths.  Each shell
-    folds its r^k and r^-(k+1) into the coefficient rows, then makes one
-    batched (rows x degrees) by (degrees x rings) product per Re/Im part of
-    every order and one (rows x rings, part) by (part, azimuth) product."""
-    unit = np.asarray(unit, dtype=float)
-    rings, azimuths, _ = unit.shape
+def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False, combine=None):
+    """The field of `solid_harmonic_series` at r * unit, one shell per radius r of `radii`, on a
+    product grid `unit` (rings, azimuths, 3), each ring at one z, factored as (values, trig):
+    component c at (shell, ring, azimuth) is values[..., c, shell, ring, :] @ trig[:, azimuth],
+    values complex of shape sets + (components, shells, rings, parts) and trig the Re/Im
+    (cos phi + i sin phi)^a rows (parts, azimuths) of `_grid_columns`.  The components are u,
+    then grad u ([3 + 3 i + j] = d_j u_i) if asked, or the rows of a real (K, components)
+    `combine`, applied to the coefficients.  Coefficients (sets, modes) give the sets axis."""
+    unit, radii = np.asarray(unit, dtype=float), np.asarray(radii, dtype=float)
     kinds, top, sets, coef = _series_orders(n, m, regular, decaying, gradient)
     part = np.arange(2 * len(coef)) != 1  # the Re/Im (cos phi + i sin phi)^a parts but Im of a = 0, which is 0
     legendre, trig = (t[part] for t in _grid_columns(top, unit, len(coef)))
-    width = 2 * math.prod(sets) * (12 if gradient else 3) * rings  # re/im x set x component x ring
-    coef = coef.reshape((2 * len(coef),) + coef.shape[2:])[part]
-    for f in np.moveaxis(_radial(kinds, coef, np.asarray(radii, dtype=float)), -1, 0):  # (kind, degree) per shell
-        val = np.matmul((coef * f).sum(axis=-2), legendre[:, None])  # (part, re/im, comp, ring)
-        out = val.reshape(len(val), width).T @ trig  # (re/im x comp x ring, azimuth)
-        yield _field_gradient(out.reshape(2, -1, rings * azimuths), sets, unit.shape, gradient)
+    coef = coef.reshape((2 * len(coef), 2, math.prod(sets), 12 if gradient else 3) + coef.shape[-2:])[part]
+    coef = coef if combine is None else np.einsum("kc,prscnd->prsknd", combine, coef)
+    parts, _, nsets, comps, _, degrees = coef.shape  # every size explicit: an empty spectrum has no parts
+    rows = nsets * comps * len(radii)  # set x component x shell
+    radial = _radial(kinds, coef, radii).transpose(1, 0, 2)  # (degree, kind, shell)
+    val = np.moveaxis(coef, -1, 0).reshape(degrees, 2 * parts * nsets * comps, len(kinds)) @ radial
+    out = legendre.swapaxes(1, 2) @ val.reshape(degrees, parts, 2 * rows).swapaxes(0, 1)  # (part, ring, re/im x rows)
+    out = np.ascontiguousarray(out.reshape(parts, len(unit), 2, rows).transpose(3, 1, 0, 2)).view(complex)
+    return out.reshape(sets + (comps, len(radii), len(unit), parts)), trig
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:

@@ -364,27 +364,27 @@ def quad_energy_shell(
 ) -> float:
     """(delta/2) * int_shell [lam |div u|^2 + 2 mu |sym grad u|^2] dx.
 
-    u_grad(radii, unit) is called once with the radial nodes of the unit shell
-    [rho, 1] and the rule's nodes as a grid (n_theta rings, n_phi azimuths, 3);
-    it yields (u, grad u in x / r_e) of shapes unit.shape (+ (3,)) at r_e r unit,
-    one radius at a time in the order of `radii`.  The integral is times r_e.
-    The radial direction uses Gauss-Legendre with n_radial nodes, angles the
-    rule's exactness nodes.  Material constants are the background real
+    u_grad(radii, unit, combine) gets the radial nodes of the unit shell [rho, 1], the rule's
+    nodes as a grid (n_theta rings, n_phi azimuths, 3) and the rows `combine` of (u, grad u in
+    x / r_e) the density needs, and returns them at r_e r unit factored as
+    `harmonics.solid_harmonic_shells` does (a pointwise field: trig the identity).  Each ring's
+    azimuth sum is then a quadratic form in the Gram matrix G = trig diag(w_phi) trig^T of the
+    rule's azimuth nodes, not diagonal where they alias the trig rows.  The integral is times
+    r_e, with n_radial Gauss-Legendre nodes in r.  Material constants are the background real
     pair; the loss enters only through the leading factor.
     """
     xg, wg = _leggauss(n_radial)
     radii = 0.5 * (1 - geom.rho) * np.asarray(xg) + 0.5 * (1 + geom.rho)
     wr = np.asarray(wg) * 0.5 * (1 - geom.rho)
-    lam = complex(lame.lam).real
-    mu = complex(lame.mu).real
-    unit, w_unit = _unit_nodes(rule, polar=False)
-    dens = np.empty((radii.size, w_unit.size))  # one row of weighted densities per shell
-    for row, r, (_, grad) in zip(dens, radii, u_grad(radii, unit)):
-        grad = grad.reshape(-1, 3, 3)
-        div = grad[:, 0, 0] + grad[:, 1, 1] + grad[:, 2, 2]
-        sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
-        row[:] = (lam * np.abs(div) ** 2 + 2 * mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))) * (w_unit * r**2)
-        del div, sym  # freed before the next shell's fields, so the peak holds the densities instead
+    lam, mu = complex(lame.lam).real, complex(lame.mu).real
+    strain = np.zeros((7, 12))  # div u, d_i u_i and (d_j u_i + d_i u_j) / 2 for i < j; [3 + 3 i + j] = d_j u_i
+    strain[[0, 0, 0, 1, 2, 3, 4, 4, 5, 5, 6, 6], [3, 7, 11, 3, 7, 11, 4, 6, 5, 9, 8, 10]] = [1.0] * 6 + [0.5] * 6
+    values, trig = u_grad(radii, _unit_nodes(rule, polar=False)[0], combine=strain)
+    gram = (2 * np.pi / rule.n_phi) * trig @ trig.T
+    v = values.reshape(math.prod(values.shape[:-1]), len(trig))  # sized: an empty spectrum has no parts
+    dens = np.einsum("ij,ij->i", v.conj(), v @ gram).real.reshape(values.shape[:-1])  # (row, shell, ring)
+    dens = np.tensordot([lam, 2 * mu, 2 * mu, 2 * mu, 4 * mu, 4 * mu, 4 * mu], dens, 1)
+    dens *= np.asarray(_leggauss(rule.n_theta)[1]) * (radii * radii)[:, None]  # (shell, ring), weighted
     return 0.5 * delta * geom.r_e * math.fsum(wr * fsum_c(dens).real)
 
 

@@ -343,12 +343,11 @@ def field_eval(sol: DensitySolution, xyz, src: SourceSpectrum | None = None) -> 
 
 
 def scattered_gradient_factory(sol: DensitySolution):
-    """Callable (radii, unit) -> iterator over the radii of (u, grad u) at
-    the shell points r_e r unit (a product grid (rings, azimuths, 3)), analytic
-    gradients: the T field u = grad F x x of the shell potential F of all modes
-    (`solid_harmonic_shells`), with grad u[..., i, l] = d_l u_i in x / r_e.
-    Each call builds the harmonic table of `unit` once for all its radii.
-    """
+    """Callable (radii, unit, combine=None) -> (values, trig): the T field
+    u = grad F x x of the shell potential F of all modes and its analytic
+    grad u[..., i, l] = d_l u_i in x / r_e (or their rows `combine`) at the
+    shell points r_e r unit, every radius on the product grid `unit` in one
+    call, factored as `solid_harmonic_shells` gives them."""
     _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.lame)
     return partial(solid_harmonic_shells, sol.n, sol.m, regular, decaying, gradient=True)
 
@@ -412,11 +411,12 @@ def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=N
 
     energy_modal sums the exact per-mode closed form: row k of `per_mode`
     (the energy grid of `solve_sweep`, zero past solution k's modes) or else
-    `shell_energy` of solution k.  energy_quadrature
-    (optional) integrates the strain density over the shell volume with the
-    brute-force angular `rule` (an oracle.QuadratureRule, default 24 x 48)
-    and 16 radial nodes.  Both are (delta/2) * P_shell(u - F) of the shell,
-    configuration and material the solution was solved for.
+    `shell_energy` of solution k.  energy_quadrature (optional) integrates
+    the strain density over the shell volume with the brute-force angular
+    `rule` (an oracle.QuadratureRule, default 24 x 48) and 16 radial nodes,
+    every shell's field factored in one call, each ring's azimuth sum a Gram
+    form on the rule's nodes.  Both are (delta/2) * P_shell(u - F) of the
+    shell, configuration and material the solution was solved for.
     """
     if quadrature:
         from .oracle import QuadratureRule, quad_energy_shell

@@ -37,3 +37,23 @@ def assert_pointwise(actual, reference, rtol=1e-13):
     err = np.linalg.norm((actual - reference).reshape(len(actual), -1), axis=1)
     scale = np.linalg.norm(reference.reshape(len(reference), -1), axis=1)
     assert np.all(err <= rtol * scale), float(np.max(err / np.maximum(scale, 1e-300)))
+
+
+def shell_fields(values, trig, gradient=True):
+    """Per shell, (u, grad u or None) on the grid from the factored
+    (values, trig) of `solid_harmonic_shells`: a grid value is values @ trig."""
+    grid = np.moveaxis(np.moveaxis(values @ trig, -4, -1), -4, 0)  # (shell,) + sets + (ring, azimuth, component)
+    return [(g[..., :3], g[..., 3:].reshape(g.shape[:-1] + (3, 3)) if gradient else None) for g in grid]
+
+
+def pointwise_shells(fields):
+    """A pointwise field in the factored contract of `quad_energy_shell`:
+    fields(r, unit) gives (u, grad u) at the grid r unit, and the callable
+    returns the rows `combine` of (u, grad u) at every node, trig the
+    identity over the azimuths."""
+    def u_grad(radii, unit, combine):
+        comps = [np.concatenate([u, grad.reshape(u.shape[:-1] + (9,))], axis=-1) for u, grad in
+                 (fields(r, unit) for r in radii)]
+        return np.moveaxis(np.stack(comps) @ combine.T, -1, 0), np.eye(unit.shape[1])
+
+    return u_grad

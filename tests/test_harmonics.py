@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
-from conftest import assert_pointwise, random_surface_angles
+from conftest import assert_pointwise, random_surface_angles, shell_fields
 from npshell import harmonics, oracle
 from npshell.harmonics import (
     ModeIndex,
@@ -846,7 +846,7 @@ class TestSolidHarmonicShells:
         unit = _ring_sets()[name]
         n, m, regular, decaying = _series_modes(sets, rng)
         for gradient in (False, True):
-            shells = solid_harmonic_shells(n, m, regular, decaying, self.RADII, unit, gradient)
+            shells = shell_fields(*solid_harmonic_shells(n, m, regular, decaying, self.RADII, unit, gradient), gradient)
             for r, (u, grad) in zip(self.RADII, shells):
                 u_ref, grad_ref = solid_harmonic_series(n, m, regular, decaying, r * unit, gradient)
                 assert u.shape == u_ref.shape
@@ -868,7 +868,7 @@ class TestSolidHarmonicShells:
         unit = _ring_sets()["rule-24x48"]
         assert unit.shape == (24, 48, 3)
         n, m = np.arange(2, 30), np.zeros(28, dtype=int)
-        list(solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True))
+        solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True)
         assert builds == [(range(3), (24,))]
 
 

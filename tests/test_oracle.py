@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_surface_angles
+from conftest import pointwise_shells, random_surface_angles
 from npshell import harmonics, oracle
 from npshell.harmonics import (
     ModeIndex,
@@ -587,31 +587,29 @@ class TestShellEnergyQuadrature:
         geom = ShellGeometry(1.0, 2.0)
         idx = ModeIndex("T", 1, 0)
 
-        def u_grad(radii, unit):
-            for r in radii:
-                pts = r * unit
-                u = eval_solid_mode(idx, lame, pts)
-                grad = np.zeros(pts.shape + (3,), dtype=complex)
-                h = 1e-6
-                for d in range(3):
-                    e = np.zeros(3)
-                    e[d] = h
-                    grad[..., d] = (
-                        eval_solid_mode(idx, lame, pts + e) - eval_solid_mode(idx, lame, pts - e)
-                    ) / (2 * h)
-                yield u, grad
+        def fields(r, unit):
+            pts = r * unit
+            u = eval_solid_mode(idx, lame, pts)
+            grad = np.zeros(pts.shape + (3,), dtype=complex)
+            h = 1e-6
+            for d in range(3):
+                e = np.zeros(3)
+                e[d] = h
+                grad[..., d] = (
+                    eval_solid_mode(idx, lame, pts + e) - eval_solid_mode(idx, lame, pts - e)
+                ) / (2 * h)
+            return u, grad
 
-        val = quad_energy_shell(u_grad, lame, 0.01, geom, QuadratureRule(8, 16), n_radial=4)
+        val = quad_energy_shell(pointwise_shells(fields), lame, 0.01, geom, QuadratureRule(8, 16), n_radial=4)
         assert abs(val) < 1e-12
 
     def test_constant_field_zero(self, lame):
         geom = ShellGeometry(1.0, 2.0)
 
-        def u_grad(radii, unit):
-            for _ in radii:
-                yield np.ones(unit.shape, dtype=complex), np.zeros(unit.shape + (3,), dtype=complex)
+        def fields(r, unit):
+            return np.ones(unit.shape, dtype=complex), np.zeros(unit.shape + (3,), dtype=complex)
 
-        val = quad_energy_shell(u_grad, lame, 0.3, geom, QuadratureRule(8, 16), n_radial=4)
+        val = quad_energy_shell(pointwise_shells(fields), lame, 0.3, geom, QuadratureRule(8, 16), n_radial=4)
         assert val == 0.0
 
 

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import npshell.oracle as oracle
 import npshell.transmission as tr
-from conftest import assert_pointwise, random_surface_angles
+from conftest import assert_pointwise, pointwise_shells, random_surface_angles, shell_fields
 from npshell import harmonics
 from npshell.harmonics import (
     ModeIndex,
@@ -348,7 +348,7 @@ class TestBatchedFields:
         shell = r[in_shell]
         unit = pts[in_shell] / shell[:, None]
         u_grad = scattered_gradient_factory(sol)
-        shells = (next(u_grad([s / GEOM.r_e], d[None, None])) for s, d in zip(shell, unit))
+        shells = (shell_fields(*u_grad([s / GEOM.r_e], d[None, None]))[0] for s, d in zip(shell, unit))
         u, grad = (np.concatenate(f)[:, 0] for f in zip(*shells))
         u_ref, grad_ref = _per_mode_u_grad(sol, shell[:, None] * unit)
         check(u, u_ref, on_axis[in_shell])
@@ -378,7 +378,7 @@ class TestShellGrid:
         # radii and gradients in units of r_e
         unit, _ = QuadratureRule(6, 12).surface_nodes()
         radii = np.array([1.0, 1.37, 2.0])
-        shells = list(scattered_gradient_factory(sol)(radii / GEOM.r_e, unit.reshape(6, 12, 3)))
+        shells = shell_fields(*scattered_gradient_factory(sol)(radii / GEOM.r_e, unit.reshape(6, 12, 3)))
         assert len(shells) == len(radii)
         for r, (u, grad) in zip(radii, shells):
             u_ref, grad_ref = _per_mode_u_grad(sol, r * unit)
@@ -389,13 +389,12 @@ class TestShellGrid:
         # the same strain integral with every shell evaluated on its own
         _, regular, decaying, _ = region_coefficients(sol.n, sol.phi_i, sol.phi_e, GEOM, LAME)
 
-        def per_shell(radii, unit):
-            for r in radii:
-                yield solid_harmonic_series(sol.n, sol.m, regular, decaying, r * unit, gradient=True)
+        def per_shell(r, unit):
+            return solid_harmonic_series(sol.n, sol.m, regular, decaying, r * unit, gradient=True)
 
         args = (LAME, sol.cfg.delta, GEOM, QuadratureRule(24, 48))
         assert_allclose(quad_energy_shell(scattered_gradient_factory(sol), *args),
-                        quad_energy_shell(per_shell, *args), rtol=1e-13)
+                        quad_energy_shell(pointwise_shells(per_shell), *args), rtol=1e-13)
 
     def test_legendre_columns_independent_of_radial_nodes(self, sol, monkeypatch):
         builds = []
@@ -419,6 +418,53 @@ class TestShellGrid:
             assert len(builds) == 1 and len(builds[0]) <= q_max + 3  # one table for every shell
 
 
+def _node_by_node_energy(sol, rule, n_radial=16):
+    """The cross-check's shell energy summed node by node: (u, grad u) expanded to every node of
+    every shell (values @ trig), lam |div u|^2 + 2 mu |sym grad u|^2 at each node times its
+    weight r^2 w, then compensated sums over the nodes and the radial Gauss-Legendre rule."""
+    rho, (xg, wg) = sol.geom.rho, np.polynomial.legendre.leggauss(n_radial)
+    radii, wr = 0.5 * (1 - rho) * xg + 0.5 * (1 + rho), 0.5 * (1 - rho) * wg
+    unit, w = rule.surface_nodes()
+    shells = shell_fields(*scattered_gradient_factory(sol)(radii, unit.reshape(rule.n_theta, rule.n_phi, 3)))
+    dens = np.empty((n_radial, len(unit)))
+    for row, r, (_, grad) in zip(dens, radii, shells):
+        grad = grad.reshape(-1, 3, 3)
+        div = np.einsum("pii->p", grad)
+        sym = 0.5 * (grad + grad.swapaxes(1, 2))
+        row[:] = (sol.lame.lam * np.abs(div) ** 2 + 2 * sol.lame.mu * np.sum(np.abs(sym) ** 2, axis=(1, 2))) * w * r**2
+    return 0.5 * sol.cfg.delta * sol.geom.r_e * math.fsum(wr * oracle.fsum_c(dens).real)
+
+
+class TestGramSum:
+    """The cross-check's azimuth sums as one Gram quadratic form against the sum node by node."""
+
+    @pytest.mark.parametrize("case", ["spread-m-6x12", "m0-sweep-24x48", "calr-re2.5-rs2.6-kappa2"])
+    def test_matches_node_by_node_sum(self, case):
+        if case == "spread-m-6x12":
+            sol, rule = _spread_m_solution(), QuadratureRule(6, 12)
+        elif case == "m0-sweep-24x48":
+            sol, rule = solve_sweep_point(1e-3, GEOM, LAME, 2.5)[1], QuadratureRule(24, 48)
+        else:  # `npshell calr --re 2.5 --rs 2.6 --kappa 2`, its smallest loss
+            sol, rule = tr.solve_sweep(_SWEEP_GRID, ShellGeometry(1.0, 2.5), LAME, 2.6, 2.0, [None] * 6)[0][-1], \
+                QuadratureRule(24, 48)
+        quad = quad_energy_shell(scattered_gradient_factory(sol), sol.lame, sol.cfg.delta, sol.geom, rule)
+        ref = _node_by_node_energy(sol, rule)
+        assert ref > 0
+        assert abs(quad - ref) <= 1e-14 * ref
+
+    def test_gram_not_diagonal_where_the_rule_aliases(self):
+        # orders up to 14 on 12 azimuths: (cos phi + i sin phi)^a and ^(a + 12) agree at every node
+        unit = QuadratureRule(6, 12).surface_nodes()[0].reshape(6, 12, 3)
+        values, trig = scattered_gradient_factory(_spread_m_solution())([0.6, 0.9], unit)
+        gram = (2 * np.pi / 12) * trig @ trig.T
+        assert np.abs(gram - np.diag(np.diag(gram))).max() > 0.1 * np.diag(gram).max()
+        nodes = (2 * np.pi / 12) * np.sum(np.abs(values @ trig) ** 2)
+        full = np.sum(values.conj() * (values @ gram)).real
+        diagonal = np.sum(np.abs(values) ** 2 * np.diag(gram))
+        assert abs(full - nodes) <= 1e-13 * nodes
+        assert abs(diagonal - nodes) > 1e-3 * nodes  # a diagonal shortcut misses the aliased pairs
+
+
 class TestCoefficientSets:
     """Coefficient arrays (sets, modes) against one call per set."""
 
@@ -433,10 +479,10 @@ class TestCoefficientSets:
         dec = decaying * weights[1] if kinds != "regular" else None
         unit = QuadratureRule(6, 12).surface_nodes()[0].reshape(6, 12, 3)
         radii = [1.0, 1.37, 2.0]
-        shells = list(solid_harmonic_shells(sol.n, sol.m, reg, dec, radii, unit, gradient))
+        shells = shell_fields(*solid_harmonic_shells(sol.n, sol.m, reg, dec, radii, unit, gradient), gradient)
         for k in range(3):
-            one = solid_harmonic_shells(sol.n, sol.m, None if reg is None else reg[k],
-                                        None if dec is None else dec[k], radii, unit, gradient)
+            one = shell_fields(*solid_harmonic_shells(sol.n, sol.m, None if reg is None else reg[k],
+                                                      None if dec is None else dec[k], radii, unit, gradient), gradient)
             for (u, grad), (u_k, grad_k) in zip(shells, one):
                 assert u.shape == (3,) + u_k.shape
                 assert np.max(np.abs(u[k] - u_k)) <= 1e-14 * np.max(np.abs(u_k))
