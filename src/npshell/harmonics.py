@@ -24,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -496,28 +496,10 @@ def a_coeff(n, lame: "LameParams"):
     return complex(val) if np.iscomplexobj(val) else float(val)
 
 
-def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", unit, r=1.0) -> Iterator[np.ndarray]:
-    """The solid vector harmonics (family, n, m) at the points r * unit, on a
-    product grid `unit` of unit vectors (rings, azimuths, 3), each ring at one
-    z, and r one radius per ring (a scalar or shape (rings, 1)): one complex
-    (3, rings x azimuths) array per order m of `orders`, in request order.
-    At r = 1 they are the traces on the unit sphere.
-
-    T_n^m = grad(r^n Y_n^m) x x        (rotational, divergence free)
-    M_n^m = grad(r^n Y_n^m)            (irrotational, divergence free)
-    N_n^m = a_n r^{n-1} Y_{n-1}^m x + (1 - a_n/(2n-1) - r^2) grad(r^{n-1} Y_{n-1}^m)
-
-    All three solve the homogeneous Lame system; T and M do not depend on
-    the material.  T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on degree
-    n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m) is
-    `_ladder_weights` on degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m) / l
-    (Euler).  One table per call (`_grid_columns`): each ring's row of that
-    degree, every order the weights reach, times r^degree is a (ring, row)
-    factor; with the weights on the rows (`_row_weights`, once for all orders)
-    each mode is one (component x ring, row) by (row, azimuth) product, made
-    as the returned iterator advances."""
-    unit = np.asarray(unit, dtype=float)
-    rings, azimuths, _ = unit.shape
+def _mode_rows(family: str, n: int, orders: Iterable[int], unit, r=1.0):
+    """`vector_modes` factored on one table (`_grid_columns`): (g, y, trig), g (orders, 3, rings,
+    rows) the rows of T_n^m, M_n^m or N's grad(r^l Y_l^m), a value g[k, c, ring] @ trig[:rows,
+    azimuth]; y those of r^l Y_l^m for N (no rows for T, M); trig the Re/Im (cos phi + i sin phi)^a rows."""
     l = n - 1 if family == "N" else n
     orders = np.array(list(orders), dtype=int)
     shifted = orders[:, None] + np.arange(-1, 2)  # the orders m + s the weights reach
@@ -528,20 +510,38 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
     count = min(int(np.abs(shifted).max(initial=0)), degree) + 1  # the orders the weights reach
     # w[mode, component, 1, row]: the weights on the rows of the table
     w = np.einsum("dsk,ksr->kdr", weights, _row_weights(degree, shifted)[..., :2 * count])[:, :, None]
-    legendre, trig = _grid_columns(max(degree, 0), unit, count)
-    factor = legendre[:, -1].T * r ** max(degree, 0)  # (ring, row)
+    ycount = int(np.abs(orders).max(initial=0)) + 1 if family == "N" else 0
+    legendre, trig = _grid_columns(l if family == "N" else max(degree, 0), unit, max(count, ycount))
+    g = w * (legendre[:2 * count, degree].T * r ** max(degree, 0))  # (ring, row) factor of that degree
+    return g, _row_weights(l, orders)[:, None, :2 * ycount] * (legendre[:2 * ycount, -1].T * r ** l), trig
+
+
+def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams", unit, r=1.0) -> np.ndarray:
+    """The solid vector harmonics (family, n, m) at the points r * unit, on a
+    product grid `unit` of unit vectors (rings, azimuths, 3), each ring at one
+    z, and r one radius per ring (a scalar or shape (rings, 1)): complex of
+    shape (orders, 3, rings x azimuths), the orders m of `orders` in request
+    order.  At r = 1 they are the traces on the unit sphere.
+
+    T_n^m = grad(r^n Y_n^m) x x        (rotational, divergence free)
+    M_n^m = grad(r^n Y_n^m)            (irrotational, divergence free)
+    N_n^m = a_n r^{n-1} Y_{n-1}^m x + (1 - a_n/(2n-1) - r^2) grad(r^{n-1} Y_{n-1}^m)
+
+    All three solve the homogeneous Lame system; T and M do not depend on
+    the material.  T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on degree
+    n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m) is
+    `_ladder_weights` on degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m) / l
+    (Euler).  Each mode is one product of `_mode_rows`' (component x ring,
+    row) coefficients by its (row, azimuth) trig rows, from one table."""
+    unit = np.asarray(unit, dtype=float)
+    rings, azimuths, _ = unit.shape
+    g, _, trig = _mode_rows(family, n, orders, unit, r)
+    g = np.array([(c.reshape(3 * rings, -1) @ trig[:c.shape[-1]]) for c in g]).reshape(len(g), 3, rings, azimuths)
     if family == "N":
-        a, nu = a_coeff(n, lame), np.moveaxis(unit, -1, 0)
-        radial = 1.0 - a / (2 * n - 1) - r * r
-
-    def mode(weights: np.ndarray) -> np.ndarray:
-        g = ((weights * factor).reshape(3 * rings, 2 * count) @ trig).reshape(3, rings, azimuths)
-        if family != "N":
-            return g.reshape(3, -1)
-        y = r * np.sum(nu * g, axis=0) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
-        return (a * r * y * nu + radial * g).reshape(3, -1)
-
-    return map(mode, w)
+        l, a, nu = n - 1, a_coeff(n, lame), np.moveaxis(unit, -1, 0)
+        y = r * np.sum(nu * g, axis=1, keepdims=True) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m
+        g = a * r * y * nu + (1.0 - a / (2 * n - 1) - r * r) * g
+    return g.reshape(len(g), 3, rings * azimuths)
 
 
 def eval_solid_mode(idx: ModeIndex, lame: "LameParams", xyz) -> np.ndarray:
@@ -590,8 +590,8 @@ def gram_matrix(n_max: int, lame: "LameParams", rule) -> tuple[np.ndarray, list[
                       f"degree {2 * n_max}", RuntimeWarning, stacklevel=2)
     modes = mode_indices(n_max)
     pts, w = rule.surface_nodes(1.0)
-    vals = np.stack([mode for (fam, n), group in groupby(modes, key=lambda i: (i.family, i.n))
-                     for mode in vector_modes(fam, n, [i.m for i in group], lame, pts.reshape(rule.n_theta, -1, 3))])
+    vals = np.concatenate([vector_modes(fam, n, [i.m for i in group], lame, pts.reshape(rule.n_theta, -1, 3))
+                           for (fam, n), group in groupby(modes, key=lambda i: (i.family, i.n))])
     # G[a, b] = sum_k w_k <mode_a(k), conj mode_b(k)>
     gram = np.einsum("aik,bik,k->ab", vals, vals.conj(), w)
     return gram, modes

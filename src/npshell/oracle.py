@@ -13,9 +13,10 @@ The scalar and elastic single layers and the N-P operator share one
 routine (`_pole_frame`): on the sphere each kernel is a combination of
 material-free blocks built once per rule and radius with the target at the
 pole, and the multiplier and its projection residual are read off the pole
-integrals of the modes of one degree.  The residual sees modes mixed in by
-the rule (N-P, M_6^3 on an 8x16 rule: 4.4e-4), not an error that keeps the
-mode's shape (N-P, T_6^3 on 8x16: eigenvalue off by 2.3e-3, residual 1.6e-17).
+integrals of the modes of one degree, summed ring by ring on the blocks'
+azimuth moments.  The residual sees modes mixed in by the rule (N-P, M_6^3
+on an 8x16 rule: 4.4e-4), not an error that keeps the mode's shape (N-P,
+T_6^3 on 8x16: eigenvalue off by 2.3e-3, residual 1.6e-17).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonics import ModeIndex, vector_modes
+from .harmonics import ModeIndex, _grid_columns, _mode_rows, a_coeff
 from .kelvin import KernelCoeffs, LameParams, k1_kernel, k2_parts
 from .transmission import ShellGeometry
 
@@ -144,6 +145,22 @@ def _pole_blocks(rule: QuadratureRule, r0: float) -> tuple[np.ndarray, np.ndarra
     return blocks
 
 
+@lru_cache(maxsize=16)
+def _pole_moments(rule: QuadratureRule, r0: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sums over each ring's azimuths of the `_pole_blocks` K1 w, a w I and B w, [i, j] with
+    j = 3 the block times nu, against the Re/Im (cos phi + i sin phi)^a rows a < count of the rule's
+    polar grid, as (kernel, i, j, ring, row), one block row at a time; and s = sum K1 w (nu - z-hat)."""
+    unit = _unit_nodes(rule, polar=True)[0]
+    nu, trig = unit.reshape(-1, 3).T, _grid_columns(count - 1, unit, count)[1].T  # the table's trig rows alone
+    k1w, bw, aw = _pole_blocks(rule, r0)
+    moments = np.array([[np.concatenate([x, np.sum(x * nu, axis=0)[None]]).reshape((4,) + unit.shape[:2]) @ trig
+                         for x in (k1w[i], np.eye(3)[i, :, None] * aw, bw[i])] for i in range(3)]).swapaxes(0, 1)
+    s = fsum_c(np.einsum("ijn,jn->in", k1w, nu - _POLE[:, None])).real
+    for out in (moments, s):
+        out.setflags(write=False)
+    return moments, s
+
+
 def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: float, k1: complex, ka: complex,
                 kb: complex, operator: str) -> tuple[complex, float]:
     """Multiplier of the surface operator with kernel k1 K1 + ka a I + kb B on
@@ -162,9 +179,11 @@ def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: floa
     value against constants on a sphere, so its p.v. action equals the
     absolutely convergent integral of K1(x, y)(phi(y) - phi(x)); that term
     runs only when k1 != 0.  Summed against each phi_k of the scalar degree
-    l, the blocks give the pole integrals I_k = K[phi_k](r0 z-hat); the
-    modes stream, one at a time, from one harmonic table of the rule's
-    cached unit grid (`harmonics.vector_modes` on `_unit_nodes`).
+    l, the blocks give the pole integrals I_k = K[phi_k](r0 z-hat), with no
+    mode formed on the nodes: phi_k is (ring, row) coefficients times trig
+    rows (`harmonics._mode_rows`; N's y nu as y's, on the blocks times nu),
+    each ring's sum a (j, row) product with the blocks' azimuth moments
+    (`_pole_moments`), phi(x) off its constant row; `fsum_c` sums the rings.
 
     The kernels are isotropic, K(Qx, Qy) = Q K(x, y) Q^T, and the modes
     rotation covariant, Q phi_m(Q^T p) = sum_k D^l_km(Q) phi_k(p), so
@@ -194,22 +213,23 @@ def _pole_frame(idx: ModeIndex, lame: LameParams, rule: QuadratureRule, r0: floa
     only the gap to the closed form or to a finer rule shows that the rule
     resolves the mode.
     """
-    k1w, bw, aw = _pole_blocks(rule, r0)
-
-    def contracted(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
-        out = ka * aw * psi  # the material scales the mode, not the blocks; in place, two (3, N) live
-        for j in range(3):
-            if k1:
-                out += k1w[:, j] * (k1 * (psi[j] - c[j]))
-            if kb:
-                out += bw[:, j] * (kb * psi[j])
-        return out
-
     l = idx.scalar_degree
     orders = [k for k in range(-l, l + 1) if k % rule.n_phi in (0, 1, rule.n_phi - 1)]
-    pole = np.stack(list(vector_modes(idx.family, idx.n, orders, lame, _POLE[None, None])))[..., 0]  # phi_k(z-hat)
-    modes = vector_modes(idx.family, idx.n, orders, lame, _unit_nodes(rule, polar=True)[0])
-    integrals = np.stack([fsum_c(contracted(psi, c)) for psi, c in zip(modes, pole)])  # no mode outlives its sum
+    (gp, yp, _), (g, y, trig) = (_mode_rows(idx.family, idx.n, orders, grid)
+                                 for grid in (_POLE[None, None], _unit_nodes(rule, polar=True)[0]))
+    moments, s = _pole_moments(rule, r0, len(trig) // 2)
+    a = a_coeff(idx.n, lame) if idx.family == "N" else 0.0  # N = a y nu + (1 - a/(2n-1) - r^2) g at r = 1
+    mix = np.array([-a / (2 * idx.n - 1) if idx.family == "N" else 1.0] * 3 + [a])  # on the channels j: g, y
+    coef = np.zeros((len(orders), 4) + moments.shape[-2:], dtype=complex)  # (order, j, ring, row)
+    coef[:, :3, :, :g.shape[-1]], coef[:, 3, :, :y.shape[-1]] = g, y
+    coef *= mix[:, None, None]
+    pole = mix * np.concatenate([gp.sum(axis=-1)[..., 0], yp.sum(axis=-1)], axis=1)  # every trig row is 1 there
+    vals = np.einsum("ijrq,kjrq->kir", ka * moments[1] + kb * moments[2], coef)  # (order, i, ring)
+    if k1:
+        coef[..., 0] -= pole[:, :, None]  # phi(y) - phi(x) on each ring's constant row, trig row 0 = 1
+        vals += k1 * np.einsum("ijrq,kjrq->kir", moments[0], coef)
+    integrals = fsum_c(vals) + k1 * pole[:, 3:] * s  # with a y(z-hat) K1 (nu - z-hat), the rest of phi(x)
+    pole = pole[:, :3] + pole[:, 3:] * _POLE  # phi_k(z-hat)
     den = fsum_c(np.ravel(np.abs(pole) ** 2)).real
     xi = fsum_c(np.ravel(integrals * pole.conj())) / den
     resid = math.sqrt(fsum_c(np.ravel(np.abs(integrals - xi * pole) ** 2)).real / den)

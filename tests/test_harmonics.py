@@ -313,7 +313,7 @@ class TestTraceModes:
     def test_orders_stream_in_request_order(self, lame, rng):
         unit = _unit_vectors(*random_surface_angles(rng, 5))[:, None]
         modes = vector_modes("T", 3, [2, -3, 2], lame, unit)
-        assert not isinstance(modes, (list, tuple))
+        assert isinstance(modes, np.ndarray) and modes.shape == (3, 3, len(unit))
         first, second, third = modes
         (alone,) = vector_modes("T", 3, [-3], lame, unit)
         assert np.array_equal(first, third) and np.array_equal(second, alone)
@@ -337,6 +337,33 @@ class TestTraceModes:
                     for mode, ref in zip(modes, points, strict=True):
                         assert mode.shape == ref.shape == (3, rings * azimuths)
                         assert np.max(np.abs(mode - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fam, n", [("T", 3), ("M", 1), ("N", 1), ("N", 5)])
+    def test_mode_rows_multiply_out(self, fam, n, rng):
+        # the factored rows the pole-frame oracle reads: g @ trig is the mode
+        # (N: its gradient part), y @ trig is r^l Y_l^m (no rows for T and M),
+        # on a rule's grid and on scattered points as an (N, 1) grid, r one
+        # radius per ring
+        lp = LameParams(1.5 + 0.25j, 0.5 + 0.25j)
+        l = n - 1 if fam == "N" else n
+        orders = list(range(-l, l + 1))
+        scattered = _unit_vectors(*random_surface_angles(rng, 30))[:, None]
+        for grid in (oracle._unit_nodes(QuadratureRule(8, 16), polar=True)[0], scattered):
+            r = np.linspace(0.5, 2.0, len(grid))[:, None]
+            g, y, trig = harmonics._mode_rows(fam, n, orders, grid, r)
+            modes = vector_modes(fam, n, orders, lp, grid, r)
+            if fam != "N":
+                assert y.shape == (len(orders), len(grid), 0)
+                assert_allclose((g @ trig).reshape(modes.shape), modes, rtol=0, atol=1e-15 * np.abs(modes).max())
+                continue
+            theta, phi = harmonics._cartesian_angles(grid)[1:]
+            ylm = np.stack([r**l * eval_ylm(l, m, theta, phi) for m in orders])
+            assert_allclose(y @ trig[:y.shape[-1]], ylm, rtol=0, atol=1e-14 * 2.0**l)
+            a = a_coeff(n, lp)
+            nu = np.moveaxis(grid, -1, 0)
+            radial = 1 - a / (2 * n - 1) - r * r
+            values = a * r * (y @ trig[:y.shape[-1]])[:, None] * nu + radial * (g @ trig[:g.shape[-1]])
+            assert_allclose(values.reshape(modes.shape), modes, rtol=0, atol=1e-13 * np.abs(modes).max())
 
     @pytest.mark.parametrize("fam, n", [("T", 3), ("M", 4), ("N", 5)])
     def test_pole_grids(self, fam, n):

@@ -207,23 +207,28 @@ class TestNPQuadrature:
         assert resid <= 5e-3
 
     def test_tilted_blocks_reach_no_later_call(self, lame, monkeypatch):
-        # the pole blocks are cached per (rule, r0): blocks built from the
-        # tilted nodes must be gone once the tilt is undone
+        # the pole blocks and their moments are cached per (rule, r0): those
+        # built from the tilted nodes must be gone once the tilt is undone
         idx, rule = ModeIndex("T", 3, 1), QuadratureRule(64, 128)
         monkeypatch.setattr(oracle, "_RESIDUAL_TOL", 1.0)
         with _tilted_polar_nodes():
             _, tilted_resid = quad_np_apply(idx, lame, rule)
         after = quad_np_apply(idx, lame, rule)
-        oracle._pole_blocks.cache_clear()
+        _clear_pole_caches()
         assert tilted_resid > 1e-4
         assert after == quad_np_apply(idx, lame, rule)
+
+
+def _clear_pole_caches():
+    oracle._pole_blocks.cache_clear()
+    oracle._pole_moments.cache_clear()
 
 
 @contextmanager
 def _tilted_polar_nodes():
     """The rule's polar nodes tilted 0.2 rad about y, as an (N, 1) grid from
-    `oracle._unit_nodes`, so that the pole blocks and the modes tilt
-    together; the pole-block cache is emptied on entry and on exit."""
+    `oracle._unit_nodes`, so that the pole blocks, their moments and the
+    modes tilt together; the pole caches are emptied on entry and on exit."""
     unit_nodes = oracle._unit_nodes
     c, s = math.cos(0.2), math.sin(0.2)
     tilt = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
@@ -232,13 +237,13 @@ def _tilted_polar_nodes():
         pts, w = unit_nodes(rule, polar)
         return ((pts.reshape(-1, 3) @ tilt)[:, None] if polar else pts), w
 
-    oracle._pole_blocks.cache_clear()
+    _clear_pole_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "_unit_nodes", tilted)
             yield
     finally:
-        oracle._pole_blocks.cache_clear()
+        _clear_pole_caches()
 
 
 @pytest.fixture
@@ -249,11 +254,11 @@ def tilted_polar_nodes():
 
 @pytest.fixture
 def fresh_pole_blocks():
-    """An empty pole-block cache before and after the test, so that blocks
-    built by patched kernels reach no other test."""
-    oracle._pole_blocks.cache_clear()
+    """Empty pole-block and moment caches before and after the test, so that
+    blocks built by patched kernels reach no other test."""
+    _clear_pole_caches()
     yield
-    oracle._pole_blocks.cache_clear()
+    _clear_pole_caches()
 
 
 class TestPoleFrame:
@@ -321,7 +326,9 @@ class TestPoleFrame:
 
     def test_kernels_assembled_once_per_rule_and_radius(self, lame, monkeypatch, fresh_pole_blocks):
         # the kernel and the material enter per mode, so the scalar, elastic
-        # and N-P oracles, for a real and a lossy material, share the blocks
+        # and N-P oracles, for a real and a lossy material, share the blocks;
+        # the moments on the 3, 1 and 2 orders of the tables of T_3, M_1 and
+        # T_1 are formed from them
         calls = []
         for name in ("k1_kernel", "k2_parts"):
             kernel = getattr(oracle, name)
@@ -331,13 +338,16 @@ class TestPoleFrame:
         idx, rule = ModeIndex("T", 3, 2), QuadratureRule(16, 32)
         for lp in (lame, LameParams(-4 + 0.05j, -4 + 0.05j)):
             for quad in (quad_scalar_sl, quad_elastic_sl, quad_np_apply):
-                quad(idx, lp, rule)
+                for i in (idx, ModeIndex("M", 1, 0), ModeIndex("T", 1, 1)):
+                    quad(i, lp, rule)
         assert sorted(calls) == ["k1_kernel", "k2_parts"]
+        assert oracle._pole_moments.cache_info().misses == 3
         quad_scalar_sl(idx, lame, rule, r0=2.0)
         assert sorted(calls) == ["k1_kernel", "k1_kernel", "k2_parts", "k2_parts"]
 
     def test_cached_blocks_are_read_only(self):
-        for block in oracle._pole_blocks(QuadratureRule(8, 16), 1.0):
+        rule = QuadratureRule(8, 16)
+        for block in (*oracle._pole_blocks(rule, 1.0), *oracle._pole_moments(rule, 1.0, 2)):
             with pytest.raises(ValueError, match="read-only"):
                 block[0] = 0.0
 
@@ -353,7 +363,10 @@ class TestPoleFrame:
         assert orders == [-1, 0, 1]
 
     def test_one_legendre_column_per_ring(self, lame, monkeypatch):
-        # the pole, then the 64 ring cosines of the rule's grid, as they are
+        # once the rule's moments are cached: the pole, then the 64 ring
+        # cosines of the rule's grid, as they are
+        rule = QuadratureRule(64, 128)
+        quad_np_apply(ModeIndex("T", 3, 1), lame, rule)
         builds = []
         table = harmonics._legendre_table
 
@@ -362,25 +375,82 @@ class TestPoleFrame:
             return table(n, orders, z, st)
 
         monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        rule = QuadratureRule(64, 128)
         quad_np_apply(ModeIndex("T", 3, 1), lame, rule)
         pole, rings = builds
         assert pole.tolist() == [1.0]
         assert np.array_equal(rings, oracle._unit_nodes(rule, polar=True)[0][:, 0, 2])
 
+    # N_1 (a constant y, no g), and modes that mix on 8x16 (M_6, N_5)
+    REFERENCE_MODES = (ModeIndex("T", 1, 1), ModeIndex("T", 6, 3), ModeIndex("M", 1, 0), ModeIndex("M", 6, 3),
+                       ModeIndex("N", 1, 0), ModeIndex("N", 2, 1), ModeIndex("N", 5, 2))
+
+    @pytest.mark.parametrize("quad", [quad_scalar_sl, quad_elastic_sl, quad_np_apply], ids=lambda q: q.__name__)
+    @pytest.mark.parametrize("rule", [QuadratureRule(8, 16), QuadratureRule(16, 32), QuadratureRule(64, 128)],
+                             ids=lambda r: f"{r.n_theta}x{r.n_phi}")
+    def test_moments_match_the_node_by_node_sum(self, quad, rule, monkeypatch):
+        # the ring moments reassociate `_node_by_node`'s sum: the same
+        # verdicts, and (multiplier, residual) within 1e-14 of the multiplier
+        def run(frame, tol):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_pole_frame", frame)
+                mp.setattr(oracle, "_RESIDUAL_TOL", tol)
+                try:
+                    return quad(idx, lp, rule, r0)
+                except NonEigenfunctionError:
+                    return None
+
+        raised = 0
+        for idx, r0, lp in itertools.product(self.REFERENCE_MODES, (0.5, 1.0, 2.0), self.MATERIALS):
+            got = run(oracle._pole_frame, oracle._RESIDUAL_TOL)
+            ref = run(_node_by_node, oracle._RESIDUAL_TOL)
+            assert (got is None) == (ref is None), (idx, r0, lp)
+            raised += got is None
+            (est, resid), (ref_est, ref_resid) = run(oracle._pole_frame, math.inf), run(_node_by_node, math.inf)
+            assert abs(est - ref_est) <= 1e-14 * abs(ref_est), (idx, r0, lp)
+            assert abs(resid - ref_resid) <= 1e-14 * abs(ref_est), (idx, r0, lp)
+        # on 8x16 the elastic and N-P kernels mix modes past the tolerance (2 and
+        # 6 of the 42 cases raise); the componentwise scalar kernel does not
+        assert (raised > 0) == (rule.n_theta == 8 and quad is not quad_scalar_sl)
+
+
+def _node_by_node(idx, lame, rule, r0, k1, ka, kb, operator):
+    """`oracle._pole_frame` summed node by node: each kept order's mode on
+    every node of the rule's polar grid, contracted with the (3, 3, N) pole
+    blocks (K1 against phi(y) - phi(x) per node) and compensated-summed over
+    the nodes."""
+    k1w, bw, aw = oracle._pole_blocks(rule, r0)
+    l = idx.scalar_degree
+    orders = [k for k in range(-l, l + 1) if k % rule.n_phi in (0, 1, rule.n_phi - 1)]
+    pole = vector_modes(idx.family, idx.n, orders, lame, oracle._POLE[None, None])[..., 0]
+    modes = vector_modes(idx.family, idx.n, orders, lame, oracle._unit_nodes(rule, polar=True)[0])
+    integrals = []
+    for psi, c in zip(modes, pole):
+        out = ka * aw * psi
+        for j in range(3):
+            out += k1w[:, j] * (k1 * (psi[j] - c[j])) + bw[:, j] * (kb * psi[j])
+        integrals.append(fsum_c(out))
+    integrals = np.array(integrals)
+    den = fsum_c(np.ravel(np.abs(pole) ** 2)).real
+    xi = fsum_c(np.ravel(integrals * pole.conj())) / den
+    resid = math.sqrt(fsum_c(np.ravel(np.abs(integrals - xi * pole) ** 2)).real / den)
+    if resid > oracle._RESIDUAL_TOL:
+        raise NonEigenfunctionError(f"{operator}: projection residual {resid:.3e}")
+    return xi, resid
+
 
 def _count_orders(rule, monkeypatch):
-    """The list that collects, in call order, the orders `vector_modes` is
-    asked for on the rule's grid."""
+    """The list that collects, in call order, the orders whose table rows
+    `harmonics._mode_rows` is asked for on the rule's grid."""
     orders = []
+    mode_rows = harmonics._mode_rows
 
-    def counted(family, n, js, lame, unit, r=1.0):
+    def counted(family, n, js, unit, r=1.0):
         js = list(js)
         if np.shape(unit)[:2] == (rule.n_theta, rule.n_phi):
             orders.extend(js)
-        return vector_modes(family, n, js, lame, unit, r)
+        return mode_rows(family, n, js, unit, r)
 
-    monkeypatch.setattr(oracle, "vector_modes", counted)
+    monkeypatch.setattr(oracle, "_mode_rows", counted)
     return orders
 
 
