@@ -4,7 +4,8 @@ loss sweeps with resonance classification, and field slices for plotting.
 Artifacts are plain CSV (tables, grids) or JSON lines (structured reports),
 and this module alone encodes them: one value encoder, one JSONL writer, one
 CSV writer.  Every artifact echoes the effective configuration, every flag
-included, in its header; identical runs are byte-identical.
+included, in its header; identical runs are byte-identical.  The parser is
+built once per process; a config file does not change it.
 Exit codes: 0 success, 1 validation failure (a failed record, or a mode
 whose projection residual shows it is no eigenfunction of a surface
 operator at the rule used), 2 bad input or a numerical failure (overflow,
@@ -14,6 +15,7 @@ exact resonance).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -85,8 +87,12 @@ def _resolve(ap: argparse.ArgumentParser, argv) -> tuple[argparse.Namespace, dic
         for k in values:
             if k not in settable:
                 raise ValueError(f"unknown config key {k!r}")
+        defaults = {k: args.parser.get_default(k) for k in values}
         args.parser.set_defaults(**values)
-        args = ap.parse_args(argv)
+        try:
+            args = ap.parse_args(argv)
+        finally:  # the parser is shared by the process: the next call sees its own defaults
+            args.parser.set_defaults(**defaults)
     return args, {a.dest: getattr(args, a.dest) for a in options}
 
 
@@ -335,7 +341,7 @@ def cmd_calr(cfg: dict) -> int:
         "r_s": sweep.r_s,
     }
     out = Path(cfg["out"])
-    _write_jsonl(out, cfg, [asdict(rep) for rep in sweep.reports], summary)
+    _write_jsonl(out, cfg, [vars(rep) for rep in sweep.reports], summary)
     rows = [[rep.delta, rep.n0, rep.energy_modal, rep.farfield_sample] for rep in sweep.reports]
     _write_csv(out.with_suffix(".csv"), cfg, ["delta", "n0", "energy", "farfield_sample"], rows)
     print(f"verdict: {sweep.verdict} (energy ratio {sweep.energy_ratio:.4g}, r* = {geom.critical_radius:.6g})")
@@ -379,9 +385,10 @@ def cmd_field(cfg: dict) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each with only the options it reads; the
-    defaults here are the ones every artifact echoes."""
+    defaults here are the ones every artifact echoes; built once per process."""
     ap = argparse.ArgumentParser(
         prog="npshell",
         description="Neumann-Poincare spectra and anomalous localized resonance on spheres",
@@ -433,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args, cfg = _resolve(ap, argv)
+        args, cfg = _resolve(build_parser(), argv)
         return args.func(cfg)
     except NonEigenfunctionError as exc:  # a pole-frame check that failed before its record
         print(f"error: {exc}", file=sys.stderr)

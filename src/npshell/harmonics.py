@@ -406,8 +406,7 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     a cross product would cancel the radial part of grad F in the last
     digits.  The weights of every mode are summed into real rows per order
     |m| (`_series_orders`); per block of points they meet the
-    `_harmonic_columns` at x / r times the per-point r^k or r^-(k+1) in one
-    contraction over (kind, degree), then one sum over the Re/Im parts.
+    `_harmonic_columns` at x / r (`_series_block`).
     Returns (u (..., 3), grad u (..., 3, 3) or None), complex.  Decaying
     terms need r > 0.
     """
@@ -418,12 +417,17 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     for lo in range(0, len(pts) if kinds else 0, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         unit, r = _unit_and_radius(pts[blk])
-        legendre, trig = _harmonic_columns(top, unit, len(coef))
-        radial = legendre[:, None] * _radial(kinds, coef, r)
-        orders, nkinds, degrees, points = radial.shape
-        val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
-        out[:, :, blk] += np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
+        out[:, :, blk] += _series_block(kinds, coef, *_harmonic_columns(top, unit, len(coef)), r)
     return _field_gradient(out, sets, xyz.shape, gradient)
+
+
+def _series_block(kinds: list, coef: np.ndarray, legendre: np.ndarray, trig: np.ndarray, r: np.ndarray):
+    """`coef` of `_series_orders` at points r unit: their `_harmonic_columns` times r^k or r^-(k+1) in one
+    contraction over (kind, degree), then one sum over the Re/Im parts; (re/im, set x component, point)."""
+    radial = legendre[:, None] * _radial(kinds, coef, r)
+    orders, nkinds, degrees, points = radial.shape
+    val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
+    return np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
 
 
 def _grid_columns(top: int, unit: np.ndarray, count: int):

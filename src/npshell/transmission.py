@@ -14,12 +14,13 @@ source sits inside or outside the critical radius sqrt(r_e^3 / r_i).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .harmonics import solid_harmonic_series, solid_harmonic_shells
+from .harmonics import (_field_gradient, _harmonic_columns, _series_block, _series_orders, solid_harmonic_series,
+                        solid_harmonic_shells)
 from .kelvin import LameParams
 from .potentials import elastic_sl_coeff, np_eigenvalue
 
@@ -372,6 +373,25 @@ class EnergyReport:
     verdict: str = "undetermined"
 
 
+# the directions (x, y, z rows) of `farfield_sample`'s probes, and their cached ((top, count), table)
+_PROBE_Z, _PROBE_PHI = 1 - (2 * np.arange(24) + 1) / 24, np.arange(24) * math.pi * (3 - math.sqrt(5.0))
+_PROBES = np.vstack([np.sqrt(1 - _PROBE_Z * _PROBE_Z) * [np.cos(_PROBE_PHI), np.sin(_PROBE_PHI)], _PROBE_Z])
+_probe_table = (-1, 0), None
+
+
+def _probe_columns(top: int, count: int):
+    """`_harmonic_columns(top, _PROBES, count)` bit for bit, a slice of one cached table rebuilt only for a larger
+    request: the recurrences run upward in degree and order, so a smaller table is a prefix of a larger one."""
+    global _probe_table
+    size = max(top, _probe_table[0][0]), max(count, _probe_table[0][1])
+    if size != _probe_table[0]:
+        _probe_table = size, _harmonic_columns(size[0], _PROBES, size[1])
+        for t in _probe_table[1]:
+            t.setflags(write=False)
+    legendre, trig = _probe_table[1]
+    return legendre[:count, :top + 1], trig[:count]
+
+
 def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     """max |u - F| over 24 fixed probes at |x| = R = 1.05 r_e^2 / r_i, one
     value per solution; the probe directions are a golden-angle spiral,
@@ -382,8 +402,8 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     The solutions must share one shell and material, and their spectra must
     be prefixes of one mode list, as a sweep's are.  Their densities,
     zero-padded, are (solutions, modes) arrays: one `region_coefficients`
-    gives every matrix row, and one `solid_harmonic_series` call at the
-    probes' x / r_e evaluates every row on one harmonic table.
+    gives every matrix row, and one `solid_harmonic_series` contraction at
+    x / r_e = 1.05 / rho evaluates every row on the probes' cached table.
     """
     longest = max(sols, key=lambda sol: sol.n.size)
     geom, lame = longest.geom, longest.lame
@@ -397,11 +417,11 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
                              "and their spectra must be prefixes of one mode list")
         rows[:, j, :k] = sol.phi_i, sol.phi_e
     rows = region_coefficients(longest.n, *rows, geom, lame)[3]
-    k = np.arange(24)
-    ct, phi = 1 - (2 * k + 1) / 24, k * math.pi * (3 - math.sqrt(5.0))
-    st = np.sqrt(1 - ct * ct)
-    unit = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    u, _ = solid_harmonic_series(longest.n, longest.m, None, rows, 1.05 / geom.rho * unit)
+    kinds, top, sets, coef = _series_orders(longest.n, longest.m, None, rows, False)
+    if not kinds:  # no modes, no field
+        return [0.0] * len(sols)
+    out = _series_block(kinds, coef, *_probe_columns(top, len(coef)), np.full(_PROBES.shape[1], 1.05 / geom.rho))
+    u, _ = _field_gradient(out, sets, _PROBES.T.shape, False)
     return np.linalg.norm(u, axis=-1).max(axis=-1).tolist()
 
 
@@ -428,8 +448,9 @@ def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=N
         per_mode = [shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame) for sol in sols]
     reports = []
     for sol, e, farfield, e_quad in zip(sols, per_mode, farfield_sample(sols), e_quads):
+        e = e[:sol.n.size]  # a `per_mode` row is zero past the solution's modes
         reports.append(EnergyReport(  # delta, n0, c_n and eps_n from the configuration
-            **asdict(sol.cfg), energy_modal=math.fsum(e), energy_quadrature=e_quad, farfield_sample=farfield,
+            **vars(sol.cfg), energy_modal=math.fsum(e.tolist()), energy_quadrature=e_quad, farfield_sample=farfield,
             dominant_n=int(sol.n[np.argmax(e)]) if sol.n.size else 0, n_trunc=int(sol.n.max(initial=0))))
     return reports
 
@@ -510,10 +531,10 @@ def solve_sweep(delta_grid: list[float], geom: ShellGeometry, lame: LameParams, 
     if not np.isfinite(e).all():
         raise ArithmeticError(f"shell energies overflow at kappa={kappa}, lambda={lame.lam}, mu={lame.mu}")
     sols = []
-    for row, cfg in enumerate(cfgs):
+    for row, (cfg, energies) in enumerate(zip(cfgs, e.tolist())):
         for n_max in [*range(truncation_degree(cfg.n0), _N_HARD_CAP, 20), _N_HARD_CAP]:
-            total = math.fsum(e[row, : n_max - 1])
-            if total == 0.0 or e[row, n_max - 2] < _ENERGY_FLOOR * total:
+            total = math.fsum(energies[: n_max - 1])
+            if total == 0.0 or energies[n_max - 2] < _ENERGY_FLOOR * total:
                 break
         k = n_max - 1 if total else 0
         e[row, k:] = 0.0

@@ -470,6 +470,31 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_config_does_not_reach_the_next_call(self, tmp_path, capsys):
+        # the parser is built once per process, and a config file sets the defaults of its own call only
+        assert cli.build_parser() is cli.build_parser()
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "calr.jsonl"
+
+        def calr(*flags):
+            rc = main(["calr", *flags, "--delta-grid", "1e-1,1e-2", "--no-quad-energy", "--out", str(out)])
+            return rc, out.read_text(), out.with_suffix(".csv").read_text()
+
+        plain = calr()
+        cfgfile.write_text("rs = 3.0\nmu = 2.0\n")
+        configured = calr("--config", str(cfgfile))
+        assert configured[0] == 0
+        assert "# mu = 2" in configured[2] and "# rs = 3" in configured[2]
+        cfgfile.write_text("rs = 3.0\nmuu = 2.0\n")
+        assert calr("--config", str(cfgfile))[0] == 2  # an unknown key
+        cfgfile.write_text("rs = 3.0\nkappa = one\n")
+        with pytest.raises(SystemExit) as exc:  # a value its flag's type rejects
+            calr("--config", str(cfgfile))
+        assert exc.value.code == 2
+        after = calr()
+        config = _strict_json(after[1].splitlines()[0])
+        assert (config["rs"], config["mu"], config["kappa"]) == (2.5, 1.0, 1.0)  # the defaults
+        assert after == plain
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the shell energy grows as kappa^2, so kappa = 1e200 overflows it
         # in solve_sweep, before the quadrature cross-check; every rescaled

@@ -405,17 +405,14 @@ class TestShellGrid:
             return table(n, orders, z, st)
 
         monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        energy(sol, None, GEOM, sol.cfg, LAME)
-        probes = list(builds)
+        energy(sol, None, GEOM, sol.cfg, LAME)  # the far-field probe table, cached from here on
         q_max = int(np.abs(sol.m).max())
         for n_radial in (4, 16):
             quad = functools.partial(quad_energy_shell, n_radial=n_radial)
             monkeypatch.setattr(oracle, "quad_energy_shell", quad)
             builds.clear()
             energy(sol, None, GEOM, sol.cfg, LAME, quadrature=True)
-            for orders in probes:
-                builds.remove(orders)
-            assert len(builds) == 1 and len(builds[0]) <= q_max + 3  # one table for every shell
+            assert len(builds) == 1 and len(builds[0]) <= q_max + 3  # one shell table per cross-check
 
 
 def _node_by_node_energy(sol, rule, n_radial=16):
@@ -529,10 +526,39 @@ class TestFarfieldSample:
             return table(n, orders, z, st)
 
         monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        for grid in ([1e-1], _SWEEP_GRID):
+        monkeypatch.setattr(tr, "_probe_table", ((-1, 0), None))  # as in a fresh process
+        # r_s = 2.5 keeps degrees up to 100 at every loss, r_s = 2.05 up to the cap of 400; a table
+        # holds orders 0 and 1 (the m = 0 spectra) and is built only when a sweep needs more degrees
+        for r_s, grid, built in ((2.5, [1e-1], True), (2.5, _SWEEP_GRID, False), (2.05, _SWEEP_GRID, True),
+                                 (2.5, [1e-1], False), (2.05, _SWEEP_GRID, False)):
             builds.clear()
-            classify_calr(GEOM, LAME, 2.5, grid)
-            assert builds == [range(2)]  # orders 0 and 1 of the m = 0 spectra
+            classify_calr(GEOM, LAME, r_s, grid)
+            assert builds == [range(2)] * built
+
+    @pytest.mark.parametrize("first", [[], [(2, 2), (40, 5)], [(400, 5)]], ids=["fresh", "grown", "largest-first"])
+    def test_cached_probe_table_is_the_fresh_table(self, first, monkeypatch):
+        # slices of the cached table, however it grew, equal fresh tables bit for bit and are read-only;
+        # a table is built only for a request past every earlier one
+        builds, held = [], (-1, 0)
+
+        def counted(top, nu, count):
+            builds.append((top, count))
+            return harmonics._harmonic_columns(top, nu, count)
+
+        monkeypatch.setattr(tr, "_probe_table", ((-1, 0), None))
+        monkeypatch.setattr(tr, "_harmonic_columns", counted)
+        for size in first:
+            tr._probe_columns(*size)
+            held = max(held[0], size[0]), max(held[1], size[1])
+        for top in (2, 40, 400):
+            for count in (2, 5):
+                builds.clear()
+                fresh = harmonics._harmonic_columns(top, tr._PROBES, count)
+                for got, want in zip(tr._probe_columns(top, count), fresh):
+                    assert got.shape == want.shape and np.array_equal(got, want) and not got.flags.writeable
+                grown = max(held[0], top), max(held[1], count)
+                assert builds == ([grown] if grown != held else [])
+                held = grown
 
     def test_spectra_must_share_one_mode_list(self):
         _, sweep_sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
