@@ -5,7 +5,9 @@ with the quadrature cross-check, a thin shell whose small losses reach the
 degree cap and a zero source (both without the cross-check), the
 `validate --suite energy` records, the
 `validate --suite np --n-max 4` records (N-P quadrature of T, M and N modes),
-a 21 x 21 `field` slice and the `spectrum --n-max 10` eigenvalue table.
+the `validate --suite layers --n-max 4` records (scalar and elastic single
+layers on T, M and N modes), a 21 x 21 `field` slice and the
+`spectrum --n-max 10` eigenvalue table.
 tests/test_golden.py re-runs the same commands and compares.  A change that
 regenerates the files should record the largest move per file.
 
@@ -25,6 +27,7 @@ RUNS = {
     "calr_kappa0.jsonl": ["calr", "--kappa", "0", "--no-quad-energy"],
     "validate_energy.jsonl": ["validate", "--suite", "energy"],
     "validate_np4.jsonl": ["validate", "--suite", "np", "--n-max", "4"],
+    "validate_layers4.jsonl": ["validate", "--suite", "layers", "--n-max", "4"],
     "field_res21.csv": ["field", "--resolution", "21"],
     "spectrum_n10.csv": ["spectrum", "--n-max", "10"],
 }
