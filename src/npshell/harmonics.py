@@ -10,11 +10,11 @@ Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
 the (order x degree) Legendre table in z = cos theta, one degree recurrence
 for all orders (`_legendre_table`), and the Re/Im (x + i y)^a rows; no angle
 is formed, so it is exact on the polar axis and accurate next to it.
-`solid_harmonic_series` takes scattered points; `solid_harmonic_shells` (every
-shell in one call, factored as values at the rings times trig rows at the
-azimuths) and `vector_modes` take product grids (rings, azimuths, 3), scattered
-points as (N, 1), through one table step (`_grid_columns`).  The seed's
-single-mode ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
+`solid_harmonic_series` builds a table per block of scattered points;
+`solid_harmonic_shells` (every shell in one call, values at the rings times
+trig rows at the azimuths) and `vector_modes` read the one table kept per
+product grid (rings, azimuths, 3), scattered points as (N, 1) (`_grid_columns`).
+The seed's ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
 `grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
 
@@ -367,12 +367,6 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     return kinds, top, sets, np.ascontiguousarray(coef)
 
 
-def _field_gradient(out: np.ndarray, sets: tuple, shape: tuple, gradient: bool):
-    """(u, grad u or None) of shapes sets + shape (+ (3,)) from out (re/im, set x component, point)."""
-    out = np.moveaxis((out[0] + 1j * out[1]).reshape(math.prod(sets), -1, out.shape[-1]), 1, -1)
-    return out[..., :3].reshape(sets + shape), out[..., 3:].reshape(sets + shape + (3,)) if gradient else None
-
-
 def _radial(kinds: list, coef: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(kind, degree k, radius) factors r^k (regular) and (1/r)^(k+1) (decaying,
     underflowing where r^(k+1) overflows), formed only at the (kind, degree)
@@ -405,8 +399,8 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     u = -i L F is read off harmonics of the same degrees (`_rotation_weights`);
     a cross product would cancel the radial part of grad F in the last
     digits.  The weights of every mode are summed into real rows per order
-    |m| (`_series_orders`); per block of points they meet the
-    `_harmonic_columns` at x / r (`_series_block`).
+    |m| (`_series_orders`); per block of points they meet the uncached
+    `_harmonic_columns` at x / r in one contraction over (kind, degree).
     Returns (u (..., 3), grad u (..., 3, 3) or None), complex.  Decaying
     terms need r > 0.
     """
@@ -417,17 +411,29 @@ def solid_harmonic_series(n, m, regular, decaying, xyz, gradient: bool = False):
     for lo in range(0, len(pts) if kinds else 0, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         unit, r = _unit_and_radius(pts[blk])
-        out[:, :, blk] += _series_block(kinds, coef, *_harmonic_columns(top, unit, len(coef)), r)
-    return _field_gradient(out, sets, xyz.shape, gradient)
+        legendre, trig = _harmonic_columns(top, unit, len(coef))
+        radial = legendre[:, None] * _radial(kinds, coef, r)
+        orders, nkinds, degrees, points = radial.shape
+        val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
+        out[:, :, blk] = np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
+    out = np.moveaxis((out[0] + 1j * out[1]).reshape(math.prod(sets), -1, len(pts)), 1, -1)
+    return out[..., :3].reshape(sets + xyz.shape), out[..., 3:].reshape(sets + xyz.shape + (3,)) if gradient else None
 
 
-def _series_block(kinds: list, coef: np.ndarray, legendre: np.ndarray, trig: np.ndarray, r: np.ndarray):
-    """`coef` of `_series_orders` at points r unit: their `_harmonic_columns` times r^k or r^-(k+1) in one
-    contraction over (kind, degree), then one sum over the Re/Im parts; (re/im, set x component, point)."""
-    radial = legendre[:, None] * _radial(kinds, coef, r)
-    orders, nkinds, degrees, points = radial.shape
-    val = np.matmul(coef.reshape(orders, -1, nkinds * degrees), radial.reshape(orders, -1, points))
-    return np.einsum("apicn,apn->icn", val.reshape(orders, 2, 2, -1, points), trig)
+_GRID_TABLES = 4  # grids whose tables `_grid_columns` keeps, the last used; a workload reads two at most
+_grid_tables = {}  # key -> ((top, count), legendre, trig)
+
+
+def _grid_table(top: int, unit: np.ndarray, count: int):
+    """The table of `_grid_columns`, built anew."""
+    if unit.shape[1] == 1:
+        legendre, trig = _harmonic_columns(top, unit[:, 0].T, count)
+        return (legendre[:, None] * trig[:, :, None]).reshape(2 * count, top + 1, len(unit)), np.ones((2 * count, 1))
+    st = np.hypot(unit[:, 0, 0], unit[:, 0, 1])
+    w = np.argmax(st)
+    phi = unit[w, :, :2] / st[w] if st[w] else np.tile([1.0, 0.0], (unit.shape[1], 1))
+    legendre, trig = _harmonic_columns(top, (*phi.T, unit[:, 0, 2]), count, st)
+    return np.repeat(legendre, 2, axis=0), trig.reshape(2 * count, unit.shape[1])
 
 
 def _grid_columns(top: int, unit: np.ndarray, count: int):
@@ -437,15 +443,23 @@ def _grid_columns(top: int, unit: np.ndarray, count: int):
     (1, i)[p] legendre[2a + p, k, i] trig[2a + p, j]; seeded with each ring's
     sin theta, at the widest ring's azimuths (phi = 0 on the axis, where P~_k^a
     = 0 for a > 0).  An (N, 1) grid keeps each point's own azimuth: legendre is
-    P~_k^a / sin^a theta times Re/Im (x + i y)^a, trig 1."""
-    if unit.shape[1] == 1:
-        legendre, trig = _harmonic_columns(top, unit[:, 0].T, count)
-        return (legendre[:, None] * trig[:, :, None]).reshape(2 * count, top + 1, len(unit)), np.ones((2 * count, 1))
-    st = np.hypot(unit[:, 0, 0], unit[:, 0, 1])
-    w = np.argmax(st)
-    phi = unit[w, :, :2] / st[w] if st[w] else np.tile([1.0, 0.0], (unit.shape[1], 1))
-    legendre, trig = _harmonic_columns(top, (*phi.T, unit[:, 0, 2]), count, st)
-    return np.repeat(legendre, 2, axis=0), trig.reshape(2 * count, unit.shape[1])
+    P~_k^a / sin^a theta times Re/Im (x + i y)^a, trig 1.
+
+    One table per grid, keyed on the nodes it reads (each ring's first, the widest ring), kept for
+    the last `_GRID_TABLES` grids and rebuilt only for more degrees or orders than it holds: the
+    recurrences run upward in both, so its read-only slices equal a fresh table bit for bit."""
+    w = np.argmax(np.hypot(unit[:, 0, 0], unit[:, 0, 1])) if unit.size else 0  # the widest ring
+    key = unit.shape, unit[:, 0].tobytes(), unit[w].tobytes() if unit.size else b""
+    held, legendre, trig = _grid_tables.pop(key, ((-1, 0), None, None))
+    if top > held[0] or count > held[1]:
+        held = max(top, held[0]), max(count, held[1])
+        legendre, trig = _grid_table(held[0], unit, held[1])
+        legendre.setflags(write=False)
+        trig.setflags(write=False)
+    _grid_tables[key] = held, legendre, trig
+    if len(_grid_tables) > _GRID_TABLES:
+        del _grid_tables[next(iter(_grid_tables))]
+    return legendre[:2 * count, :top + 1], trig[:2 * count]
 
 
 def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool = False, combine=None):
@@ -465,7 +479,8 @@ def solid_harmonic_shells(n, m, regular, decaying, radii, unit, gradient: bool =
     parts, _, nsets, comps, _, degrees = coef.shape  # every size explicit: an empty spectrum has no parts
     rows = nsets * comps * len(radii)  # set x component x shell
     radial = _radial(kinds, coef, radii).transpose(1, 0, 2)  # (degree, kind, shell)
-    val = np.moveaxis(coef, -1, 0).reshape(degrees, 2 * parts * nsets * comps, len(kinds)) @ radial
+    val = np.moveaxis(coef, -1, 0).reshape(degrees, 2 * parts * nsets * comps, len(kinds))
+    val = val * radial if len(kinds) == 1 else val @ radial  # one kind: the same products, no matmul per degree
     out = legendre.swapaxes(1, 2) @ val.reshape(degrees, parts, 2 * rows).swapaxes(0, 1)  # (part, ring, re/im x rows)
     out = np.ascontiguousarray(out.reshape(parts, len(unit), 2, rows).transpose(3, 1, 0, 2)).view(complex)
     return out.reshape(sets + (comps, len(radii), len(unit), parts)), trig

@@ -6,8 +6,8 @@ Nothing here reuses the closed forms it is meant to check: layer potentials
 are integrated from the raw kernels, differential operators are applied by
 central differences (one product stencil, one call of a field mapping
 points (S, 3) to values (S, 3) per derivative), and energies come from
-strain densities on a volume grid.  Reductions use compensated summation in
-a fixed order so repeated runs are bit-identical.
+strain densities on a volume grid.  Reductions are correctly rounded sums
+(`math.fsum`), so repeated runs are bit-identical.
 
 The scalar and elastic single layers and the N-P operator share one
 routine (`_pole_frame`): on the sphere each kernel is a combination of
@@ -38,29 +38,14 @@ class NonEigenfunctionError(RuntimeError):
 
 
 def fsum_c(values: np.ndarray) -> complex | np.ndarray:
-    """Compensated sum over the last axis, real and imaginary parts apart:
-    cascaded pairwise TwoSum (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 2005)
-    over the input zero-padded to a power of two, the rounding errors summed
-    pairwise alongside.  Fixed order and elementwise, so independent of the
-    memory layout.  1-D input gives a complex."""
+    """Correctly rounded sum over the last axis, real and imaginary parts
+    apart: `math.fsum` (Shewchuk's algorithm) row by row, so independent of
+    the order and the memory layout.  1-D input gives a complex."""
     a = np.asarray(values)
-    parts = [a.real, a.imag] if np.iscomplexobj(a) else [a]
-    s = np.zeros((len(parts),) + a.shape[:-1] + (1 << max(a.shape[-1] - 1, 0).bit_length(),))
-    s[..., : a.shape[-1]] = parts
-    e = np.zeros_like(s)
-    while (half := s.shape[-1] // 2) > 0:
-        x, y = s[..., :half], s[..., half:]
-        t = x + y
-        z = t - x  # TwoSum: x + y == t + (x - (t - z)) + (y - z) exactly
-        y -= z  # s is this call's own buffer; in place, a level allocates only t and z
-        np.subtract(x, np.subtract(t, z, out=z), out=z)
-        z += y
-        z += e[..., :half]
-        z += e[..., half:]
-        s, e = t, z
-    total = s[..., 0] + e[..., 0]
-    out = total[0] + 1j * total[1] if len(parts) == 2 else total[0] + 0j
-    return complex(out) if np.ndim(out) == 0 else out
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    re, im = (np.array([math.fsum(row.tolist()) for row in part]) for part in (rows.real, rows.imag))
+    out = (re + 1j * im).reshape(a.shape[:-1])
+    return complex(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=32)
@@ -403,9 +388,9 @@ def quad_energy_shell(
     gram = (2 * np.pi / rule.n_phi) * trig @ trig.T
     v = values.reshape(math.prod(values.shape[:-1]), len(trig))  # sized: an empty spectrum has no parts
     dens = np.einsum("ij,ij->i", v.conj(), v @ gram).real.reshape(values.shape[:-1])  # (row, shell, ring)
-    dens = np.tensordot([lam, 2 * mu, 2 * mu, 2 * mu, 4 * mu, 4 * mu, 4 * mu], dens, 1)
+    dens = np.tensordot([lam / mu, 2, 2, 2, 4, 4, 4], dens, 1)  # times mu last: near 1e308 it overflows a density
     dens *= np.asarray(_leggauss(rule.n_theta)[1]) * (radii * radii)[:, None]  # (shell, ring), weighted
-    return 0.5 * delta * geom.r_e * math.fsum(wr * fsum_c(dens).real)
+    return 0.5 * delta * geom.r_e * math.fsum(wr * fsum_c(dens).real) * mu
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .harmonics import (_field_gradient, _harmonic_columns, _series_block, _series_orders, solid_harmonic_series,
-                        solid_harmonic_shells)
+from .harmonics import solid_harmonic_series, solid_harmonic_shells
 from .kelvin import LameParams
 from .potentials import elastic_sl_coeff, np_eigenvalue
 
@@ -373,23 +372,9 @@ class EnergyReport:
     verdict: str = "undetermined"
 
 
-# the directions (x, y, z rows) of `farfield_sample`'s probes, and their cached ((top, count), table)
+# the directions of `farfield_sample`'s probes, as a (24, 1) grid
 _PROBE_Z, _PROBE_PHI = 1 - (2 * np.arange(24) + 1) / 24, np.arange(24) * math.pi * (3 - math.sqrt(5.0))
-_PROBES = np.vstack([np.sqrt(1 - _PROBE_Z * _PROBE_Z) * [np.cos(_PROBE_PHI), np.sin(_PROBE_PHI)], _PROBE_Z])
-_probe_table = (-1, 0), None
-
-
-def _probe_columns(top: int, count: int):
-    """`_harmonic_columns(top, _PROBES, count)` bit for bit, a slice of one cached table rebuilt only for a larger
-    request: the recurrences run upward in degree and order, so a smaller table is a prefix of a larger one."""
-    global _probe_table
-    size = max(top, _probe_table[0][0]), max(count, _probe_table[0][1])
-    if size != _probe_table[0]:
-        _probe_table = size, _harmonic_columns(size[0], _PROBES, size[1])
-        for t in _probe_table[1]:
-            t.setflags(write=False)
-    legendre, trig = _probe_table[1]
-    return legendre[:count, :top + 1], trig[:count]
+_PROBES = np.vstack([np.sqrt(1 - _PROBE_Z * _PROBE_Z) * [np.cos(_PROBE_PHI), np.sin(_PROBE_PHI)], _PROBE_Z]).T[:, None]
 
 
 def farfield_sample(sols: list[DensitySolution]) -> list[float]:
@@ -399,11 +384,10 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     The probe radius and directions are definitions with no oracle; the
     field they sample is checked against `field_eval` at the same points.
 
-    The solutions must share one shell and material, and their spectra must
-    be prefixes of one mode list, as a sweep's are.  Their densities,
-    zero-padded, are (solutions, modes) arrays: one `region_coefficients`
-    gives every matrix row, and one `solid_harmonic_series` contraction at
-    x / r_e = 1.05 / rho evaluates every row on the probes' cached table.
+    The solutions must share one shell and material, and their spectra must be prefixes of one
+    mode list, as a sweep's are.  Their densities, zero-padded, are (solutions, modes) arrays: one
+    `region_coefficients` gives every matrix row, and one `solid_harmonic_shells` call evaluates
+    every row at x / r_e = 1.05 / rho on the probes as a (24, 1) grid.
     """
     longest = max(sols, key=lambda sol: sol.n.size)
     geom, lame = longest.geom, longest.lame
@@ -417,12 +401,8 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
                              "and their spectra must be prefixes of one mode list")
         rows[:, j, :k] = sol.phi_i, sol.phi_e
     rows = region_coefficients(longest.n, *rows, geom, lame)[3]
-    kinds, top, sets, coef = _series_orders(longest.n, longest.m, None, rows, False)
-    if not kinds:  # no modes, no field
-        return [0.0] * len(sols)
-    out = _series_block(kinds, coef, *_probe_columns(top, len(coef)), np.full(_PROBES.shape[1], 1.05 / geom.rho))
-    u, _ = _field_gradient(out, sets, _PROBES.T.shape, False)
-    return np.linalg.norm(u, axis=-1).max(axis=-1).tolist()
+    values, trig = solid_harmonic_shells(longest.n, longest.m, None, rows, [1.05 / geom.rho], _PROBES)
+    return np.linalg.norm((values @ trig)[..., 0, :, 0], axis=-2).max(axis=-1).tolist()
 
 
 def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=None,

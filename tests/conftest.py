@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from npshell import harmonics
 from npshell.kelvin import LameParams
 from npshell.oracle import QuadratureRule
 
@@ -23,6 +24,25 @@ def rule():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240810)
+
+
+@pytest.fixture
+def empty_grid_tables(monkeypatch):
+    """No table kept by `harmonics._grid_columns`, as in a fresh process, for the test's duration."""
+    monkeypatch.setattr(harmonics, "_grid_tables", {})
+
+
+@pytest.fixture
+def legendre_builds(monkeypatch, empty_grid_tables):
+    """The (degree, orders, z) of every `_legendre_table` call, starting with no grid table kept."""
+    builds, table = [], harmonics._legendre_table
+
+    def counted(n, orders, z, st):
+        builds.append((n, orders, np.array(z)))
+        return table(n, orders, z, st)
+
+    monkeypatch.setattr(harmonics, "_legendre_table", counted)
+    return builds
 
 
 def random_surface_angles(rng, count):

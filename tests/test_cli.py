@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from npshell import cli
+from npshell import cli, harmonics
 from npshell.cli import _worst_error, main
 from npshell.oracle import ValidationRecord
 
@@ -596,17 +596,19 @@ class TestConfigHandling:
         # |elastic_sl_coeff|^2 ~ 4e-402 once underflowed, so closed form and
         # quadrature both read exactly 0 (the suite passed 5/5 records
         # comparing 0 with 0, and later exited 2); the source amplitude is
-        # now mu, so the energies are mu times the unit-material ones
+        # now mu, so the energies are mu times the unit-material ones; at 2e301 the
+        # quadrature once weighted its densities by lam and mu before summing and overflowed
         records = {}
-        for scale in ("1", "1e200"):
+        for scale in ("1", "1e200", "2e301"):
             out = tmp_path / f"energy-{scale}.jsonl"
             assert main(["validate", "--suite", "energy", "--lambda", scale, "--mu", scale, "--out", str(out)]) == 0
             records[scale] = [_strict_json(l) for l in out.read_text().splitlines()[1:-1]]
-        assert len(records["1e200"]) == 5
-        for huge, unit in zip(records["1e200"], records["1"]):
-            assert huge["passed"] and huge["params"] == unit["params"]
-            assert huge["closed_form"] > 1e199 and huge["oracle"] > 1e199
-            assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-12
+        for scale in ("1e200", "2e301"):
+            assert len(records[scale]) == 5
+            for huge, unit in zip(records[scale], records["1"]):
+                assert huge["passed"] and huge["params"] == unit["params"]
+                assert huge["closed_form"] > 0.1 * float(scale) and huge["oracle"] > 0.1 * float(scale)
+                assert abs(huge["rel_error"] - unit["rel_error"]) <= 1e-12
 
     def test_bad_geometry_exit_code(self, tmp_path):
         rc = main(["calr", "--ri", "3.0", "--re", "2.0", "--delta-grid", "1e-1,1e-2",
@@ -660,6 +662,21 @@ class TestDeterminism:
             a.with_suffix(".csv").read_bytes().replace(b"a.jsonl", b"")
             == b.with_suffix(".csv").read_bytes().replace(b"b.jsonl", b"")
         )
+
+
+    def test_calr_after_the_cap_sweep_matches_a_fresh_process(self, tmp_path, empty_grid_tables):
+        # the cap sweep grows the kept probe and rule tables to degree 400; `calr --rs 2.5`
+        # then reads slices of them and writes what it writes with no table kept, byte for byte
+        out = tmp_path / "calr.jsonl"
+
+        def run():
+            assert main(["calr", "--rs", "2.5", "--out", str(out)]) == 0
+            return out.read_bytes(), out.with_suffix(".csv").read_bytes()
+
+        fresh = run()
+        assert main(["calr", "--re", "2.5", "--rs", "2.6", "--kappa", "2", "--out", str(tmp_path / "cap.jsonl")]) == 0
+        assert min(held[0] for held, _, _ in harmonics._grid_tables.values()) >= 400
+        assert run() == fresh
 
 
 class TestFieldLocalization:

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.special import sph_harm_y
 
 from conftest import assert_pointwise, random_surface_angles, shell_fields
-from npshell import harmonics, oracle
+from npshell import harmonics, oracle, transmission
 from npshell.harmonics import (
     ModeIndex,
     a_coeff,
@@ -883,20 +883,62 @@ class TestSolidHarmonicShells:
                         assert_pointwise(grad[k].reshape(-1, 9), grad_ref[k].reshape(-1, 9))
                 assert (grad is None) == (grad_ref is None) == (not gradient)
 
-    def test_one_legendre_column_per_ring(self, monkeypatch):
-        builds = []
-        table = harmonics._legendre_table
-
-        def counted(n, orders, z, st):
-            builds.append((orders, np.shape(z)))
-            return table(n, orders, z, st)
-
-        monkeypatch.setattr(harmonics, "_legendre_table", counted)
+    def test_one_legendre_column_per_ring(self, legendre_builds):
+        # one table at the 24 ring cosines for a first call, none for a repeat
         unit = _ring_sets()["rule-24x48"]
         assert unit.shape == (24, 48, 3)
         n, m = np.arange(2, 30), np.zeros(28, dtype=int)
-        solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True)
-        assert builds == [(range(3), (24,))]
+        for built in (1, 0):
+            legendre_builds.clear()
+            solid_harmonic_shells(n, m, np.ones(28), np.ones(28), [1.2, 1.7], unit, gradient=True)
+            assert [(orders, z.shape) for _, orders, z in legendre_builds] == [(range(3), (24,))] * built
+
+
+class TestGridColumns:
+    """The one table `_grid_columns` keeps per grid, for the last few grids."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch, empty_grid_tables):
+        builds, table = [], harmonics._grid_table
+
+        def counted(top, unit, count):
+            builds.append((top, count))
+            return table(top, unit, count)
+
+        monkeypatch.setattr(harmonics, "_grid_table", counted)
+        return builds
+
+    @pytest.mark.parametrize("grid", ["rule-24x48", "probes-24x1"])
+    @pytest.mark.parametrize("first", [[], [(2, 2), (40, 5)], [(400, 5)]], ids=["fresh", "grown", "largest-first"])
+    def test_slices_are_the_fresh_table(self, grid, first, builds):
+        # slices of the kept table, however it grew, equal fresh tables bit for bit and are read-only;
+        # a table is built only for a request past every earlier one
+        unit = _ring_sets()[grid] if grid in _ring_sets() else transmission._PROBES
+        assert unit.shape == ((24, 48, 3) if grid in _ring_sets() else (24, 1, 3))
+        held = (-1, 0)
+        for size in first:
+            harmonics._grid_columns(size[0], unit, size[1])
+            held = max(held[0], size[0]), max(held[1], size[1])
+        for top in (2, 40, 400):
+            for count in (2, 5):
+                fresh = harmonics._grid_table(top, unit, count)
+                builds.clear()
+                for got, want in zip(harmonics._grid_columns(top, unit, count), fresh):
+                    assert got.shape == want.shape and np.array_equal(got, want) and not got.flags.writeable
+                grown = max(held[0], top), max(held[1], count)
+                assert builds == ([grown] if grown != held else [])
+                held = grown
+
+    def test_keeps_the_last_grids(self, builds):
+        grids = [QuadratureRule(k, 2 * k).surface_nodes()[0].reshape(k, 2 * k, 3)
+                 for k in range(2, harmonics._GRID_TABLES + 3)]
+        for unit in grids:
+            harmonics._grid_columns(3, unit, 2)
+        assert len(builds) == len(grids) == harmonics._GRID_TABLES + 1
+        for k, built in ((1, False), (0, True), (1, False), (2, True)):  # the first grid was dropped, then the third
+            builds.clear()
+            harmonics._grid_columns(3, grids[k], 2)
+            assert builds == [(3, 2)] * built
 
 
 class TestSolidHarmonicSeriesSets:

@@ -362,23 +362,18 @@ class TestPoleFrame:
         quad_np_apply(idx, lame, rule)
         assert orders == [-1, 0, 1]
 
-    def test_one_legendre_column_per_ring(self, lame, monkeypatch):
-        # once the rule's moments are cached: the pole, then the 64 ring
-        # cosines of the rule's grid, as they are
+    def test_one_legendre_column_per_ring(self, lame, legendre_builds):
+        # a first call builds one table at the pole and one at the 64 ring cosines
+        # of the rule's polar grid, as they are; a repeat, or another order, builds none
         rule = QuadratureRule(64, 128)
         quad_np_apply(ModeIndex("T", 3, 1), lame, rule)
-        builds = []
-        table = harmonics._legendre_table
-
-        def counted(n, orders, z, st):
-            builds.append(np.array(z))
-            return table(n, orders, z, st)
-
-        monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        quad_np_apply(ModeIndex("T", 3, 1), lame, rule)
-        pole, rings = builds
+        pole, rings = (z for _, _, z in legendre_builds)
         assert pole.tolist() == [1.0]
         assert np.array_equal(rings, oracle._unit_nodes(rule, polar=True)[0][:, 0, 2])
+        legendre_builds.clear()
+        for m in (1, -2):
+            quad_np_apply(ModeIndex("T", 3, m), lame, rule)
+        assert legendre_builds == []
 
     # N_1 (a constant y, no g), and modes that mix on 8x16 (M_6, N_5)
     REFERENCE_MODES = (ModeIndex("T", 1, 1), ModeIndex("T", 6, 3), ModeIndex("M", 1, 0), ModeIndex("M", 6, 3),
@@ -416,8 +411,8 @@ class TestPoleFrame:
 def _node_by_node(idx, lame, rule, r0, k1, ka, kb, operator):
     """`oracle._pole_frame` summed node by node: each kept order's mode on
     every node of the rule's polar grid, contracted with the (3, 3, N) pole
-    blocks (K1 against phi(y) - phi(x) per node) and compensated-summed over
-    the nodes."""
+    blocks (K1 against phi(y) - phi(x) per node) and summed over the nodes
+    by `fsum_c`."""
     k1w, bw, aw = oracle._pole_blocks(rule, r0)
     l = idx.scalar_degree
     orders = [k for k in range(-l, l + 1) if k % rule.n_phi in (0, 1, rule.n_phi - 1)]
@@ -520,6 +515,14 @@ class TestFsum:
         got = fsum_c(np.array(xs, dtype=float))
         assert isinstance(got, complex) and got.imag == 0.0
         assert abs(got.real - exact) <= bound
+
+    @settings(deadline=None, max_examples=100)
+    @given(rows=st.lists(_SUMMANDS, min_size=1, max_size=4))
+    def test_correctly_rounded(self, rows):
+        # each row's sum is `math.fsum` of it, bit for bit
+        n = max(len(r) for r in rows)
+        a = np.array([r + [0.0] * (n - len(r)) for r in rows])
+        assert fsum_c(a).real.tolist() == [math.fsum(r) for r in rows]
 
     @settings(deadline=None, max_examples=50)
     @given(rows=st.lists(_SUMMANDS, min_size=1, max_size=4), imag=_SUMMANDS)

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 import npshell.oracle as oracle
 import npshell.transmission as tr
 from conftest import assert_pointwise, pointwise_shells, random_surface_angles, shell_fields
-from npshell import harmonics
 from npshell.harmonics import (
     ModeIndex,
     _unit_vectors,
@@ -396,29 +395,22 @@ class TestShellGrid:
         assert_allclose(quad_energy_shell(scattered_gradient_factory(sol), *args),
                         quad_energy_shell(pointwise_shells(per_shell), *args), rtol=1e-13)
 
-    def test_legendre_columns_independent_of_radial_nodes(self, sol, monkeypatch):
-        builds = []
-        table = harmonics._legendre_table
-
-        def counted(n, orders, z, st):
-            builds.append(orders)
-            return table(n, orders, z, st)
-
-        monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        energy(sol, None, GEOM, sol.cfg, LAME)  # the far-field probe table, cached from here on
+    def test_legendre_columns_independent_of_radial_nodes(self, sol, legendre_builds, monkeypatch):
+        energy(sol, None, GEOM, sol.cfg, LAME)  # the far-field probe table, kept from here on
         q_max = int(np.abs(sol.m).max())
-        for n_radial in (4, 16):
-            quad = functools.partial(quad_energy_shell, n_radial=n_radial)
-            monkeypatch.setattr(oracle, "quad_energy_shell", quad)
-            builds.clear()
+        rings = oracle._unit_nodes(QuadratureRule(24, 48), polar=False)[0][:, 0, 2]
+        for n_radial, built in ((4, 1), (16, 0)):  # one shell table for a first cross-check, none for a repeat
+            monkeypatch.setattr(oracle, "quad_energy_shell", functools.partial(quad_energy_shell, n_radial=n_radial))
+            legendre_builds.clear()
             energy(sol, None, GEOM, sol.cfg, LAME, quadrature=True)
-            assert len(builds) == 1 and len(builds[0]) <= q_max + 3  # one shell table per cross-check
+            assert len(legendre_builds) == built
+            assert all(np.array_equal(z, rings) and len(orders) <= q_max + 3 for _, orders, z in legendre_builds)
 
 
 def _node_by_node_energy(sol, rule, n_radial=16):
     """The cross-check's shell energy summed node by node: (u, grad u) expanded to every node of
     every shell (values @ trig), lam |div u|^2 + 2 mu |sym grad u|^2 at each node times its
-    weight r^2 w, then compensated sums over the nodes and the radial Gauss-Legendre rule."""
+    weight r^2 w, then `fsum_c` over the nodes and `math.fsum` over the radial Gauss-Legendre rule."""
     rho, (xg, wg) = sol.geom.rho, np.polynomial.legendre.leggauss(n_radial)
     radii, wr = 0.5 * (1 - rho) * xg + 0.5 * (1 + rho), 0.5 * (1 - rho) * wg
     unit, w = rule.surface_nodes()
@@ -517,48 +509,14 @@ class TestFarfieldSample:
             assert_allclose(rep.farfield_sample, ref, rtol=1e-13)
             assert (ref == 0) == (kappa == 0)
 
-    def test_one_table_for_the_whole_grid(self, monkeypatch):
-        builds = []
-        table = harmonics._legendre_table
-
-        def counted(n, orders, z, st):
-            builds.append(orders)
-            return table(n, orders, z, st)
-
-        monkeypatch.setattr(harmonics, "_legendre_table", counted)
-        monkeypatch.setattr(tr, "_probe_table", ((-1, 0), None))  # as in a fresh process
+    def test_one_table_for_the_whole_grid(self, legendre_builds):
         # r_s = 2.5 keeps degrees up to 100 at every loss, r_s = 2.05 up to the cap of 400; a table
         # holds orders 0 and 1 (the m = 0 spectra) and is built only when a sweep needs more degrees
         for r_s, grid, built in ((2.5, [1e-1], True), (2.5, _SWEEP_GRID, False), (2.05, _SWEEP_GRID, True),
                                  (2.5, [1e-1], False), (2.05, _SWEEP_GRID, False)):
-            builds.clear()
+            legendre_builds.clear()
             classify_calr(GEOM, LAME, r_s, grid)
-            assert builds == [range(2)] * built
-
-    @pytest.mark.parametrize("first", [[], [(2, 2), (40, 5)], [(400, 5)]], ids=["fresh", "grown", "largest-first"])
-    def test_cached_probe_table_is_the_fresh_table(self, first, monkeypatch):
-        # slices of the cached table, however it grew, equal fresh tables bit for bit and are read-only;
-        # a table is built only for a request past every earlier one
-        builds, held = [], (-1, 0)
-
-        def counted(top, nu, count):
-            builds.append((top, count))
-            return harmonics._harmonic_columns(top, nu, count)
-
-        monkeypatch.setattr(tr, "_probe_table", ((-1, 0), None))
-        monkeypatch.setattr(tr, "_harmonic_columns", counted)
-        for size in first:
-            tr._probe_columns(*size)
-            held = max(held[0], size[0]), max(held[1], size[1])
-        for top in (2, 40, 400):
-            for count in (2, 5):
-                builds.clear()
-                fresh = harmonics._harmonic_columns(top, tr._PROBES, count)
-                for got, want in zip(tr._probe_columns(top, count), fresh):
-                    assert got.shape == want.shape and np.array_equal(got, want) and not got.flags.writeable
-                grown = max(held[0], top), max(held[1], count)
-                assert builds == ([grown] if grown != held else [])
-                held = grown
+            assert [orders for _, orders, _ in legendre_builds] == [range(2)] * built
 
     def test_spectra_must_share_one_mode_list(self):
         _, sweep_sol = solve_sweep_point(1e-3, GEOM, LAME, 2.5)
