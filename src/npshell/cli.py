@@ -50,6 +50,8 @@ from .transmission import (
 )
 from . import harmonics
 
+_JSON = json.JSONEncoder(allow_nan=False)  # every JSONL line's; `json.dumps` with an option builds one per call
+
 
 def _parse_config_file(path: str) -> dict:
     """Flat `key = value` lines; # comments; arrays as comma lists."""
@@ -138,7 +140,7 @@ def _write_csv(path, cfg: dict, header: list[str], rows: list[list]) -> None:
 def _write_jsonl(path, cfg: dict, records: list[dict], summary: dict) -> None:
     """A config record, one record per check or loss value, then a summary."""
     lines = [{"type": "config", **{k: cfg[k] for k in sorted(cfg)}}, *records, {"type": "summary", **summary}]
-    Path(path).write_text("".join(json.dumps(_encode(d), allow_nan=False) + "\n" for d in lines))
+    Path(path).write_text("".join(_JSON.encode(_encode(d)) + "\n" for d in lines))
 
 
 # the quantity each float flag sets, as error messages name it

@@ -10,10 +10,10 @@ Every evaluator reads one angle-free harmonic table (`_harmonic_columns`):
 the (order x degree) Legendre table in z = cos theta, one degree recurrence
 for all orders (`_legendre_table`), and the Re/Im (x + i y)^a rows; no angle
 is formed, so it is exact on the polar axis and accurate next to it.
-`solid_harmonic_series` builds a table per block of scattered points;
-`solid_harmonic_shells` (every shell in one call, values at the rings times
-trig rows at the azimuths) and `vector_modes` read the one table kept per
-product grid (rings, azimuths, 3), scattered points as (N, 1) (`_grid_columns`).
+`solid_harmonic_series` builds a table per block of scattered points; `solid_harmonic_shells`
+(every shell in one call, values at the rings times trig rows at the azimuths) and
+`vector_modes` read the one table kept per product grid (rings, azimuths, 3), scattered points
+as (N, 1) (`_grid_columns`); the series' weights, one kept (order x degree) `_weight_table`.
 The seed's ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
 `grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
@@ -313,20 +313,40 @@ def hess_irregular_solid_harmonic(n: int, m: int, xyz) -> np.ndarray:
 # Points per Legendre block: large enough for BLAS, small enough that the
 # real (degrees x points) blocks stay a few hundred kB.
 _BLOCK = 256
+_weights = [-1, -1, 0, None, None]  # `_weight_table`'s (orders, degrees, kinds) held, rot, grad
+
+
+def _weight_table(q_max: int, n_max: int, gradient: bool):
+    """`_series_orders`' weights on the dense grid of orders q = -q_max..q_max and degrees 0..n_max:
+    rot [s1 + 1, q, i, n] of u_i on order q + s1 (`_rotation_weights`) and grad [kind, s + 2, q,
+    3 i + j, n] of d_j u_i on order q + s (the paths s1 + s2 = s of rot times `_ladder_weights`
+    summed; no kinds before a gradient call).  One table is kept, rebuilt only for more than it
+    holds: each weight is a closed form in (n, q), so its read-only slices equal a fresh one."""
+    held = np.maximum(_weights[:3], (q_max, n_max, 2 * gradient)).tolist()
+    if held != _weights[:3]:
+        n, q = np.arange(held[1] + 1), np.arange(-held[0], held[0] + 1)[:, None]
+        w = _rotation_weights(n, q)  # [i, s1 + 1, q, n]
+        g = np.zeros((held[2], 3, 3, 5) + w.shape[2:], dtype=complex)  # [kind, i, j, s + 2, q, n]
+        for kind in range(held[2]):
+            ladder = _ladder_weights(n, q + np.arange(-1, 2)[:, None, None], bool(kind))  # [j, s2 + 1, s1 + 1, q, n]
+            for s1 in (-1, 0, 1):
+                g[kind, :, :, s1 + 1:s1 + 4] += w[:, None, s1 + 1, None] * ladder[:, :, s1 + 1]
+        w.flags.writeable = g.flags.writeable = False  # and so every view of them handed out
+        _weights[:] = *held, w.transpose(1, 2, 0, 3), g.reshape((len(g), 9) + g.shape[3:]).transpose(0, 2, 3, 1, 4)
+    return tuple(t[..., held[0] - q_max:held[0] + q_max + 1, :, :n_max + 1] for t in _weights[3:])
 
 
 def _series_orders(n, m, regular, decaying, gradient: bool):
     """Coefficient stages of a solid-harmonic series: the weights of u on the
-    harmonics of degree n and order m + s1 (`_rotation_weights`) and of
-    grad u on degree n -+ 1 and order m + s1 + s2 (then `_ladder_weights`),
-    for all modes at once, scattered into one row per (kind, degree, order)
-    one shift at a time (the (n, m) of a spectrum are distinct, so the modes
-    of one shift hit distinct rows); then the orders +-a recombined into the
-    real rows of order a <= q_max + 1 (+ 2 with the gradient) and <= top.
-    Coefficients of shape (sets, modes) give each set its own components,
-    set-major along the component axis, so one table and one contraction
-    serve every set.  Returns (kinds present, top, sets shape, coef) with
-    coef of shape (order a, Re/Im (x + i y)^a part, re/im, set x component,
+    harmonics of degree n and order m + s1 and of grad u on degree n -+ 1 and
+    order m + s1 + s2 (`_weight_table`) times the coefficients of each kind on
+    a dense (order, degree) grid (the (n, m) of a spectrum are distinct), added
+    into one row per (kind, degree, order) one shift at a time; then the orders
+    +-a recombined into the real rows of order a <= q_max + 1 (+ 2 with the
+    gradient) and <= top.  Coefficients of shape (sets, modes) give each set its
+    own components, set-major along the component axis, so one table and one
+    contraction serve every set.  Returns (kinds present, top, sets shape, coef)
+    with coef of shape (order a, Re/Im (x + i y)^a part, re/im, set x component,
     kind, degree k = 0..top), zero for k < a and for the Im part of order 0."""
     ncomp, step = (12, 2) if gradient else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
@@ -339,21 +359,14 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     # rows[kind, q + q_max + 2, set, comp, k + 2]: weight of the solid
     # harmonic of degree k and order q in component comp of one set
     rows = np.zeros((2, 2 * q_max + 5, math.prod(sets), ncomp, n_max + 5), dtype=complex)
-    rot = _rotation_weights(n, m)  # [component i, s1 + 1, mode]
+    rot, grad = _weight_table(q_max, n_max, gradient)
     for kind in kinds:
-        c = np.reshape(coeffs[kind], (-1, n.size)).T[:, :, None]  # (modes, sets, 1)
-        for s1 in (-1, 0, 1):
-            rows[kind, m + s1 + q_max + 2, :, :3, n + 2] += c * rot[:, s1 + 1].T[:, None]
-        if not gradient:
-            continue
-        # d_j u_i on order m + s: the paths s1 + s2 = s of one mode summed first
-        grad = np.zeros((3, 3, 5, n.size), dtype=complex)  # [i, j, s + 2, mode]
-        ladder = _ladder_weights(n, m + np.arange(-1, 2)[:, None], bool(kind))  # [j, s2 + 1, s1 + 1, mode]
-        for s1 in (-1, 0, 1):
-            grad[:, :, s1 + 1:s1 + 4] += rot[:, None, s1 + 1, None] * ladder[:, :, s1 + 1]
-        k = n + 2 + (1 if kind else -1)
-        for s in range(-2, 3):
-            rows[kind, m + s + q_max + 2, :, 3:, k] += c * grad[:, :, s + 2].reshape(9, -1).T[:, None]
+        c = np.zeros((2 * q_max + 1, math.prod(sets), 1, n_max + 1), dtype=complex)  # [q + q_max, set, 1, n]
+        c[m + q_max, :, 0, n] = np.reshape(coeffs[kind], (-1, n.size)).T
+        for s1, w in enumerate(c * rot[:, :, None], -1):  # w[q + q_max, set, i, n], onto order q + s1
+            rows[kind, s1 + 2:s1 + 2 * q_max + 3, :, :3, 2:n_max + 3] += w
+        for s, w in enumerate(c * grad[kind][:, :, None] if gradient else (), -2):  # onto degree n -+ 1
+            rows[kind, s + 2:s + 2 * q_max + 3, :, 3:, 1 + 2 * kind:n_max + 2 + 2 * kind] += w
     # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
     # combine into real rows for the Re and Im (x + i y)^a parts.
     a = np.arange(min(q_max + step, top) + 1 if kinds else 0)

@@ -28,8 +28,10 @@ def rng():
 
 @pytest.fixture
 def empty_grid_tables(monkeypatch):
-    """No table kept by `harmonics._grid_columns`, as in a fresh process, for the test's duration."""
+    """No table kept by `harmonics._grid_columns` or `harmonics._weight_table`, as in a fresh
+    process, for the test's duration."""
     monkeypatch.setattr(harmonics, "_grid_tables", {})
+    monkeypatch.setattr(harmonics, "_weights", [-1, -1, 0, None, None])
 
 
 @pytest.fixture

@@ -665,7 +665,7 @@ class TestDeterminism:
 
 
     def test_calr_after_the_cap_sweep_matches_a_fresh_process(self, tmp_path, empty_grid_tables):
-        # the cap sweep grows the kept probe and rule tables to degree 400; `calr --rs 2.5`
+        # the cap sweep grows the kept probe, rule and weight tables to degree 400; `calr --rs 2.5`
         # then reads slices of them and writes what it writes with no table kept, byte for byte
         out = tmp_path / "calr.jsonl"
 
@@ -676,6 +676,7 @@ class TestDeterminism:
         fresh = run()
         assert main(["calr", "--re", "2.5", "--rs", "2.6", "--kappa", "2", "--out", str(tmp_path / "cap.jsonl")]) == 0
         assert min(held[0] for held, _, _ in harmonics._grid_tables.values()) >= 400
+        assert harmonics._weights[1] >= 400  # the degrees of `_series_orders`' weight table
         assert run() == fresh
 
 

@@ -824,6 +824,63 @@ class TestSeriesOrders:
         for new, old in zip(coef, ref):  # per order
             assert_allclose(new, old, rtol=1e-14, atol=1e-14 * np.abs(old).max())
 
+    # the calls the workloads make: the far field (decaying only, one set per loss, no gradient)
+    # and one kind with the gradient, its coefficients one set of shape (modes,)
+    SHAPES = {"far-field": (False, True, (6,), False), "regular-gradient": (True, False, (), True),
+              "decaying-gradient": (False, True, (), True)}
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_call_shapes_match_per_mode_sums(self, name, shape, rng):
+        n, m = np.array(self.SPECTRA[name]).T
+        has_regular, has_decaying, sets, gradient = self.SHAPES[shape]
+        regular, decaying = (rng.normal(size=sets + (n.size,)) + 1j * rng.normal(size=sets + (n.size,)) if on
+                             else None for on in (has_regular, has_decaying))
+        kinds, top, got_sets, coef = harmonics._series_orders(n, m, regular, decaying, gradient)
+        ref = _per_mode_series_orders(n.tolist(), m.tolist(), regular, decaying, gradient)
+        assert (kinds, top, got_sets) == ([int(has_decaying)], n.max() + gradient, sets)
+        assert coef.shape == ref.shape
+        for new, old in zip(coef, ref):  # per order
+            assert_allclose(new, old, rtol=1e-14, atol=1e-14 * np.abs(old).max())
+
+    @pytest.mark.parametrize("grown", ["fresh", "all-to-12-then-zonal", "largest-first"])
+    def test_a_grown_weight_table_gives_the_empty_table_results(self, grown, rng, monkeypatch):
+        # each weight is a closed form in (n, q): a slice of a larger table equals a fresh one
+        calls = [(name, gradient) for name in ("all-to-12", "zonal-2..400") for gradient in (False, True)]
+        args = {}
+        for name, gradient in calls:
+            n, m = np.array(self.SPECTRA[name]).T
+            args[name, gradient] = n, m, *(rng.normal(size=(2, n.size)) + 1j * rng.normal(size=(2, n.size))
+                                           for _ in range(2)), gradient
+        empty = {}
+        for call in calls:
+            monkeypatch.setattr(harmonics, "_weights", [-1, -1, 0, None, None])
+            empty[call] = harmonics._series_orders(*args[call])[3]
+        monkeypatch.setattr(harmonics, "_weights", [-1, -1, 0, None, None])
+        if grown == "largest-first":  # every order of all-to-12 and every degree of zonal-2..400
+            harmonics._weight_table(12, 400, True)
+        for call in calls if grown != "fresh" else ():
+            harmonics._series_orders(*args[call])
+        assert harmonics._weights[:3] == ([-1, -1, 0] if grown == "fresh" else [12, 400, 2])
+        for call in reversed(calls):  # each after a larger call, or on the empty table
+            assert np.array_equal(harmonics._series_orders(*args[call])[3], empty[call])
+        assert not any(t.flags.writeable for t in (*harmonics._weights[3:], *harmonics._weight_table(3, 5, True)))
+
+    def test_weights_are_evaluated_once(self, empty_grid_tables, monkeypatch):
+        # the table is evaluated by a first call, its gradient half by a first gradient call,
+        # and a repeat evaluates no weight
+        calls = []
+        for name in ("_rotation_weights", "_ladder_weights"):
+            monkeypatch.setattr(harmonics, name, lambda *a, f=getattr(harmonics, name), name=name:
+                                calls.append(name) or f(*a))
+        n, m = np.array(self.SPECTRA["zonal-2..400"]).T
+        coeffs = np.ones(n.size)
+        counts = []
+        for regular, gradient in [(None, False), (None, False), (coeffs, True), (coeffs, True), (None, False)]:
+            harmonics._series_orders(n, m, regular, coeffs, gradient)
+            counts.append((calls.count("_rotation_weights"), calls.count("_ladder_weights")))
+        assert counts == [(1, 0), (1, 0), (2, 2), (2, 2), (2, 2)]
+
 
 def _ring_sets():
     """Product grids of unit directions (rings, azimuths, 3), the input of
