@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every oracle validation suite and stop nonzero if any check fails.
+"""Run every oracle validation suite of `npshell.cli.SUITES` at the CLI's
+default flags and stop nonzero if any check fails.
 
 Usage: python scripts/validate_all.py [outdir]
 """
@@ -7,22 +8,13 @@ Usage: python scripts/validate_all.py [outdir]
 import sys
 from pathlib import Path
 
-from npshell.cli import main as cli
-
-SUITES = ("layers", "np", "lame", "gram", "energy")
+from npshell.cli import SUITES, main as cli
 
 
 def run(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
-    worst_rc = 0
-    for suite in SUITES:
-        rc = cli(
-            ["validate", "--suite", suite, "--n-max", "6",
-             "--quad-theta", "64", "--quad-phi", "128",
-             "--out", str(outdir / f"validate_{suite}.jsonl")]
-        )
-        worst_rc = max(worst_rc, rc)
-    return worst_rc
+    return max(cli(["validate", "--suite", suite, "--out", str(outdir / f"validate_{suite}.jsonl")])
+               for suite in SUITES)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .transmission import (
     ShellGeometry,
     SourceSpectrum,
     classify_calr,
-    energy,
+    energy_reports,
     field_eval,
     solve_source,
     solve_sweep_point,
@@ -202,9 +202,12 @@ def cmd_spectrum(cfg: dict) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _suite_layers(lame, rule, n_max, records):
+def _suite_layers(lame, rule, cfg):
+    """Scalar and elastic single layers of every `_suite_modes` mode at r0 = 0.5, 1 and 2,
+    on the flag rule (--quad-theta x --quad-phi)."""
+    records = []
     for r0 in (0.5, 1.0, 2.0):
-        for idx in _suite_modes(n_max):
+        for idx in _suite_modes(cfg["n_max"]):
             for op, quad, closed in (
                 ("scalar_single_layer", quad_scalar_sl, scalar_sl_multiplier(idx.family, idx.n, r0)),
                 ("elastic_single_layer", quad_elastic_sl, r0 * elastic_sl_coeff(idx.family, idx.n, lame)),
@@ -215,77 +218,79 @@ def _suite_layers(lame, rule, n_max, records):
                     operation=op, params={**asdict(idx), "r0": r0, "residual": resid, **asdict(rule)},
                     closed_form=complex(closed), oracle=est,
                     rel_error=math.hypot(abs(closed - est), resid) / abs(closed), tol=1e-6))
+    return records
 
 
 def _suite_modes(n_max):
-    """The modes the layers, np and lame suites check: every family and
-    degree up to n_max, at order 1 (0 for N_1)."""
+    """The modes `_suite_layers`, `_suite_np` and `_suite_lame` check: every
+    family and degree up to n_max, at order 1 (0 for N_1)."""
     return [ModeIndex(fam, n, min(1, n - 1) if fam == "N" else 1) for fam in harmonics.FAMILIES
             for n in range(1, n_max + 1)]
 
 
-def _suite_np(lame, rule, n_max, records):
-    for idx in _suite_modes(n_max):
+def _suite_np(lame, rule, cfg):
+    """The N-P eigenvalue of every `_suite_modes` mode, on the flag rule."""
+    records = []
+    for idx in _suite_modes(cfg["n_max"]):
         est, resid = quad_np_apply(idx, lame, rule)
         ref = np_eigenvalue(idx.family, idx.n, lame)
         records.append(compare("np_eigenvalue", {**asdict(idx), "residual": resid, **asdict(rule)},
                                complex(ref), est, 1e-6))
+    return records
 
 
-def _suite_lame(lame, n_max, records):
+def _suite_lame(lame, rule, cfg):
+    """The Lame residual of every `_suite_modes` mode by finite differences at a
+    seeded random point; no quadrature, so the flag rule is not read."""
     rng = np.random.default_rng(20240811)
     stencil = FDStencil(h=1e-4, order=2)
-    for idx in _suite_modes(n_max):
+    records = []
+    for idx in _suite_modes(cfg["n_max"]):
         x = rng.normal(size=3)
         x *= (0.6 + 0.8 * rng.random()) / np.linalg.norm(x)
         res = fd_lame_residual(lambda p: harmonics.eval_solid_mode(idx, lame, p), lame, x, stencil)
         records.append(ValidationRecord(operation="lame_kernel", params=asdict(idx), closed_form=0.0,
                                         oracle=res, rel_error=float(res), tol=1e-6))
+    return records
 
 
-def _suite_gram(lame, rule, n_max, records):
+def _suite_gram(lame, rule, cfg):
+    """The Gram matrix of every trace mode up to n_max: its largest off-diagonal entry
+    and the T diagonal.  Its rule is sized from n_max, n_theta = max(2 n_max + 8, 24)
+    and n_phi = 2 n_theta, whatever the flag rule says."""
+    n_max = cfg["n_max"]
+    size = max(2 * n_max + 8, 24)
+    rule = QuadratureRule(size, 2 * size)
     gram, modes = harmonics.gram_matrix(n_max, lame, rule)
     diag = np.real(np.diag(gram))
     off = gram - np.diag(np.diag(gram))
     worst = float(np.max(np.abs(off)) / np.max(diag))
-    records.append(
-        ValidationRecord(
-            operation="gram_offdiagonal",
-            params={"n_max": n_max, **asdict(rule)},
-            closed_form=0.0,
-            oracle=worst,
-            rel_error=worst,
-            tol=1e-10,
-        )
-    )
-    for i, idx in enumerate(modes):
-        if idx.family == "T":
-            records.append(
-                compare(
-                    "gram_diagonal_T",
-                    {"n": idx.n, "m": idx.m, **asdict(rule)},
-                    harmonics.trace_mode_norm_sq(idx.family, idx.n, lame),
-                    diag[i],
-                    1e-10,
-                )
-            )
+    return [
+        ValidationRecord(operation="gram_offdiagonal", params={"n_max": n_max, **asdict(rule)},
+                         closed_form=0.0, oracle=worst, rel_error=worst, tol=1e-10),
+        *(compare("gram_diagonal_T", {"n": idx.n, "m": idx.m, **asdict(rule)},
+                  harmonics.trace_mode_norm_sq(idx.family, idx.n, lame), diag[i], 1e-10)
+          for i, idx in enumerate(modes) if idx.family == "T"),
+    ]
 
 
-def _suite_energy(lame, geom, rule, n_max, records):
-    for n in range(2, n_max + 1):
-        cfg = PlasmonicConfig.resonant(n, 0.01)
+def _suite_energy(lame, rule, cfg):
+    """Modal against volume-quadrature shell energy of a resonant single-mode source
+    per degree n = 2..min(n_max, 6), on the 24 x 48 rule whatever the flag rule says."""
+    geom, rule = _geom(cfg), QuadratureRule(24, 48)
+    records = []
+    for n in range(2, min(cfg["n_max"], 6) + 1):
+        plasmon = PlasmonicConfig.resonant(n, 0.01)
         src = SourceSpectrum([n], [0], [lame.mu], r_s=3.0 * geom.r_e)  # phi ~ mu, so E ~ mu
-        sol = solve_source(src, geom, cfg, lame)
-        rep = energy(sol, src, geom, cfg, lame, quadrature=True, rule=rule)
-        records.append(
-            compare(
-                "shell_energy",
-                {"n": n, "delta": cfg.delta, **asdict(rule)},
-                rep.energy_modal,
-                rep.energy_quadrature,
-                0.05,
-            )
-        )
+        (rep,) = energy_reports([solve_source(src, geom, plasmon, lame)], quadrature=True, rule=rule)
+        records.append(compare("shell_energy", {"n": n, "delta": plasmon.delta, **asdict(rule)},
+                               rep.energy_modal, rep.energy_quadrature, 0.05))
+    return records
+
+
+# every oracle suite of `validate --suite`, in the order `scripts/validate_all.py` runs them
+SUITES = {"layers": _suite_layers, "np": _suite_np, "lame": _suite_lame, "gram": _suite_gram,
+          "energy": _suite_energy}
 
 
 def _worst_error(records: list[ValidationRecord]) -> float:
@@ -294,28 +299,17 @@ def _worst_error(records: list[ValidationRecord]) -> float:
 
 
 def cmd_validate(cfg: dict) -> int:
-    """Run one oracle suite.  Quadrature records carry the rule they used in
-    their params (n_theta, n_phi): `gram` sizes its own rule from n_max and
-    `energy` uses 24 x 48, whatever --quad-theta/--quad-phi say."""
+    """Run one suite of `SUITES` on (lame, the flag rule, cfg).  The flag rule is
+    built, and so checked, for every suite; each suite's docstring states the
+    rule it uses, and every quadrature record carries it in its params."""
     lame = _lame(cfg)
     rule = QuadratureRule(cfg["quad_theta"], cfg["quad_phi"])
-    records: list[ValidationRecord] = []
     suite = cfg["suite"]
-    n_max = cfg["n_max"]
-    if n_max < 1:
+    if cfg["n_max"] < 1:
         raise ValueError("n_max must be >= 1")
-    if suite == "layers":
-        _suite_layers(lame, rule, n_max, records)
-    elif suite == "np":
-        _suite_np(lame, rule, n_max, records)
-    elif suite == "lame":
-        _suite_lame(lame, n_max, records)
-    elif suite == "gram":
-        _suite_gram(lame, QuadratureRule(max(2 * n_max + 8, 24), 2 * max(2 * n_max + 8, 24)), n_max, records)
-    elif suite == "energy":
-        _suite_energy(lame, _geom(cfg), QuadratureRule(24, 48), min(n_max, 6), records)
-    else:
-        raise ValueError(f"unknown suite {suite!r} (layers, np, lame, gram, energy)")
+    if suite not in SUITES:  # a config-file value skips argparse's choices
+        raise ValueError(f"unknown suite {suite!r} ({', '.join(SUITES)})")
+    records = SUITES[suite](lame, rule, cfg)
     failures = sum(not r.passed for r in records)
     _write_jsonl(cfg["out"], cfg, [{**asdict(r), "passed": r.passed} for r in records],
                  {"suite": suite, "checks": len(records), "failures": failures})
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--families", default="T,M,N", help="comma list out of T,M,N")
 
     pv = command("validate", cmd_validate, "validate.jsonl", "run an oracle suite; nonzero exit on failure")
-    pv.add_argument("--suite", choices=["layers", "np", "lame", "gram", "energy"], default="np")
+    pv.add_argument("--suite", choices=list(SUITES), default="np")
     pv.add_argument("--n-max", type=int, default=6, help="maximum degree")
     pv.add_argument("--quad-theta", type=int, default=64, help="colatitude quadrature nodes")
     pv.add_argument("--quad-phi", type=int, default=128, help="azimuth quadrature nodes")

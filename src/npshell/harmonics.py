@@ -68,10 +68,10 @@ class ModeIndex:
         return self.n - 1 if self.family == "N" else self.n
 
 
-def mode_indices(n_max: int, families: Iterable[str] = FAMILIES) -> list[ModeIndex]:
+def mode_indices(n_max: int) -> list[ModeIndex]:
     """All valid modes up to degree n_max, in deterministic (family, n, m) order."""
     out = []
-    for fam in families:
+    for fam in FAMILIES:
         for n in range(1, n_max + 1):
             mmax = n - 1 if fam == "N" else n
             for m in range(-mmax, mmax + 1):
@@ -563,12 +563,12 @@ def vector_modes(family: str, n: int, orders: Iterable[int], lame: "LameParams",
     the material.  T_n^m = -i L (r^n Y_n^m) is `_rotation_weights` on degree
     n; with l the scalar degree (n, or n - 1 for N), grad(r^l Y_l^m) is
     `_ladder_weights` on degree l - 1, and r^l Y_l^m = x . grad(r^l Y_l^m) / l
-    (Euler).  Each mode is one product of `_mode_rows`' (component x ring,
-    row) coefficients by its (row, azimuth) trig rows, from one table."""
+    (Euler).  All modes are one batched product of `_mode_rows`' (ring, row)
+    coefficients by the (row, azimuth) trig rows, from one table."""
     unit = np.asarray(unit, dtype=float)
     rings, azimuths, _ = unit.shape
     g, _, trig = _mode_rows(family, n, orders, unit, r)
-    g = np.array([(c.reshape(3 * rings, -1) @ trig[:c.shape[-1]]) for c in g]).reshape(len(g), 3, rings, azimuths)
+    g = g @ trig[:g.shape[-1]]  # (orders, 3, rings, azimuths)
     if family == "N":
         l, a, nu = n - 1, a_coeff(n, lame), np.moveaxis(unit, -1, 0)
         y = r * np.sum(nu * g, axis=1, keepdims=True) / l if l else 1 / math.sqrt(4 * math.pi)  # r^l Y_l^m

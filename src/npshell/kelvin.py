@@ -43,14 +43,6 @@ class LameParams:
         lam, mu = complex(self.lam).real, complex(self.mu).real
         return mu > 0 and 3 * lam + 2 * mu > 0
 
-    @property
-    def loss(self) -> float:
-        """Common imaginary part of a lossy pair (0 for regular materials)."""
-        li, mi = complex(self.lam).imag, complex(self.mu).imag
-        if not np.isclose(li, mi, rtol=0, atol=1e-12 * (1 + abs(mi))):
-            raise ValueError("lambda and mu do not share a common imaginary part")
-        return mi
-
 
 @dataclass(frozen=True)
 class KernelCoeffs:

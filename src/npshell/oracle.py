@@ -108,9 +108,9 @@ def _unit_nodes(rule: QuadratureRule, polar: bool) -> tuple[np.ndarray, np.ndarr
     return pts, weights
 
 
-def quad_surface_integral(f: Callable, rule: QuadratureRule, radius: float = 1.0) -> complex:
-    """Integrate f(points (N,3)) -> (N,) over the sphere of given radius."""
-    pts, w = rule.surface_nodes(radius)
+def quad_surface_integral(f: Callable, rule: QuadratureRule) -> complex:
+    """Integrate f(points (N,3)) -> (N,) over the unit sphere."""
+    pts, w = rule.surface_nodes()
     return fsum_c(np.asarray(f(pts)) * w)
 
 
@@ -338,18 +338,11 @@ def fd_gradient(field: Callable, x: np.ndarray, stencil: FDStencil = FDStencil()
     return _fd_derivatives(field, x, stencil)[0]
 
 
-def fd_traction(
-    field: Callable,
-    lame: LameParams,
-    x: np.ndarray,
-    normal: np.ndarray | None = None,
-    stencil: FDStencil = FDStencil(),
-) -> np.ndarray:
-    """Conormal derivative lam (div u) nu + mu (grad u + grad u^t) nu at x;
+def fd_traction(field: Callable, lame: LameParams, x: np.ndarray, stencil: FDStencil = FDStencil()) -> np.ndarray:
+    """Conormal derivative lam (div u) nu + mu (grad u + grad u^t) nu at x, nu = x / |x|;
     field maps points (S, 3) to values (S, 3) and is called once."""
     x = np.asarray(x, dtype=float)
-    if normal is None:
-        normal = x / np.linalg.norm(x)
+    normal = x / np.linalg.norm(x)
     g = fd_gradient(field, x, stencil)
     div = g[0, 0] + g[1, 1] + g[2, 2]
     return lame.lam * div * normal + lame.mu * (g + g.T) @ normal

@@ -148,13 +148,18 @@ def source_coefficient(n, r_s: float, geom: ShellGeometry, lame: LameParams, kap
     return kappa * complex(lame.mu).real * (n - 1) * (geom.r_e / r_s) ** n / geom.r_e
 
 
-def mode_denominator(n, cfg: PlasmonicConfig | ADeltaPair, geom: ShellGeometry, lame: LameParams):
-    """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
+def _mode_terms(n, cfg: PlasmonicConfig | ADeltaPair, geom: ShellGeometry, lame: LameParams):
+    """(xi_n, (a1, a2), d1 mu, rho^(2n+1), D) of the degree-n 2x2 system, each formed once."""
     xi = np_eigenvalue("T", n, lame)
     pair = cfg if isinstance(cfg, ADeltaPair) else a_delta(cfg)
     d1mu = elastic_sl_coeff("T", n, lame) * lame.mu  # = -1/(2n+1), material free
-    rho = geom.rho
-    return (xi - pair.a1) * (xi - pair.a2) + d1mu**2 * (n - 1) * (n + 2) * rho ** (2 * n + 1)
+    outer = geom.rho ** (2 * n + 1)
+    return xi, pair, d1mu, outer, (xi - pair.a1) * (xi - pair.a2) + d1mu**2 * (n - 1) * (n + 2) * outer
+
+
+def mode_denominator(n, cfg: PlasmonicConfig | ADeltaPair, geom: ShellGeometry, lame: LameParams):
+    """D = (xi_n - a1)(xi_n - a2) + d1^2 mu^2 (n-1)(n+2) rho^(2n+1)."""
+    return _mode_terms(n, cfg, geom, lame)[-1]
 
 
 def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig | ADeltaPair, lame: LameParams):
@@ -164,16 +169,12 @@ def transfer_factors(n, geom: ShellGeometry, cfg: PlasmonicConfig | ADeltaPair, 
     phi_e = -g_e (xi - a1 + d1 mu (n+2) rho^(2n+1)) / D
     `cfg` may be the pair (a1, a2) itself, e.g. loss-grid columns against n.
     """
-    xi = np_eigenvalue("T", n, lame)
-    pair = cfg if isinstance(cfg, ADeltaPair) else a_delta(cfg)
-    d1mu = elastic_sl_coeff("T", n, lame) * lame.mu
-    rho = geom.rho
-    D = mode_denominator(n, cfg, geom, lame)
+    xi, pair, d1mu, outer, D = _mode_terms(n, cfg, geom, lame)
     if np.any(D == 0):
         raise ExactResonanceError(f"degree n={np.broadcast_to(n, np.shape(D))[D == 0]} is exactly resonant (D = 0)")
     return (
-        (pair.a2 - xi + d1mu * (n - 1)) * rho ** (n - 1) / D,
-        -(xi - pair.a1 + d1mu * (n + 2) * rho ** (2 * n + 1)) / D,
+        (pair.a2 - xi + d1mu * (n - 1)) * geom.rho ** (n - 1) / D,
+        -(xi - pair.a1 + d1mu * (n + 2) * outer) / D,
     )
 
 

@@ -1,10 +1,13 @@
 """Command-line interface: artifacts, determinism, config precedence, exit codes."""
 
+import argparse
+import importlib.util
 import io
 import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -13,6 +16,8 @@ from hypothesis import strategies as st
 from npshell import cli, harmonics
 from npshell.cli import _worst_error, main
 from npshell.oracle import ValidationRecord
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _strict_json(line):
@@ -205,6 +210,29 @@ class TestValidate:
         out = tmp_path / "v.jsonl"
         rc = main(["validate", "--suite", "lame", "--n-max", "4", "--out", str(out)])
         assert rc == 0
+
+    def test_suite_registry(self, tmp_path, capsys, monkeypatch):
+        # the parser, the dispatcher and scripts/validate_all.py all read cli.SUITES
+        for suite in cli.SUITES:
+            out = tmp_path / f"{suite}.jsonl"
+            assert main(["validate", "--suite", suite, "--n-max", "2", "--out", str(out)]) == 0
+            assert _strict_json(out.read_text().splitlines()[-1])["suite"] == suite
+        (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (suite_flag,) = [a for a in commands.choices["validate"]._actions if a.dest == "suite"]
+        assert suite_flag.choices == list(cli.SUITES)
+        spec = importlib.util.spec_from_file_location("validate_all", ROOT / "scripts" / "validate_all.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        calls = []
+        monkeypatch.setattr(script, "cli", lambda argv: calls.append(argv[argv.index("--suite") + 1]) or 0)
+        assert script.run(tmp_path / "all") == 0
+        assert calls == list(cli.SUITES)
+        # the flag rule is checked for every suite, also one that reads no rule
+        capsys.readouterr()
+        rc = main(["validate", "--suite", "lame", "--quad-theta", "64", "--quad-phi", "100",
+                   "--out", str(tmp_path / "v.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: need n_phi >= 2 n_theta for azimuthal resolution"
 
     def test_unknown_suite(self, tmp_path):
         with pytest.raises(SystemExit):

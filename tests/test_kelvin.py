@@ -27,12 +27,6 @@ class TestLameParams:
         assert not LameParams(-1.0, 1.0).is_regular
         assert not LameParams(1 + 0.1j, 1 + 0.1j).is_regular
 
-    def test_loss(self):
-        assert LameParams(-4 + 0.01j, -4 + 0.01j).loss == 0.01
-        assert LameParams(2.0, 1.0).loss == 0.0
-        with pytest.raises(ValueError):
-            LameParams(1 + 0.1j, 1 + 0.2j).loss
-
     @pytest.mark.parametrize("lam", [1.0, -1.0 + 0.1j])
     def test_zero_shear_modulus_rejected(self, lam):
         # mu = 0 once reached the T eigenvalue and ran a sweep to "bounded"

@@ -784,11 +784,21 @@ class TestClassify:
 
 class TestExactResonanceGuard:
     def test_zero_denominator_raises(self, monkeypatch):
-        import npshell.transmission as tr
-
-        monkeypatch.setattr(tr, "mode_denominator", lambda *a, **k: 0j)
+        terms = tr._mode_terms
+        monkeypatch.setattr(tr, "_mode_terms", lambda *a: (*terms(*a)[:-1], 0j))  # D = 0
         with pytest.raises(tr.ExactResonanceError):
             transfer_factors(2, GEOM, PlasmonicConfig.resonant(2, 0.0), LAME)
+
+    @pytest.mark.parametrize("n, cfg", [
+        (3, PlasmonicConfig.resonant(3, 0.01)),
+        (np.arange(2, 41), tr.ADeltaPair(np.array([[0.3 + 0.01j], [0.2]]), np.array([[0.1j], [0.25]]))),
+    ], ids=["one-degree", "loss-grid"])
+    def test_one_eigenvalue_per_solve(self, monkeypatch, n, cfg):
+        # D, xi_n, d1 mu and rho^(2n+1) are formed once for both factors
+        calls = []
+        monkeypatch.setattr(tr, "np_eigenvalue", lambda *a: calls.append(a) or np_eigenvalue(*a))
+        transfer_factors(n, GEOM, cfg, LAME)
+        assert len(calls) == 1
 
 
 class TestTruncationAudit:
