@@ -17,6 +17,8 @@ Usage: python scripts/regen_golden.py            # rewrite tests/golden/
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -40,9 +42,11 @@ RUNS = {
 
 
 def write(outdir: Path) -> None:
-    """Each run of RUNS as outdir/<name>."""
+    """Each run of RUNS as outdir/<name>.  The CLI's own stdout lines, which
+    name outdir, are dropped, so `--moves` prints the same text on every run."""
     for name, argv in RUNS.items():
-        rc = cli([*argv, "--out", str(outdir / name)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli([*argv, "--out", str(outdir / name)])
         if rc != 0:
             raise SystemExit(rc)
 

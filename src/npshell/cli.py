@@ -27,6 +27,7 @@ import numpy as np
 from .harmonics import ModeIndex
 from .kelvin import LameParams
 from .oracle import (
+    ENERGY_RULE,
     FDStencil,
     NonEigenfunctionError,
     QuadratureRule,
@@ -276,14 +277,14 @@ def _suite_gram(lame, rule, cfg):
 
 def _suite_energy(lame, rule, cfg):
     """Modal against volume-quadrature shell energy of a resonant single-mode source
-    per degree n = 2..min(n_max, 6), on the 24 x 48 rule whatever the flag rule says."""
-    geom, rule = _geom(cfg), QuadratureRule(24, 48)
+    per degree n = 2..min(n_max, 6), on `ENERGY_RULE` (24 x 48) whatever the flag rule says."""
+    geom = _geom(cfg)
     records = []
     for n in range(2, min(cfg["n_max"], 6) + 1):
         plasmon = PlasmonicConfig.resonant(n, 0.01)
         src = SourceSpectrum([n], [0], [lame.mu], r_s=3.0 * geom.r_e)  # phi ~ mu, so E ~ mu
-        (rep,) = energy_reports([solve_source(src, geom, plasmon, lame)], quadrature=True, rule=rule)
-        records.append(compare("shell_energy", {"n": n, "delta": plasmon.delta, **asdict(rule)},
+        (rep,) = energy_reports([solve_source(src, geom, plasmon, lame)], quadrature=True)
+        records.append(compare("shell_energy", {"n": n, "delta": plasmon.delta, **asdict(ENERGY_RULE)},
                                rep.energy_modal, rep.energy_quadrature, 0.05))
     return records
 

@@ -14,6 +14,7 @@ is formed, so it is exact on the polar axis and accurate next to it.
 (every shell in one call, values at the rings times trig rows at the azimuths) and
 `vector_modes` read the one table kept per product grid (rings, azimuths, 3), scattered points
 as (N, 1) (`_grid_columns`); the series' weights, one kept (order x degree) `_weight_table`.
+One map takes complex orders to the table's Re/Im rows, `_row_weights`, for modes and series alike.
 The seed's ladders through arccos/arctan2 (`eval_ylm`, `solid_harmonic`,
 `grad_`/`hess_[ir]regular_solid_harmonic`) stay as the tests' reference.
 """
@@ -341,13 +342,14 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
     harmonics of degree n and order m + s1 and of grad u on degree n -+ 1 and
     order m + s1 + s2 (`_weight_table`) times the coefficients of each kind on
     a dense (order, degree) grid (the (n, m) of a spectrum are distinct), added
-    into one row per (kind, degree, order) one shift at a time; then the orders
-    +-a recombined into the real rows of order a <= q_max + 1 (+ 2 with the
-    gradient) and <= top.  Coefficients of shape (sets, modes) give each set its
-    own components, set-major along the component axis, so one table and one
-    contraction serve every set.  Returns (kinds present, top, sets shape, coef)
-    with coef of shape (order a, Re/Im (x + i y)^a part, re/im, set x component,
-    kind, degree k = 0..top), zero for k < a and for the Im part of order 0."""
+    into one row per (kind, degree, order) one shift at a time; then mapped
+    onto the table's Re/Im rows of order a <= q_max + 1 (+ 2 with the
+    gradient) and <= top by the order map `_row_weights`.  Coefficients of
+    shape (sets, modes) give each set its own components, set-major along the
+    component axis, so one table and one contraction serve every set.  Returns
+    (kinds present, top, sets shape, coef) with coef of shape (order a, Re/Im
+    (x + i y)^a part, re/im, set x component, kind, degree k = 0..top), zero
+    for k < a and for the Im part of order 0."""
     ncomp, step = (12, 2) if gradient else (3, 1)
     n, m = np.asarray(n, dtype=int), np.asarray(m, dtype=int)
     coeffs = (regular, decaying)
@@ -367,15 +369,11 @@ def _series_orders(n, m, regular, decaying, gradient: bool):
             rows[kind, s1 + 2:s1 + 2 * q_max + 3, :, :3, 2:n_max + 3] += w
         for s, w in enumerate(c * grad[kind][:, :, None] if gradient else (), -2):  # onto degree n -+ 1
             rows[kind, s + 2:s + 2 * q_max + 3, :, 3:, 1 + 2 * kind:n_max + 2 + 2 * kind] += w
-    # Orders +-a share P~_k^a (Y_k^-a = (-1)^a P~_k^a exp(-i a phi)) and
-    # combine into real rows for the Re and Im (x + i y)^a parts.
-    a = np.arange(min(q_max + step, top) + 1 if kinds else 0)
-    rows = rows.reshape(rows.shape[:2] + (-1, n_max + 5))[  # (kind, order +a or -a, comp, degree)
-        np.array(kinds, dtype=int)[:, None, None], q_max + 2 + np.stack([a, -a]), :, 2:top + 3]
-    plus = rows[:, 0]
-    minus = np.where(a > 0, (-1.0) ** a, 0.0)[:, None, None] * rows[:, 1]
-    coef = np.stack([plus + minus, 1j * (plus - minus)], axis=2)  # (kind, order, part, comp, degree)
-    coef[:, :1, 1] = 0.0
+    count = min(q_max + step, top) + 1 if kinds else 0  # the orders a of the rows reached
+    width = math.prod(sets) * ncomp  # every size explicit: an empty spectrum has no kinds
+    rows = rows[kinds, ..., 2:top + 3].reshape(len(kinds), 2 * q_max + 5, width * (top + 1))
+    coef = _row_weights(count - 1, np.arange(-q_max - 2, q_max + 3)).T @ rows  # (kind, row, comp x degree)
+    coef = coef.reshape(len(kinds), count, 2, width, top + 1)  # (kind, order, part, comp, degree)
     coef = np.stack([coef.real, coef.imag], axis=3).transpose(1, 2, 3, 4, 0, 5)
     return kinds, top, sets, np.ascontiguousarray(coef)
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .harmonics import ModeIndex, _grid_columns, _mode_rows, a_coeff
 from .kelvin import KernelCoeffs, LameParams, k1_kernel, k2_parts
-from .transmission import ShellGeometry
 
 
 class NonEigenfunctionError(RuntimeError):
@@ -352,12 +351,15 @@ def fd_traction(field: Callable, lame: LameParams, x: np.ndarray, stencil: FDSte
 # shell energy quadrature
 # ---------------------------------------------------------------------------
 
+ENERGY_RULE = QuadratureRule(24, 48)  # the angular rule of the shell-energy cross-check
+
+
 def quad_energy_shell(
     u_grad: Callable,
     lame: LameParams,
     delta: float,
     geom: ShellGeometry,
-    rule: QuadratureRule,
+    rule: QuadratureRule = ENERGY_RULE,
     n_radial: int = 16,
 ) -> float:
     """(delta/2) * int_shell [lam |div u|^2 + 2 mu |sym grad u|^2] dx.

@@ -21,6 +21,7 @@ import numpy as np
 
 from .harmonics import solid_harmonic_series, solid_harmonic_shells
 from .kelvin import LameParams
+from .oracle import quad_energy_shell
 from .potentials import elastic_sl_coeff, np_eigenvalue
 
 
@@ -406,24 +407,19 @@ def farfield_sample(sols: list[DensitySolution]) -> list[float]:
     return np.linalg.norm((values @ trig)[..., 0, :, 0], axis=-2).max(axis=-1).tolist()
 
 
-def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=None,
-                   per_mode=None) -> list[EnergyReport]:
+def energy_reports(sols: list[DensitySolution], quadrature: bool = False, per_mode=None) -> list[EnergyReport]:
     """The `EnergyReport` of each solution; one `farfield_sample` call gives every far field.
 
     energy_modal sums the exact per-mode closed form: row k of `per_mode`
     (the energy grid of `solve_sweep`, zero past solution k's modes) or else
     `shell_energy` of solution k.  energy_quadrature (optional) integrates
     the strain density over the shell volume with the brute-force angular
-    `rule` (an oracle.QuadratureRule, default 24 x 48) and 16 radial nodes,
-    every shell's field factored in one call, each ring's azimuth sum a Gram
-    form on the rule's nodes.  Both are (delta/2) * P_shell(u - F) of the
-    shell, configuration and material the solution was solved for.
+    rule `oracle.ENERGY_RULE` (24 x 48) and 16 radial nodes, every shell's
+    field factored in one call, each ring's azimuth sum a Gram form on the
+    rule's nodes.  Both are (delta/2) * P_shell(u - F) of the shell,
+    configuration and material the solution was solved for.
     """
-    if quadrature:
-        from .oracle import QuadratureRule, quad_energy_shell
-
-        rule = rule or QuadratureRule(24, 48)
-    e_quads = [quad_energy_shell(scattered_gradient_factory(sol), sol.lame, sol.cfg.delta, sol.geom, rule)
+    e_quads = [quad_energy_shell(scattered_gradient_factory(sol), sol.lame, sol.cfg.delta, sol.geom)
                if quadrature else None for sol in sols]
     if per_mode is None:
         per_mode = [shell_energy(sol.n, sol.phi_i, sol.phi_e, sol.geom, sol.cfg.delta, sol.lame) for sol in sols]
@@ -437,7 +433,7 @@ def energy_reports(sols: list[DensitySolution], quadrature: bool = False, rule=N
 
 
 def energy(sol: DensitySolution, src: SourceSpectrum, geom: ShellGeometry, cfg: PlasmonicConfig, lame: LameParams,
-           quadrature: bool = False, rule=None) -> EnergyReport:
+           quadrature: bool = False) -> EnergyReport:
     """The one-solution `energy_reports`: the shell energy two ways and the
     far field.  `src` is not read; `geom`, `cfg` and `lame` must equal the
     solution's (ValueError naming the field otherwise), and all four stay
@@ -445,7 +441,7 @@ def energy(sol: DensitySolution, src: SourceSpectrum, geom: ShellGeometry, cfg: 
     for name, given in (("geom", geom), ("cfg", cfg), ("lame", lame)):
         if given != getattr(sol, name):
             raise ValueError(f"energy: {name} {given} differs from the solution's {getattr(sol, name)}")
-    (report,) = energy_reports([sol], quadrature, rule)
+    (report,) = energy_reports([sol], quadrature)
     return report
 
 

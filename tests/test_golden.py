@@ -4,7 +4,9 @@ floats to rtol 1e-13, except `rel_error`, a difference of rounded numbers
 near 1e-15, and the N-P `residual`, rounding noise of 1e-17 to 1e-14, to
 atol 1e-13; the `out` echo is not compared."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
@@ -57,14 +59,21 @@ def _records(path: Path):
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
+    """One regeneration into a fresh directory: (that directory, what the run printed)."""
     out = tmp_path_factory.mktemp("golden")
-    _regen_module().write(out)
-    return out
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        _regen_module().write(out)
+    return out, printed.getvalue()
+
+
+def test_regeneration_prints_nothing(fresh):
+    # the CLI's lines name the random output directory; `--moves` prints only its own lines
+    assert fresh[1] == ""
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
 def test_calr_artifacts_match_golden(fresh, name):
-    new, old = _records(fresh / name), _records(GOLDEN / name)
+    new, old = _records(fresh[0] / name), _records(GOLDEN / name)
     assert len(new) == len(old)
     for k, (a, b) in enumerate(zip(new, old)):
         _assert_same(a, b, f"{name} line {k + 1}")

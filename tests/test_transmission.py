@@ -1,6 +1,5 @@
 """Core-shell-matrix solver: mode solves, fields, energy, classification."""
 
-import functools
 import math
 import tracemalloc
 from dataclasses import asdict, replace
@@ -400,10 +399,12 @@ class TestShellGrid:
         q_max = int(np.abs(sol.m).max())
         rings = oracle._unit_nodes(QuadratureRule(24, 48), polar=False)[0][:, 0, 2]
         for n_radial, built in ((4, 1), (16, 0)):  # one shell table for a first cross-check, none for a repeat
-            monkeypatch.setattr(oracle, "quad_energy_shell", functools.partial(quad_energy_shell, n_radial=n_radial))
+            radial = []  # the radial node count of each cross-check run: the patch reaches `energy`
+            monkeypatch.setattr(tr, "quad_energy_shell",
+                                lambda *args, k=n_radial: radial.append(k) or quad_energy_shell(*args, n_radial=k))
             legendre_builds.clear()
             energy(sol, None, GEOM, sol.cfg, LAME, quadrature=True)
-            assert len(legendre_builds) == built
+            assert radial == [n_radial] and len(legendre_builds) == built
             assert all(np.array_equal(z, rings) and len(orders) <= q_max + 3 for _, orders, z in legendre_builds)
 
 
@@ -938,9 +939,9 @@ class TestLossGrid:
         fixed_cfg = PlasmonicConfig.resonant(4, 0.1) if fixed else None
         seen = {}
 
-        def reports(sols, quadrature=False, rule=None, per_mode=None):
+        def reports(sols, quadrature=False, per_mode=None):
             seen.update(sols=sols, per_mode=per_mode)
-            return energy_reports(sols, quadrature, rule, per_mode)
+            return energy_reports(sols, quadrature, per_mode)
 
         monkeypatch.setattr(tr, "energy_reports", reports)
         sweep = classify_calr(geom, LAME, r_s, _SWEEP_GRID, kappa=kappa, fixed_cfg=fixed_cfg)
